@@ -6,8 +6,6 @@ all orderings are fixed so that serialized output is byte-stable.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -48,13 +46,6 @@ class Report:
     failures: List = field(default_factory=list)
 
 
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("MCLUSTER_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def build_graph(rs: RootSystem, m: int, oracle: str = "combinatorial") -> CompatibilityGraph:
     if oracle not in ORACLES:
         raise ValueError(f"oracle must be one of {ORACLES}")
@@ -62,20 +53,11 @@ def build_graph(rs: RootSystem, m: int, oracle: str = "combinatorial") -> Compat
     nodes = coloured_ground_set(rs, m)
     size = len(nodes)
     adjacency = [[False] * size for _ in range(size)]
-
-    def fill_row(i: int) -> None:
+    for i in range(size):
         for j in range(i, size):
             verdict = oracle_fn(rs, m, nodes[i], nodes[j])
             adjacency[i][j] = verdict
             adjacency[j][i] = verdict
-
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill_row, range(size)))
-    else:
-        for i in range(size):
-            fill_row(i)
     return CompatibilityGraph(rs, m, oracle, nodes, adjacency)
 
 
@@ -108,7 +90,9 @@ def verify_facet_sizes(facets: Sequence[TiltingSet], n: int) -> Report:
 
 def complements(g: CompatibilityGraph, t: Sequence[int]) -> List[int]:
     """Node indices x outside an almost-complete set t such that t+{x} is
-    a facet (pairwise compatible and maximal)."""
+    a facet (pairwise compatible and maximal), by a scan of the graph.
+    ``verify_complement_counts`` counts the same completions from the
+    facet list instead."""
     tset = set(t)
     if len(tset) != g.rs.n - 1:
         raise ValueError(f"almost-complete set must have {g.rs.n - 1} members")
@@ -129,22 +113,26 @@ def complements(g: CompatibilityGraph, t: Sequence[int]) -> List[int]:
     return out
 
 
-def verify_complement_counts(g: CompatibilityGraph, facets: Sequence[TiltingSet]) -> Report:
-    """Every facet minus one element must have exactly m+1 completions."""
-    checked = 0
-    failures = []
-    seen = set()
+def ridge_counts(facets: Sequence[TiltingSet]) -> Dict[Tuple[int, ...], int]:
+    """For each ridge (a facet minus one element), the number of facets
+    that are the ridge plus one element.  Given the complete facet list,
+    this is ``len(complements(g, ridge))``."""
+    counts: Dict[Tuple[int, ...], int] = {}
     for f in facets:
-        for drop in f.indices:
-            t = tuple(i for i in f.indices if i != drop)
-            if t in seen:
-                continue
-            seen.add(t)
-            checked += 1
-            comps = complements(g, t)
-            if len(comps) != g.m + 1:
-                failures.append((t, comps))
-    return Report("complement-counts", not failures, checked, failures)
+        idx = f.indices
+        for k in range(len(idx)):
+            ridge = idx[:k] + idx[k + 1:]
+            counts[ridge] = counts.get(ridge, 0) + 1
+    return counts
+
+
+def verify_complement_counts(g: CompatibilityGraph, facets: Sequence[TiltingSet]) -> Report:
+    """Every facet minus one element must have exactly m+1 completions,
+    i.e. lie in exactly m+1 facets.  Each ridge with another count is
+    reported as ``(ridge, count)``; ``checked`` is the number of ridges."""
+    counts = ridge_counts(facets)
+    failures = [(t, c) for t, c in counts.items() if c != g.m + 1]
+    return Report("complement-counts", not failures, len(counts), failures)
 
 
 def f_vector(g: CompatibilityGraph) -> List[int]:
@@ -172,16 +160,40 @@ def supported_ground_set(rs: RootSystem, m: int, kept: Sequence[int]) -> List[Co
     return out
 
 
+def _per_component(rs: RootSystem, oracle_fn: Callable) -> Callable:
+    """``oracle_fn`` extended to a possibly reducible system: the complex of
+    a reducible system is the join of its components' complexes, so roots
+    in different components are compatible, and roots in one component
+    are judged in that component's irreducible system, built once here."""
+    if rs.irreducible:
+        return oracle_fn
+    parts = [(verts, parabolic(rs, verts)) for verts in (sorted(c) for c in rs.components)]
+    owner = {v: k for k, (verts, _) in enumerate(parts) for v in verts}
+
+    def verdict(_rs: RootSystem, m: int, x: ColouredRoot, y: ColouredRoot) -> bool:
+        kx = owner[next(v for v, c in enumerate(x.root) if c)]
+        ky = owner[next(v for v, c in enumerate(y.root) if c)]
+        if kx != ky:
+            return True
+        verts, comp = parts[kx]
+        return oracle_fn(comp, m, ColouredRoot(restrict_root(x.root, verts), x.colour),
+                         ColouredRoot(restrict_root(y.root, verts), y.colour))
+
+    return verdict
+
+
 def verify_parabolic_restriction(rs: RootSystem, m: int, keep: Sequence[int],
                                  oracle: str = "combinatorial") -> Report:
     """Compatibility of pairs supported on ``keep`` must agree between the
-    full system and the parabolic subsystem."""
+    full system and the parabolic subsystem.  The categorical oracle needs
+    an irreducible system, so on a reducible one it runs per component."""
     kept = sorted(set(keep))
     sub = parabolic(rs, kept)
     if oracle == "combinatorial":
         full_fn = sub_fn = compatible_combinatorial
     elif oracle == "categorical":
-        full_fn, sub_fn = compatible_categorical, compatible_categorical
+        full_fn = _per_component(rs, compatible_categorical)
+        sub_fn = _per_component(sub, compatible_categorical)
     else:
         raise ValueError(f"oracle must be one of {ORACLES}")
     supported = supported_ground_set(rs, m, kept)

@@ -46,17 +46,6 @@ class Mat:
     def identity(n: int) -> "Mat":
         return Mat(n, n, tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)))
 
-    def mul(self, other: "Mat") -> "Mat":
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch in matrix product")
-        rows = []
-        for i in range(self.nrows):
-            rows.append(tuple(
-                sum((self.rows[i][k] * other.rows[k][j] for k in range(self.ncols)), Fraction(0))
-                for j in range(other.ncols)
-            ))
-        return Mat(self.nrows, other.ncols, tuple(rows))
-
     def column_block(self, start: int, stop: int) -> "Mat":
         return Mat(self.nrows, stop - start, tuple(r[start:stop] for r in self.rows))
 

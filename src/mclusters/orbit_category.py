@@ -10,7 +10,6 @@ of powers p.
 
 from __future__ import annotations
 
-import functools
 from typing import List
 
 from .coloured_roots import ColouredRoot, check_coloured, coloured_ground_set
@@ -123,9 +122,14 @@ class MClusterCategory:
         return self.ext(x, y, i) == self.ext(y, x, self.m + 1 - i)
 
 
-@functools.lru_cache(maxsize=None)
 def mcluster_category(rs: RootSystem, m: int) -> MClusterCategory:
-    return MClusterCategory(rs, m)
+    """The m-cluster category of ``rs``, built once per ``m`` and kept in
+    ``rs.memo`` so that it lives exactly as long as the root system does."""
+    key = ("mcluster", m)
+    cat = rs.memo.get(key)
+    if cat is None:
+        cat = rs.memo[key] = MClusterCategory(rs, m)
+    return cat
 
 
 def compatible_categorical(rs: RootSystem, m: int, x: ColouredRoot, y: ColouredRoot) -> bool:

@@ -5,6 +5,12 @@ Indecomposables are constructed for each positive root by walking the
 dimension vector to a projective with the Coxeter transformation and then
 applying the inverse Coxeter functor the recorded number of times, so the
 matrices are deterministic.
+
+The derived and orbit categories do not use these modules: between
+indecomposables, Hom and Ext^1 come from the Euler form (see
+``DerivedCategory.hom``).  The modules here, with Hom computed exactly by
+``Fraction`` linear algebra, are the witness that the tests check the
+closed form against.
 """
 
 from __future__ import annotations
@@ -58,13 +64,6 @@ class Representation:
 
     def dimension_vector(self) -> Root:
         return self.dims
-
-    def to_json(self) -> dict:
-        return {
-            "dims": list(self.dims),
-            "arrows": [list(a) for a in self.arrows],
-            "maps": [[[str(x) for x in row] for row in m.rows] for m in self.maps],
-        }
 
 
 def _one_hot_rep(q: BipartiteQuiver, dims: Sequence[int], hot: Dict[Arrow, Mat]) -> Representation:

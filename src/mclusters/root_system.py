@@ -60,14 +60,17 @@ def parse_type(text: str) -> DynkinType:
 class RootSystem:
     """A (possibly reducible) simply-laced root system on a fixed diagram.
 
-    Instances are immutable after construction and hash by identity, so
-    they are safe to share across threads and usable as cache keys.
+    The root data are fixed at construction and instances hash by
+    identity.  ``memo`` holds the categories built from a system (see
+    ``derived_category`` and ``mcluster_category``), so they are freed
+    together with it.
     """
 
     def __init__(self, n: int, edges: Sequence[Tuple[int, int]],
                  dynkin_type: Optional[DynkinType] = None,
                  I_plus: Optional[Iterable[int]] = None):
         self.type = dynkin_type
+        self.memo: Dict[object, object] = {}
         self.n = n
         self.edges: Tuple[Tuple[int, int], ...] = tuple(sorted(tuple(sorted(e)) for e in edges))
         self.cartan: Tuple[Tuple[int, ...], ...] = self._build_cartan()

@@ -5,6 +5,7 @@ from mclusters import (ColouredRoot, build_graph, build_root_system, complements
                        complex_to_json, enumerate_facets, f_vector, parse_type,
                        verify_complement_counts, verify_facet_sizes,
                        verify_parabolic_restriction)
+from mclusters.cluster_complex import ridge_counts
 
 
 @pytest.fixture(scope="module")
@@ -40,11 +41,6 @@ class TestBuildGraph:
     def test_bad_oracle(self, a2):
         with pytest.raises(ValueError):
             build_graph(a2, 1, "guesswork")
-
-    def test_thread_env(self, a2, monkeypatch):
-        monkeypatch.setenv("MCLUSTER_THREADS", "4")
-        g = build_graph(a2, 2)
-        assert g.adjacency == build_graph(a2, 2).adjacency
 
 
 class TestFacets:
@@ -91,6 +87,28 @@ class TestComplements:
         report = verify_complement_counts(g, enumerate_facets(g))
         assert report.passed
 
+    @pytest.mark.parametrize("name,m", [("A2", 1), ("A2", 2), ("A2", 3), ("A3", 2), ("D4", 1)])
+    def test_ridge_count_is_complement_count(self, name, m):
+        rs = build_root_system(parse_type(name))
+        g = build_graph(rs, m)
+        facets = enumerate_facets(g)
+        counts = ridge_counts(facets)
+        assert counts
+        for t, count in counts.items():
+            assert count == len(complements(g, t)) == m + 1
+        report = verify_complement_counts(g, facets)
+        assert report.passed and report.checked == len(counts)
+
+    def test_missing_facet_reported(self, a3):
+        g = build_graph(a3, 2)
+        facets = enumerate_facets(g)
+        report = verify_complement_counts(g, facets[1:])
+        assert not report.passed
+        assert report.failures
+        dropped = facets[0].indices
+        for t, count in report.failures:
+            assert count == 2 and set(t) < set(dropped)
+
     def test_a1_m3_empty_set(self):
         rs = build_root_system(parse_type("A1"))
         g = build_graph(rs, 3)
@@ -135,6 +153,14 @@ class TestParabolicRestriction:
     def test_a3_drop_middle(self, a3):
         report = verify_parabolic_restriction(a3, 1, [0, 2])
         assert report.passed
+
+    @pytest.mark.parametrize("oracle", ["combinatorial", "categorical"])
+    @pytest.mark.parametrize("name,keep", [("A3", [0, 2]), ("D4", [0, 2, 3])])
+    def test_reducible_subsystem(self, name, keep, oracle):
+        rs = build_root_system(parse_type(name))
+        for m in (1, 2):
+            report = verify_parabolic_restriction(rs, m, keep, oracle)
+            assert report.passed and report.checked > 0
 
     def test_identity_keep(self, a3):
         assert verify_parabolic_restriction(a3, 1, range(3)).passed

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import pytest
 
@@ -142,3 +144,18 @@ class TestExtSymmetry:
         for X, Y in itertools.product(objs, repeat=2):
             for i in range(1, m + 1):
                 assert cat.ext_symmetry(X, Y, i)
+
+
+class TestCategoryLifetime:
+    def test_cached_per_system(self, a2):
+        assert mcluster_category(a2, 2) is mcluster_category(a2, 2)
+        assert mcluster_category(a2, 2).D is derived_category(a2)
+
+    def test_freed_with_root_system(self):
+        alive = []
+        for _ in range(300):
+            rs = build_root_system(parse_type("A3"))
+            alive.append(weakref.ref(mcluster_category(rs, 2).D))
+        del rs
+        gc.collect()
+        assert sum(ref() is not None for ref in alive) <= 2

@@ -2,9 +2,9 @@ import itertools
 
 import pytest
 
-from mclusters import (BipartiteQuiver, build_root_system, ext1_dim, euler_form,
-                       hom_dim, indecomposable_for_root, injective, parse_type,
-                       projective)
+from mclusters import (BipartiteQuiver, DerivedObject, build_root_system,
+                       derived_category, ext1_dim, euler_form, hom_dim,
+                       indecomposable_for_root, injective, parse_type, projective)
 from mclusters.quiver_rep import reflection_sink, reflection_source
 
 
@@ -161,3 +161,34 @@ class TestReflectionFunctors:
     def test_reflection_sequence_recorded(self, a3):
         rep = indecomposable_for_root(a3, (1, 0, 0))  # simple at a source: not projective
         assert rep.reflection_sequence
+
+
+@pytest.fixture(scope="module", params=["A5", "D6", "E6"])
+def witness(request):
+    """Exact Hom and Ext^1 between every ordered pair of indecomposables,
+    computed on the reflection-functor modules."""
+    rs = build_root_system(parse_type(request.param))
+    reps = [indecomposable_for_root(rs, b) for b in rs.positive_roots]
+    table = {(m.dims, n.dims): (hom_dim(m, n), ext1_dim(rs, m, n))
+             for m, n in itertools.product(reps, repeat=2)}
+    return rs, table
+
+
+class TestClosedForm:
+    """Dynkin path algebras are representation-directed, so Hom and Ext^1
+    between indecomposables are never both nonzero and both come from the
+    Euler form."""
+
+    def test_exact_matches_euler_form(self, witness):
+        rs, table = witness
+        assert len(table) == len(rs.positive_roots) ** 2
+        for (a, b), (hom, ext) in table.items():
+            e = euler_form(rs, a, b)
+            assert (hom, ext) == (max(e, 0), max(-e, 0)), (a, b)
+
+    def test_derived_hom_matches_exact(self, witness):
+        rs, table = witness
+        d = derived_category(rs)
+        for (a, b), (hom, ext) in table.items():
+            assert d.hom(DerivedObject(a, 0), DerivedObject(b, 0)) == hom, (a, b)
+            assert d.hom(DerivedObject(a, 2), DerivedObject(b, 3)) == ext, (a, b)
