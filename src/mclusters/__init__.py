@@ -3,9 +3,9 @@ root systems, with two independent compatibility oracles."""
 
 from .root_system import (DynkinType, Root, RootSystem, build_root_system,
                           parabolic, parse_type, reflect)
-from .coloured_roots import (ColouredRoot, compatibility_degree,
+from .coloured_roots import (ColouredRoot, RotationTable, compatibility_degree,
                              compatible_combinatorial, coloured_ground_set,
-                             rotation_R, rotation_Rm, tau_eps)
+                             rotation_R, rotation_Rm, rotation_table, tau_eps)
 from .quiver_rep import (BipartiteQuiver, Representation, ext1_dim, euler_form,
                          hom_dim, indecomposable_for_root, injective, projective)
 from .derived import DerivedCategory, DerivedObject, derived_category, shift
@@ -15,13 +15,15 @@ from .cluster_complex import (CompatibilityGraph, Report, TiltingSet,
                               build_graph, complements, complex_to_json,
                               enumerate_facets, f_vector,
                               verify_complement_counts, verify_facet_sizes,
-                              verify_parabolic_restriction)
+                              verify_parabolic_restriction,
+                              verify_vertex_deletions)
 
 __all__ = [
     "DynkinType", "Root", "RootSystem", "build_root_system", "parabolic",
     "parse_type", "reflect",
-    "ColouredRoot", "compatibility_degree", "compatible_combinatorial",
-    "coloured_ground_set", "rotation_R", "rotation_Rm", "tau_eps",
+    "ColouredRoot", "RotationTable", "compatibility_degree",
+    "compatible_combinatorial", "coloured_ground_set", "rotation_R",
+    "rotation_Rm", "rotation_table", "tau_eps",
     "BipartiteQuiver", "Representation", "ext1_dim", "euler_form", "hom_dim",
     "indecomposable_for_root", "injective", "projective",
     "DerivedCategory", "DerivedObject", "derived_category", "shift",
@@ -30,7 +32,7 @@ __all__ = [
     "CompatibilityGraph", "Report", "TiltingSet", "build_graph", "complements",
     "complex_to_json", "enumerate_facets", "f_vector",
     "verify_complement_counts", "verify_facet_sizes",
-    "verify_parabolic_restriction",
+    "verify_parabolic_restriction", "verify_vertex_deletions",
 ]
 
 __version__ = "0.1.0"

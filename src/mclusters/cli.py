@@ -18,10 +18,10 @@ from typing import List, Optional
 
 from .cluster_complex import (build_graph, complex_to_json, enumerate_facets,
                               verify_complement_counts, verify_facet_sizes,
-                              verify_parabolic_restriction)
+                              verify_vertex_deletions)
 from .coloured_roots import (ColouredRoot, check_coloured, compatibility_degree,
                              compatible_combinatorial, coloured_ground_set,
-                             rotation_Rm)
+                             rotation_Rm, rotation_table)
 from .derived import derived_category
 from .orbit_category import compatible_categorical, mcluster_category
 from .root_system import RootSystem, build_root_system, parse_type
@@ -75,20 +75,11 @@ def _write(text: str, out: Optional[str]) -> None:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     rs = _root_system(args)
-    if args.oracle == "both":
-        g_comb = build_graph(rs, args.m, "combinatorial")
-        g_cat = build_graph(rs, args.m, "categorical")
-        agree = g_comb.adjacency == g_cat.adjacency
-        data = complex_to_json(rs, args.m, "combinatorial", g=g_comb)
-        data["oracle"] = "both"
-        data["oracles_agree"] = agree
-        _write(json.dumps(data, indent=2) + "\n", args.out)
-        if not agree:
-            print("oracle disagreement detected", file=sys.stderr)
-            return 1
-        return 0
     data = complex_to_json(rs, args.m, args.oracle)
     _write(json.dumps(data, indent=2) + "\n", args.out)
+    if data.get("oracles_agree") is False:
+        print("oracle disagreement detected", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -171,13 +162,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     record(f"complement count = {m + 1}", comps.passed,
            f"{comps.checked} almost-complete sets")
 
-    parab_ok, parab_pairs = True, 0
-    for drop in range(rs.n if rs.n > 1 else 0):
-        keep = [v for v in range(rs.n) if v != drop]
-        rep = verify_parabolic_restriction(rs, m, keep)
-        parab_ok &= rep.passed
-        parab_pairs += rep.checked
-    record("parabolic restriction", parab_ok, f"{parab_pairs} supported pairs")
+    parab = verify_vertex_deletions([g_comb, g_cat])
+    record("parabolic restriction", all(rep.passed for rep in parab),
+           f"{sum(rep.checked for rep in parab)} supported pairs")
 
     rot_ok = all(cat.shift_matches_rotation(x) for x in ground)
     record("rotation matches shift", rot_ok, f"{len(ground)} coloured roots")
@@ -190,13 +177,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     if m == 1:
         d = derived_category(rs)
-        deg_ok = True
-        almost = [b for b in rs.positive_roots] + [rs.negative_simple(i) for i in range(rs.n)]
-        for a in almost:
-            for b in almost:
-                if cat.ext(d.V(a), d.V(b), 1) != compatibility_degree(rs, a, b):
-                    deg_ok = False
-        record("Ext^1 = compatibility degree", deg_ok, f"{len(almost) ** 2} ordered pairs")
+        table = rotation_table(rs, 1)
+        almost = [d.V(x.root) for x in table.nodes]
+        size = len(almost)
+        deg_ok = all(cat.ext(almost[a], almost[b], 1) == table.degree(a, b)
+                     for a in range(size) for b in range(size))
+        record("Ext^1 = compatibility degree", deg_ok, f"{size ** 2} ordered pairs")
 
     return 1 if failures else 0
 

@@ -1,16 +1,17 @@
 """Compatibility graph, face/facet enumeration, and theorem checks.
 
-Facets are found with Bron-Kerbosch maximal-clique search with pivoting;
-all orderings are fixed so that serialized output is byte-stable.
+Facets are found with Bron-Kerbosch maximal-clique search with pivoting,
+and faces are counted, on one ``int`` neighbour bitset per node; all
+orderings are fixed so that serialized output is byte-stable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .coloured_roots import (ColouredRoot, coloured_ground_set, coloured_to_json,
-                             compatible_combinatorial)
+                             rotation_table)
 from .orbit_category import compatible_categorical
 from .root_system import RootSystem, parabolic, restrict_root
 
@@ -28,14 +29,16 @@ class CompatibilityGraph:
     def index(self, x: ColouredRoot) -> int:
         return self.nodes.index(x)
 
-    def neighbors(self, i: int) -> Set[int]:
-        return {j for j, a in enumerate(self.adjacency[i]) if a and j != i}
+    def neighbour_masks(self) -> List[int]:
+        """One ``int`` per node with bit ``j`` set for each compatible
+        node ``j`` other than itself."""
+        return [sum(1 << j for j, a in enumerate(row) if a) & ~(1 << i)
+                for i, row in enumerate(self.adjacency)]
 
 
 @dataclass(frozen=True)
 class TiltingSet:
     indices: Tuple[int, ...]
-    members: Tuple[ColouredRoot, ...]
 
 
 @dataclass
@@ -46,41 +49,67 @@ class Report:
     failures: List = field(default_factory=list)
 
 
+def _pairwise(size: int, verdict: Callable[[int, int], bool]) -> List[List[bool]]:
+    adjacency = [[False] * size for _ in range(size)]
+    for a in range(size):
+        row = adjacency[a]
+        for b in range(a, size):
+            row[b] = adjacency[b][a] = verdict(a, b)
+    return adjacency
+
+
 def build_graph(rs: RootSystem, m: int, oracle: str = "combinatorial") -> CompatibilityGraph:
+    """The compatibility graph on ``coloured_ground_set(rs, m)``.  The
+    combinatorial oracle is read off the rotation table of ``(rs, m)``;
+    the categorical one asks the orbit category pair by pair, per
+    component on a reducible system."""
     if oracle not in ORACLES:
         raise ValueError(f"oracle must be one of {ORACLES}")
-    oracle_fn: Callable = compatible_combinatorial if oracle == "combinatorial" else compatible_categorical
+    if oracle == "combinatorial":
+        table = rotation_table(rs, m)
+        nodes = list(table.nodes)
+        return CompatibilityGraph(rs, m, oracle, nodes, _pairwise(len(nodes), table.compatible))
     nodes = coloured_ground_set(rs, m)
-    size = len(nodes)
-    adjacency = [[False] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(i, size):
-            verdict = oracle_fn(rs, m, nodes[i], nodes[j])
-            adjacency[i][j] = verdict
-            adjacency[j][i] = verdict
+    oracle_fn = _per_component(rs, compatible_categorical)
+    adjacency = _pairwise(len(nodes), lambda a, b: oracle_fn(rs, m, nodes[a], nodes[b]))
     return CompatibilityGraph(rs, m, oracle, nodes, adjacency)
 
 
 def enumerate_facets(g: CompatibilityGraph) -> List[TiltingSet]:
-    """All maximal cliques, lexicographically ordered by node index."""
-    size = len(g.nodes)
-    neighbors = [g.neighbors(i) for i in range(size)]
+    """All maximal cliques, lexicographically ordered by node index, by
+    Bron-Kerbosch with Tomita pivoting: the pivot is a node of
+    candidates | excluded with the most candidate neighbours, and only
+    candidates outside its neighbourhood are branched on."""
+    neighbours = g.neighbour_masks()
     found: List[Tuple[int, ...]] = []
 
-    def bk(clique: Set[int], candidates: Set[int], excluded: Set[int]) -> None:
-        if not candidates and not excluded:
-            found.append(tuple(sorted(clique)))
-            return
-        pivot = max(sorted(candidates | excluded),
-                    key=lambda u: len(candidates & neighbors[u]))
-        for v in sorted(candidates - neighbors[pivot]):
-            bk(clique | {v}, candidates & neighbors[v], excluded & neighbors[v])
-            candidates = candidates - {v}
-            excluded = excluded | {v}
+    def bk(clique: Tuple[int, ...], candidates: int, excluded: int) -> None:
+        # candidates is never empty; a branch left without candidates is
+        # a maximal clique exactly when no excluded node extends it.
+        best, pivot, rest = -1, 0, candidates | excluded
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            count = (candidates & neighbours[low.bit_length() - 1]).bit_count()
+            if count > best:
+                best, pivot = count, low.bit_length() - 1
+        branch = candidates & ~neighbours[pivot]
+        while branch:
+            low = branch & -branch
+            branch ^= low
+            v = low.bit_length() - 1
+            near = neighbours[v]
+            if candidates & near:
+                bk(clique + (v,), candidates & near, excluded & near)
+            elif not excluded & near:
+                found.append(tuple(sorted(clique + (v,))))
+            candidates ^= low
+            excluded |= low
 
-    bk(set(), set(range(size)), set())
+    if g.nodes:
+        bk((), (1 << len(g.nodes)) - 1, 0)
     found.sort()
-    return [TiltingSet(idx, tuple(g.nodes[i] for i in idx)) for idx in found]
+    return [TiltingSet(idx) for idx in found]
 
 
 def verify_facet_sizes(facets: Sequence[TiltingSet], n: int) -> Report:
@@ -136,18 +165,26 @@ def verify_complement_counts(g: CompatibilityGraph, facets: Sequence[TiltingSet]
 
 
 def f_vector(g: CompatibilityGraph) -> List[int]:
-    """Face counts by cardinality, via recursive clique extension."""
-    size = len(g.nodes)
-    counts: Dict[int, int] = {0: 1}
+    """Face counts by cardinality.  Each face is grown only by nodes
+    above its largest one; the faces one larger than a face are counted
+    by the popcount of its candidate bitset, and a face is recursed into
+    only when it has candidates of its own."""
+    neighbours = g.neighbour_masks()
+    counts = [1]
 
-    def extend(depth: int, candidates: List[int]) -> None:
-        for pos, v in enumerate(candidates):
-            counts[depth + 1] = counts.get(depth + 1, 0) + 1
-            extend(depth + 1, [w for w in candidates[pos + 1:] if g.adjacency[v][w]])
+    def extend(size: int, candidates: int) -> None:
+        if size == len(counts):
+            counts.append(0)
+        counts[size] += candidates.bit_count()
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            above = candidates & neighbours[low.bit_length() - 1]
+            if above:
+                extend(size + 1, above)
 
-    extend(0, list(range(size)))
-    top = max(counts)
-    return [counts.get(k, 0) for k in range(top + 1)]
+    extend(1, (1 << len(g.nodes)) - 1)
+    return counts
 
 
 def supported_ground_set(rs: RootSystem, m: int, kept: Sequence[int]) -> List[ColouredRoot]:
@@ -183,45 +220,63 @@ def _per_component(rs: RootSystem, oracle_fn: Callable) -> Callable:
 
 
 def verify_parabolic_restriction(rs: RootSystem, m: int, keep: Sequence[int],
-                                 oracle: str = "combinatorial") -> Report:
+                                 oracle: str = "combinatorial",
+                                 g: Optional[CompatibilityGraph] = None) -> Report:
     """Compatibility of pairs supported on ``keep`` must agree between the
-    full system and the parabolic subsystem.  The categorical oracle needs
-    an irreducible system, so on a reducible one it runs per component."""
+    graph of the full system and that of the parabolic subsystem, both
+    under ``oracle``.  ``g`` is the full system's graph under that oracle
+    if the caller has one; otherwise it is built here."""
+    if g is None:
+        g = build_graph(rs, m, oracle)
+    elif g.oracle_tag != oracle or g.rs is not rs or g.m != m:
+        raise ValueError(f"graph is not the {oracle} graph of {rs} at m={m}")
     kept = sorted(set(keep))
-    sub = parabolic(rs, kept)
-    if oracle == "combinatorial":
-        full_fn = sub_fn = compatible_combinatorial
-    elif oracle == "categorical":
-        full_fn = _per_component(rs, compatible_categorical)
-        sub_fn = _per_component(sub, compatible_categorical)
-    else:
-        raise ValueError(f"oracle must be one of {ORACLES}")
-    supported = supported_ground_set(rs, m, kept)
-    local = {x: ColouredRoot(restrict_root(x.root, kept), x.colour) for x in supported}
+    g_sub = build_graph(parabolic(rs, kept), m, oracle)
+    full_id = {x: k for k, x in enumerate(g.nodes)}
+    sub_id = {x: k for k, x in enumerate(g_sub.nodes)}
+    supported = [(x, full_id[x], sub_id[ColouredRoot(restrict_root(x.root, kept), x.colour)])
+                 for x in supported_ground_set(rs, m, kept)]
     checked = 0
     failures = []
-    for a in range(len(supported)):
-        for b in range(a, len(supported)):
-            x, y = supported[a], supported[b]
+    for a, (x, fx, sx) in enumerate(supported):
+        for y, fy, sy in supported[a:]:
             checked += 1
-            full = full_fn(rs, m, x, y)
-            restricted = sub_fn(sub, m, local[x], local[y])
+            full, restricted = g.adjacency[fx][fy], g_sub.adjacency[sx][sy]
             if full != restricted:
                 failures.append((x, y, full, restricted))
     return Report(f"parabolic-restriction keep={kept}", not failures, checked, failures)
 
 
+def verify_vertex_deletions(graphs: Sequence[CompatibilityGraph]) -> List[Report]:
+    """``verify_parabolic_restriction`` for each single-vertex deletion
+    (none in rank 1) under the oracle of every graph given, all of one
+    system and one ``m``.  One report per deleted vertex: it passes only
+    if it passes under every oracle, and counts the supported pairs once."""
+    rs, m = graphs[0].rs, graphs[0].m
+    reports = []
+    for drop in range(rs.n if rs.n > 1 else 0):
+        keep = [v for v in range(rs.n) if v != drop]
+        reps = [verify_parabolic_restriction(rs, m, keep, h.oracle_tag, h) for h in graphs]
+        reports.append(Report(reps[0].name, all(r.passed for r in reps), reps[0].checked,
+                              [f for r in reps for f in r.failures]))
+    return reports
+
+
 def complex_to_json(rs: RootSystem, m: int, oracle: str,
-                    g: Optional[CompatibilityGraph] = None,
                     include_verification: bool = True) -> dict:
-    if g is None:
-        g = build_graph(rs, m, oracle)
+    """The complex as ``mcluster enumerate`` writes it.  Under
+    ``oracle="both"`` the facets and f-vector come from the combinatorial
+    graph, ``oracles_agree`` records whether the two graphs are equal, and
+    theorem 4 passes only if it passes under both oracles."""
+    oracles = ORACLES if oracle == "both" else (oracle,)
+    graphs = [build_graph(rs, m, o) for o in oracles]
+    g = graphs[0]
     facets = enumerate_facets(g)
     data = {
         "type": str(rs.type) if rs.type else None,
         "rank": rs.n,
         "m": m,
-        "oracle": g.oracle_tag,
+        "oracle": oracle,
         "nodes": [coloured_to_json(x) for x in g.nodes],
         "facets": [list(f.indices) for f in facets],
         "f_vector": f_vector(g),
@@ -229,18 +284,14 @@ def complex_to_json(rs: RootSystem, m: int, oracle: str,
     if include_verification:
         sizes = verify_facet_sizes(facets, rs.n)
         comps = verify_complement_counts(g, facets)
-        parab = []
-        for drop in range(rs.n):
-            if rs.n == 1:
-                break
-            keep = [v for v in range(rs.n) if v != drop]
-            rep = verify_parabolic_restriction(rs, m, keep)
-            parab.append({"dropped_vertex": drop + 1,
-                          "result": "pass" if rep.passed else "fail",
-                          "pairs": rep.checked})
         data["verification"] = {
             "theorem2": "pass" if sizes.passed else "fail",
             "theorem3": "pass" if comps.passed else "fail",
-            "theorem4": parab,
+            "theorem4": [{"dropped_vertex": drop + 1,
+                          "result": "pass" if rep.passed else "fail",
+                          "pairs": rep.checked}
+                         for drop, rep in enumerate(verify_vertex_deletions(graphs))],
         }
+    if oracle == "both":
+        data["oracles_agree"] = graphs[0].adjacency == graphs[1].adjacency
     return data

@@ -5,12 +5,16 @@ positive roots in ``m`` colours (1..m) together with the negative simple
 roots, which always carry colour 1.  The rotation acting on this set
 increments the colour of a positive root until colour ``m`` and otherwise
 falls back to the deformed Coxeter rotation with colour reset to 1.
+
+Single pairs are decided by rotating them jointly; whole graphs read the
+same verdicts off a ``RotationTable``, which holds the rotation as a
+permutation of node ids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from .root_system import Root, RootSystem
 
@@ -115,6 +119,85 @@ def compatible_combinatorial(rs: RootSystem, m: int, x: ColouredRoot, y: Coloure
         x = rotation_Rm(rs, m, x)
         y = rotation_Rm(rs, m, y)
     raise RuntimeError("rotation cap exceeded; no negative simple reached (bug)")
+
+
+class RotationTable:
+    """The coloured ground set of ``(rs, m)`` indexed by node id (in
+    ``coloured_ground_set`` order), with the rotation ``R_m`` as a
+    permutation of ids and each node's hitting time: the first ``t`` at
+    which ``R_m^t`` of the node is a negative simple.
+
+    Compatibility is ``R_m``-invariant, so joint rotation of a pair needs
+    no reflections here: it stops at ``t = min(hit[a], hit[b])``, where
+    the node that hits first names the vertex ``i`` and the other node's
+    ``R_m^t`` image supplies coefficient ``i``.  Ties go to the node that
+    ``compatible_combinatorial`` and ``compatibility_degree`` check
+    first, so every verdict and degree equals theirs."""
+
+    def __init__(self, rs: RootSystem, m: int):
+        self.nodes: Tuple[ColouredRoot, ...] = tuple(coloured_ground_set(rs, m))
+        index = {x: k for k, x in enumerate(self.nodes)}
+        self.perm: Tuple[int, ...] = tuple(index[rotation_Rm(rs, m, x)] for x in self.nodes)
+        self.neg: Tuple[Optional[int], ...] = tuple(
+            rs.negative_simple_index(x.root) for x in self.nodes)
+        # Cycles of the permutation; R_m^t(k) is cycle[k][(pos[k] + t) % len].
+        size = len(self.nodes)
+        self._cycle: List[Tuple[int, ...]] = [()] * size
+        self._pos = [0] * size
+        for start in range(size):
+            if self._cycle[start]:
+                continue
+            cyc = [start]
+            while self.perm[cyc[-1]] != start:
+                cyc.append(self.perm[cyc[-1]])
+            frozen = tuple(cyc)
+            for p, k in enumerate(frozen):
+                self._cycle[k], self._pos[k] = frozen, p
+        cap = _rotation_cap(rs, m)
+        hit = []
+        for k in range(size):
+            t = next((t for t in range(min(cap, len(self._cycle[k])))
+                      if self.neg[self.step(k, t)] is not None), None)
+            if t is None:
+                raise RuntimeError("rotation cap exceeded; no negative simple reached (bug)")
+            hit.append(t)
+        self.hit: Tuple[int, ...] = tuple(hit)
+
+    def step(self, k: int, t: int) -> int:
+        """Node id of ``R_m^t`` applied to node ``k``."""
+        cyc = self._cycle[k]
+        return cyc[(self._pos[k] + t) % len(cyc)]
+
+    def _decide(self, first: int, second: int) -> Tuple[int, int]:
+        """Joint rotation of the pair, ``first`` checked first: the vertex
+        ``i`` of the negative simple reached and the id the other node
+        has reached at that time."""
+        if self.hit[second] < self.hit[first]:
+            first, second = second, first
+        t = self.hit[first]
+        return self.neg[self.step(first, t)], self.step(second, t)
+
+    def compatible(self, x: int, y: int) -> bool:
+        """``compatible_combinatorial`` on node ids."""
+        i, other = self._decide(x, y)
+        return self.neg[other] is not None or self.nodes[other].root[i] == 0
+
+    def degree(self, beta: int, alpha: int) -> int:
+        """``compatibility_degree`` on node ids of an ``m = 1`` table."""
+        i, other = self._decide(alpha, beta)
+        return 0 if self.neg[other] is not None else self.nodes[other].root[i]
+
+
+def rotation_table(rs: RootSystem, m: int) -> RotationTable:
+    """The rotation table of ``(rs, m)``, built once and kept in
+    ``rs.memo`` so that it lives exactly as long as the root system does.
+    A table costs one ``rotation_Rm`` per node, far more than rotating a
+    single pair, so the per-pair functions above serve one-off questions."""
+    key = ("rotation", m)
+    table = rs.memo.get(key)
+    if table is None:
+        table = rs.memo[key] = RotationTable(rs, m)
+    return table
 
 
 def coloured_to_json(x: ColouredRoot) -> dict:

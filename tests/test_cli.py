@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from mclusters import cluster_complex
 from mclusters.cli import main
 
 
@@ -112,6 +113,27 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--type", "D4", "--m", "1")
         assert code == 0
         assert "compatibility degree" in out
+
+    @pytest.mark.parametrize("failing", [None, "combinatorial", "categorical"])
+    def test_parabolic_restriction_under_both_oracles(self, capsys, monkeypatch, failing):
+        seen = []
+        real = cluster_complex.verify_parabolic_restriction
+
+        def spy(rs, m, keep, oracle="combinatorial", g=None):
+            seen.append((tuple(keep), oracle))
+            report = real(rs, m, keep, oracle, g)
+            report.passed &= oracle != failing
+            return report
+
+        monkeypatch.setattr(cluster_complex, "verify_parabolic_restriction", spy)
+        code, out, _ = run(capsys, "verify", "--type", "A3", "--m", "1")
+        assert sorted(seen) == sorted((keep, oracle) for keep in [(0, 1), (0, 2), (1, 2)]
+                                      for oracle in ("combinatorial", "categorical"))
+        line = "parabolic restriction: 40 supported pairs"
+        if failing is None:
+            assert code == 0 and f"PASS  {line}" in out
+        else:
+            assert code == 1 and f"FAIL  {line}" in out
 
 
 class TestExportZq:

@@ -3,10 +3,11 @@ import itertools
 import pytest
 
 from mclusters import (ColouredRoot, build_root_system, compatible_combinatorial,
-                       coloured_ground_set, parse_type, rotation_R, rotation_Rm,
-                       tau_eps)
+                       coloured_ground_set, parabolic, parse_type, rotation_R,
+                       rotation_Rm, tau_eps)
+from mclusters import coloured_roots
 from mclusters.coloured_roots import (coloured_from_json, coloured_to_json,
-                                      compatibility_degree)
+                                      compatibility_degree, rotation_table)
 
 
 def neg(rs, i):
@@ -173,6 +174,65 @@ class TestCompatible:
         for beta, alpha in itertools.product(ground, repeat=2):
             assert (compatible_combinatorial(a3, 1, ColouredRoot(beta), ColouredRoot(alpha))
                     == (compatibility_degree(a3, beta, alpha) == 0))
+
+
+TABLE_SYSTEMS = [("A1", None), ("A2", None), ("A3", None), ("A4", None), ("A5", None),
+                 ("D4", None), ("D5", None), ("D6", None), ("E6", None),
+                 ("A3", [0, 2]), ("D4", [0, 2, 3])]
+
+
+def _system(name, keep):
+    rs = build_root_system(parse_type(name))
+    return rs if keep is None else parabolic(rs, keep)
+
+
+class TestRotationTable:
+    """The table is checked against the per-pair joint rotation, which
+    stays the reference."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("name,keep", TABLE_SYSTEMS)
+    def test_matches_joint_rotation_on_every_pair(self, name, keep, m):
+        rs = _system(name, keep)
+        table = rotation_table(rs, m)
+        nodes = table.nodes
+        assert list(nodes) == coloured_ground_set(rs, m)
+        for a, x in enumerate(nodes):
+            for b, y in enumerate(nodes):
+                assert table.compatible(a, b) == compatible_combinatorial(rs, m, x, y)
+
+    @pytest.mark.parametrize("name", ["A5", "D6", "E6"])
+    def test_degree_matches_joint_rotation(self, name):
+        rs = build_root_system(parse_type(name))
+        table = rotation_table(rs, 1)
+        roots = [x.root for x in table.nodes]
+        for a, beta in enumerate(roots):
+            for b, alpha in enumerate(roots):
+                assert table.degree(a, b) == compatibility_degree(rs, beta, alpha)
+
+    def test_perm_is_Rm_and_hit_is_first_negative_simple(self, a3):
+        table = rotation_table(a3, 2)
+        for k, x in enumerate(table.nodes):
+            assert table.nodes[table.perm[k]] == rotation_Rm(a3, 2, x)
+            walk = [table.nodes[table.step(k, t)] for t in range(table.hit[k] + 1)]
+            assert walk[0] == x
+            assert [a3.negative_simple_index(y.root) is not None for y in walk] == (
+                [False] * table.hit[k] + [True])
+
+    def test_kept_per_system(self, a3):
+        assert rotation_table(a3, 2) is rotation_table(a3, 2)
+        assert rotation_table(a3, 2) is not rotation_table(a3, 1)
+        fresh = build_root_system(parse_type("A3"))
+        assert rotation_table(fresh, 2) is not rotation_table(a3, 2)
+
+    def test_cap_exceeded_raises_like_joint_rotation(self, monkeypatch):
+        rs = build_root_system(parse_type("A2"))
+        monkeypatch.setattr(coloured_roots, "_rotation_cap", lambda rs, m: 1)
+        x = ColouredRoot((1, 1), 1)
+        with pytest.raises(RuntimeError, match="rotation cap exceeded"):
+            compatible_combinatorial(rs, 1, x, x)
+        with pytest.raises(RuntimeError, match="rotation cap exceeded"):
+            rotation_table(rs, 1)
 
 
 def test_json_roundtrip():

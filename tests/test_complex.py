@@ -1,10 +1,14 @@
+import itertools
+from math import comb
+
 import pytest
 
 from conftest import fuss_catalan, naive_maximal_cliques
 from mclusters import (ColouredRoot, build_graph, build_root_system, complements,
-                       complex_to_json, enumerate_facets, f_vector, parse_type,
-                       verify_complement_counts, verify_facet_sizes,
+                       complex_to_json, enumerate_facets, f_vector, parabolic,
+                       parse_type, verify_complement_counts, verify_facet_sizes,
                        verify_parabolic_restriction)
+from mclusters import cluster_complex
 from mclusters.cluster_complex import ridge_counts
 
 
@@ -36,6 +40,23 @@ class TestBuildGraph:
     def test_oracles_agree_entrywise(self, a2):
         g_comb = build_graph(a2, 2, "combinatorial")
         g_cat = build_graph(a2, 2, "categorical")
+        assert g_comb.adjacency == g_cat.adjacency
+
+    @pytest.mark.parametrize("name", ["E6", "E7", "E8"])
+    def test_oracles_agree_exceptional_m1(self, name):
+        rs = build_root_system(parse_type(name))
+        g_comb = build_graph(rs, 1, "combinatorial")
+        g_cat = build_graph(rs, 1, "categorical")
+        assert g_comb.nodes == g_cat.nodes
+        assert g_comb.adjacency == g_cat.adjacency
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("name,keep", [("A3", [0, 2]), ("D4", [0, 2, 3])])
+    def test_oracles_agree_reducible(self, name, keep, m):
+        sub = parabolic(build_root_system(parse_type(name)), keep)
+        assert not sub.irreducible
+        g_comb = build_graph(sub, m, "combinatorial")
+        g_cat = build_graph(sub, m, "categorical")
         assert g_comb.adjacency == g_cat.adjacency
 
     def test_bad_oracle(self, a2):
@@ -143,6 +164,30 @@ class TestFVector:
         assert len(fv) == rs.n + 1
         assert fv[rs.n] == len(enumerate_facets(g))
 
+    @pytest.mark.parametrize("name,m", [(name, m) for name in ("A2", "A3", "D4")
+                                        for m in (1, 2)])
+    def test_matches_faces_of_facets(self, name, m):
+        rs = build_root_system(parse_type(name))
+        g = build_graph(rs, m)
+        faces = {face for f in enumerate_facets(g)
+                 for k in range(rs.n + 1) for face in itertools.combinations(f.indices, k)}
+        expected = [0] * (rs.n + 1)
+        for face in faces:
+            expected[len(face)] += 1
+        assert f_vector(g) == expected
+
+    @pytest.mark.parametrize("n,m", [(n, m) for n in range(1, 6) for m in (1, 2, 3)])
+    def test_h_vector_is_fuss_narayana(self, n, m):
+        # h_k = sum_i (-1)^(k-i) C(n-i, k-i) f_(i-1), with f_(i-1) = fv[i]
+        # the number of faces with i elements; for A_n the h-vector is the
+        # Fuss-Narayana numbers C(n+1,j) C(m(n+1), n-j) / (n+1) with j = n-k.
+        fv = f_vector(build_graph(build_root_system(parse_type(f"A{n}")), m))
+        h = [sum((-1) ** (k - i) * comb(n - i, k - i) * fv[i] for i in range(k + 1))
+             for k in range(n + 1)]
+        narayana = [comb(n + 1, j) * comb(m * (n + 1), n - j) // (n + 1)
+                    for j in range(n + 1)]
+        assert h == narayana[::-1]
+
 
 class TestParabolicRestriction:
     @pytest.mark.parametrize("m", [1, 2])
@@ -165,6 +210,31 @@ class TestParabolicRestriction:
     def test_identity_keep(self, a3):
         assert verify_parabolic_restriction(a3, 1, range(3)).passed
 
+    @pytest.mark.parametrize("oracle", ["combinatorial", "categorical"])
+    def test_reuses_given_graph(self, d4, oracle, monkeypatch):
+        g = build_graph(d4, 2, oracle)
+        built = []
+        real = cluster_complex.build_graph
+        monkeypatch.setattr(cluster_complex, "build_graph",
+                            lambda rs, m, o: built.append(rs) or real(rs, m, o))
+        report = verify_parabolic_restriction(d4, 2, [0, 1, 2], oracle, g)
+        assert report.passed and report.checked > 0
+        assert built and d4 not in built
+
+    def test_rejects_graph_of_other_oracle(self, a3):
+        with pytest.raises(ValueError):
+            verify_parabolic_restriction(a3, 1, [0, 1], "categorical", build_graph(a3, 1))
+
+    def test_reports_disagreement(self, a3, monkeypatch):
+        g = build_graph(a3, 1)
+        flipped = [row[:] for row in g.adjacency]
+        flipped[0][1] = flipped[1][0] = not flipped[0][1]
+        g.adjacency = flipped
+        report = verify_parabolic_restriction(a3, 1, [0, 1], "combinatorial", g)
+        assert not report.passed
+        x, y = g.nodes[0], g.nodes[1]
+        assert [(f[0], f[1]) for f in report.failures] == [(x, y)]
+
     @pytest.mark.parametrize("name,m", [("A4", 1), ("D4", 1)])
     def test_single_vertex_deletions(self, name, m):
         rs = build_root_system(parse_type(name))
@@ -182,6 +252,22 @@ class TestJson:
         assert data["verification"]["theorem2"] == "pass"
         assert data["verification"]["theorem3"] == "pass"
         assert all(entry["result"] == "pass" for entry in data["verification"]["theorem4"])
+
+    @pytest.mark.parametrize("oracle,expected", [
+        ("combinatorial", {"combinatorial"}),
+        ("categorical", {"categorical"}),
+        ("both", {"combinatorial", "categorical"}),
+    ])
+    def test_theorem4_runs_under_the_oracle_given(self, a3, oracle, expected, monkeypatch):
+        seen = []
+        real = cluster_complex.verify_parabolic_restriction
+        monkeypatch.setattr(cluster_complex, "verify_parabolic_restriction",
+                            lambda rs, m, keep, o="combinatorial", g=None:
+                            seen.append(o) or real(rs, m, keep, o, g))
+        data = complex_to_json(a3, 2, oracle)
+        assert set(seen) == expected and len(seen) == a3.n * len(expected)
+        assert data["oracle"] == oracle
+        assert [e["result"] for e in data["verification"]["theorem4"]] == ["pass"] * a3.n
 
     def test_deterministic(self, a2):
         import json
