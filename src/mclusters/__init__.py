@@ -2,7 +2,7 @@
 root systems, with two independent compatibility oracles."""
 
 from .root_system import (DynkinType, Root, RootSystem, build_root_system,
-                          parabolic, parse_type, reflect)
+                          parabolic, parse_type)
 from .coloured_roots import (ColouredRoot, RotationTable, compatibility_degree,
                              compatible_combinatorial, coloured_ground_set,
                              rotation_R, rotation_Rm, rotation_table, tau_eps)
@@ -10,7 +10,7 @@ from .quiver_rep import (BipartiteQuiver, Representation, ext1_dim, euler_form,
                          hom_dim, indecomposable_for_root, injective, projective)
 from .derived import DerivedCategory, DerivedObject, derived_category, shift
 from .orbit_category import (MClusterCategory, compatible_categorical,
-                             ext_orbit, mcluster_category)
+                             mcluster_category)
 from .cluster_complex import (CompatibilityGraph, Report, TiltingSet,
                               build_graph, complements, complex_to_json,
                               enumerate_facets, f_vector,
@@ -20,15 +20,14 @@ from .cluster_complex import (CompatibilityGraph, Report, TiltingSet,
 
 __all__ = [
     "DynkinType", "Root", "RootSystem", "build_root_system", "parabolic",
-    "parse_type", "reflect",
+    "parse_type",
     "ColouredRoot", "RotationTable", "compatibility_degree",
     "compatible_combinatorial", "coloured_ground_set", "rotation_R",
     "rotation_Rm", "rotation_table", "tau_eps",
     "BipartiteQuiver", "Representation", "ext1_dim", "euler_form", "hom_dim",
     "indecomposable_for_root", "injective", "projective",
     "DerivedCategory", "DerivedObject", "derived_category", "shift",
-    "MClusterCategory", "compatible_categorical", "ext_orbit",
-    "mcluster_category",
+    "MClusterCategory", "compatible_categorical", "mcluster_category",
     "CompatibilityGraph", "Report", "TiltingSet", "build_graph", "complements",
     "complex_to_json", "enumerate_facets", "f_vector",
     "verify_complement_counts", "verify_facet_sizes",

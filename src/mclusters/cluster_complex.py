@@ -12,7 +12,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .coloured_roots import (ColouredRoot, coloured_ground_set, coloured_to_json,
                              rotation_table)
-from .orbit_category import compatible_categorical
+from .orbit_category import mcluster_category
 from .root_system import RootSystem, parabolic, restrict_root
 
 ORACLES = ("combinatorial", "categorical")
@@ -25,9 +25,6 @@ class CompatibilityGraph:
     oracle_tag: str
     nodes: List[ColouredRoot]
     adjacency: List[List[bool]]
-
-    def index(self, x: ColouredRoot) -> int:
-        return self.nodes.index(x)
 
     def neighbour_masks(self) -> List[int]:
         """One ``int`` per node with bit ``j`` set for each compatible
@@ -60,19 +57,44 @@ def _pairwise(size: int, verdict: Callable[[int, int], bool]) -> List[List[bool]
 
 def build_graph(rs: RootSystem, m: int, oracle: str = "combinatorial") -> CompatibilityGraph:
     """The compatibility graph on ``coloured_ground_set(rs, m)``.  The
-    combinatorial oracle is read off the rotation table of ``(rs, m)``;
-    the categorical one asks the orbit category pair by pair, per
-    component on a reducible system."""
+    combinatorial oracle is read off the rotation table of ``(rs, m)``,
+    the categorical one off the Ext tables of the m-cluster categories."""
     if oracle not in ORACLES:
         raise ValueError(f"oracle must be one of {ORACLES}")
     if oracle == "combinatorial":
         table = rotation_table(rs, m)
-        nodes = list(table.nodes)
-        return CompatibilityGraph(rs, m, oracle, nodes, _pairwise(len(nodes), table.compatible))
-    nodes = coloured_ground_set(rs, m)
-    oracle_fn = _per_component(rs, compatible_categorical)
-    adjacency = _pairwise(len(nodes), lambda a, b: oracle_fn(rs, m, nodes[a], nodes[b]))
-    return CompatibilityGraph(rs, m, oracle, nodes, adjacency)
+        nodes, verdict = list(table.nodes), table.compatible
+    else:
+        nodes = coloured_ground_set(rs, m)
+        verdict = _categorical_verdict(rs, m, nodes)
+    return CompatibilityGraph(rs, m, oracle, nodes, _pairwise(len(nodes), verdict))
+
+
+def _categorical_verdict(rs: RootSystem, m: int,
+                         nodes: Sequence[ColouredRoot]) -> Callable[[int, int], bool]:
+    """Categorical compatibility of node ids: no Ext^i between their W
+    images.  The complex of a reducible system is the join of its
+    components' complexes, so nodes in different components are
+    compatible; each node is mapped once to its id in its component's
+    irreducible system (the system itself when irreducible), and the
+    nodes of one component are judged by that component's Ext table."""
+    parts = [sorted(c) for c in rs.components]
+    owner = {v: k for k, verts in enumerate(parts) for v in verts}
+    tables, local = [], []
+    for verts in parts:
+        comp = parabolic(rs, verts)
+        tables.append(mcluster_category(comp, m).ext_table())
+        local.append({x: j for j, x in enumerate(coloured_ground_set(comp, m))})
+    ids = []
+    for x in nodes:
+        k = owner[next(v for v, c in enumerate(x.root) if c)]
+        ids.append((k, local[k][ColouredRoot(restrict_root(x.root, parts[k]), x.colour)]))
+
+    def verdict(a: int, b: int) -> bool:
+        (ka, la), (kb, lb) = ids[a], ids[b]
+        return ka != kb or all(t[la][lb] == 0 for t in tables[ka])
+
+    return verdict
 
 
 def enumerate_facets(g: CompatibilityGraph) -> List[TiltingSet]:
@@ -195,28 +217,6 @@ def supported_ground_set(rs: RootSystem, m: int, kept: Sequence[int]) -> List[Co
         if support <= keep:
             out.append(x)
     return out
-
-
-def _per_component(rs: RootSystem, oracle_fn: Callable) -> Callable:
-    """``oracle_fn`` extended to a possibly reducible system: the complex of
-    a reducible system is the join of its components' complexes, so roots
-    in different components are compatible, and roots in one component
-    are judged in that component's irreducible system, built once here."""
-    if rs.irreducible:
-        return oracle_fn
-    parts = [(verts, parabolic(rs, verts)) for verts in (sorted(c) for c in rs.components)]
-    owner = {v: k for k, (verts, _) in enumerate(parts) for v in verts}
-
-    def verdict(_rs: RootSystem, m: int, x: ColouredRoot, y: ColouredRoot) -> bool:
-        kx = owner[next(v for v, c in enumerate(x.root) if c)]
-        ky = owner[next(v for v, c in enumerate(y.root) if c)]
-        if kx != ky:
-            return True
-        verts, comp = parts[kx]
-        return oracle_fn(comp, m, ColouredRoot(restrict_root(x.root, verts), x.colour),
-                         ColouredRoot(restrict_root(y.root, verts), y.colour))
-
-    return verdict
 
 
 def verify_parabolic_restriction(rs: RootSystem, m: int, keep: Sequence[int],

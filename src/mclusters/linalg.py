@@ -30,15 +30,6 @@ class Mat:
                 raise ValueError("column count mismatch")
 
     @staticmethod
-    def from_rows(rows: Sequence[Sequence], ncols: int | None = None) -> "Mat":
-        frozen = tuple(tuple(Fraction(x) for x in r) for r in rows)
-        if ncols is None:
-            if not frozen:
-                raise ValueError("ncols required for a matrix with no rows")
-            ncols = len(frozen[0])
-        return Mat(len(frozen), ncols, frozen)
-
-    @staticmethod
     def zeros(nrows: int, ncols: int) -> "Mat":
         return Mat(nrows, ncols, tuple(tuple(Fraction(0) for _ in range(ncols)) for _ in range(nrows)))
 
@@ -95,10 +86,6 @@ def _rref(rows: List[List[Fraction]], ncols: int) -> List[int]:
 def rank_of_rows(rows: Sequence[Sequence], ncols: int) -> int:
     work = [[Fraction(x) for x in r] for r in rows]
     return len(_rref(work, ncols))
-
-
-def rank(m: Mat) -> int:
-    return rank_of_rows(m.rows, m.ncols)
 
 
 def nullspace(m: Mat) -> Mat:

@@ -10,7 +10,7 @@ of powers p.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 from .coloured_roots import ColouredRoot, check_coloured, coloured_ground_set
 from .derived import DerivedCategory, DerivedObject, derived_category, shift
@@ -24,6 +24,7 @@ class MClusterCategory:
         self.rs = rs
         self.m = m
         self.D: DerivedCategory = derived_category(rs)
+        self._ext_table: Optional[List[List[List[int]]]] = None
 
     # -- fundamental domain --------------------------------------------
 
@@ -103,6 +104,17 @@ class MClusterCategory:
             obj = self.G_inverse(obj)
         return total
 
+    def ext_table(self) -> List[List[List[int]]]:
+        """Every orbit Ext dimension by node id: ``table[i-1][a][b]`` is
+        Ext^i(W(a), W(b)) for ids ``a``, ``b`` in ``coloured_ground_set``
+        order, the order of ``RotationTable.nodes``.  Built once with
+        ``ext`` and held here; a single pair is cheaper asked directly."""
+        if self._ext_table is None:
+            objs = self.objects()
+            self._ext_table = [[[self.ext(X, Y, i) for Y in objs] for X in objs]
+                               for i in range(1, self.m + 1)]
+        return self._ext_table
+
     def compatible(self, x: ColouredRoot, y: ColouredRoot) -> bool:
         X, Y = self.W(x), self.W(y)
         return all(self.ext(X, Y, i) == 0 for i in range(1, self.m + 1))
@@ -134,7 +146,3 @@ def mcluster_category(rs: RootSystem, m: int) -> MClusterCategory:
 
 def compatible_categorical(rs: RootSystem, m: int, x: ColouredRoot, y: ColouredRoot) -> bool:
     return mcluster_category(rs, m).compatible(x, y)
-
-
-def ext_orbit(rs: RootSystem, m: int, x: DerivedObject, y: DerivedObject, i: int) -> int:
-    return mcluster_category(rs, m).ext(x, y, i)

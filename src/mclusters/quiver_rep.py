@@ -62,9 +62,6 @@ class Representation:
                 raise ValueError(f"map for arrow {s}->{t} has shape {(m.nrows, m.ncols)}, "
                                  f"expected {(self.dims[t], self.dims[s])}")
 
-    def dimension_vector(self) -> Root:
-        return self.dims
-
 
 def _one_hot_rep(q: BipartiteQuiver, dims: Sequence[int], hot: Dict[Arrow, Mat]) -> Representation:
     maps = []

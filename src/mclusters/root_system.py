@@ -196,12 +196,6 @@ class RootSystem:
     def is_almost_positive(self, beta: Root) -> bool:
         return self.is_positive_root(beta) or self.negative_simple_index(beta) is not None
 
-    def component_of(self, vertex: int) -> FrozenSet[int]:
-        for comp in self.components:
-            if vertex in comp:
-                return comp
-        raise ValueError(f"vertex {vertex} out of range")
-
     def exponents(self) -> Tuple[int, ...]:
         """Exponents, from the height distribution of the positive roots."""
         if not self.irreducible:
@@ -233,10 +227,6 @@ def build_root_system(t: DynkinType) -> RootSystem:
     rs = RootSystem(t.rank, t.edges(), dynkin_type=t)
     assert 2 * len(rs.positive_roots) == rs.n * rs.h
     return rs
-
-
-def reflect(rs: RootSystem, i: int, beta: Root) -> Root:
-    return rs.reflect(i, beta)
 
 
 def parabolic(rs: RootSystem, keep: Iterable[int]) -> RootSystem:

@@ -1,9 +1,11 @@
+import collections
 import json
 
 import pytest
 
 from mclusters import cluster_complex
 from mclusters.cli import main
+from mclusters.orbit_category import MClusterCategory
 
 
 def run(capsys, *argv):
@@ -134,6 +136,32 @@ class TestVerify:
             assert code == 0 and f"PASS  {line}" in out
         else:
             assert code == 1 and f"FAIL  {line}" in out
+
+    def test_each_orbit_ext_evaluated_once(self, capsys, monkeypatch):
+        calls = collections.Counter()
+        real = MClusterCategory.ext
+
+        def spy(self, x, y, i, slack=0):
+            calls[(self, x, y, i)] += 1
+            return real(self, x, y, i, slack)
+
+        monkeypatch.setattr(MClusterCategory, "ext", spy)
+        code, out, _ = run(capsys, "verify", "--type", "A4", "--m", "2")
+        assert code == 0 and "FAIL" not in out
+        assert calls and max(calls.values()) == 1
+
+    def test_ext_symmetry_failure(self, capsys, monkeypatch):
+        real = MClusterCategory.ext_table
+
+        def tampered(self):
+            table = [[row[:] for row in t] for t in real(self)]
+            table[0][0][1] += 1
+            return table
+
+        monkeypatch.setattr(MClusterCategory, "ext_table", tampered)
+        code, out, _ = run(capsys, "verify", "--type", "A3", "--m", "2")
+        assert code == 1
+        assert "FAIL  Ext dimension symmetry: 450 (pair, degree) instances" in out
 
 
 class TestExportZq:

@@ -6,9 +6,10 @@ import pytest
 
 from mclusters import (ColouredRoot, DerivedObject, build_root_system,
                        compatible_combinatorial, coloured_ground_set,
-                       derived_category, parse_type, shift)
+                       derived_category, parse_type, rotation_table, shift)
+from mclusters.cli import main
 from mclusters.coloured_roots import compatibility_degree
-from mclusters.orbit_category import mcluster_category
+from mclusters.orbit_category import MClusterCategory, mcluster_category
 
 
 class TestW:
@@ -86,6 +87,31 @@ class TestExtOrbit:
         for X, Y in itertools.product(objs, repeat=2):
             for i in range(1, m + 1):
                 assert cat.ext(X, Y, i) == cat.ext(X, Y, i, slack=2)
+
+
+class TestExtTable:
+    @pytest.mark.parametrize("name,m", [("A3", 1), ("A3", 2), ("A3", 3), ("D4", 2), ("E6", 1)])
+    def test_entries_are_orbit_ext(self, name, m):
+        rs = build_root_system(parse_type(name))
+        cat = mcluster_category(rs, m)
+        table = cat.ext_table()
+        ground = coloured_ground_set(rs, m)
+        assert tuple(ground) == rotation_table(rs, m).nodes
+        assert len(table) == m
+        for i in range(1, m + 1):
+            assert len(table[i - 1]) == len(ground)
+            for a, x in enumerate(ground):
+                X = cat.W(x)
+                assert table[i - 1][a] == [cat.ext(X, cat.W(y), i) for y in ground]
+        assert cat.ext_table() is table
+
+    @pytest.mark.parametrize("command", ["compat", "ext"])
+    def test_single_pair_queries_do_not_build_it(self, monkeypatch, command):
+        def refuse(self):
+            raise AssertionError("ext_table built for a single pair")
+
+        monkeypatch.setattr(MClusterCategory, "ext_table", refuse)
+        assert main([command, "--type", "A3", "--m", "2", "--", "1,1,0:1", "0,1,1:2"]) == 0
 
 
 class TestCompatibleCategorical:
