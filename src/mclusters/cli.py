@@ -6,7 +6,7 @@ simple root.  Pass ``--`` before positional root arguments so that the
 leading dash is not parsed as a flag.
 
 Exit codes: 0 success / all checks pass, 1 verification failure or
-internal error, 2 usage error.
+internal error, 2 usage error, also for m > 1000 or rank > 32.
 """
 
 from __future__ import annotations
@@ -25,6 +25,13 @@ from .coloured_roots import (ColouredRoot, check_coloured, compatibility_degree,
 from .derived import derived_category
 from .orbit_category import compatible_categorical, mcluster_category
 from .root_system import RootSystem, build_root_system, parse_type
+
+
+# Larger inputs exit 2 at once instead of hanging.  ``export-zq`` walks
+# from coarse degree 0 to each end of its window.
+MAX_M = 1000
+MAX_RANK = 32
+MAX_ZQ_SPAN = 2000
 
 
 class UsageError(ValueError):
@@ -60,9 +67,12 @@ def parse_coloured_root(rs: RootSystem, m: int, text: str) -> ColouredRoot:
 
 def _root_system(args: argparse.Namespace) -> RootSystem:
     try:
-        return build_root_system(parse_type(args.type))
+        t = parse_type(args.type)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    if t.rank > MAX_RANK:
+        raise UsageError(f"rank {t.rank} exceeds the largest supported rank {MAX_RANK}")
+    return build_root_system(t)
 
 
 def _write(text: str, out: Optional[str]) -> None:
@@ -117,11 +127,14 @@ def cmd_orbit(args: argparse.Namespace) -> int:
     x = parse_coloured_root(rs, args.m, args.x)
     start = x
     steps = [x]
-    while True:
+    # An orbit lies in the ground set, so it closes within its size.
+    for _ in range(args.m * len(rs.positive_roots) + rs.n):
         x = rotation_Rm(rs, args.m, x)
         if x == start:
             break
         steps.append(x)
+    else:
+        raise RuntimeError("rotation orbit longer than the ground set (bug)")
     print(" -> ".join(str(s) for s in steps) + " -> (cycle)")
     return 0
 
@@ -132,6 +145,8 @@ def cmd_export_zq(args: argparse.Namespace) -> int:
         lo, hi = (int(p) for p in args.window.split(":"))
     except ValueError:
         raise UsageError(f"cannot parse window {args.window!r}; expected LO:HI") from None
+    if max(hi, 0) - min(lo, 0) > MAX_ZQ_SPAN:
+        raise UsageError(f"window {lo}:{hi} spans more than {MAX_ZQ_SPAN} degrees from 0")
     _write(derived_category(rs).export_zq_dot(lo, hi), args.out)
     return 0
 
@@ -192,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, need_m: bool = True) -> None:
         p.add_argument("--type", required=True, help="Dynkin type, e.g. A3, D4, E6")
         if need_m:
-            p.add_argument("--m", type=int, default=1, help="number of colours (>= 1)")
+            p.add_argument("--m", type=int, default=1, help=f"number of colours (1..{MAX_M})")
 
     p = sub.add_parser("enumerate", help="enumerate facets and write the complex as JSON")
     common(p)
@@ -220,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export-zq", help="DOT export of the translation quiver")
     common(p, need_m=False)
-    p.add_argument("--window", default="0:0", help="coarse-degree range LO:HI")
+    p.add_argument("--window", default="0:0", help="coarse-degree range, e.g. --window=-1:1")
     p.add_argument("--out", help="output path (default: stdout)")
     p.set_defaults(fn=cmd_export_zq)
 
@@ -234,8 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "m", 1) < 1:
-        print("error: m must be >= 1", file=sys.stderr)
+    if not 1 <= getattr(args, "m", 1) <= MAX_M:
+        print(f"error: m must be in 1..{MAX_M}", file=sys.stderr)
         return 2
     try:
         return args.fn(args)

@@ -58,7 +58,9 @@ def _pairwise(size: int, verdict: Callable[[int, int], bool]) -> List[List[bool]
 def build_graph(rs: RootSystem, m: int, oracle: str = "combinatorial") -> CompatibilityGraph:
     """The compatibility graph on ``coloured_ground_set(rs, m)``.  The
     combinatorial oracle is read off the rotation table of ``(rs, m)``,
-    the categorical one off the Ext tables of the m-cluster categories."""
+    the categorical one off the Ext table of its m-cluster category: two
+    nodes are compatible when every Ext^i between their W images vanishes.
+    A reducible system is no special case: Ext between components is 0."""
     if oracle not in ORACLES:
         raise ValueError(f"oracle must be one of {ORACLES}")
     if oracle == "combinatorial":
@@ -66,35 +68,11 @@ def build_graph(rs: RootSystem, m: int, oracle: str = "combinatorial") -> Compat
         nodes, verdict = list(table.nodes), table.compatible
     else:
         nodes = coloured_ground_set(rs, m)
-        verdict = _categorical_verdict(rs, m, nodes)
+        ext = mcluster_category(rs, m).ext_table()
+
+        def verdict(a: int, b: int) -> bool:
+            return all(t[a][b] == 0 for t in ext)
     return CompatibilityGraph(rs, m, oracle, nodes, _pairwise(len(nodes), verdict))
-
-
-def _categorical_verdict(rs: RootSystem, m: int,
-                         nodes: Sequence[ColouredRoot]) -> Callable[[int, int], bool]:
-    """Categorical compatibility of node ids: no Ext^i between their W
-    images.  The complex of a reducible system is the join of its
-    components' complexes, so nodes in different components are
-    compatible; each node is mapped once to its id in its component's
-    irreducible system (the system itself when irreducible), and the
-    nodes of one component are judged by that component's Ext table."""
-    parts = [sorted(c) for c in rs.components]
-    owner = {v: k for k, verts in enumerate(parts) for v in verts}
-    tables, local = [], []
-    for verts in parts:
-        comp = parabolic(rs, verts)
-        tables.append(mcluster_category(comp, m).ext_table())
-        local.append({x: j for j, x in enumerate(coloured_ground_set(comp, m))})
-    ids = []
-    for x in nodes:
-        k = owner[next(v for v, c in enumerate(x.root) if c)]
-        ids.append((k, local[k][ColouredRoot(restrict_root(x.root, parts[k]), x.colour)]))
-
-    def verdict(a: int, b: int) -> bool:
-        (ka, la), (kb, lb) = ids[a], ids[b]
-        return ka != kb or all(t[la][lb] == 0 for t in tables[ka])
-
-    return verdict
 
 
 def enumerate_facets(g: CompatibilityGraph) -> List[TiltingSet]:

@@ -125,7 +125,7 @@ class RotationTable:
     """The coloured ground set of ``(rs, m)`` indexed by node id (in
     ``coloured_ground_set`` order), with the rotation ``R_m`` as a
     permutation of ids and each node's hitting time: the first ``t`` at
-    which ``R_m^t`` of the node is a negative simple.
+    which ``R_m^t`` of the node is a negative simple, and its path up to then.
 
     Compatibility is ``R_m``-invariant, so joint rotation of a pair needs
     no reflections here: it stops at ``t = min(hit[a], hit[b])``, where
@@ -140,33 +140,21 @@ class RotationTable:
         self.perm: Tuple[int, ...] = tuple(index[rotation_Rm(rs, m, x)] for x in self.nodes)
         self.neg: Tuple[Optional[int], ...] = tuple(
             rs.negative_simple_index(x.root) for x in self.nodes)
-        # Cycles of the permutation; R_m^t(k) is cycle[k][(pos[k] + t) % len].
-        size = len(self.nodes)
-        self._cycle: List[Tuple[int, ...]] = [()] * size
-        self._pos = [0] * size
-        for start in range(size):
-            if self._cycle[start]:
-                continue
-            cyc = [start]
-            while self.perm[cyc[-1]] != start:
-                cyc.append(self.perm[cyc[-1]])
-            frozen = tuple(cyc)
-            for p, k in enumerate(frozen):
-                self._cycle[k], self._pos[k] = frozen, p
         cap = _rotation_cap(rs, m)
-        hit = []
-        for k in range(size):
-            t = next((t for t in range(min(cap, len(self._cycle[k])))
-                      if self.neg[self.step(k, t)] is not None), None)
-            if t is None:
-                raise RuntimeError("rotation cap exceeded; no negative simple reached (bug)")
-            hit.append(t)
-        self.hit: Tuple[int, ...] = tuple(hit)
+        paths = []
+        for k in range(len(self.nodes)):
+            path = [k]
+            while self.neg[path[-1]] is None:
+                if len(path) == cap:
+                    raise RuntimeError("rotation cap exceeded; no negative simple reached (bug)")
+                path.append(self.perm[path[-1]])
+            paths.append(tuple(path))
+        self._path = paths
+        self.hit: Tuple[int, ...] = tuple(len(path) - 1 for path in paths)
 
     def step(self, k: int, t: int) -> int:
-        """Node id of ``R_m^t`` applied to node ``k``."""
-        cyc = self._cycle[k]
-        return cyc[(self._pos[k] + t) % len(cyc)]
+        """Node id of ``R_m^t`` applied to node ``k``, for ``t <= hit[k]``."""
+        return self._path[k][t]
 
     def _decide(self, first: int, second: int) -> Tuple[int, int]:
         """Joint rotation of the pair, ``first`` checked first: the vertex

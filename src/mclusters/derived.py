@@ -32,13 +32,13 @@ def shift(x: DerivedObject, k: int) -> DerivedObject:
 
 
 class DerivedCategory:
-    """Computational context for one irreducible root system: fine-degree
-    table, translate, Hom dimensions, and the bijection with the almost
-    positive roots.  Built once, then read-only."""
+    """Computational context for one root system: fine-degree table,
+    translate, Hom dimensions, and the bijection with the almost positive
+    roots.  Built once, then read-only.  A reducible system is the product
+    of its components: Hom between them is 0 by the Euler form, and each
+    grading uses the Coxeter number of the object's component."""
 
     def __init__(self, rs: RootSystem):
-        if not rs.irreducible:
-            raise ValueError("derived-category model requires an irreducible system")
         self.rs = rs
         self.quiver = BipartiteQuiver.from_root_system(rs)
         self.proj_dims: Tuple[Root, ...] = tuple(
@@ -62,12 +62,13 @@ class DerivedCategory:
         for i in range(rs.n):
             gamma = self.proj_dims[i]
             d = phi[gamma]
+            h = rs.coxeter_number_at[i]
             while True:
                 beta, gamma = gamma, quiver_rep.coxeter_tau_inverse(rs, gamma)
                 if not rs.is_positive_root(gamma):
                     break
                 d -= 2
-                if d < -rs.h + 1:
+                if d < -h + 1:
                     raise RuntimeError("fine-degree window underflow (bug)")
                 phi[gamma] = d
                 self._tau_inv[beta] = gamma
@@ -84,9 +85,13 @@ class DerivedCategory:
         if not self.rs.is_positive_root(x.beta):
             raise ValueError(f"{x.beta} is not a positive root")
 
+    def coxeter_number(self, beta: Root) -> int:
+        """Coxeter number of the component that supports ``beta``."""
+        return self.rs.coxeter_number_at[next(v for v, c in enumerate(beta) if c)]
+
     def fine_degree(self, x: DerivedObject) -> int:
         self._check(x)
-        return self.phi[x.beta] - x.shift * self.rs.h
+        return self.phi[x.beta] - x.shift * self.coxeter_number(x.beta)
 
     def coarse_degree(self, x: DerivedObject) -> int:
         self._check(x)
@@ -140,7 +145,8 @@ class DerivedCategory:
 
     def V(self, alpha: Root) -> DerivedObject:
         """Bijection from almost positive roots onto the fundamental
-        domain with fine degrees in [-h+1, 2]."""
+        domain with fine degrees in [-h+1, 2], ``h`` the Coxeter number of
+        the root's component."""
         i = self.rs.negative_simple_index(alpha)
         if i is not None:
             return DerivedObject(self.inj_dims[i], -1)
@@ -150,32 +156,23 @@ class DerivedCategory:
 
     # -- translation-quiver export -------------------------------------
 
-    def _zq_object(self, i: int, p: int) -> DerivedObject:
-        obj = DerivedObject(self.proj_dims[i], 0)
-        for _ in range(p):
-            obj = self.tau(obj)
-        for _ in range(-p):
-            obj = self.tau_inverse(obj)
-        return obj
-
     def _zq_vertices(self, coarse_min: int, coarse_max: int) -> Dict[Tuple[int, int], DerivedObject]:
+        """Vertex (i, p) is tau^p P_i.  Coarse degree is nondecreasing in p,
+        so each tau-orbit is walked once, up from p=0 and down from p=-1."""
         verts: Dict[Tuple[int, int], DerivedObject] = {}
         if coarse_min > coarse_max:
             return verts
         for i in range(self.rs.n):
-            # walk upward from p=0 (coarse degree is nondecreasing in p)
-            for direction in (1, -1):
-                p = 0 if direction == 1 else -1
-                while True:
-                    obj = self._zq_object(i, p)
-                    d_c = self.coarse_degree(obj)
-                    if direction == 1 and d_c > coarse_max:
-                        break
-                    if direction == -1 and d_c < coarse_min:
-                        break
-                    if coarse_min <= d_c <= coarse_max:
-                        verts[(i, p)] = obj
-                    p += direction
+            obj, p = DerivedObject(self.proj_dims[i], 0), 0
+            while (d_c := self.coarse_degree(obj)) <= coarse_max:
+                if d_c >= coarse_min:
+                    verts[(i, p)] = obj
+                obj, p = self.tau(obj), p + 1
+            obj, p = self.tau_inverse(DerivedObject(self.proj_dims[i], 0)), -1
+            while (d_c := self.coarse_degree(obj)) >= coarse_min:
+                if d_c <= coarse_max:
+                    verts[(i, p)] = obj
+                obj, p = self.tau_inverse(obj), p - 1
         return verts
 
     def export_zq_dot(self, coarse_min: int, coarse_max: int) -> str:
@@ -183,13 +180,14 @@ class DerivedCategory:
         coarse degrees.  For each bipartite arrow s->t there is an edge
         (t,p)->(s,p) and an edge (s,p)->(t,p-1)."""
         verts = self._zq_vertices(coarse_min, coarse_max)
+        order = sorted(verts)
         lines = ["digraph ZQ {"]
-        for (i, p) in sorted(verts):
+        for (i, p) in order:
             obj = verts[(i, p)]
             label = f"({i + 1},{p}) dF={self.fine_degree(obj)} {obj}"
             lines.append(f'  "v{i + 1}_p{p}" [label="{label}"];')
         for (s, t) in self.quiver.arrows:
-            for (i, p) in sorted(verts):
+            for (i, p) in order:
                 if i == t and (s, p) in verts:
                     lines.append(f'  "v{t + 1}_p{p}" -> "v{s + 1}_p{p}";')
                 if i == s and (t, p - 1) in verts:

@@ -3,9 +3,9 @@ categorical compatibility oracle.
 
 Objects are canonical derived representatives in the fundamental domain
 for the automorphism G = (inverse translate) o [m], i.e. with fine degree
-in [-mh+1, 2].  Ext^i between orbits is the finite sum of derived Hom
-spaces Hom(G^p X, Y[i]); hereditary support kills all but a short window
-of powers p.
+in [-mh+1, 2], h the Coxeter number of the object's component.  Ext^i
+between orbits is the finite sum of derived Hom spaces Hom(G^p X, Y[i]);
+hereditary support kills all but a short window of powers p.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ class MClusterCategory:
     # -- fundamental domain --------------------------------------------
 
     def in_domain(self, x: DerivedObject) -> bool:
-        return -self.m * self.rs.h + 1 <= self.D.fine_degree(x) <= 2
+        return -self.m * self.D.coxeter_number(x.beta) + 1 <= self.D.fine_degree(x) <= 2
 
     def W(self, x: ColouredRoot) -> DerivedObject:
         """Coloured root beta^j -> V(beta)[j-1]; negative simple -> I_i[-1]."""
@@ -61,14 +61,16 @@ class MClusterCategory:
         return self.D.tau(shift(x, -self.m))
 
     def reduce(self, x: DerivedObject) -> DerivedObject:
-        """Canonical fundamental-domain representative of the G-orbit."""
+        """Canonical fundamental-domain representative of the G-orbit.
+        G keeps an object in its component, so one Coxeter number serves."""
+        floor = -self.m * self.D.coxeter_number(x.beta) + 1
         guard = 0
         while self.D.fine_degree(x) > 2:
             x = self.G(x)
             guard += 1
             if guard > 2 * len(self.rs.positive_roots) + 4:
                 raise RuntimeError("fundamental-domain reduction failed to land (bug)")
-        while self.D.fine_degree(x) < -self.m * self.rs.h + 1:
+        while self.D.fine_degree(x) < floor:
             x = self.G_inverse(x)
             guard += 1
             if guard > 2 * len(self.rs.positive_roots) + 4:

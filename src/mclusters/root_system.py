@@ -86,6 +86,11 @@ class RootSystem:
         self.coxeter_numbers: Tuple[int, ...] = tuple(
             2 * sum(1 for b in self.positive_roots if any(b[v] for v in comp)) // len(comp)
             for comp in self.components)
+        # Coxeter number of the component of each vertex; a root has
+        # connected support, so any vertex of its support names its component.
+        self.coxeter_number_at: Tuple[int, ...] = tuple(
+            next(h for comp, h in zip(self.components, self.coxeter_numbers) if v in comp)
+            for v in range(n))
 
     @property
     def h(self) -> int:

@@ -2,7 +2,19 @@ from fractions import Fraction
 
 import pytest
 
-from mclusters import build_root_system, parse_type
+from mclusters import build_root_system, parabolic, parse_type
+
+# Reducible parabolic subsystems: A3 without its middle vertex (A1 + A1),
+# D4 without its branch vertex (A1 + A1 + A1), and E7 without vertex 3,
+# 1-based (A2 + A3 + A1).
+REDUCIBLE = [("A3", (0, 2)), ("D4", (0, 2, 3)), ("E7", (0, 1, 3, 4, 5, 6))]
+
+
+def system(name, keep=None):
+    """The root system of type ``name``, or its parabolic subsystem on
+    ``keep`` when given."""
+    rs = build_root_system(parse_type(name))
+    return rs if keep is None else parabolic(rs, keep)
 
 
 @pytest.fixture(scope="session")

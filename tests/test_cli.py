@@ -3,8 +3,9 @@ import json
 
 import pytest
 
-from mclusters import cluster_complex
+from mclusters import cli, cluster_complex
 from mclusters.cli import main
+from mclusters.coloured_roots import ColouredRoot
 from mclusters.orbit_category import MClusterCategory
 
 
@@ -98,6 +99,36 @@ class TestExtAndOrbit:
         assert code == 0
         assert "(cycle)" in out
 
+    def test_orbit_past_ground_set_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "rotation_Rm",
+                            lambda rs, m, x: ColouredRoot(x.root, x.colour + 1))
+        code, out, err = run(capsys, "orbit", "--type", "A2", "--m", "1", "--", "-e1")
+        assert code == 1 and out == ""
+        assert "longer than the ground set" in err
+
+
+class TestBounds:
+    """Inputs past the bounds exit 2 before any root system is built."""
+
+    @pytest.fixture(autouse=True)
+    def no_root_system(self, monkeypatch):
+        def refuse(t):
+            raise AssertionError(f"root system {t} built")
+
+        monkeypatch.setattr(cli, "build_root_system", refuse)
+
+    @pytest.mark.parametrize("command,roots", [("compat", ["-e1", "-e2"]),
+                                               ("ext", ["-e1", "-e2"]), ("orbit", ["-e1"])])
+    @pytest.mark.parametrize("m", [cli.MAX_M + 1, 100000000])
+    def test_huge_m_exits_2(self, capsys, command, roots, m):
+        code, _, err = run(capsys, command, "--type", "A2", "--m", str(m), "--", *roots)
+        assert code == 2 and f"1..{cli.MAX_M}" in err
+
+    @pytest.mark.parametrize("command", ["verify", "enumerate", "export-zq"])
+    def test_huge_rank_exits_2(self, capsys, command):
+        code, _, err = run(capsys, command, "--type", f"A{cli.MAX_RANK + 1}")
+        assert code == 2 and f"rank {cli.MAX_RANK + 1}" in err
+
 
 class TestVerify:
     def test_a1_smoke(self, capsys):
@@ -172,3 +203,20 @@ class TestExportZq:
 
     def test_bad_window_exits_2(self, capsys):
         assert run(capsys, "export-zq", "--type", "A2", "--window", "zzz")[0] == 2
+
+    def test_negative_window_as_in_readme(self, capsys):
+        code, out, _ = run(capsys, "export-zq", "--type", "A3", "--window=-1:1")
+        assert code == 0
+        assert out.count("label") == 3 * 6
+
+    @pytest.mark.parametrize("window", [f"0:{cli.MAX_ZQ_SPAN + 1}", f"-{cli.MAX_ZQ_SPAN}:1",
+                                        "1000000000:1000000000"])
+    def test_wide_window_exits_2(self, capsys, window):
+        code, _, err = run(capsys, "export-zq", "--type", "A2", f"--window={window}")
+        assert code == 2 and "spans more than" in err
+
+    def test_widest_window(self, capsys):
+        code, out, _ = run(capsys, "export-zq", "--type", "A1",
+                           f"--window=0:{cli.MAX_ZQ_SPAN}")
+        assert code == 0
+        assert out.count("label") == cli.MAX_ZQ_SPAN + 1

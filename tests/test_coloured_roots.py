@@ -2,9 +2,10 @@ import itertools
 
 import pytest
 
+from conftest import REDUCIBLE, system
 from mclusters import (ColouredRoot, build_root_system, compatible_combinatorial,
-                       coloured_ground_set, parabolic, parse_type, rotation_R,
-                       rotation_Rm, tau_eps)
+                       coloured_ground_set, parse_type, rotation_R, rotation_Rm,
+                       tau_eps)
 from mclusters import coloured_roots
 from mclusters.coloured_roots import (coloured_from_json, coloured_to_json,
                                       compatibility_degree, rotation_table)
@@ -177,13 +178,7 @@ class TestCompatible:
 
 
 TABLE_SYSTEMS = [("A1", None), ("A2", None), ("A3", None), ("A4", None), ("A5", None),
-                 ("D4", None), ("D5", None), ("D6", None), ("E6", None),
-                 ("A3", [0, 2]), ("D4", [0, 2, 3])]
-
-
-def _system(name, keep):
-    rs = build_root_system(parse_type(name))
-    return rs if keep is None else parabolic(rs, keep)
+                 ("D4", None), ("D5", None), ("D6", None), ("E6", None)] + REDUCIBLE
 
 
 class TestRotationTable:
@@ -193,7 +188,7 @@ class TestRotationTable:
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("name,keep", TABLE_SYSTEMS)
     def test_matches_joint_rotation_on_every_pair(self, name, keep, m):
-        rs = _system(name, keep)
+        rs = system(name, keep)
         table = rotation_table(rs, m)
         nodes = table.nodes
         assert list(nodes) == coloured_ground_set(rs, m)

@@ -3,10 +3,10 @@ from math import comb
 
 import pytest
 
-from conftest import fuss_catalan, naive_maximal_cliques
+from conftest import REDUCIBLE, fuss_catalan, naive_maximal_cliques, system
 from mclusters import (ColouredRoot, build_graph, build_root_system, complements,
-                       complex_to_json, enumerate_facets, f_vector, parabolic,
-                       parse_type, verify_complement_counts, verify_facet_sizes,
+                       complex_to_json, enumerate_facets, f_vector, parse_type,
+                       verify_complement_counts, verify_facet_sizes,
                        verify_parabolic_restriction)
 from mclusters import cluster_complex
 from mclusters.cluster_complex import ridge_counts
@@ -51,9 +51,9 @@ class TestBuildGraph:
         assert g_comb.adjacency == g_cat.adjacency
 
     @pytest.mark.parametrize("m", [1, 2])
-    @pytest.mark.parametrize("name,keep", [("A3", [0, 2]), ("D4", [0, 2, 3])])
+    @pytest.mark.parametrize("name,keep", REDUCIBLE)
     def test_oracles_agree_reducible(self, name, keep, m):
-        sub = parabolic(build_root_system(parse_type(name)), keep)
+        sub = system(name, keep)
         assert not sub.irreducible
         g_comb = build_graph(sub, m, "combinatorial")
         g_cat = build_graph(sub, m, "categorical")

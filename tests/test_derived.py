@@ -3,8 +3,9 @@ import math
 
 import pytest
 
+from conftest import REDUCIBLE, system
 from mclusters import (DerivedObject, build_root_system, derived_category,
-                       parse_type, shift)
+                       parse_type, quiver_rep, shift)
 from mclusters.orbit_category import mcluster_category
 
 
@@ -37,10 +38,60 @@ class TestFineTable:
         for i in range(rs.n):
             assert d.phi[d.proj_dims[i]] == (0 if i in rs.I_minus else -1)
 
-    def test_reducible_rejected(self, a3):
-        from mclusters.root_system import parabolic
-        with pytest.raises(ValueError):
-            derived_category(parabolic(a3, [0, 2]))
+    @pytest.mark.parametrize("name,keep", REDUCIBLE)
+    def test_reducible_window_per_component(self, name, keep):
+        rs = system(name, keep)
+        d = derived_category(rs)
+        assert len(d.phi) == len(rs.positive_roots)
+        for beta, value in d.phi.items():
+            assert -d.coxeter_number(beta) + 1 <= value <= 0
+
+
+def _component(rs, beta):
+    """Index in ``rs.components`` of the component that supports ``beta``."""
+    v = next(v for v, c in enumerate(beta) if c)
+    return next(k for k, comp in enumerate(rs.components) if v in comp)
+
+
+class TestReducible:
+    """A disconnected quiver's derived category is the product of its
+    components' categories."""
+
+    def test_e7_without_vertex_3_builds(self):
+        rs = system("E7", (0, 1, 3, 4, 5, 6))
+        assert rs.coxeter_numbers == (3, 4, 2)
+        assert rs.coxeter_number_at == (3, 3, 4, 4, 4, 2)
+        assert mcluster_category(rs, 2).D is derived_category(rs)
+
+    @pytest.mark.parametrize("name,keep", REDUCIBLE)
+    def test_hom_zero_across_components(self, name, keep):
+        rs = system(name, keep)
+        d = derived_category(rs)
+        across = [(b, g) for b, g in itertools.product(rs.positive_roots, repeat=2)
+                  if _component(rs, b) != _component(rs, g)]
+        assert across
+        for beta, gamma in across:
+            for s, t in itertools.product(range(-1, 3), repeat=2):
+                assert d.hom(DerivedObject(beta, s), DerivedObject(gamma, t)) == 0
+
+    def test_hom_matches_exact_witness(self):
+        rs = system("E7", (0, 1, 3, 4, 5, 6))
+        d = derived_category(rs)
+        reps = {b: quiver_rep.indecomposable_for_root(rs, b) for b in rs.positive_roots}
+        for (a, x), (b, y) in itertools.product(reps.items(), repeat=2):
+            assert d.hom(DerivedObject(a, 0), DerivedObject(b, 0)) == quiver_rep.hom_dim(x, y)
+            assert d.hom(DerivedObject(a, 0), DerivedObject(b, 1)) == \
+                quiver_rep.ext1_dim(rs, x, y)
+
+    @pytest.mark.parametrize("name,keep", REDUCIBLE)
+    def test_translate_keeps_component(self, name, keep):
+        rs = system(name, keep)
+        d = derived_category(rs)
+        for beta in rs.positive_roots:
+            x = DerivedObject(beta, 0)
+            for y, step in ((d.tau(x), 2), (d.tau_inverse(x), -2)):
+                assert _component(rs, y.beta) == _component(rs, beta)
+                assert d.fine_degree(y) == d.fine_degree(x) + step
 
 
 class TestDegrees:

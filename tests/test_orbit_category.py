@@ -4,6 +4,7 @@ import weakref
 
 import pytest
 
+from conftest import REDUCIBLE, system
 from mclusters import (ColouredRoot, DerivedObject, build_root_system,
                        compatible_combinatorial, coloured_ground_set,
                        derived_category, parse_type, rotation_table, shift)
@@ -31,9 +32,8 @@ class TestW:
         with pytest.raises(ValueError):
             cat.W(ColouredRoot((1, 0), 3))
 
-    @pytest.mark.parametrize("name,m", [("A2", 3), ("A3", 2), ("D4", 2)])
-    def test_bijection_onto_fundamental_domain(self, name, m):
-        rs = build_root_system(parse_type(name))
+    @staticmethod
+    def check_bijection(rs, m):
         cat = mcluster_category(rs, m)
         ground = coloured_ground_set(rs, m)
         objs = [cat.W(x) for x in ground]
@@ -41,6 +41,15 @@ class TestW:
         for x, obj in zip(ground, objs):
             assert cat.in_domain(obj)
             assert cat.W_inverse(obj) == x
+
+    @pytest.mark.parametrize("name,m", [("A2", 3), ("A3", 2), ("D4", 2)])
+    def test_bijection_onto_fundamental_domain(self, name, m):
+        self.check_bijection(system(name), m)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("name,keep", REDUCIBLE)
+    def test_bijection_onto_fundamental_domain_reducible(self, name, keep, m):
+        self.check_bijection(system(name, keep), m)
 
     def test_w_inverse_rejects_outside(self, a2):
         cat = mcluster_category(a2, 1)
@@ -90,9 +99,8 @@ class TestExtOrbit:
 
 
 class TestExtTable:
-    @pytest.mark.parametrize("name,m", [("A3", 1), ("A3", 2), ("A3", 3), ("D4", 2), ("E6", 1)])
-    def test_entries_are_orbit_ext(self, name, m):
-        rs = build_root_system(parse_type(name))
+    @staticmethod
+    def check_entries(rs, m):
         cat = mcluster_category(rs, m)
         table = cat.ext_table()
         ground = coloured_ground_set(rs, m)
@@ -104,6 +112,15 @@ class TestExtTable:
                 X = cat.W(x)
                 assert table[i - 1][a] == [cat.ext(X, cat.W(y), i) for y in ground]
         assert cat.ext_table() is table
+
+    @pytest.mark.parametrize("name,m", [("A3", 1), ("A3", 2), ("A3", 3), ("D4", 2), ("E6", 1)])
+    def test_entries_are_orbit_ext(self, name, m):
+        self.check_entries(system(name), m)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("name,keep", REDUCIBLE)
+    def test_entries_are_orbit_ext_reducible(self, name, keep, m):
+        self.check_entries(system(name, keep), m)
 
     @pytest.mark.parametrize("command", ["compat", "ext"])
     def test_single_pair_queries_do_not_build_it(self, monkeypatch, command):
@@ -147,12 +164,20 @@ class TestShiftVersusRotation:
         assert cat.reduce(shift(cat.W(ColouredRoot(a2.negative_simple(0))), 1)) \
             == DerivedObject((1, 0), 0)
 
-    @pytest.mark.parametrize("name,m", [("A2", 3), ("A3", 2), ("D4", 2)])
-    def test_exhaustive(self, name, m):
-        rs = build_root_system(parse_type(name))
+    @staticmethod
+    def check_all(rs, m):
         cat = mcluster_category(rs, m)
         for x in coloured_ground_set(rs, m):
             assert cat.shift_matches_rotation(x)
+
+    @pytest.mark.parametrize("name,m", [("A2", 3), ("A3", 2), ("D4", 2)])
+    def test_exhaustive(self, name, m):
+        self.check_all(system(name), m)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("name,keep", REDUCIBLE)
+    def test_exhaustive_reducible(self, name, keep, m):
+        self.check_all(system(name, keep), m)
 
 
 class TestExtSymmetry:
@@ -162,14 +187,22 @@ class TestExtSymmetry:
         for i in (1, 2):
             assert cat.ext_symmetry(X, X, i)
 
-    @pytest.mark.parametrize("name,m", [("A2", 3), ("A3", 2), ("D4", 1)])
-    def test_exhaustive(self, name, m):
-        rs = build_root_system(parse_type(name))
+    @staticmethod
+    def check_all(rs, m):
         cat = mcluster_category(rs, m)
         objs = cat.objects()
         for X, Y in itertools.product(objs, repeat=2):
             for i in range(1, m + 1):
                 assert cat.ext_symmetry(X, Y, i)
+
+    @pytest.mark.parametrize("name,m", [("A2", 3), ("A3", 2), ("D4", 1)])
+    def test_exhaustive(self, name, m):
+        self.check_all(system(name), m)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("name,keep", REDUCIBLE)
+    def test_exhaustive_reducible(self, name, keep, m):
+        self.check_all(system(name, keep), m)
 
 
 class TestCategoryLifetime:
