@@ -11,12 +11,12 @@ from .quiver_rep import (BipartiteQuiver, Representation, ext1_dim, euler_form,
 from .derived import DerivedCategory, DerivedObject, derived_category, shift
 from .orbit_category import (MClusterCategory, compatible_categorical,
                              mcluster_category)
-from .cluster_complex import (CompatibilityGraph, Report, TiltingSet,
+from .cluster_complex import (CompatibilityGraph, FaceWalk, Report, TiltingSet,
                               build_graph, complements, complex_to_json,
                               enumerate_facets, f_vector,
                               verify_complement_counts, verify_facet_sizes,
                               verify_parabolic_restriction,
-                              verify_vertex_deletions)
+                              verify_vertex_deletions, walk_faces)
 
 __all__ = [
     "DynkinType", "Root", "RootSystem", "build_root_system", "parabolic",
@@ -28,10 +28,10 @@ __all__ = [
     "indecomposable_for_root", "injective", "projective",
     "DerivedCategory", "DerivedObject", "derived_category", "shift",
     "MClusterCategory", "compatible_categorical", "mcluster_category",
-    "CompatibilityGraph", "Report", "TiltingSet", "build_graph", "complements",
-    "complex_to_json", "enumerate_facets", "f_vector",
+    "CompatibilityGraph", "FaceWalk", "Report", "TiltingSet", "build_graph",
+    "complements", "complex_to_json", "enumerate_facets", "f_vector",
     "verify_complement_counts", "verify_facet_sizes",
-    "verify_parabolic_restriction", "verify_vertex_deletions",
+    "verify_parabolic_restriction", "verify_vertex_deletions", "walk_faces",
 ]
 
 __version__ = "0.1.0"

@@ -6,7 +6,9 @@ simple root.  Pass ``--`` before positional root arguments so that the
 leading dash is not parsed as a flag.
 
 Exit codes: 0 success / all checks pass, 1 verification failure or
-internal error, 2 usage error, also for m > 1000 or rank > 32.
+internal error, 2 usage error, also for m > 1000 or rank > 32, and for
+``verify`` or ``enumerate`` past 2,000,000 facets or, when the Ext table
+is built, 250,000 Ext-table entries.
 """
 
 from __future__ import annotations
@@ -16,9 +18,8 @@ import json
 import sys
 from typing import List, Optional
 
-from .cluster_complex import (build_graph, complex_to_json, enumerate_facets,
-                              verify_complement_counts, verify_facet_sizes,
-                              verify_vertex_deletions)
+from .cluster_complex import (build_graph, complex_to_json, verify_vertex_deletions,
+                              walk_faces)
 from .coloured_roots import (ColouredRoot, check_coloured, compatibility_degree,
                              compatible_combinatorial, coloured_ground_set,
                              rotation_Rm, rotation_table)
@@ -28,10 +29,15 @@ from .root_system import RootSystem, build_root_system, parse_type
 
 
 # Larger inputs exit 2 at once instead of hanging.  ``export-zq`` walks
-# from coarse degree 0 to each end of its window.
+# from coarse degree 0 to each end of its window.  The Fuss-Catalan facet
+# count bounds the facet list that ``enumerate`` holds and, at a given
+# rank, the face walk; the Ext table of m*N*N entries, N the ground-set
+# size, bounds the categorical graph.  Both are known before any work.
 MAX_M = 1000
 MAX_RANK = 32
 MAX_ZQ_SPAN = 2000
+MAX_FACETS = 2_000_000
+MAX_EXT_ENTRIES = 250_000
 
 
 class UsageError(ValueError):
@@ -75,6 +81,22 @@ def _root_system(args: argparse.Namespace) -> RootSystem:
     return build_root_system(t)
 
 
+def _bound_work(rs: RootSystem, m: int, ext_table: bool) -> None:
+    """Refuse an instance whose Fuss-Catalan facet count, or, when the
+    Ext table is to be built, whose table size is past its bound."""
+    facets, denominator = 1, 1
+    for e in rs.exponents():
+        facets *= m * rs.h + e + 1
+        denominator *= e + 1
+    if facets // denominator > MAX_FACETS:
+        raise UsageError(f"{rs.type} at m={m} has {facets // denominator} facets, "
+                         f"more than {MAX_FACETS}")
+    size = m * len(rs.positive_roots) + rs.n
+    if ext_table and m * size * size > MAX_EXT_ENTRIES:
+        raise UsageError(f"{rs.type} at m={m} needs an Ext table of {m * size * size} "
+                         f"entries, more than {MAX_EXT_ENTRIES}")
+
+
 def _write(text: str, out: Optional[str]) -> None:
     if out:
         with open(out, "w") as fh:
@@ -85,6 +107,7 @@ def _write(text: str, out: Optional[str]) -> None:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     rs = _root_system(args)
+    _bound_work(rs, args.m, args.oracle != "combinatorial")
     data = complex_to_json(rs, args.m, args.oracle)
     _write(json.dumps(data, indent=2) + "\n", args.out)
     if data.get("oracles_agree") is False:
@@ -154,6 +177,7 @@ def cmd_export_zq(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     rs = _root_system(args)
     m = args.m
+    _bound_work(rs, m, True)
     cat = mcluster_category(rs, m)
     failures = 0
 
@@ -170,13 +194,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     record("oracle equivalence", g_comb.adjacency == g_cat.adjacency,
            f"{size} nodes, {size * (size + 1) // 2} pairs")
 
-    facets = enumerate_facets(g_comb)
-    sizes = verify_facet_sizes(facets, rs.n)
-    record("facet sizes = rank", sizes.passed, f"{len(facets)} facets")
-
-    comps = verify_complement_counts(g_comb, facets)
-    record(f"complement count = {m + 1}", comps.passed,
-           f"{comps.checked} almost-complete sets")
+    walk = walk_faces(g_comb)
+    record("facet sizes = rank", walk.theorem2(rs.n),
+           f"{sum(walk.facet_sizes.values())} facets")
+    record(f"complement count = {m + 1}", walk.theorem3(m),
+           f"{sum(walk.ridges.values())} almost-complete sets")
 
     parab = verify_vertex_deletions([g_comb, g_cat])
     record("parabolic restriction", all(rep.passed for rep in parab),

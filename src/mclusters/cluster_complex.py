@@ -1,8 +1,11 @@
-"""Compatibility graph, face/facet enumeration, and theorem checks.
+"""Compatibility graph, face walk, and theorem checks.
 
-Facets are found with Bron-Kerbosch maximal-clique search with pivoting,
-and faces are counted, on one ``int`` neighbour bitset per node; all
-orderings are fixed so that serialized output is byte-stable.
+One depth-first walk over every face, on one ``int`` neighbour bitset per
+node, gives the facets in lexicographic order, the f-vector, and the
+counts that theorems 2 (facet sizes) and 3 (complement counts) are read
+off; all orderings are fixed so that serialized output is byte-stable.
+The facet-list checks and ``complements`` are the references that the
+tests compare the walk with.
 """
 
 from __future__ import annotations
@@ -36,6 +39,28 @@ class CompatibilityGraph:
 @dataclass(frozen=True)
 class TiltingSet:
     indices: Tuple[int, ...]
+
+
+@dataclass
+class FaceWalk:
+    """What ``walk_faces`` counts: faces of each size (the f-vector),
+    facets of each size, and a histogram of the number of nodes compatible
+    with each face one smaller than the rank (a ridge; the empty face in
+    rank 1).  ``oversized`` lists the rank-size faces that extend to a
+    larger clique."""
+    f_vector: List[int]
+    facet_sizes: Dict[int, int]
+    ridges: Dict[int, int]
+    oversized: List[Tuple[int, ...]]
+
+    def theorem2(self, rank: int) -> bool:
+        """Every facet has ``rank`` elements."""
+        return set(self.facet_sizes) == {rank} and not self.oversized
+
+    def theorem3(self, m: int) -> bool:
+        """Every ridge lies in exactly m+1 facets.  Once theorem 2 holds, a
+        ridge's compatible nodes are exactly its completions."""
+        return all(count == m + 1 for count in self.ridges)
 
 
 @dataclass
@@ -75,41 +100,55 @@ def build_graph(rs: RootSystem, m: int, oracle: str = "combinatorial") -> Compat
     return CompatibilityGraph(rs, m, oracle, nodes, _pairwise(len(nodes), verdict))
 
 
-def enumerate_facets(g: CompatibilityGraph) -> List[TiltingSet]:
-    """All maximal cliques, lexicographically ordered by node index, by
-    Bron-Kerbosch with Tomita pivoting: the pivot is a node of
-    candidates | excluded with the most candidate neighbours, and only
-    candidates outside its neighbourhood are branched on."""
+def walk_faces(g: CompatibilityGraph, facets: Optional[List[List[int]]] = None) -> FaceWalk:
+    """One depth-first walk over every face (clique) of ``g``, in
+    increasing node order on the neighbour bitsets.  Each face carries
+    ``above``, its candidates above its largest node, and ``common``, every
+    node compatible with the whole face; a face is a facet exactly when
+    ``common`` is 0.  Each facet is appended to ``facets``, if given, as a
+    list of node ids; the walk finds them in lexicographic order."""
     neighbours = g.neighbour_masks()
-    found: List[Tuple[int, ...]] = []
+    rank = g.rs.n
+    walk = FaceWalk([1], {}, {}, [])
+    fv, sizes, ridges = walk.f_vector, walk.facet_sizes, walk.ridges
+    face: List[int] = []
 
-    def bk(clique: Tuple[int, ...], candidates: int, excluded: int) -> None:
-        # candidates is never empty; a branch left without candidates is
-        # a maximal clique exactly when no excluded node extends it.
-        best, pivot, rest = -1, 0, candidates | excluded
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            count = (candidates & neighbours[low.bit_length() - 1]).bit_count()
-            if count > best:
-                best, pivot = count, low.bit_length() - 1
-        branch = candidates & ~neighbours[pivot]
-        while branch:
-            low = branch & -branch
-            branch ^= low
+    def visit(above: int, common: int) -> None:
+        size = len(face)
+        if size == rank - 1:
+            count = common.bit_count()
+            ridges[count] = ridges.get(count, 0) + 1
+        elif size == rank and common:
+            walk.oversized.append(tuple(face))
+        if not common:
+            sizes[size] = sizes.get(size, 0) + 1
+            if facets is not None:
+                facets.append(face.copy())
+            return
+        if not above:
+            return
+        if size + 1 == len(fv):
+            fv.append(0)
+        fv[size + 1] += above.bit_count()
+        while above:
+            low = above & -above
+            above ^= low
             v = low.bit_length() - 1
             near = neighbours[v]
-            if candidates & near:
-                bk(clique + (v,), candidates & near, excluded & near)
-            elif not excluded & near:
-                found.append(tuple(sorted(clique + (v,))))
-            candidates ^= low
-            excluded |= low
+            face.append(v)
+            visit(above & near, common & near)
+            face.pop()
 
-    if g.nodes:
-        bk((), (1 << len(g.nodes)) - 1, 0)
-    found.sort()
-    return [TiltingSet(idx) for idx in found]
+    everything = (1 << len(g.nodes)) - 1
+    visit(everything, everything)
+    return walk
+
+
+def enumerate_facets(g: CompatibilityGraph) -> List[TiltingSet]:
+    """All maximal cliques, lexicographically ordered by node index."""
+    facets: List[List[int]] = []
+    walk_faces(g, facets)
+    return [TiltingSet(tuple(f)) for f in facets]
 
 
 def verify_facet_sizes(facets: Sequence[TiltingSet], n: int) -> Report:
@@ -165,26 +204,8 @@ def verify_complement_counts(g: CompatibilityGraph, facets: Sequence[TiltingSet]
 
 
 def f_vector(g: CompatibilityGraph) -> List[int]:
-    """Face counts by cardinality.  Each face is grown only by nodes
-    above its largest one; the faces one larger than a face are counted
-    by the popcount of its candidate bitset, and a face is recursed into
-    only when it has candidates of its own."""
-    neighbours = g.neighbour_masks()
-    counts = [1]
-
-    def extend(size: int, candidates: int) -> None:
-        if size == len(counts):
-            counts.append(0)
-        counts[size] += candidates.bit_count()
-        while candidates:
-            low = candidates & -candidates
-            candidates ^= low
-            above = candidates & neighbours[low.bit_length() - 1]
-            if above:
-                extend(size + 1, above)
-
-    extend(1, (1 << len(g.nodes)) - 1)
-    return counts
+    """Face counts by cardinality, the empty face first."""
+    return walk_faces(g).f_vector
 
 
 def supported_ground_set(rs: RootSystem, m: int, kept: Sequence[int]) -> List[ColouredRoot]:
@@ -209,11 +230,17 @@ def verify_parabolic_restriction(rs: RootSystem, m: int, keep: Sequence[int],
     elif g.oracle_tag != oracle or g.rs is not rs or g.m != m:
         raise ValueError(f"graph is not the {oracle} graph of {rs} at m={m}")
     kept = sorted(set(keep))
-    g_sub = build_graph(parabolic(rs, kept), m, oracle)
+    return _restriction_report(g, build_graph(parabolic(rs, kept), m, oracle), kept)
+
+
+def _restriction_report(g: CompatibilityGraph, g_sub: CompatibilityGraph,
+                        kept: List[int]) -> Report:
+    """Compare ``g`` on the pairs supported on ``kept`` with ``g_sub``, the
+    graph of the parabolic subsystem on ``kept`` under the same oracle."""
     full_id = {x: k for k, x in enumerate(g.nodes)}
     sub_id = {x: k for k, x in enumerate(g_sub.nodes)}
     supported = [(x, full_id[x], sub_id[ColouredRoot(restrict_root(x.root, kept), x.colour)])
-                 for x in supported_ground_set(rs, m, kept)]
+                 for x in supported_ground_set(g.rs, g.m, kept)]
     checked = 0
     failures = []
     for a, (x, fx, sx) in enumerate(supported):
@@ -228,13 +255,15 @@ def verify_parabolic_restriction(rs: RootSystem, m: int, keep: Sequence[int],
 def verify_vertex_deletions(graphs: Sequence[CompatibilityGraph]) -> List[Report]:
     """``verify_parabolic_restriction`` for each single-vertex deletion
     (none in rank 1) under the oracle of every graph given, all of one
-    system and one ``m``.  One report per deleted vertex: it passes only
+    system and one ``m``.  Each subsystem is built once and shared by the
+    oracles' graphs of it.  One report per deleted vertex: it passes only
     if it passes under every oracle, and counts the supported pairs once."""
     rs, m = graphs[0].rs, graphs[0].m
     reports = []
     for drop in range(rs.n if rs.n > 1 else 0):
         keep = [v for v in range(rs.n) if v != drop]
-        reps = [verify_parabolic_restriction(rs, m, keep, h.oracle_tag, h) for h in graphs]
+        sub = parabolic(rs, keep)
+        reps = [_restriction_report(h, build_graph(sub, m, h.oracle_tag), keep) for h in graphs]
         reports.append(Report(reps[0].name, all(r.passed for r in reps), reps[0].checked,
                               [f for r in reps for f in r.failures]))
     return reports
@@ -249,22 +278,21 @@ def complex_to_json(rs: RootSystem, m: int, oracle: str,
     oracles = ORACLES if oracle == "both" else (oracle,)
     graphs = [build_graph(rs, m, o) for o in oracles]
     g = graphs[0]
-    facets = enumerate_facets(g)
+    facets: List[List[int]] = []
+    walk = walk_faces(g, facets)
     data = {
         "type": str(rs.type) if rs.type else None,
         "rank": rs.n,
         "m": m,
         "oracle": oracle,
         "nodes": [coloured_to_json(x) for x in g.nodes],
-        "facets": [list(f.indices) for f in facets],
-        "f_vector": f_vector(g),
+        "facets": facets,
+        "f_vector": walk.f_vector,
     }
     if include_verification:
-        sizes = verify_facet_sizes(facets, rs.n)
-        comps = verify_complement_counts(g, facets)
         data["verification"] = {
-            "theorem2": "pass" if sizes.passed else "fail",
-            "theorem3": "pass" if comps.passed else "fail",
+            "theorem2": "pass" if walk.theorem2(rs.n) else "fail",
+            "theorem3": "pass" if walk.theorem3(m) else "fail",
             "theorem4": [{"dropped_vertex": drop + 1,
                           "result": "pass" if rep.passed else "fail",
                           "pairs": rep.checked}

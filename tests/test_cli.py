@@ -7,6 +7,7 @@ from mclusters import cli, cluster_complex
 from mclusters.cli import main
 from mclusters.coloured_roots import ColouredRoot
 from mclusters.orbit_category import MClusterCategory
+from mclusters.root_system import RootSystem
 
 
 def run(capsys, *argv):
@@ -130,6 +131,33 @@ class TestBounds:
         assert code == 2 and f"rank {cli.MAX_RANK + 1}" in err
 
 
+class TestWorkBounds:
+    """``verify`` and ``enumerate`` past the facet or Ext-table bound exit 2
+    before any graph, category or complex is built."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started")
+
+        for name in ("build_graph", "mcluster_category", "complex_to_json"):
+            monkeypatch.setattr(cli, name, refuse)
+
+    @pytest.mark.parametrize("argv,message", [
+        (["verify", "--type", "A2", "--m", "1000"], "Ext table of 9012004000 entries"),
+        (["enumerate", "--type", "A2", "--m", "1000", "--oracle", "both"], "Ext table"),
+        (["verify", "--type", "A32"], "212336130412243110 facets"),
+        (["enumerate", "--type", "A32"], "212336130412243110 facets"),
+        (["enumerate", "--type", "E8", "--m", "3"], "22309287 facets")])
+    def test_past_bound_exits_2(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and message in err
+
+    @pytest.mark.parametrize("name,m", [("E8", 2), ("A6", 3), ("A2", 29)])
+    def test_ladder_within_bounds(self, name, m):
+        cli._bound_work(cli.build_root_system(cli.parse_type(name)), m, True)
+
+
 class TestVerify:
     def test_a1_smoke(self, capsys):
         code, out, _ = run(capsys, "verify", "--type", "A1", "--m", "5")
@@ -150,15 +178,16 @@ class TestVerify:
     @pytest.mark.parametrize("failing", [None, "combinatorial", "categorical"])
     def test_parabolic_restriction_under_both_oracles(self, capsys, monkeypatch, failing):
         seen = []
-        real = cluster_complex.verify_parabolic_restriction
+        real = cluster_complex._restriction_report
 
-        def spy(rs, m, keep, oracle="combinatorial", g=None):
-            seen.append((tuple(keep), oracle))
-            report = real(rs, m, keep, oracle, g)
-            report.passed &= oracle != failing
+        def spy(g, g_sub, kept):
+            assert g_sub.oracle_tag == g.oracle_tag
+            seen.append((tuple(kept), g.oracle_tag))
+            report = real(g, g_sub, kept)
+            report.passed &= g.oracle_tag != failing
             return report
 
-        monkeypatch.setattr(cluster_complex, "verify_parabolic_restriction", spy)
+        monkeypatch.setattr(cluster_complex, "_restriction_report", spy)
         code, out, _ = run(capsys, "verify", "--type", "A3", "--m", "1")
         assert sorted(seen) == sorted((keep, oracle) for keep in [(0, 1), (0, 2), (1, 2)]
                                       for oracle in ("combinatorial", "categorical"))
@@ -167,6 +196,19 @@ class TestVerify:
             assert code == 0 and f"PASS  {line}" in out
         else:
             assert code == 1 and f"FAIL  {line}" in out
+
+    def test_each_subsystem_built_once(self, capsys, monkeypatch):
+        built = []
+        real = RootSystem.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(self)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(RootSystem, "__init__", spy)
+        code, out, _ = run(capsys, "verify", "--type", "D4", "--m", "2")
+        assert code == 0 and "FAIL" not in out
+        assert len(built) == 1 + 4  # D4 and one subsystem per deleted vertex
 
     def test_each_orbit_ext_evaluated_once(self, capsys, monkeypatch):
         calls = collections.Counter()
@@ -193,6 +235,59 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--type", "A3", "--m", "2")
         assert code == 1
         assert "FAIL  Ext dimension symmetry: 450 (pair, degree) instances" in out
+
+
+def corrupt_a3_m2(monkeypatch, case):
+    """Patch ``build_graph`` so that the combinatorial graph of A3 m=2 has
+    some pairs flipped, chosen from its first facet F and the m+1
+    completions C of the ridge F minus its first node:
+    ``"edge"``: the first two nodes of F made incompatible; ``"split"``:
+    the second node of F made incompatible with all of C, so that the
+    ridge becomes a facet of size 2; ``"merge"``: the first two members
+    of C made compatible, so that cliques of size 4 appear.  A single
+    compatible pair cannot make a facet smaller: each ridge keeps at
+    least m of its completions."""
+    real = cluster_complex.build_graph
+
+    def corrupted(rs, m, oracle="combinatorial"):
+        g = real(rs, m, oracle)
+        if rs.n != 3 or m != 2 or oracle != "combinatorial":
+            return g
+        first = cluster_complex.enumerate_facets(g)[0].indices
+        completions = cluster_complex.complements(g, first[1:])
+        flips = {"edge": [first[:2]],
+                 "split": [(first[1], x) for x in completions],
+                 "merge": [tuple(completions[:2])]}[case]
+        rows = [row[:] for row in g.adjacency]
+        for a, b in flips:
+            rows[a][b] = rows[b][a] = not rows[a][b]
+        g.adjacency = rows
+        return g
+
+    monkeypatch.setattr(cluster_complex, "build_graph", corrupted)
+    monkeypatch.setattr(cli, "build_graph", corrupted)
+
+
+class TestCorruptedComplex:
+    """Theorems 2 and 3 fail, in ``verify`` and in the ``enumerate`` JSON,
+    on a corrupted combinatorial graph of A3 m=2."""
+
+    @pytest.mark.parametrize("case,theorem2,facets,ridges", [
+        ("edge", "PASS", 52, 54), ("split", "FAIL", 49, 52), ("merge", "FAIL", 52, 56)])
+    def test_verify_and_enumerate_fail(self, capsys, monkeypatch, case, theorem2,
+                                       facets, ridges):
+        corrupt_a3_m2(monkeypatch, case)
+        code, out, _ = run(capsys, "verify", "--type", "A3", "--m", "2")
+        assert code == 1
+        assert f"{theorem2}  facet sizes = rank: {facets} facets" in out
+        assert f"FAIL  complement count = 3: {ridges} almost-complete sets" in out
+        a3 = cli.build_root_system(cli.parse_type("A3"))
+        walk = cluster_complex.walk_faces(cli.build_graph(a3, 2))
+        assert bool(walk.oversized) == (case == "merge")
+        data = cluster_complex.complex_to_json(a3, 2, "combinatorial")
+        assert len(data["facets"]) == facets and data["f_vector"][2] == ridges
+        assert data["verification"]["theorem2"] == theorem2.lower()
+        assert data["verification"]["theorem3"] == "fail"
 
 
 class TestExportZq:

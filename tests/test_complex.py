@@ -1,13 +1,14 @@
 import itertools
-from math import comb
+from collections import Counter
+from math import comb, prod
 
 import pytest
 
 from conftest import REDUCIBLE, fuss_catalan, naive_maximal_cliques, system
 from mclusters import (ColouredRoot, build_graph, build_root_system, complements,
-                       complex_to_json, enumerate_facets, f_vector, parse_type,
+                       complex_to_json, enumerate_facets, f_vector, parabolic, parse_type,
                        verify_complement_counts, verify_facet_sizes,
-                       verify_parabolic_restriction)
+                       verify_parabolic_restriction, walk_faces)
 from mclusters import cluster_complex
 from mclusters.cluster_complex import ridge_counts
 
@@ -91,9 +92,13 @@ class TestFacets:
     def test_a1_singletons(self):
         rs = build_root_system(parse_type("A1"))
         for m in (1, 2, 5):
-            facets = enumerate_facets(build_graph(rs, m))
+            g = build_graph(rs, m)
+            facets = enumerate_facets(g)
             assert len(facets) == m + 1
             assert all(len(f.indices) == 1 for f in facets)
+            # The empty face is the only ridge; all m+1 nodes complete it.
+            walk = walk_faces(g)
+            assert walk.ridges == {m + 1: 1} and walk.facet_sizes == {1: m + 1}
 
 
 class TestComplements:
@@ -119,6 +124,27 @@ class TestComplements:
             assert count == len(complements(g, t)) == m + 1
         report = verify_complement_counts(g, facets)
         assert report.passed and report.checked == len(counts)
+
+    @pytest.mark.parametrize("name,keep,m",
+                             [(name, None, m) for name, m in
+                              [("A2", 1), ("A2", 2), ("A2", 3), ("A3", 2), ("D4", 1)]]
+                             + [(name, keep, m) for name, keep in REDUCIBLE for m in (1, 2)])
+    def test_walk_matches_references(self, name, keep, m):
+        rs = system(name, keep)
+        g = build_graph(rs, m)
+        facets = []
+        walk = walk_faces(g, facets)
+        assert facets == sorted(facets)
+        assert walk.theorem2(rs.n) and walk.theorem3(m) and not walk.oversized
+        counts = ridge_counts(enumerate_facets(g))
+        assert walk.ridges == dict(Counter(counts.values()))
+        for ridge, count in counts.items():
+            assert count == len(complements(g, ridge))
+        # The facets of a join are the products of its components' facets.
+        expected = prod(fuss_catalan(parabolic(rs, sorted(c)), m) for c in rs.components)
+        assert walk.facet_sizes == {rs.n: expected}
+        if len(g.nodes) <= 20:  # the naive scan visits every subset
+            assert walk.facet_sizes == dict(Counter(map(len, naive_maximal_cliques(g.adjacency))))
 
     def test_missing_facet_reported(self, a3):
         g = build_graph(a3, 2)
@@ -260,12 +286,13 @@ class TestJson:
     ])
     def test_theorem4_runs_under_the_oracle_given(self, a3, oracle, expected, monkeypatch):
         seen = []
-        real = cluster_complex.verify_parabolic_restriction
-        monkeypatch.setattr(cluster_complex, "verify_parabolic_restriction",
-                            lambda rs, m, keep, o="combinatorial", g=None:
-                            seen.append(o) or real(rs, m, keep, o, g))
+        real = cluster_complex._restriction_report
+        monkeypatch.setattr(cluster_complex, "_restriction_report",
+                            lambda g, g_sub, kept:
+                            seen.append((g.oracle_tag, g_sub.oracle_tag)) or real(g, g_sub, kept))
         data = complex_to_json(a3, 2, oracle)
-        assert set(seen) == expected and len(seen) == a3.n * len(expected)
+        assert {o for o, _ in seen} == expected and len(seen) == a3.n * len(expected)
+        assert all(o == o_sub for o, o_sub in seen)
         assert data["oracle"] == oracle
         assert [e["result"] for e in data["verification"]["theorem4"]] == ["pass"] * a3.n
 
