@@ -7,16 +7,19 @@ leading dash is not parsed as a flag.
 
 Exit codes: 0 success / all checks pass, 1 verification failure or
 internal error, 2 usage error, also for m > 1000 or rank > 32, and for
-``verify`` or ``enumerate`` past 2,000,000 facets or, when the Ext table
-is built, 250,000 Ext-table entries.
+``verify`` or ``enumerate`` past 2,000,000 facets, past a bound of
+20,000,000 faces or, when the Ext table is built, 250,000 Ext-table
+entries.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import sys
-from typing import List, Optional
+from typing import Iterable, List, Optional, Tuple
 
 from .cluster_complex import (build_graph, complex_to_json, verify_vertex_deletions,
                               walk_faces)
@@ -30,13 +33,14 @@ from .root_system import RootSystem, build_root_system, parse_type
 
 # Larger inputs exit 2 at once instead of hanging.  ``export-zq`` walks
 # from coarse degree 0 to each end of its window.  The Fuss-Catalan facet
-# count bounds the facet list that ``enumerate`` holds and, at a given
-# rank, the face walk; the Ext table of m*N*N entries, N the ground-set
-# size, bounds the categorical graph.  Both are known before any work.
+# count bounds the facet list that ``enumerate`` holds, ``face_bound`` the
+# face walk, and the Ext table of m*N*N entries, N the ground-set size,
+# the categorical graph.  All are known before any work.
 MAX_M = 1000
 MAX_RANK = 32
 MAX_ZQ_SPAN = 2000
 MAX_FACETS = 2_000_000
+MAX_FACES = 20_000_000
 MAX_EXT_ENTRIES = 250_000
 
 
@@ -81,35 +85,51 @@ def _root_system(args: argparse.Namespace) -> RootSystem:
     return build_root_system(t)
 
 
-def _bound_work(rs: RootSystem, m: int, ext_table: bool) -> None:
-    """Refuse an instance whose Fuss-Catalan facet count, or, when the
-    Ext table is to be built, whose table size is past its bound."""
+def face_bound(rs: RootSystem, m: int) -> Tuple[int, int]:
+    """The Fuss-Catalan facet count F = prod (mh+e_i+1)/(e_i+1) of an
+    irreducible system, and F*(m+2)^n // (m+1)^n, a bound on its faces.
+    The link of a k-face is a rank-(n-k) generalized cluster complex, with
+    at least (m+1)^(n-k) facets since mh+e_i+1 >= (m+1)(e_i+1); so
+    f_k <= F*C(n,k)/(m+1)^(n-k), and these sum to the bound."""
     facets, denominator = 1, 1
     for e in rs.exponents():
         facets *= m * rs.h + e + 1
         denominator *= e + 1
-    if facets // denominator > MAX_FACETS:
-        raise UsageError(f"{rs.type} at m={m} has {facets // denominator} facets, "
-                         f"more than {MAX_FACETS}")
+    facets //= denominator
+    return facets, facets * (m + 2) ** rs.n // (m + 1) ** rs.n
+
+
+def _bound_work(rs: RootSystem, m: int, ext_table: bool) -> None:
+    """Refuse an instance whose facet count, face bound or, when the Ext
+    table is to be built, table size is past its bound."""
+    facets, faces = face_bound(rs, m)
+    if facets > MAX_FACETS:
+        raise UsageError(f"{rs.type} at m={m} has {facets} facets, more than {MAX_FACETS}")
+    if faces > MAX_FACES:
+        raise UsageError(f"{rs.type} at m={m} may have up to {faces} faces, "
+                         f"more than {MAX_FACES}")
     size = m * len(rs.positive_roots) + rs.n
     if ext_table and m * size * size > MAX_EXT_ENTRIES:
         raise UsageError(f"{rs.type} at m={m} needs an Ext table of {m * size * size} "
                          f"entries, more than {MAX_EXT_ENTRIES}")
 
 
-def _write(text: str, out: Optional[str]) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _write(chunks: Iterable[str], out: Optional[str]) -> None:
+    """Write the text to ``out`` or stdout, joined in batches of chunks, so
+    that a long text is never held whole and the stream is not called per
+    chunk."""
+    chunks = iter(chunks)
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+        for batch in iter(lambda: list(itertools.islice(chunks, 8192)), []):
+            fh.write("".join(batch))
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     rs = _root_system(args)
     _bound_work(rs, args.m, args.oracle != "combinatorial")
     data = complex_to_json(rs, args.m, args.oracle)
-    _write(json.dumps(data, indent=2) + "\n", args.out)
+    # The same bytes as json.dumps(data, indent=2), streamed.
+    _write(itertools.chain(json.JSONEncoder(indent=2).iterencode(data), ["\n"]), args.out)
     if data.get("oracles_agree") is False:
         print("oracle disagreement detected", file=sys.stderr)
         return 1
@@ -170,7 +190,7 @@ def cmd_export_zq(args: argparse.Namespace) -> int:
         raise UsageError(f"cannot parse window {args.window!r}; expected LO:HI") from None
     if max(hi, 0) - min(lo, 0) > MAX_ZQ_SPAN:
         raise UsageError(f"window {lo}:{hi} spans more than {MAX_ZQ_SPAN} degrees from 0")
-    _write(derived_category(rs).export_zq_dot(lo, hi), args.out)
+    _write([derived_category(rs).export_zq_dot(lo, hi)], args.out)
     return 0
 
 

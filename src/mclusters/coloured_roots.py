@@ -56,10 +56,7 @@ def tau_eps(rs: RootSystem, eps: int, beta: Root) -> Root:
     neg = rs.negative_simple_index(beta)
     if neg is not None and neg in fixed_part:
         return beta
-    part = rs.I_plus if eps == 1 else rs.I_minus
-    for i in sorted(part):
-        beta = rs.reflect(i, beta)
-    return beta
+    return rs.reflect_part(rs.plus_order if eps == 1 else rs.minus_order, beta)
 
 
 def rotation_R(rs: RootSystem, beta: Root) -> Root:

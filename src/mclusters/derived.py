@@ -5,6 +5,13 @@ a positive root and ``s`` an integer: each coarse-degree slice is a copy
 of the module category, so this form is unique.  The fine grading places
 the projectives at degrees 0 (sinks) and -1 (sources) and extends along
 inverse-translate orbits, dropping by 2 per step.
+
+Everything here is root data of the bipartite quiver (Fomin-Reading,
+math/0505085): P_i and I_i are e_i plus the heads, respectively the
+tails, of the arrows at i, and the inverse translate on dimension
+vectors is the product of the reflections over the plus part and then
+over the minus part.  ``quiver_rep`` builds the same data from modules
+and is the witness the tests compare against.
 """
 
 from __future__ import annotations
@@ -12,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from . import quiver_rep
-from .quiver_rep import BipartiteQuiver
 from .root_system import Root, RootSystem
 
 
@@ -40,11 +45,13 @@ class DerivedCategory:
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
-        self.quiver = BipartiteQuiver.from_root_system(rs)
-        self.proj_dims: Tuple[Root, ...] = tuple(
-            quiver_rep.projective(self.quiver, i).dims for i in range(rs.n))
-        self.inj_dims: Tuple[Root, ...] = tuple(
-            quiver_rep.injective(self.quiver, i).dims for i in range(rs.n))
+        proj = [[int(j == i) for j in range(rs.n)] for i in range(rs.n)]
+        inj = [row[:] for row in proj]
+        for s, t in rs.arrows:
+            proj[s][t] += 1
+            inj[t][s] += 1
+        self.proj_dims: Tuple[Root, ...] = tuple(map(tuple, proj))
+        self.inj_dims: Tuple[Root, ...] = tuple(map(tuple, inj))
         self._proj_index = {d: i for i, d in enumerate(self.proj_dims)}
         self._inj_index = {d: i for i, d in enumerate(self.inj_dims)}
         # Inverse translate on non-injective positive roots, recorded while
@@ -56,6 +63,7 @@ class DerivedCategory:
 
     def _build_fine_table(self) -> Dict[Root, int]:
         rs = self.rs
+        plus, minus = rs.plus_order, rs.minus_order
         phi: Dict[Root, int] = {}
         for i in range(rs.n):
             phi[self.proj_dims[i]] = 0 if i in rs.I_minus else -1
@@ -64,7 +72,7 @@ class DerivedCategory:
             d = phi[gamma]
             h = rs.coxeter_number_at[i]
             while True:
-                beta, gamma = gamma, quiver_rep.coxeter_tau_inverse(rs, gamma)
+                beta, gamma = gamma, rs.reflect_part(minus, rs.reflect_part(plus, gamma))
                 if not rs.is_positive_root(gamma):
                     break
                 d -= 2
@@ -79,7 +87,7 @@ class DerivedCategory:
     def _euler(self, d: Root, e: Root) -> int:
         """Euler form <d, e> of the bipartite quiver."""
         return (sum(di * ei for di, ei in zip(d, e))
-                - sum(d[s] * e[t] for s, t in self.quiver.arrows))
+                - sum(d[s] * e[t] for s, t in self.rs.arrows))
 
     def _check(self, x: DerivedObject) -> None:
         if not self.rs.is_positive_root(x.beta):
@@ -186,7 +194,7 @@ class DerivedCategory:
             obj = verts[(i, p)]
             label = f"({i + 1},{p}) dF={self.fine_degree(obj)} {obj}"
             lines.append(f'  "v{i + 1}_p{p}" [label="{label}"];')
-        for (s, t) in self.quiver.arrows:
+        for (s, t) in self.rs.arrows:
             for (i, p) in order:
                 if i == t and (s, p) in verts:
                     lines.append(f'  "v{t + 1}_p{p}" -> "v{s + 1}_p{p}";')

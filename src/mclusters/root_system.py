@@ -74,6 +74,7 @@ class RootSystem:
         self.n = n
         self.edges: Tuple[Tuple[int, int], ...] = tuple(sorted(tuple(sorted(e)) for e in edges))
         self.cartan: Tuple[Tuple[int, ...], ...] = self._build_cartan()
+        self.neighbours: Tuple[Tuple[int, ...], ...] = self._build_neighbours()
         self.components: Tuple[FrozenSet[int], ...] = self._components()
         if I_plus is None:
             self.I_plus, self.I_minus = self._bipartition()
@@ -81,6 +82,12 @@ class RootSystem:
             self.I_plus = frozenset(I_plus)
             self.I_minus = frozenset(range(n)) - self.I_plus
         self._check_bipartition()
+        # Each part of the bipartition in vertex order, and the arrows of
+        # the bipartite orientation, from the plus part to the minus part.
+        self.plus_order: Tuple[int, ...] = tuple(sorted(self.I_plus))
+        self.minus_order: Tuple[int, ...] = tuple(sorted(self.I_minus))
+        self.arrows: Tuple[Tuple[int, int], ...] = tuple(
+            (i, j) if i in self.I_plus else (j, i) for i, j in self.edges)
         self.positive_roots: Tuple[Root, ...] = self._closure()
         self._positive_set = frozenset(self.positive_roots)
         self.coxeter_numbers: Tuple[int, ...] = tuple(
@@ -109,13 +116,18 @@ class RootSystem:
             c[i][j] = c[j][i] = -1
         return tuple(tuple(r) for r in c)
 
-    def _components(self) -> Tuple[FrozenSet[int], ...]:
-        seen = set()
-        comps = []
-        adj: Dict[int, List[int]] = {v: [] for v in range(self.n)}
+    def _build_neighbours(self) -> Tuple[Tuple[int, ...], ...]:
+        """The neighbours of each vertex, in increasing order (the edges
+        are sorted)."""
+        adj: List[List[int]] = [[] for _ in range(self.n)]
         for i, j in self.edges:
             adj[i].append(j)
             adj[j].append(i)
+        return tuple(map(tuple, adj))
+
+    def _components(self) -> Tuple[FrozenSet[int], ...]:
+        seen = set()
+        comps = []
         for v in range(self.n):
             if v in seen:
                 continue
@@ -125,7 +137,7 @@ class RootSystem:
                 if u in comp:
                     continue
                 comp.add(u)
-                stack.extend(adj[u])
+                stack.extend(self.neighbours[u])
             seen |= comp
             comps.append(frozenset(comp))
         return tuple(comps)
@@ -133,17 +145,13 @@ class RootSystem:
     def _bipartition(self) -> Tuple[FrozenSet[int], FrozenSet[int]]:
         # 2-colour each component, lowest vertex of the component on the plus side.
         colour: Dict[int, int] = {}
-        adj: Dict[int, List[int]] = {v: [] for v in range(self.n)}
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
         for comp in self.components:
             start = min(comp)
             colour[start] = 0
             stack = [start]
             while stack:
                 u = stack.pop()
-                for w in adj[u]:
+                for w in self.neighbours[u]:
                     if w not in colour:
                         colour[w] = 1 - colour[u]
                         stack.append(w)
@@ -158,16 +166,23 @@ class RootSystem:
                 raise ValueError(f"edge {{{i},{j}}} joins two vertices of the same part")
 
     def _closure(self) -> Tuple[Root, ...]:
-        simples = [self.simple_root(i) for i in range(self.n)]
-        out: List[Root] = list(simples)
+        """Breadth-first closure of the simple roots under the simple
+        reflections, in queue order and then vertex order.  s_i changes
+        only coordinate i, so an image is skipped without being built
+        when that coordinate is unchanged (s_i fixes beta) or negative."""
+        out: List[Root] = [self.simple_root(i) for i in range(self.n)]
         seen = set(out)
+        nbrs = self.neighbours
         k = 0
         while k < len(out):
             beta = out[k]
             k += 1
             for i in range(self.n):
-                gamma = self.reflect(i, beta)
-                if gamma not in seen and all(c >= 0 for c in gamma):
+                b = sum([beta[j] for j in nbrs[i]]) - beta[i]
+                if b == beta[i] or b < 0:
+                    continue
+                gamma = beta[:i] + (b,) + beta[i + 1:]
+                if gamma not in seen:
                     seen.add(gamma)
                     out.append(gamma)
         return tuple(out)
@@ -179,11 +194,23 @@ class RootSystem:
         return tuple(-1 if j == i else 0 for j in range(self.n))
 
     def reflect(self, i: int, beta: Root) -> Root:
-        """Simple reflection s_i applied to a coefficient vector."""
+        """Simple reflection s_i applied to a coefficient vector:
+        coordinate i becomes -beta_i plus the sum over the neighbours of i."""
         if not 0 <= i < self.n:
             raise ValueError(f"vertex {i} out of range")
-        c = sum(self.cartan[i][j] * beta[j] for j in range(self.n))
-        return tuple(b - c if j == i else b for j, b in enumerate(beta))
+        b = sum([beta[j] for j in self.neighbours[i]]) - beta[i]
+        return beta[:i] + (b,) + beta[i + 1:]
+
+    def reflect_part(self, part: Sequence[int], beta: Root) -> Root:
+        """Product of the simple reflections over ``part``, which must be
+        ``plus_order`` or ``minus_order``.  No two vertices of a part are
+        adjacent, so the reflections commute and each reads only
+        coordinates of the other part."""
+        v = list(beta)
+        nbrs = self.neighbours
+        for i in part:
+            v[i] = sum([v[j] for j in nbrs[i]]) - v[i]
+        return tuple(v)
 
     def is_positive_root(self, beta: Root) -> bool:
         return beta in self._positive_set

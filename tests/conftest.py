@@ -9,6 +9,11 @@ from mclusters import build_root_system, parabolic, parse_type
 # 1-based (A2 + A3 + A1).
 REDUCIBLE = [("A3", (0, 2)), ("D4", (0, 2, 3)), ("E7", (0, 1, 3, 4, 5, 6))]
 
+# Every irreducible type through rank 8, then the reducible subsystems, as
+# (name, keep) for ``system``.
+ALL_SYSTEMS = ([(f"A{r}", None) for r in range(1, 9)] + [(f"D{r}", None) for r in range(4, 9)]
+               + [(f"E{r}", None) for r in (6, 7, 8)] + REDUCIBLE)
+
 
 def system(name, keep=None):
     """The root system of type ``name``, or its parabolic subsystem on

@@ -17,6 +17,16 @@ def run(capsys, *argv):
 
 
 class TestEnumerate:
+    def test_streamed_json_is_dumps_text(self, capsys, tmp_path):
+        # E6 m=1 encodes to more chunks than one write batch holds.
+        rs = cli.build_root_system(cli.parse_type("E6"))
+        text = json.dumps(cluster_complex.complex_to_json(rs, 1, "combinatorial"), indent=2) + "\n"
+        code, out, _ = run(capsys, "enumerate", "--type", "E6", "--m", "1")
+        assert code == 0 and out == text
+        path = tmp_path / "e6.json"
+        code, out, _ = run(capsys, "enumerate", "--type", "E6", "--m", "1", "--out", str(path))
+        assert code == 0 and out == "" and path.read_text() == text
+
     def test_a2_m1_counts(self, capsys, tmp_path):
         out = tmp_path / "a2.json"
         code, _, _ = run(capsys, "enumerate", "--type", "A2", "--m", "1",
@@ -148,14 +158,29 @@ class TestWorkBounds:
         (["enumerate", "--type", "A2", "--m", "1000", "--oracle", "both"], "Ext table"),
         (["verify", "--type", "A32"], "212336130412243110 facets"),
         (["enumerate", "--type", "A32"], "212336130412243110 facets"),
-        (["enumerate", "--type", "E8", "--m", "3"], "22309287 facets")])
+        (["enumerate", "--type", "E8", "--m", "3"], "22309287 facets"),
+        (["verify", "--type", "D12", "--m", "1"], "up to 259327119 faces"),
+        (["enumerate", "--type", "D12", "--m", "1"], "up to 259327119 faces"),
+        (["verify", "--type", "D11", "--m", "1"], "up to 45037202 faces"),
+        (["enumerate", "--type", "D11", "--m", "1"], "up to 45037202 faces"),
+        (["verify", "--type", "A12", "--m", "1"], "up to 96388554 faces"),
+        (["enumerate", "--type", "A12", "--m", "1"], "up to 96388554 faces")])
     def test_past_bound_exits_2(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and message in err
 
-    @pytest.mark.parametrize("name,m", [("E8", 2), ("A6", 3), ("A2", 29)])
+    @pytest.mark.parametrize("name,m", [("E8", 2), ("A6", 3), ("A2", 29), ("A11", 1)])
     def test_ladder_within_bounds(self, name, m):
         cli._bound_work(cli.build_root_system(cli.parse_type(name)), m, True)
+
+    @pytest.mark.parametrize("name,m", [("A4", 2), ("D6", 2), ("A6", 3), ("E6", 2),
+                                        ("E7", 1), ("E8", 1), ("E7", 2)])
+    def test_face_bound_holds(self, name, m):
+        rs = cli.build_root_system(cli.parse_type(name))
+        walk = cluster_complex.walk_faces(cluster_complex.build_graph(rs, m, "combinatorial"))
+        facets, faces = cli.face_bound(rs, m)
+        assert facets == sum(walk.facet_sizes.values())
+        assert faces >= sum(walk.f_vector)
 
 
 class TestVerify:

@@ -1,10 +1,12 @@
+import ast
+import inspect
 import itertools
 import math
 
 import pytest
 
-from conftest import REDUCIBLE, system
-from mclusters import (DerivedObject, build_root_system, derived_category,
+from conftest import ALL_SYSTEMS, REDUCIBLE, system
+from mclusters import (DerivedObject, build_root_system, derived, derived_category,
                        parse_type, quiver_rep, shift)
 from mclusters.orbit_category import mcluster_category
 
@@ -109,6 +111,43 @@ class TestDegrees:
             for s in range(-2, 3):  # 5-slice window
                 x = DerivedObject(beta, s)
                 assert da3.coarse_degree(x) == math.ceil(da3.fine_degree(x) / a3.h)
+
+
+@pytest.mark.parametrize("name,keep", ALL_SYSTEMS)
+class TestRootDataWitness:
+    """The closed-form root data equal what ``quiver_rep`` builds."""
+
+    def test_projective_injective_dims(self, name, keep):
+        rs = system(name, keep)
+        d = derived_category(rs)
+        q = quiver_rep.BipartiteQuiver.from_root_system(rs)
+        assert rs.arrows == q.arrows
+        assert d.proj_dims == tuple(quiver_rep.projective(q, i).dims for i in range(rs.n))
+        assert d.inj_dims == tuple(quiver_rep.injective(q, i).dims for i in range(rs.n))
+
+    def test_tau_inverse_matches_coxeter(self, name, keep):
+        rs = system(name, keep)
+        d = derived_category(rs)
+        for beta in rs.positive_roots:
+            gamma = quiver_rep.coxeter_tau_inverse(rs, beta)
+            image = d.tau_inverse(DerivedObject(beta, 0))
+            if rs.is_positive_root(gamma):
+                assert image == DerivedObject(gamma, 0)
+            else:
+                i = d.inj_dims.index(beta)
+                assert image == DerivedObject(d.proj_dims[i], 1)
+
+
+def test_derived_does_not_import_quiver_rep():
+    tree = ast.parse(inspect.getsource(derived))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+    assert not any("quiver_rep" in name or "linalg" in name for name in imported)
 
 
 class TestTau:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from conftest import ALL_SYSTEMS, system
 from mclusters import DynkinType, build_root_system, parabolic, parse_type
 from mclusters.root_system import restrict_root
 
@@ -135,3 +136,56 @@ def test_json_roundtrip(a3):
     assert sorted(data["I_plus"]) == [1, 3]
     assert len(data["positive_roots"]) == 6
     assert data["cartan"][0][1] == -1
+
+
+def cartan_reflect(rs, i, beta):
+    """s_i by the Cartan row: beta - (sum_j a_ij beta_j) alpha_i."""
+    c = sum(rs.cartan[i][j] * beta[j] for j in range(rs.n))
+    return tuple(b - c if j == i else b for j, b in enumerate(beta))
+
+
+def cartan_closure(rs):
+    """Breadth-first closure of the simple roots under ``cartan_reflect``,
+    in queue order and then vertex order, keeping nonnegative images."""
+    out = [rs.simple_root(i) for i in range(rs.n)]
+    seen = set(out)
+    k = 0
+    while k < len(out):
+        beta = out[k]
+        k += 1
+        for i in range(rs.n):
+            gamma = cartan_reflect(rs, i, beta)
+            if gamma not in seen and all(c >= 0 for c in gamma):
+                seen.add(gamma)
+                out.append(gamma)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("name,keep", ALL_SYSTEMS)
+class TestCartanReference:
+    def test_closure_order(self, name, keep):
+        rs = system(name, keep)
+        assert rs.positive_roots == cartan_closure(rs)
+
+    def test_reflect(self, name, keep):
+        rs = system(name, keep)
+        almost = list(rs.positive_roots) + [rs.negative_simple(i) for i in range(rs.n)]
+        for beta in almost:
+            for i in range(rs.n):
+                assert rs.reflect(i, beta) == cartan_reflect(rs, i, beta)
+
+    def test_reflect_part(self, name, keep):
+        rs = system(name, keep)
+        almost = list(rs.positive_roots) + [rs.negative_simple(i) for i in range(rs.n)]
+        for part in (rs.plus_order, rs.minus_order):
+            for beta in almost:
+                gamma = beta
+                for i in part:
+                    gamma = cartan_reflect(rs, i, gamma)
+                assert rs.reflect_part(part, beta) == gamma
+
+
+def test_reflect_out_of_range(a2):
+    for i in (-1, 2):
+        with pytest.raises(ValueError):
+            a2.reflect(i, (1, 0))
