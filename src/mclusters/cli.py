@@ -6,10 +6,10 @@ simple root.  Pass ``--`` before positional root arguments so that the
 leading dash is not parsed as a flag.
 
 Exit codes: 0 success / all checks pass, 1 verification failure or
-internal error, 2 usage error, also for m > 1000 or rank > 32, and for
-``verify`` or ``enumerate`` past 2,000,000 facets, past a bound of
-20,000,000 faces or, when the Ext table is built, 250,000 Ext-table
-entries.
+internal error, 2 usage error, also for m > 1000 or rank > 32, for an
+``--out`` path that cannot be opened for writing, and for ``verify`` or
+``enumerate`` past 2,000,000 facets, past a bound of 20,000,000 faces or,
+when the Ext table is built, 250,000 Ext-table entries.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import contextlib
 import itertools
 import json
 import sys
-from typing import Iterable, List, Optional, Tuple
+from typing import ContextManager, Iterable, List, Optional, TextIO, Tuple
 
 from .cluster_complex import (build_graph, complex_to_json, verify_vertex_deletions,
                               walk_faces)
@@ -114,22 +114,30 @@ def _bound_work(rs: RootSystem, m: int, ext_table: bool) -> None:
                          f"entries, more than {MAX_EXT_ENTRIES}")
 
 
-def _write(chunks: Iterable[str], out: Optional[str]) -> None:
-    """Write the text to ``out`` or stdout, joined in batches of chunks, so
-    that a long text is never held whole and the stream is not called per
-    chunk."""
+def _output(out: Optional[str]) -> ContextManager[TextIO]:
+    """``out`` opened for writing, or stdout.  Commands open it before any
+    work, so that a path that cannot be written exits 2 at once."""
+    try:
+        return open(out, "w") if out else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        raise UsageError(f"cannot write {out}: {exc.strerror}") from None
+
+
+def _write(chunks: Iterable[str], fh: TextIO) -> None:
+    """Write the text joined in batches of chunks, so that a long text is
+    never held whole and the stream is not called per chunk."""
     chunks = iter(chunks)
-    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
-        for batch in iter(lambda: list(itertools.islice(chunks, 8192)), []):
-            fh.write("".join(batch))
+    for batch in iter(lambda: list(itertools.islice(chunks, 8192)), []):
+        fh.write("".join(batch))
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     rs = _root_system(args)
     _bound_work(rs, args.m, args.oracle != "combinatorial")
-    data = complex_to_json(rs, args.m, args.oracle)
-    # The same bytes as json.dumps(data, indent=2), streamed.
-    _write(itertools.chain(json.JSONEncoder(indent=2).iterencode(data), ["\n"]), args.out)
+    with _output(args.out) as fh:
+        data = complex_to_json(rs, args.m, args.oracle)
+        # The same bytes as json.dumps(data, indent=2), streamed.
+        _write(itertools.chain(json.JSONEncoder(indent=2).iterencode(data), ["\n"]), fh)
     if data.get("oracles_agree") is False:
         print("oracle disagreement detected", file=sys.stderr)
         return 1
@@ -190,7 +198,8 @@ def cmd_export_zq(args: argparse.Namespace) -> int:
         raise UsageError(f"cannot parse window {args.window!r}; expected LO:HI") from None
     if max(hi, 0) - min(lo, 0) > MAX_ZQ_SPAN:
         raise UsageError(f"window {lo}:{hi} spans more than {MAX_ZQ_SPAN} degrees from 0")
-    _write([derived_category(rs).export_zq_dot(lo, hi)], args.out)
+    with _output(args.out) as fh:
+        _write([derived_category(rs).export_zq_dot(lo, hi)], fh)
     return 0
 
 

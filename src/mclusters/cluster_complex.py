@@ -1,7 +1,7 @@
 """Compatibility graph, face walk, and theorem checks.
 
-One depth-first walk over every face, on one ``int`` neighbour bitset per
-node, gives the facets in lexicographic order, the f-vector, and the
+One depth-first walk over every face, on the graph's ``int`` row per node,
+gives the facets in lexicographic order, the f-vector, and the
 counts that theorems 2 (facet sizes) and 3 (complement counts) are read
 off; all orderings are fixed so that serialized output is byte-stable.
 The facet-list checks and ``complements`` are the references that the
@@ -16,24 +16,20 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .coloured_roots import (ColouredRoot, coloured_ground_set, coloured_to_json,
                              rotation_table)
 from .orbit_category import mcluster_category
-from .root_system import RootSystem, parabolic, restrict_root
+from .root_system import RootSystem, parabolic
 
 ORACLES = ("combinatorial", "categorical")
 
 
 @dataclass
 class CompatibilityGraph:
+    """One ``int`` row per node: bit ``b`` of ``adjacency[a]`` is set when
+    nodes ``a`` and ``b`` are compatible, so bit ``a`` of row ``a`` is set."""
     rs: RootSystem
     m: int
     oracle_tag: str
     nodes: List[ColouredRoot]
-    adjacency: List[List[bool]]
-
-    def neighbour_masks(self) -> List[int]:
-        """One ``int`` per node with bit ``j`` set for each compatible
-        node ``j`` other than itself."""
-        return [sum(1 << j for j, a in enumerate(row) if a) & ~(1 << i)
-                for i, row in enumerate(self.adjacency)]
+    adjacency: List[int]
 
 
 @dataclass(frozen=True)
@@ -71,13 +67,14 @@ class Report:
     failures: List = field(default_factory=list)
 
 
-def _pairwise(size: int, verdict: Callable[[int, int], bool]) -> List[List[bool]]:
-    adjacency = [[False] * size for _ in range(size)]
+def _pairwise(size: int, verdict: Callable[[int, int], bool]) -> List[int]:
+    rows = [0] * size
     for a in range(size):
-        row = adjacency[a]
         for b in range(a, size):
-            row[b] = adjacency[b][a] = verdict(a, b)
-    return adjacency
+            if verdict(a, b):
+                rows[a] |= 1 << b
+                rows[b] |= 1 << a
+    return rows
 
 
 def build_graph(rs: RootSystem, m: int, oracle: str = "combinatorial") -> CompatibilityGraph:
@@ -107,7 +104,7 @@ def walk_faces(g: CompatibilityGraph, facets: Optional[List[List[int]]] = None) 
     node compatible with the whole face; a face is a facet exactly when
     ``common`` is 0.  Each facet is appended to ``facets``, if given, as a
     list of node ids; the walk finds them in lexicographic order."""
-    neighbours = g.neighbour_masks()
+    neighbours = [row & ~(1 << v) for v, row in enumerate(g.adjacency)]
     rank = g.rs.n
     walk = FaceWalk([1], {}, {}, [])
     fv, sizes, ridges = walk.f_vector, walk.facet_sizes, walk.ridges
@@ -161,22 +158,17 @@ def complements(g: CompatibilityGraph, t: Sequence[int]) -> List[int]:
     a facet (pairwise compatible and maximal), by a scan of the graph.
     ``verify_complement_counts`` counts the same completions from the
     facet list instead."""
-    tset = set(t)
-    if len(tset) != g.rs.n - 1:
+    rows, tmask = g.adjacency, sum(1 << a for a in set(t))
+    if tmask.bit_count() != g.rs.n - 1:
         raise ValueError(f"almost-complete set must have {g.rs.n - 1} members")
-    for a in t:
-        for b in t:
-            if a != b and not g.adjacency[a][b]:
-                raise ValueError("input set is not pairwise compatible")
-    size = len(g.nodes)
+    if any(rows[a] & tmask != tmask for a in t):
+        raise ValueError("input set is not pairwise compatible")
     out = []
-    for x in range(size):
-        if x in tset or not all(g.adjacency[x][a] for a in tset):
+    for x, row in enumerate(rows):
+        if tmask >> x & 1 or row & tmask != tmask:
             continue
-        clique = tset | {x}
-        maximal = all(any(not g.adjacency[u][v] for v in clique)
-                      for u in range(size) if u not in clique)
-        if maximal:
+        clique = tmask | 1 << x
+        if not any(r & clique == clique for u, r in enumerate(rows) if not clique >> u & 1):
             out.append(x)
     return out
 
@@ -208,16 +200,6 @@ def f_vector(g: CompatibilityGraph) -> List[int]:
     return walk_faces(g).f_vector
 
 
-def supported_ground_set(rs: RootSystem, m: int, kept: Sequence[int]) -> List[ColouredRoot]:
-    keep = set(kept)
-    out = []
-    for x in coloured_ground_set(rs, m):
-        support = {v for v, c in enumerate(x.root) if c != 0}
-        if support <= keep:
-            out.append(x)
-    return out
-
-
 def verify_parabolic_restriction(rs: RootSystem, m: int, keep: Sequence[int],
                                  oracle: str = "combinatorial",
                                  g: Optional[CompatibilityGraph] = None) -> Report:
@@ -236,19 +218,25 @@ def verify_parabolic_restriction(rs: RootSystem, m: int, keep: Sequence[int],
 def _restriction_report(g: CompatibilityGraph, g_sub: CompatibilityGraph,
                         kept: List[int]) -> Report:
     """Compare ``g`` on the pairs supported on ``kept`` with ``g_sub``, the
-    graph of the parabolic subsystem on ``kept`` under the same oracle."""
+    graph of the parabolic subsystem on ``kept`` under the same oracle.
+    Each subsystem node lifts to the node of ``g`` with its coordinates at
+    ``kept``; pairs run in ``g``'s order, a failure is ``(x, y, full, restricted)``."""
     full_id = {x: k for k, x in enumerate(g.nodes)}
-    sub_id = {x: k for k, x in enumerate(g_sub.nodes)}
-    supported = [(x, full_id[x], sub_id[ColouredRoot(restrict_root(x.root, kept), x.colour)])
-                 for x in supported_ground_set(g.rs, g.m, kept)]
-    checked = 0
+    supported = []
+    for s, x in enumerate(g_sub.nodes):
+        root = [0] * g.rs.n
+        for v, c in zip(kept, x.root):
+            root[v] = c
+        supported.append((full_id[ColouredRoot(tuple(root), x.colour)], s))
+    supported.sort()
     failures = []
-    for a, (x, fx, sx) in enumerate(supported):
-        for y, fy, sy in supported[a:]:
-            checked += 1
-            full, restricted = g.adjacency[fx][fy], g_sub.adjacency[sx][sy]
+    for a, (fx, sx) in enumerate(supported):
+        row, sub_row = g.adjacency[fx], g_sub.adjacency[sx]
+        for fy, sy in supported[a:]:
+            full, restricted = bool(row >> fy & 1), bool(sub_row >> sy & 1)
             if full != restricted:
-                failures.append((x, y, full, restricted))
+                failures.append((g.nodes[fx], g.nodes[fy], full, restricted))
+    checked = len(supported) * (len(supported) + 1) // 2
     return Report(f"parabolic-restriction keep={kept}", not failures, checked, failures)
 
 

@@ -44,13 +44,13 @@ def d4():
 
 def naive_maximal_cliques(adjacency):
     """Exponential-scan oracle for maximal cliques, for cross-checking the
-    pivoting enumerator on small graphs."""
+    face walk on small graphs; ``adjacency`` is the graph's bitset rows."""
     size = len(adjacency)
     cliques = []
     for mask in range(1, 1 << size):
         members = [i for i in range(size) if mask >> i & 1]
-        if all(adjacency[a][b] for a in members for b in members if a != b):
-            if all(any(not adjacency[u][v] for v in members)
+        if all(adjacency[a] >> b & 1 for a in members for b in members if a != b):
+            if all(any(not adjacency[u] >> v & 1 for v in members)
                    for u in range(size) if u not in members):
                 cliques.append(tuple(members))
     cliques.sort()

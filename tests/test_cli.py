@@ -183,6 +183,22 @@ class TestWorkBounds:
         assert faces >= sum(walk.f_vector)
 
 
+class TestBadOut:
+    """An ``--out`` path that cannot be opened exits 2 before any graph,
+    category or DOT is built."""
+
+    @pytest.mark.parametrize("argv", [["enumerate", "--type", "E6", "--m", "1"],
+                                      ["export-zq", "--type", "A3", "--window=-1:1"]])
+    def test_missing_directory_exits_2(self, capsys, monkeypatch, tmp_path, argv):
+        calls = []
+        for module, name in [(cluster_complex, "build_graph"), (cli, "derived_category")]:
+            monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
+        path = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, *argv, "--out", str(path))
+        assert code == 2 and out == "" and calls == []
+        assert err == f"error: cannot write {path}: No such file or directory\n"
+
+
 class TestVerify:
     def test_a1_smoke(self, capsys):
         code, out, _ = run(capsys, "verify", "--type", "A1", "--m", "5")
@@ -283,9 +299,10 @@ def corrupt_a3_m2(monkeypatch, case):
         flips = {"edge": [first[:2]],
                  "split": [(first[1], x) for x in completions],
                  "merge": [tuple(completions[:2])]}[case]
-        rows = [row[:] for row in g.adjacency]
+        rows = list(g.adjacency)
         for a, b in flips:
-            rows[a][b] = rows[b][a] = not rows[a][b]
+            rows[a] ^= 1 << b
+            rows[b] ^= 1 << a
         g.adjacency = rows
         return g
 

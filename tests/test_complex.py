@@ -4,7 +4,7 @@ from math import comb, prod
 
 import pytest
 
-from conftest import REDUCIBLE, fuss_catalan, naive_maximal_cliques, system
+from conftest import ALL_SYSTEMS, REDUCIBLE, fuss_catalan, naive_maximal_cliques, system
 from mclusters import (ColouredRoot, build_graph, build_root_system, complements,
                        complex_to_json, enumerate_facets, f_vector, parabolic, parse_type,
                        verify_complement_counts, verify_facet_sizes,
@@ -23,8 +23,8 @@ class TestBuildGraph:
         rs = build_root_system(parse_type("A1"))
         g = build_graph(rs, 1)
         assert len(g.nodes) == 2
-        assert not g.adjacency[0][1]
-        assert g.adjacency[0][0] and g.adjacency[1][1]
+        assert not g.adjacency[0] >> 1 & 1
+        assert g.adjacency[0] >> 0 & 1 and g.adjacency[1] >> 1 & 1
 
     def test_a2_m1_pentagon(self, ga2):
         assert len(ga2.nodes) == 5
@@ -32,11 +32,20 @@ class TestBuildGraph:
         assert len(facets) == 5
         assert all(len(f.indices) == 2 for f in facets)
 
-    def test_adjacency_symmetric(self, ga2):
-        size = len(ga2.nodes)
-        for i in range(size):
-            for j in range(size):
-                assert ga2.adjacency[i][j] == ga2.adjacency[j][i]
+    def test_adjacency_symmetric(self):
+        """Every row holds its own bit and the rows are symmetric, under
+        both oracles, on every system at m=1 and the reducible ones at m=2."""
+        cases = [(name, keep, 1) for name, keep in ALL_SYSTEMS]
+        cases += [(name, keep, 2) for name, keep in REDUCIBLE]
+        for name, keep, m in cases:
+            rs = system(name, keep)
+            for oracle in ("combinatorial", "categorical"):
+                rows = build_graph(rs, m, oracle).adjacency
+                assert len(rows) == m * len(rs.positive_roots) + rs.n
+                for a, row in enumerate(rows):
+                    assert row >> a & 1, (name, keep, m, oracle, a)
+                    assert all(rows[b] >> a & 1 == row >> b & 1 for b in range(len(rows))), \
+                        (name, keep, m, oracle, a)
 
     def test_oracles_agree_entrywise(self, a2):
         g_comb = build_graph(a2, 2, "combinatorial")
@@ -253,13 +262,36 @@ class TestParabolicRestriction:
 
     def test_reports_disagreement(self, a3, monkeypatch):
         g = build_graph(a3, 1)
-        flipped = [row[:] for row in g.adjacency]
-        flipped[0][1] = flipped[1][0] = not flipped[0][1]
+        flipped = list(g.adjacency)
+        flipped[0] ^= 1 << 1
+        flipped[1] ^= 1 << 0
         g.adjacency = flipped
         report = verify_parabolic_restriction(a3, 1, [0, 1], "combinatorial", g)
         assert not report.passed
         x, y = g.nodes[0], g.nodes[1]
         assert [(f[0], f[1]) for f in report.failures] == [(x, y)]
+        [(_, _, full, restricted)] = report.failures
+        assert type(full) is bool and type(restricted) is bool and full != restricted
+
+    @pytest.mark.parametrize("name,keep,m",
+                             [(name, [v for v in range(int(name[1])) if v != drop], 2)
+                              for name in ("A4", "D5", "E6") for drop in range(int(name[1]))]
+                             + [(name, list(keep), m) for name, keep in REDUCIBLE for m in (1, 2)])
+    def test_lift_is_the_support_scan(self, name, keep, m):
+        """The lift of the subsystem's nodes covers exactly the parent
+        nodes whose root vanishes off ``keep``, each once: with every
+        parent row complemented, every supported pair fails, in the order
+        of a brute-force scan of the parent's nodes."""
+        rs = system(name)
+        g, g_sub = build_graph(rs, m), build_graph(parabolic(rs, keep), m)
+        supported = [x for x in g.nodes
+                     if all(c == 0 for v, c in enumerate(x.root) if v not in keep)]
+        pairs = [(x, y) for a, x in enumerate(supported) for y in supported[a:]]
+        everything = (1 << len(g.nodes)) - 1
+        g.adjacency = [row ^ everything for row in g.adjacency]
+        report = cluster_complex._restriction_report(g, g_sub, keep)
+        assert report.checked == len(pairs) == len(report.failures)
+        assert [(x, y) for x, y, _, _ in report.failures] == pairs
 
     @pytest.mark.parametrize("name,m", [("A4", 1), ("D4", 1)])
     def test_single_vertex_deletions(self, name, m):
