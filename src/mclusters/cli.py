@@ -18,8 +18,11 @@ import argparse
 import contextlib
 import itertools
 import json
+import os
+import stat
 import sys
-from typing import ContextManager, Iterable, List, Optional, TextIO, Tuple
+import tempfile
+from typing import Iterable, Iterator, List, Optional, TextIO, Tuple
 
 from .cluster_complex import (build_graph, complex_to_json, verify_vertex_deletions,
                               walk_faces)
@@ -114,13 +117,52 @@ def _bound_work(rs: RootSystem, m: int, ext_table: bool) -> None:
                          f"entries, more than {MAX_EXT_ENTRIES}")
 
 
-def _output(out: Optional[str]) -> ContextManager[TextIO]:
-    """``out`` opened for writing, or stdout.  Commands open it before any
-    work, so that a path that cannot be written exits 2 at once."""
+def _file_mode(path: str) -> int:
+    """The mode for a file written at ``path``: that of the file there,
+    which must be writable, or the default for a new file."""
+    if os.path.exists(path):
+        with open(path, "a"):  # fails as writing would, and changes nothing
+            pass
+        return stat.S_IMODE(os.stat(path).st_mode)
+    umask = os.umask(0)
+    os.umask(umask)
+    return 0o666 & ~umask
+
+
+@contextlib.contextmanager
+def _output(out: Optional[str]) -> Iterator[TextIO]:
+    """``out`` opened for writing, or stdout.  Commands enter this before
+    any work, so that a path that cannot be written exits 2 at once.  A
+    file is written to a temporary file beside it, which replaces it only
+    when the command has written it all, so a command that fails leaves
+    the file as it was.  A device or pipe, such as /dev/null, is written
+    in place."""
+    if not out:
+        yield sys.stdout
+        return
+    tmp = None
     try:
-        return open(out, "w") if out else contextlib.nullcontext(sys.stdout)
+        if os.path.exists(out) and not os.path.isfile(out):
+            fh = open(out, "w")
+        else:
+            target = os.path.realpath(out)
+            mode = _file_mode(target)
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".mcluster-",
+                                       suffix=".tmp")
+            fh = open(fd, "w")
     except OSError as exc:
         raise UsageError(f"cannot write {out}: {exc.strerror}") from None
+    try:
+        with fh:
+            yield fh
+        if tmp is not None:
+            os.chmod(tmp, mode)
+            os.replace(tmp, target)
+    except BaseException:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+        raise
 
 
 def _write(chunks: Iterable[str], fh: TextIO) -> None:
@@ -250,55 +292,51 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+_OUT = ("--out", {"help": "output path (default: stdout)"})
+_PAIR = (("x", {}), ("y", {}))
+
+# One row per subcommand: help, whether it takes --m, its further
+# arguments as (name, add_argument keywords), and its handler.
+COMMANDS = {
+    "enumerate": ("enumerate facets and write the complex as JSON", True,
+                  (("--oracle", {"choices": ["combinatorial", "categorical", "both"],
+                                 "default": "combinatorial"}), _OUT), cmd_enumerate),
+    "compat": ("compatibility verdict for a pair of coloured roots", True, _PAIR, cmd_compat),
+    "ext": ("orbit Ext dimensions for a pair of coloured roots", True, _PAIR, cmd_ext),
+    "orbit": ("print the rotation orbit of a coloured root", True, (("x", {}),), cmd_orbit),
+    "export-zq": ("DOT export of the translation quiver", False,
+                  (("--window", {"default": "0:0",
+                                 "help": "coarse-degree range, e.g. --window=-1:1"}), _OUT),
+                  cmd_export_zq),
+    "verify": ("run all theorem/lemma suites for one instance", True, (), cmd_verify),
+}
+
+
+def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser for every subcommand, or for the one named ``only``.  The
+    one-command parser names them all in its usage line, as the full
+    parser does; a process runs one command, so it builds one parser."""
     parser = argparse.ArgumentParser(prog="mcluster", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, need_m: bool = True) -> None:
+    metavar = None if only is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_text, takes_m, extra, fn) in COMMANDS.items():
+        if only not in (None, name):
+            continue
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--type", required=True, help="Dynkin type, e.g. A3, D4, E6")
-        if need_m:
+        if takes_m:
             p.add_argument("--m", type=int, default=1, help=f"number of colours (1..{MAX_M})")
-
-    p = sub.add_parser("enumerate", help="enumerate facets and write the complex as JSON")
-    common(p)
-    p.add_argument("--oracle", choices=["combinatorial", "categorical", "both"],
-                   default="combinatorial")
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.set_defaults(fn=cmd_enumerate)
-
-    p = sub.add_parser("compat", help="compatibility verdict for a pair of coloured roots")
-    common(p)
-    p.add_argument("x")
-    p.add_argument("y")
-    p.set_defaults(fn=cmd_compat)
-
-    p = sub.add_parser("ext", help="orbit Ext dimensions for a pair of coloured roots")
-    common(p)
-    p.add_argument("x")
-    p.add_argument("y")
-    p.set_defaults(fn=cmd_ext)
-
-    p = sub.add_parser("orbit", help="print the rotation orbit of a coloured root")
-    common(p)
-    p.add_argument("x")
-    p.set_defaults(fn=cmd_orbit)
-
-    p = sub.add_parser("export-zq", help="DOT export of the translation quiver")
-    common(p, need_m=False)
-    p.add_argument("--window", default="0:0", help="coarse-degree range, e.g. --window=-1:1")
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.set_defaults(fn=cmd_export_zq)
-
-    p = sub.add_parser("verify", help="run all theorem/lemma suites for one instance")
-    common(p)
-    p.set_defaults(fn=cmd_verify)
-
+        for arg, kwargs in extra:
+            p.add_argument(arg, **kwargs)
+        p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     if not 1 <= getattr(args, "m", 1) <= MAX_M:
         print(f"error: m must be in 1..{MAX_M}", file=sys.stderr)

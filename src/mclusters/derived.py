@@ -17,7 +17,7 @@ and is the witness the tests compare against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from .root_system import Root, RootSystem
 
@@ -39,9 +39,11 @@ def shift(x: DerivedObject, k: int) -> DerivedObject:
 class DerivedCategory:
     """Computational context for one root system: fine-degree table,
     translate, Hom dimensions, and the bijection with the almost positive
-    roots.  Built once, then read-only.  A reducible system is the product
-    of its components: Hom between them is 0 by the Euler form, and each
-    grading uses the Coxeter number of the object's component."""
+    roots.  The translate and its inverse are evaluated on first use and
+    the fine table is built on first read, each kept here, so a caller
+    pays only for what it asks.  A reducible system is the product of its
+    components: Hom between them is 0 by the Euler form, and each grading
+    uses the Coxeter number of the object's component."""
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
@@ -54,35 +56,49 @@ class DerivedCategory:
         self.inj_dims: Tuple[Root, ...] = tuple(map(tuple, inj))
         self._proj_index = {d: i for i, d in enumerate(self.proj_dims)}
         self._inj_index = {d: i for i, d in enumerate(self.inj_dims)}
-        # Inverse translate on non-injective positive roots, recorded while
-        # the fine table walks the orbits; the translate is its inverse.
+        # The translate on non-projective and its inverse on non-injective
+        # positive roots, filled as they are asked for.
+        self._tau: Dict[Root, Root] = {}
         self._tau_inv: Dict[Root, Root] = {}
-        self.phi: Dict[Root, int] = self._build_fine_table()
-        self._tau: Dict[Root, Root] = {g: b for b, g in self._tau_inv.items()}
+        self._phi: Optional[Dict[Root, int]] = None
         self._hom_cache: Dict[Tuple[Root, Root, int], int] = {}
+
+    @property
+    def phi(self) -> Dict[Root, int]:
+        """Fine degree of each positive root in the module slice, built on
+        first read by walking the inverse-translate orbit of each projective."""
+        if self._phi is None:
+            self._phi = self._build_fine_table()
+        return self._phi
 
     def _build_fine_table(self) -> Dict[Root, int]:
         rs = self.rs
-        plus, minus = rs.plus_order, rs.minus_order
         phi: Dict[Root, int] = {}
         for i in range(rs.n):
             phi[self.proj_dims[i]] = 0 if i in rs.I_minus else -1
         for i in range(rs.n):
-            gamma = self.proj_dims[i]
-            d = phi[gamma]
+            x = DerivedObject(self.proj_dims[i], 0)
+            d = phi[x.beta]
             h = rs.coxeter_number_at[i]
-            while True:
-                beta, gamma = gamma, rs.reflect_part(minus, rs.reflect_part(plus, gamma))
-                if not rs.is_positive_root(gamma):
-                    break
+            while x.beta not in self._inj_index:
+                x = self.tau_inverse(x)
                 d -= 2
                 if d < -h + 1:
                     raise RuntimeError("fine-degree window underflow (bug)")
-                phi[gamma] = d
-                self._tau_inv[beta] = gamma
+                phi[x.beta] = d
         if len(phi) != len(rs.positive_roots):
             raise RuntimeError("fine-degree table incomplete (bug)")
         return phi
+
+    def _coxeter(self, first: Tuple[int, ...], second: Tuple[int, ...], beta: Root,
+                 what: str) -> Root:
+        """The reflections over the part ``first``, then over ``second``,
+        applied to ``beta``; the image must be a positive root."""
+        rs = self.rs
+        gamma = rs.reflect_part(second, rs.reflect_part(first, beta))
+        if not rs.is_positive_root(gamma):
+            raise RuntimeError(f"{what} left the positive roots (bug)")
+        return gamma
 
     def _euler(self, d: Root, e: Root) -> int:
         """Euler form <d, e> of the bipartite quiver."""
@@ -112,7 +128,8 @@ class DerivedCategory:
             return DerivedObject(self.inj_dims[i], x.shift - 1)
         gamma = self._tau.get(x.beta)
         if gamma is None:
-            raise RuntimeError("translate of a non-projective left the positive roots (bug)")
+            gamma = self._tau[x.beta] = self._coxeter(
+                self.rs.minus_order, self.rs.plus_order, x.beta, "translate of a non-projective")
         return DerivedObject(gamma, x.shift)
 
     def tau_inverse(self, x: DerivedObject) -> DerivedObject:
@@ -122,7 +139,9 @@ class DerivedCategory:
             return DerivedObject(self.proj_dims[i], x.shift + 1)
         gamma = self._tau_inv.get(x.beta)
         if gamma is None:
-            raise RuntimeError("inverse translate of a non-injective left the positive roots (bug)")
+            gamma = self._tau_inv[x.beta] = self._coxeter(
+                self.rs.plus_order, self.rs.minus_order, x.beta,
+                "inverse translate of a non-injective")
         return DerivedObject(gamma, x.shift)
 
     def hom(self, x: DerivedObject, y: DerivedObject) -> int:

@@ -167,24 +167,32 @@ class RootSystem:
 
     def _closure(self) -> Tuple[Root, ...]:
         """Breadth-first closure of the simple roots under the simple
-        reflections, in queue order and then vertex order.  s_i changes
-        only coordinate i, so an image is skipped without being built
-        when that coordinate is unchanged (s_i fixes beta) or negative."""
+        reflections, in queue order and then vertex order.  Each queued
+        root beta carries its Cartan pairings p = C beta, and s_i beta is
+        beta with coordinate i set to beta_i - p_i.  Only raising images
+        (p_i < 0) are queued: queue order is height order, so a lowered
+        image is already queued.  The image's pairings are p - p_i C[i],
+        which changes only entry i and the entries of its neighbours."""
         out: List[Root] = [self.simple_root(i) for i in range(self.n)]
+        pairings: List[Tuple[int, ...]] = list(self.cartan)  # C alpha_i is row i: C is symmetric
         seen = set(out)
         nbrs = self.neighbours
         k = 0
         while k < len(out):
-            beta = out[k]
+            beta, p = out[k], pairings[k]
             k += 1
-            for i in range(self.n):
-                b = sum([beta[j] for j in nbrs[i]]) - beta[i]
-                if b == beta[i] or b < 0:
+            for i, p_i in enumerate(p):
+                if p_i >= 0:
                     continue
-                gamma = beta[:i] + (b,) + beta[i + 1:]
+                gamma = beta[:i] + (beta[i] - p_i,) + beta[i + 1:]
                 if gamma not in seen:
                     seen.add(gamma)
                     out.append(gamma)
+                    q = list(p)
+                    q[i] -= 2 * p_i
+                    for j in nbrs[i]:
+                        q[j] += p_i
+                    pairings.append(tuple(q))
         return tuple(out)
 
     def simple_root(self, i: int) -> Root:

@@ -1,9 +1,12 @@
+import argparse
 import collections
 import json
+import os
+import stat
 
 import pytest
 
-from mclusters import cli, cluster_complex
+from mclusters import cli, cluster_complex, derived
 from mclusters.cli import main
 from mclusters.coloured_roots import ColouredRoot
 from mclusters.orbit_category import MClusterCategory
@@ -197,6 +200,66 @@ class TestBadOut:
         code, out, err = run(capsys, *argv, "--out", str(path))
         assert code == 2 and out == "" and calls == []
         assert err == f"error: cannot write {path}: No such file or directory\n"
+
+
+class TestOutReplaced:
+    """``--out`` is replaced only when the command has written it all."""
+
+    @pytest.mark.parametrize("command,name", [("enumerate", "complex_to_json"),
+                                              ("export-zq", "derived_category")])
+    def test_failed_command_keeps_out(self, capsys, monkeypatch, tmp_path, command, name):
+        def fail(*args, **kwargs):
+            raise RuntimeError("failed")
+
+        monkeypatch.setattr(cli, name, fail)
+        path = tmp_path / "x.json"
+        path.write_bytes(b"old bytes\n")
+        code, out, err = run(capsys, command, "--type", "A2", "--out", str(path))
+        assert code == 1 and err == "internal error: failed\n"
+        assert path.read_bytes() == b"old bytes\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["x.json"]
+
+    def test_modes_links_and_devices(self, capsys, tmp_path):
+        umask = os.umask(0)
+        os.umask(umask)
+        new, old, link = tmp_path / "new.json", tmp_path / "old.json", tmp_path / "link.json"
+        old.write_text("old\n")
+        old.chmod(0o640)
+        link.symlink_to(old)
+        for path in (new, link, os.devnull):
+            assert run(capsys, "export-zq", "--type", "A2", "--out", str(path))[0] == 0
+        assert new.read_text().startswith("digraph") and old.read_text() == new.read_text()
+        assert stat.S_IMODE(new.stat().st_mode) == 0o666 & ~umask
+        assert stat.S_IMODE(old.stat().st_mode) == 0o640 and link.is_symlink()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "new.json", "old.json"]
+
+
+class TestPerCallWork:
+    """A call builds only what its command reads."""
+
+    def test_one_subparser_per_command(self, capsys, monkeypatch):
+        added = []
+        real = argparse._SubParsersAction.add_parser
+
+        def spy(self, name, **kwargs):
+            added.append(name)
+            return real(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+        assert run(capsys, "compat", "--type", "A2", "--", "-e1", "-e2")[0] == 0
+        assert added == ["compat"]
+        cli.build_parser()
+        assert added[1:] == list(cli.COMMANDS)
+
+    @pytest.mark.parametrize("command", ["compat", "ext"])
+    def test_fine_table_unbuilt(self, capsys, monkeypatch, command):
+        def refuse(self):
+            raise AssertionError("fine table built")
+
+        monkeypatch.setattr(derived.DerivedCategory, "_build_fine_table", refuse)
+        code, out, _ = run(capsys, command, "--type", "E8", "--m", "3", "--",
+                           "2,4,6,5,4,3,2,3:3", "0,1,2,2,1,1,1,1:1")
+        assert code == 0 and out
 
 
 class TestVerify:

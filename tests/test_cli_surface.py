@@ -1,0 +1,195 @@
+"""The command line's surface: exit code, stdout and stderr of ``main`` on
+help requests and usage errors, at 80 columns.  ``main`` builds the parser
+for the named subcommand alone when the first argument names one, and the
+full parser otherwise; either way these texts must not change.  They were
+captured under Python 3.11; later argparse releases word some of these
+messages differently."""
+
+import sys
+
+import pytest
+
+from mclusters.cli import main
+
+SURFACE = [
+    (["--help"], 0,
+     """\
+usage: mcluster [-h] {enumerate,compat,ext,orbit,export-zq,verify} ...
+
+Command-line front end.
+
+Coloured-root syntax: ``1,1,0:2`` is the root with those coefficients in
+colour 2 (``:1`` may be omitted); ``-e2`` is the negative of the second
+simple root.  Pass ``--`` before positional root arguments so that the
+leading dash is not parsed as a flag.
+
+Exit codes: 0 success / all checks pass, 1 verification failure or
+internal error, 2 usage error, also for m > 1000 or rank > 32, for an
+``--out`` path that cannot be opened for writing, and for ``verify`` or
+``enumerate`` past 2,000,000 facets, past a bound of 20,000,000 faces or,
+when the Ext table is built, 250,000 Ext-table entries.
+
+positional arguments:
+  {enumerate,compat,ext,orbit,export-zq,verify}
+    enumerate           enumerate facets and write the complex as JSON
+    compat              compatibility verdict for a pair of coloured roots
+    ext                 orbit Ext dimensions for a pair of coloured roots
+    orbit               print the rotation orbit of a coloured root
+    export-zq           DOT export of the translation quiver
+    verify              run all theorem/lemma suites for one instance
+
+options:
+  -h, --help            show this help message and exit
+""",
+     ""),
+    ([], 2,
+     "",
+     """\
+usage: mcluster [-h] {enumerate,compat,ext,orbit,export-zq,verify} ...
+mcluster: error: the following arguments are required: command
+"""),
+    (["enumerate", "--help"], 0,
+     """\
+usage: mcluster enumerate [-h] --type TYPE [--m M]
+                          [--oracle {combinatorial,categorical,both}]
+                          [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --type TYPE           Dynkin type, e.g. A3, D4, E6
+  --m M                 number of colours (1..1000)
+  --oracle {combinatorial,categorical,both}
+  --out OUT             output path (default: stdout)
+""",
+     ""),
+    (["compat", "--help"], 0,
+     """\
+usage: mcluster compat [-h] --type TYPE [--m M] x y
+
+positional arguments:
+  x
+  y
+
+options:
+  -h, --help   show this help message and exit
+  --type TYPE  Dynkin type, e.g. A3, D4, E6
+  --m M        number of colours (1..1000)
+""",
+     ""),
+    (["ext", "--help"], 0,
+     """\
+usage: mcluster ext [-h] --type TYPE [--m M] x y
+
+positional arguments:
+  x
+  y
+
+options:
+  -h, --help   show this help message and exit
+  --type TYPE  Dynkin type, e.g. A3, D4, E6
+  --m M        number of colours (1..1000)
+""",
+     ""),
+    (["orbit", "--help"], 0,
+     """\
+usage: mcluster orbit [-h] --type TYPE [--m M] x
+
+positional arguments:
+  x
+
+options:
+  -h, --help   show this help message and exit
+  --type TYPE  Dynkin type, e.g. A3, D4, E6
+  --m M        number of colours (1..1000)
+""",
+     ""),
+    (["export-zq", "--help"], 0,
+     """\
+usage: mcluster export-zq [-h] --type TYPE [--window WINDOW] [--out OUT]
+
+options:
+  -h, --help       show this help message and exit
+  --type TYPE      Dynkin type, e.g. A3, D4, E6
+  --window WINDOW  coarse-degree range, e.g. --window=-1:1
+  --out OUT        output path (default: stdout)
+""",
+     ""),
+    (["verify", "--help"], 0,
+     """\
+usage: mcluster verify [-h] --type TYPE [--m M]
+
+options:
+  -h, --help   show this help message and exit
+  --type TYPE  Dynkin type, e.g. A3, D4, E6
+  --m M        number of colours (1..1000)
+""",
+     ""),
+    (["bogus"], 2,
+     "",
+     """\
+usage: mcluster [-h] {enumerate,compat,ext,orbit,export-zq,verify} ...
+mcluster: error: argument command: invalid choice: 'bogus' (choose from 'enumerate', 'compat', 'ext', 'orbit', 'export-zq', 'verify')
+"""),
+    (["--type", "A3", "verify"], 2,
+     "",
+     """\
+usage: mcluster [-h] {enumerate,compat,ext,orbit,export-zq,verify} ...
+mcluster: error: argument command: invalid choice: 'A3' (choose from 'enumerate', 'compat', 'ext', 'orbit', 'export-zq', 'verify')
+"""),
+    (["compat", "--type", "A3"], 2,
+     "",
+     """\
+usage: mcluster compat [-h] --type TYPE [--m M] x y
+mcluster compat: error: the following arguments are required: x, y
+"""),
+    (["verify", "--type"], 2,
+     "",
+     """\
+usage: mcluster verify [-h] --type TYPE [--m M]
+mcluster verify: error: argument --type: expected one argument
+"""),
+    (["verify", "--type", "A3", "extra"], 2,
+     "",
+     """\
+usage: mcluster [-h] {enumerate,compat,ext,orbit,export-zq,verify} ...
+mcluster: error: unrecognized arguments: extra
+"""),
+    (["enumerate", "--oracle", "x", "--type", "A2"], 2,
+     "",
+     """\
+usage: mcluster enumerate [-h] --type TYPE [--m M]
+                          [--oracle {combinatorial,categorical,both}]
+                          [--out OUT]
+mcluster enumerate: error: argument --oracle: invalid choice: 'x' (choose from 'combinatorial', 'categorical', 'both')
+"""),
+    (["verify", "--type", "A3", "--m", "0"], 2,
+     "",
+     "error: m must be in 1..1000\n"),
+]
+
+
+def call(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv,code,out,err", SURFACE,
+                         ids=[" ".join(case[0]) or "no-argument" for case in SURFACE])
+def test_surface(capsys, monkeypatch, argv, code, out, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    rc = call(argv)
+    captured = capsys.readouterr()
+    assert (rc, captured.out, captured.err) == (code, out, err)
+
+
+@pytest.mark.parametrize("argv,code,out", [
+    (["compat", "--type", "A2", "--", "1,1:1", "-e1"], 0,
+     "combinatorial: incompatible  categorical: incompatible  degree: 1\n"),
+    ([], 2, "")])
+def test_argv_from_sys(capsys, monkeypatch, argv, code, out):
+    """``entry()`` calls ``main(None)``, which reads ``sys.argv``."""
+    monkeypatch.setattr(sys, "argv", ["mcluster", *argv])
+    assert call(None) == code
+    assert capsys.readouterr().out == out

@@ -137,6 +137,26 @@ class TestRootDataWitness:
                 i = d.inj_dims.index(beta)
                 assert image == DerivedObject(d.proj_dims[i], 1)
 
+    def test_tau_matches_coxeter(self, name, keep):
+        rs = system(name, keep)
+        d = derived_category(rs)
+        for beta in rs.positive_roots:
+            gamma = quiver_rep.coxeter_tau(rs, beta)
+            image = d.tau(DerivedObject(beta, 0))
+            if rs.is_positive_root(gamma):
+                assert image == DerivedObject(gamma, 0)
+            else:
+                i = d.proj_dims.index(beta)
+                assert image == DerivedObject(d.inj_dims[i], -1)
+
+    def test_tau_round_trip(self, name, keep):
+        rs = system(name, keep)
+        d = derived_category(rs)
+        for beta in rs.positive_roots:
+            x = DerivedObject(beta, 0)
+            assert d.tau(d.tau_inverse(x)) == x
+            assert d.tau_inverse(d.tau(x)) == x
+
 
 def test_derived_does_not_import_quiver_rep():
     tree = ast.parse(inspect.getsource(derived))

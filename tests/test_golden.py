@@ -1,9 +1,11 @@
-"""Golden output: the full ``mcluster verify`` text and the sha256 of the
-``mcluster enumerate`` JSON on a few instances.  A change that is meant to
+"""Golden output: the full ``mcluster verify`` text, the sha256 of the
+``mcluster enumerate`` JSON on a few instances, and the sha256 of the
+exit codes and stdout of a fixed list of ``compat`` and ``ext`` calls.  A change that is meant to
 leave the output alone must leave these values alone; a change that means
 to alter the output updates them and says why."""
 
 import hashlib
+import json
 
 import pytest
 
@@ -66,3 +68,95 @@ def test_enumerate_digest(capsys, name, m, oracle):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_SHA256[name, m, oracle]
+
+
+# ``command type m x y``: for each type and m, the highest root against a
+# negative simple and against a root of middle height, a simple root
+# against that root, and a pair of negative simples at m=2.
+QUERIES = """\
+compat A6 1 1,1,1,1,1,1:1 -e1
+compat A6 1 0,0,0,0,0,1:1 0,0,0,0,1,1:1
+ext A6 1 1,1,1,1,1,1:1 0,0,0,0,1,1:1
+ext A6 1 -e6 1,1,1,1,1,1:1
+compat A6 2 1,1,1,1,1,1:2 -e1
+compat A6 2 0,0,0,0,0,1:1 0,0,0,0,1,1:2
+ext A6 2 1,1,1,1,1,1:2 0,0,0,0,1,1:1
+ext A6 2 -e6 1,1,1,1,1,1:1
+compat A6 2 -e1 -e6
+compat A6 3 1,1,1,1,1,1:3 -e1
+compat A6 3 0,0,0,0,0,1:1 0,0,0,0,1,1:3
+ext A6 3 1,1,1,1,1,1:3 0,0,0,0,1,1:1
+ext A6 3 -e6 1,1,1,1,1,1:1
+compat D6 1 1,2,2,2,1,1:1 -e1
+compat D6 1 0,0,0,0,0,1:1 0,0,0,1,1,1:1
+ext D6 1 1,2,2,2,1,1:1 0,0,0,1,1,1:1
+ext D6 1 -e6 1,2,2,2,1,1:1
+compat D6 2 1,2,2,2,1,1:2 -e1
+compat D6 2 0,0,0,0,0,1:1 0,0,0,1,1,1:2
+ext D6 2 1,2,2,2,1,1:2 0,0,0,1,1,1:1
+ext D6 2 -e6 1,2,2,2,1,1:1
+compat D6 2 -e1 -e6
+compat D6 3 1,2,2,2,1,1:3 -e1
+compat D6 3 0,0,0,0,0,1:1 0,0,0,1,1,1:3
+ext D6 3 1,2,2,2,1,1:3 0,0,0,1,1,1:1
+ext D6 3 -e6 1,2,2,2,1,1:1
+compat E6 1 1,2,3,2,1,2:1 -e1
+compat E6 1 0,0,0,0,0,1:1 0,1,1,1,1,0:1
+ext E6 1 1,2,3,2,1,2:1 0,1,1,1,1,0:1
+ext E6 1 -e6 1,2,3,2,1,2:1
+compat E6 2 1,2,3,2,1,2:2 -e1
+compat E6 2 0,0,0,0,0,1:1 0,1,1,1,1,0:2
+ext E6 2 1,2,3,2,1,2:2 0,1,1,1,1,0:1
+ext E6 2 -e6 1,2,3,2,1,2:1
+compat E6 2 -e1 -e6
+compat E6 3 1,2,3,2,1,2:3 -e1
+compat E6 3 0,0,0,0,0,1:1 0,1,1,1,1,0:3
+ext E6 3 1,2,3,2,1,2:3 0,1,1,1,1,0:1
+ext E6 3 -e6 1,2,3,2,1,2:1
+compat E7 1 2,3,4,3,2,1,2:1 -e1
+compat E7 1 0,0,0,0,0,0,1:1 1,1,1,1,1,1,0:1
+ext E7 1 2,3,4,3,2,1,2:1 1,1,1,1,1,1,0:1
+ext E7 1 -e7 2,3,4,3,2,1,2:1
+compat E7 2 2,3,4,3,2,1,2:2 -e1
+compat E7 2 0,0,0,0,0,0,1:1 1,1,1,1,1,1,0:2
+ext E7 2 2,3,4,3,2,1,2:2 1,1,1,1,1,1,0:1
+ext E7 2 -e7 2,3,4,3,2,1,2:1
+compat E7 2 -e1 -e7
+compat E7 3 2,3,4,3,2,1,2:3 -e1
+compat E7 3 0,0,0,0,0,0,1:1 1,1,1,1,1,1,0:3
+ext E7 3 2,3,4,3,2,1,2:3 1,1,1,1,1,1,0:1
+ext E7 3 -e7 2,3,4,3,2,1,2:1
+compat E8 1 2,4,6,5,4,3,2,3:1 -e1
+compat E8 1 0,0,0,0,0,0,0,1:1 0,1,2,2,1,1,1,1:1
+ext E8 1 2,4,6,5,4,3,2,3:1 0,1,2,2,1,1,1,1:1
+ext E8 1 -e8 2,4,6,5,4,3,2,3:1
+compat E8 2 2,4,6,5,4,3,2,3:2 -e1
+compat E8 2 0,0,0,0,0,0,0,1:1 0,1,2,2,1,1,1,1:2
+ext E8 2 2,4,6,5,4,3,2,3:2 0,1,2,2,1,1,1,1:1
+ext E8 2 -e8 2,4,6,5,4,3,2,3:1
+compat E8 2 -e1 -e8
+compat E8 3 2,4,6,5,4,3,2,3:3 -e1
+compat E8 3 0,0,0,0,0,0,0,1:1 0,1,2,2,1,1,1,1:3
+ext E8 3 2,4,6,5,4,3,2,3:3 0,1,2,2,1,1,1,1:1
+ext E8 3 -e8 2,4,6,5,4,3,2,3:1
+"""
+
+QUERY_SHA256 = {
+    "A6": "193542ecb81a2d9e196526bbcbdf23d2b746ee4b560362bbf89bc007ba51c411",
+    "D6": "93f719da77bb91570486d33fd60a43802800a400414d97044a4378285df952fd",
+    "E6": "f3c6e51d31c3bec0007dcc13786854f3197e503c4240503c065e36a633005111",
+    "E7": "b204bde38bcf81b656020e329c7fd8f02c809e0748f0c89a4aaaaffa004f2bbe",
+    "E8": "86a8e478202fccc5e19015e58815aa4c2d835588573f8c876b820c1fcb15d375",
+}
+
+
+@pytest.mark.parametrize("name", list(QUERY_SHA256))
+def test_query_digest(capsys, name):
+    calls = []
+    for line in QUERIES.splitlines():
+        command, type_name, m, x, y = line.split()
+        if type_name == name:
+            code = main([command, "--type", type_name, "--m", m, "--", x, y])
+            calls.append([code, capsys.readouterr().out])
+    assert len(calls) == 13
+    assert hashlib.sha256(json.dumps(calls).encode()).hexdigest() == QUERY_SHA256[name]

@@ -189,3 +189,9 @@ def test_reflect_out_of_range(a2):
     for i in (-1, 2):
         with pytest.raises(ValueError):
             a2.reflect(i, (1, 0))
+
+
+@pytest.mark.parametrize("name", ["D12", "A20"])
+def test_closure_order_high_rank(name):
+    rs = system(name)
+    assert rs.positive_roots == cartan_closure(rs)
