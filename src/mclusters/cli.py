@@ -27,8 +27,7 @@ from typing import Iterable, Iterator, List, Optional, TextIO, Tuple
 from .cluster_complex import (build_graph, complex_to_json, verify_vertex_deletions,
                               walk_faces)
 from .coloured_roots import (ColouredRoot, check_coloured, compatibility_degree,
-                             compatible_combinatorial, coloured_ground_set,
-                             rotation_Rm, rotation_table)
+                             compatible_combinatorial, rotation_Rm, rotation_table)
 from .derived import derived_category
 from .orbit_category import compatible_categorical, mcluster_category
 from .root_system import RootSystem, build_root_system, parse_type
@@ -54,16 +53,17 @@ class UsageError(ValueError):
 def parse_coloured_root(rs: RootSystem, m: int, text: str) -> ColouredRoot:
     text = text.strip()
     try:
-        if text.startswith("-e"):
-            i = int(text[2:])
-            if not 1 <= i <= rs.n:
-                raise UsageError(f"negative simple index {i} out of range 1..{rs.n}")
-            return ColouredRoot(rs.negative_simple(i - 1), 1)
         colour = 1
         if ":" in text:
             text, colour_text = text.rsplit(":", 1)
             colour = int(colour_text)
-        coeffs = tuple(int(c) for c in text.split(","))
+        if text.startswith("-e"):
+            i = int(text[2:])
+            if not 1 <= i <= rs.n:
+                raise UsageError(f"negative simple index {i} out of range 1..{rs.n}")
+            coeffs = rs.negative_simple(i - 1)
+        else:
+            coeffs = tuple(int(c) for c in text.split(","))
     except UsageError:
         raise
     except ValueError as exc:
@@ -258,9 +258,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if not ok:
             failures += 1
 
-    ground = coloured_ground_set(rs, m)
-    size = len(ground)
     g_comb = build_graph(rs, m, "combinatorial")
+    ground = g_comb.nodes
+    size = len(ground)
     g_cat = build_graph(rs, m, "categorical")
     record("oracle equivalence", g_comb.adjacency == g_cat.adjacency,
            f"{size} nodes, {size * (size + 1) // 2} pairs")

@@ -4,13 +4,22 @@ categorical compatibility oracle.
 Objects are canonical derived representatives in the fundamental domain
 for the automorphism G = (inverse translate) o [m], i.e. with fine degree
 in [-mh+1, 2], h the Coxeter number of the object's component.  Ext^i
-between orbits is the finite sum of derived Hom spaces Hom(G^p X, Y[i]);
-hereditary support kills all but a short window of powers p.
+between orbits is the sum over p of the derived Hom spaces
+Hom(G^p X, Y[i]), and for X and Y in the image of W only p in {-1, 0, 1}
+can contribute:
+
+* an object of W's image has shift in [-1, m-1], and shift -1 only for
+  an injective, so Y[i] has shift in [0, 2m-1];
+* Hom(A[v], B[u]) = 0 unless u - v is 0 or 1 (the algebra is hereditary);
+* G raises the shift by m, or by m+1 when it passes an injective, since
+  the inverse translate of I_j is P_j[1].  So G^2 X has shift >= 2m (for
+  X = I_j[-1], G X = P_j[m]) and G^-2 X has shift <= -m-1 <= -2, and
+  neither can map to any Y[i].
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .coloured_roots import ColouredRoot, check_coloured, coloured_ground_set
 from .derived import DerivedCategory, DerivedObject, derived_category, shift
@@ -34,10 +43,7 @@ class MClusterCategory:
     def W(self, x: ColouredRoot) -> DerivedObject:
         """Coloured root beta^j -> V(beta)[j-1]; negative simple -> I_i[-1]."""
         check_coloured(self.rs, self.m, x)
-        i = self.rs.negative_simple_index(x.root)
-        if i is not None:
-            return DerivedObject(self.D.inj_dims[i], -1)
-        return DerivedObject(x.root, x.colour - 1)
+        return shift(self.D.V(x.root), x.colour - 1)
 
     def W_inverse(self, obj: DerivedObject) -> ColouredRoot:
         if obj.shift == -1:
@@ -79,42 +85,34 @@ class MClusterCategory:
 
     # -- Ext dimensions -------------------------------------------------
 
-    def ext(self, x: DerivedObject, y: DerivedObject, i: int, slack: int = 0) -> int:
-        """dim Ext^i between the orbits of x and y, as the orbit sum of
-        derived Hom spaces.  The shift of G^p x is strictly increasing in
-        p, so only powers whose shift lands next to y[i] contribute;
-        ``slack`` widens the scanned window for soundness checks."""
+    def _window(self, x: DerivedObject) -> Tuple[DerivedObject, DerivedObject, DerivedObject]:
+        """(G^-1 x, x, G x): for x in W's image, the only powers of G whose
+        image can have Hom into some y[i] (see the module docstring)."""
+        return self.G_inverse(x), x, self.G(x)
+
+    def ext(self, x: DerivedObject, y: DerivedObject, i: int) -> int:
+        """dim Ext^i between the orbits of x and y, which must lie in W's
+        image: the sum of Hom(G^p x, y[i]) over the window p in {-1, 0, 1}."""
         if not 1 <= i <= self.m:
             raise ValueError(f"Ext degree {i} out of range [1, {self.m}]")
-        target = DerivedObject(y.beta, y.shift + i)
-        total = 0
-        obj, past = x, 0
-        while True:
-            if obj.shift > target.shift:
-                past += 1
-                if past > slack:
-                    break
-            total += self.D.hom(obj, target)
-            obj = self.G(obj)
-        obj, past = self.G_inverse(x), 0
-        while True:
-            if obj.shift < target.shift - 1:
-                past += 1
-                if past > slack:
-                    break
-            total += self.D.hom(obj, target)
-            obj = self.G_inverse(obj)
-        return total
+        self.W_inverse(x)  # each raises ValueError outside W's image
+        self.W_inverse(y)
+        target = shift(y, i)
+        return sum(self.D.hom(o, target) for o in self._window(x))
 
     def ext_table(self) -> List[List[List[int]]]:
         """Every orbit Ext dimension by node id: ``table[i-1][a][b]`` is
         Ext^i(W(a), W(b)) for ids ``a``, ``b`` in ``coloured_ground_set``
-        order, the order of ``RotationTable.nodes``.  Built once with
-        ``ext`` and held here; a single pair is cheaper asked directly."""
+        order, the order of ``RotationTable.nodes``.  Built once from one
+        window per node and one target list per degree, and held here; a
+        single pair is cheaper asked directly."""
         if self._ext_table is None:
+            hom = self.D.hom
             objs = self.objects()
-            self._ext_table = [[[self.ext(X, Y, i) for Y in objs] for X in objs]
-                               for i in range(1, self.m + 1)]
+            windows = [self._window(X) for X in objs]
+            targets = [[shift(Y, i) for Y in objs] for i in range(1, self.m + 1)]
+            self._ext_table = [[[sum(hom(o, t) for o in w) for t in row] for w in windows]
+                               for row in targets]
         return self._ext_table
 
     def compatible(self, x: ColouredRoot, y: ColouredRoot) -> bool:

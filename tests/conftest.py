@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from mclusters import build_root_system, parabolic, parse_type
+from mclusters import build_root_system, parabolic, parse_type, shift
 
 # Reducible parabolic subsystems: A3 without its middle vertex (A1 + A1),
 # D4 without its branch vertex (A1 + A1 + A1), and E7 without vertex 3,
@@ -40,6 +40,16 @@ def a4():
 @pytest.fixture(scope="session")
 def d4():
     return build_root_system(parse_type("D4"))
+
+
+def orbit_sum(cat, X, Y, i):
+    """Hom(G^p X, Y[i]) summed over p in [-4, 4], with the orbit walked
+    here: a wider reference for the three-term ``ext``."""
+    powers, up, down = [X], X, X
+    for _ in range(4):
+        up, down = cat.G(up), cat.G_inverse(down)
+        powers += [up, down]
+    return sum(cat.D.hom(o, shift(Y, i)) for o in powers)
 
 
 def naive_maximal_cliques(adjacency):

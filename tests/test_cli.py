@@ -91,6 +91,15 @@ class TestCompat:
         assert code == 0
         assert "incompatible" in out
 
+    def test_negative_simple_with_colour(self, capsys):
+        plain = run(capsys, "compat", "--type", "A2", "--", "-e1", "1,1")
+        assert plain[0] == 0
+        assert run(capsys, "compat", "--type", "A2", "--", "-e1:1", "1,1") == plain
+        for text in ("-e1:2", "-1,0:2"):
+            code, out, err = run(capsys, "compat", "--type", "A2", "--", text, "1,1")
+            assert code == 2 and out == ""
+            assert err == "error: negative simple roots have colour 1\n"
+
     def test_parse_failure_exits_2(self, capsys):
         assert run(capsys, "compat", "--type", "A2", "--m", "1", "--", "bogus", "-e1")[0] == 2
 
@@ -315,17 +324,21 @@ class TestVerify:
         assert len(built) == 1 + 4  # D4 and one subsystem per deleted vertex
 
     def test_each_orbit_ext_evaluated_once(self, capsys, monkeypatch):
-        calls = collections.Counter()
-        real = MClusterCategory.ext
+        windows, exts = collections.Counter(), []
+        real = MClusterCategory._window
 
-        def spy(self, x, y, i, slack=0):
-            calls[(self, x, y, i)] += 1
-            return real(self, x, y, i, slack)
+        def spy(self, x):
+            windows[(self, x)] += 1
+            return real(self, x)
 
-        monkeypatch.setattr(MClusterCategory, "ext", spy)
+        monkeypatch.setattr(MClusterCategory, "_window", spy)
+        monkeypatch.setattr(MClusterCategory, "ext", lambda *args: exts.append(args))
         code, out, _ = run(capsys, "verify", "--type", "A4", "--m", "2")
         assert code == 0 and "FAIL" not in out
-        assert calls and max(calls.values()) == 1
+        assert windows and max(windows.values()) == 1 and not exts
+        # A4 and its four subsystems, one window per object of each.
+        assert len({cat for cat, _ in windows}) == 5
+        assert sum(1 for cat, _ in windows if cat.rs.n == 4) == 24
 
     def test_ext_symmetry_failure(self, capsys, monkeypatch):
         real = MClusterCategory.ext_table

@@ -1,6 +1,7 @@
 """Golden output: the full ``mcluster verify`` text, the sha256 of the
-``mcluster enumerate`` JSON on a few instances, and the sha256 of the
-exit codes and stdout of a fixed list of ``compat`` and ``ext`` calls.  A change that is meant to
+``mcluster enumerate`` JSON on a few instances, the sha256 of the
+exit codes and stdout of a fixed list of ``compat`` and ``ext`` calls, and
+the sha256 of a few whole Ext tables.  A change that is meant to
 leave the output alone must leave these values alone; a change that means
 to alter the output updates them and says why."""
 
@@ -9,7 +10,9 @@ import json
 
 import pytest
 
+from conftest import REDUCIBLE, system
 from mclusters.cli import main
+from mclusters.orbit_category import mcluster_category
 
 VERIFY = {
     ("A4", 2): """\
@@ -160,3 +163,22 @@ def test_query_digest(capsys, name):
             calls.append([code, capsys.readouterr().out])
     assert len(calls) == 13
     assert hashlib.sha256(json.dumps(calls).encode()).hexdigest() == QUERY_SHA256[name]
+
+
+# sha256 of ``json.dumps(mcluster_category(rs, m).ext_table())``, by
+# (type, kept vertices or None, m): the values themselves, which a wrong
+# entry that stays symmetric would leave the ``verify`` text blind to.
+EXT_TABLE_SHA256 = {
+    ("A3", None, 4): "ddc75c1c7c034aca0ec2297893c8cbf6df632fb98a7b072696464d3d4b79adc6",
+    ("D4", None, 3): "0db879073241db0d2a0dd3ac6e09b439752d06f971cddb6b18c639bf6eeb5595",
+    ("E6", None, 2): "25602e89a445450b459fe48dbb434deb7ee650f60916e0866518f75196890540",
+    ("E7", None, 1): "466397b0bdf2b5d8696b9d22014ac68d753c054ea4340a774c3fd0cfce546f70",
+    (*REDUCIBLE[2], 3): "83b3fc19311f8e3d099704b60ea30e98336ff2977766e577b568f864defb3a20",
+}
+
+
+@pytest.mark.parametrize("name,keep,m", list(EXT_TABLE_SHA256))
+def test_ext_table_digest(name, keep, m):
+    table = mcluster_category(system(name, keep), m).ext_table()
+    digest = hashlib.sha256(json.dumps(table).encode()).hexdigest()
+    assert digest == EXT_TABLE_SHA256[name, keep, m]

@@ -4,7 +4,7 @@ import weakref
 
 import pytest
 
-from conftest import REDUCIBLE, system
+from conftest import ALL_SYSTEMS, REDUCIBLE, orbit_sum, system
 from mclusters import (ColouredRoot, DerivedObject, build_root_system,
                        compatible_combinatorial, coloured_ground_set,
                        derived_category, parse_type, rotation_table, shift)
@@ -95,7 +95,33 @@ class TestExtOrbit:
         objs = cat.objects()
         for X, Y in itertools.product(objs, repeat=2):
             for i in range(1, m + 1):
-                assert cat.ext(X, Y, i) == cat.ext(X, Y, i, slack=2)
+                assert cat.ext(X, Y, i) == orbit_sum(cat, X, Y, i)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("name,keep", ALL_SYSTEMS)
+    def test_window_theorem(self, name, keep, m):
+        # G raises the shift by m or m+1, so G^2 X and G^-2 X are out of
+        # Hom reach of every Y[i], whose shift is in [0, 2m-1].
+        cat = MClusterCategory(system(name, keep), m)
+        for X in cat.objects():
+            up, down = cat.G(X), cat.G_inverse(X)
+            assert up.shift - X.shift in (m, m + 1)
+            assert X.shift - down.shift in (m, m + 1)
+            assert cat.G(up).shift >= 2 * m
+            assert cat.G_inverse(down).shift <= -2
+
+    @pytest.mark.parametrize("name,m", [("A3", 2), ("D4", 1), ("E6", 3)])
+    def test_outside_w_image_rejected(self, name, m):
+        rs = system(name)
+        cat = MClusterCategory(rs, m)
+        inside = cat.objects()[0]
+        beta = next(b for b in rs.positive_roots if b not in cat.D.inj_dims)
+        injective = cat.D.inj_dims[0]
+        for outside in (DerivedObject(beta, m), DerivedObject(beta, -1),
+                        DerivedObject(injective, -2)):
+            for x, y in ((outside, inside), (inside, outside)):
+                with pytest.raises(ValueError, match="not in the image of W"):
+                    cat.ext(x, y, 1)
 
 
 class TestExtTable:
