@@ -80,21 +80,24 @@ def _pairwise(size: int, verdict: Callable[[int, int], bool]) -> List[int]:
 def build_graph(rs: RootSystem, m: int, oracle: str = "combinatorial") -> CompatibilityGraph:
     """The compatibility graph on ``coloured_ground_set(rs, m)``.  The
     combinatorial oracle is read off the rotation table of ``(rs, m)``,
-    the categorical one off the Ext table of its m-cluster category: two
-    nodes are compatible when every Ext^i between their W images vanishes.
+    the categorical one off the nonzero Ext entries of its m-cluster
+    category: two nodes are compatible when every Ext^i between their W
+    images vanishes, so each entry (i, a, b) with b >= a clears the pair.
     A reducible system is no special case: Ext between components is 0."""
     if oracle not in ORACLES:
         raise ValueError(f"oracle must be one of {ORACLES}")
     if oracle == "combinatorial":
         table = rotation_table(rs, m)
-        nodes, verdict = list(table.nodes), table.compatible
-    else:
-        nodes = coloured_ground_set(rs, m)
-        ext = mcluster_category(rs, m).ext_table()
-
-        def verdict(a: int, b: int) -> bool:
-            return all(t[a][b] == 0 for t in ext)
-    return CompatibilityGraph(rs, m, oracle, nodes, _pairwise(len(nodes), verdict))
+        return CompatibilityGraph(rs, m, oracle, list(table.nodes),
+                                  _pairwise(len(table.nodes), table.compatible))
+    nodes = coloured_ground_set(rs, m)
+    rows = [(1 << len(nodes)) - 1] * len(nodes)
+    for (_, a), entry in mcluster_category(rs, m).ext_entries().items():
+        for b in entry:
+            if b >= a:
+                rows[a] &= ~(1 << b)
+                rows[b] &= ~(1 << a)
+    return CompatibilityGraph(rs, m, oracle, nodes, rows)
 
 
 def walk_faces(g: CompatibilityGraph, facets: Optional[List[List[int]]] = None) -> FaceWalk:

@@ -17,7 +17,8 @@ and is the witness the tests compare against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from operator import mul
+from typing import Dict, List, Optional, Tuple
 
 from .root_system import Root, RootSystem
 
@@ -103,6 +104,20 @@ class DerivedCategory:
         """Euler form <d, e> of the bipartite quiver."""
         return (sum(di * ei for di, ei in zip(d, e))
                 - sum(d[s] * e[t] for s, t in self.rs.arrows))
+
+    def euler_matrix(self) -> List[List[int]]:
+        """The Euler form on positive-root ids: ``E[g][d]`` is ``_euler`` of
+        roots ``g`` and ``d`` in ``rs.positive_roots`` order.  <g, d> is the
+        dot product of d with g less, at the head of each arrow, the
+        coefficient of g at its tail, so each row is one such vector."""
+        roots = self.rs.positive_roots
+        rows = []
+        for g in roots:
+            u = list(g)
+            for s, t in self.rs.arrows:
+                u[t] -= g[s]
+            rows.append([sum(map(mul, u, d)) for d in roots])
+        return rows
 
     def _check(self, x: DerivedObject) -> None:
         if not self.rs.is_positive_root(x.beta):

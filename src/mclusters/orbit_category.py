@@ -19,7 +19,7 @@ can contribute:
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .coloured_roots import ColouredRoot, check_coloured, coloured_ground_set
 from .derived import DerivedCategory, DerivedObject, derived_category, shift
@@ -33,6 +33,7 @@ class MClusterCategory:
         self.rs = rs
         self.m = m
         self.D: DerivedCategory = derived_category(rs)
+        self._ext_entries: Optional[Dict[Tuple[int, int], Dict[int, int]]] = None
         self._ext_table: Optional[List[List[List[int]]]] = None
 
     # -- fundamental domain --------------------------------------------
@@ -100,19 +101,53 @@ class MClusterCategory:
         target = shift(y, i)
         return sum(self.D.hom(o, target) for o in self._window(x))
 
-    def ext_table(self) -> List[List[List[int]]]:
-        """Every orbit Ext dimension by node id: ``table[i-1][a][b]`` is
-        Ext^i(W(a), W(b)) for ids ``a``, ``b`` in ``coloured_ground_set``
-        order, the order of ``RotationTable.nodes``.  Built once from one
-        window per node and one target list per degree, and held here; a
-        single pair is cheaper asked directly."""
-        if self._ext_table is None:
-            hom = self.D.hom
+    def ext_entries(self) -> Dict[Tuple[int, int], Dict[int, int]]:
+        """Every nonzero orbit Ext dimension by node id: ``entries[(i, a)][b]``
+        is Ext^i(W(a), W(b)) for ids ``a``, ``b`` in ``coloured_ground_set``
+        order, the order of ``RotationTable.nodes``; no zero is stored.
+
+        Hom(V(g)[t], V(d)[u]) is max(E, 0) at u = t and max(-E, 0) at
+        u = t + 1, E the Euler form <g, d>, and 0 at every other shift.  So
+        each window object V(g)[t] reads, for degree i, only the objects of
+        W's image at shift t - i and at shift t - i + 1, off one matrix E
+        on positive-root ids.  Built once from one window per node, and
+        held here."""
+        if self._ext_entries is None:
+            roots = self.rs.positive_roots
+            rid = {beta: k for k, beta in enumerate(roots)}
+            E = self.D.euler_matrix()
             objs = self.objects()
-            windows = [self._window(X) for X in objs]
-            targets = [[shift(Y, i) for Y in objs] for i in range(1, self.m + 1)]
-            self._ext_table = [[[sum(hom(o, t) for o in w) for t in row] for w in windows]
-                               for row in targets]
+            at_shift: Dict[int, List[Tuple[int, int]]] = {}
+            for b, Y in enumerate(objs):
+                at_shift.setdefault(Y.shift, []).append((b, rid[Y.beta]))
+            entries: Dict[Tuple[int, int], Dict[int, int]] = {}
+            for a, X in enumerate(objs):
+                window = [(E[rid[o.beta]], o.shift) for o in self._window(X)]
+                for i in range(1, self.m + 1):
+                    row: Dict[int, int] = {}
+                    for e, t in window:
+                        for b, d in at_shift.get(t - i, ()):
+                            if e[d] > 0:
+                                row[b] = row.get(b, 0) + e[d]
+                        for b, d in at_shift.get(t - i + 1, ()):
+                            if e[d] < 0:
+                                row[b] = row.get(b, 0) - e[d]
+                    if row:
+                        entries[(i, a)] = row
+            self._ext_entries = entries
+        return self._ext_entries
+
+    def ext_table(self) -> List[List[List[int]]]:
+        """The dense view of ``ext_entries``: ``table[i-1][a][b]`` is
+        Ext^i(W(a), W(b)), 0 where no entry is stored.  Built once and held
+        here; a single pair is cheaper asked directly."""
+        if self._ext_table is None:
+            size = self.m * len(self.rs.positive_roots) + self.rs.n
+            table = [[[0] * size for _ in range(size)] for _ in range(self.m)]
+            for (i, a), row in self.ext_entries().items():
+                for b, value in row.items():
+                    table[i - 1][a][b] = value
+            self._ext_table = table
         return self._ext_table
 
     def compatible(self, x: ColouredRoot, y: ColouredRoot) -> bool:

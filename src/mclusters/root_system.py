@@ -90,14 +90,21 @@ class RootSystem:
             (i, j) if i in self.I_plus else (j, i) for i, j in self.edges)
         self.positive_roots: Tuple[Root, ...] = self._closure()
         self._positive_set = frozenset(self.positive_roots)
+        # A component's Coxeter number is 2|its positive roots| / |its
+        # vertices|.  A root has connected support, so its first nonzero
+        # coordinate (the first occurrence of its first nonzero value)
+        # names its component, and one pass counts them all.
+        component_of = [0] * n
+        for k, comp in enumerate(self.components):
+            for v in comp:
+                component_of[v] = k
+        counts = [0] * len(self.components)
+        for b in self.positive_roots:
+            counts[component_of[b.index(next(filter(None, b)))]] += 1
         self.coxeter_numbers: Tuple[int, ...] = tuple(
-            2 * sum(1 for b in self.positive_roots if any(b[v] for v in comp)) // len(comp)
-            for comp in self.components)
-        # Coxeter number of the component of each vertex; a root has
-        # connected support, so any vertex of its support names its component.
+            2 * count // len(comp) for comp, count in zip(self.components, counts))
         self.coxeter_number_at: Tuple[int, ...] = tuple(
-            next(h for comp, h in zip(self.components, self.coxeter_numbers) if v in comp)
-            for v in range(n))
+            self.coxeter_numbers[component_of[v]] for v in range(n))
 
     @property
     def h(self) -> int:

@@ -340,18 +340,59 @@ class TestVerify:
         assert len({cat for cat, _ in windows}) == 5
         assert sum(1 for cat, _ in windows if cat.rs.n == 4) == 24
 
+    def test_table_makes_no_hom_call(self, capsys, monkeypatch):
+        def refuse(self, x, y):
+            raise AssertionError("DerivedCategory.hom called")
+
+        monkeypatch.setattr(derived.DerivedCategory, "hom", refuse)
+        code, out, _ = run(capsys, "verify", "--type", "A4", "--m", "2")
+        assert code == 0 and "FAIL" not in out
+
     def test_ext_symmetry_failure(self, capsys, monkeypatch):
-        real = MClusterCategory.ext_table
+        def bump(entries, m, i, a, b):
+            entries[(i, a)][b] += 1
 
-        def tampered(self):
-            table = [[row[:] for row in t] for t in real(self)]
-            table[0][0][1] += 1
-            return table
-
-        monkeypatch.setattr(MClusterCategory, "ext_table", tampered)
+        tamper_ext_entries(monkeypatch, bump)
         code, out, _ = run(capsys, "verify", "--type", "A3", "--m", "2")
         assert code == 1
         assert "FAIL  Ext dimension symmetry: 450 (pair, degree) instances" in out
+
+    def test_ext_symmetry_missing_mirror(self, capsys, monkeypatch):
+        def drop_mirror(entries, m, i, a, b):
+            del entries[(m + 1 - i, b)][a]
+
+        tamper_ext_entries(monkeypatch, drop_mirror)
+        code, out, _ = run(capsys, "verify", "--type", "A3", "--m", "2")
+        assert code == 1
+        assert "FAIL  Ext dimension symmetry: 450 (pair, degree) instances" in out
+
+    def test_ext_degree_failure(self, capsys, monkeypatch):
+        def bump_pair(entries, m, i, a, b):
+            entries[(i, a)][b] += 1
+            entries[(i, b)][a] += 1
+
+        tamper_ext_entries(monkeypatch, bump_pair)
+        code, out, _ = run(capsys, "verify", "--type", "A3", "--m", "1")
+        assert code == 1
+        assert "PASS  Ext dimension symmetry: 81 (pair, degree) instances" in out
+        assert "FAIL  Ext^1 = compatibility degree: 81 ordered pairs" in out
+
+
+def tamper_ext_entries(monkeypatch, edit):
+    """Patch ``MClusterCategory.ext_entries`` to return a copy of the real
+    entries with ``edit(entries, m, i, a, b)`` applied, (i, a, b) the first
+    stored entry; a stored entry has ``a != b``, since W's image is rigid."""
+    real = MClusterCategory.ext_entries
+
+    def tampered(self):
+        entries = {key: dict(row) for key, row in real(self).items()}
+        (i, a), row = next(iter(entries.items()))
+        b = next(iter(row))
+        assert a != b
+        edit(entries, self.m, i, a, b)
+        return entries
+
+    monkeypatch.setattr(MClusterCategory, "ext_entries", tampered)
 
 
 def corrupt_a3_m2(monkeypatch, case):

@@ -224,6 +224,14 @@ class TestHomDerived:
             assert da3.hom(x, shift(y, 1)) == da3.hom(y, da3.tau(x))
 
 
+class TestEulerMatrix:
+    @pytest.mark.parametrize("name,keep", ALL_SYSTEMS)
+    def test_entries_are_euler_form(self, name, keep):
+        d = derived_category(system(name, keep))
+        roots = d.rs.positive_roots
+        assert d.euler_matrix() == [[d._euler(g, e) for e in roots] for g in roots]
+
+
 class TestV:
     def test_positive_clause(self, da2):
         assert da2.V((1, 1)) == DerivedObject((1, 1), 0)

@@ -128,6 +128,7 @@ class TestExtTable:
     @staticmethod
     def check_entries(rs, m):
         cat = mcluster_category(rs, m)
+        entries = cat.ext_entries()
         table = cat.ext_table()
         ground = coloured_ground_set(rs, m)
         assert tuple(ground) == rotation_table(rs, m).nodes
@@ -137,7 +138,12 @@ class TestExtTable:
             for a, x in enumerate(ground):
                 X = cat.W(x)
                 assert table[i - 1][a] == [cat.ext(X, cat.W(y), i) for y in ground]
-        assert cat.ext_table() is table
+        stored = [(i, a, b, value) for (i, a), row in entries.items() for b, value in row.items()]
+        assert all(value for *_, value in stored)
+        assert all(value == cat.ext(cat.W(ground[a]), cat.W(ground[b]), i)
+                   for i, a, b, value in stored)
+        assert len(stored) == sum(1 for t in table for row in t for value in row if value)
+        assert cat.ext_table() is table and cat.ext_entries() is entries
 
     @pytest.mark.parametrize("name,m", [("A3", 1), ("A3", 2), ("A3", 3), ("D4", 2), ("E6", 1)])
     def test_entries_are_orbit_ext(self, name, m):
@@ -151,9 +157,10 @@ class TestExtTable:
     @pytest.mark.parametrize("command", ["compat", "ext"])
     def test_single_pair_queries_do_not_build_it(self, monkeypatch, command):
         def refuse(self):
-            raise AssertionError("ext_table built for a single pair")
+            raise AssertionError("Ext table built for a single pair")
 
         monkeypatch.setattr(MClusterCategory, "ext_table", refuse)
+        monkeypatch.setattr(MClusterCategory, "ext_entries", refuse)
         assert main([command, "--type", "A3", "--m", "2", "--", "1,1,0:1", "0,1,1:2"]) == 0
 
 
