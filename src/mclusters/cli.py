@@ -9,7 +9,7 @@ Exit codes: 0 success / all checks pass, 1 verification failure or
 internal error, 2 usage error, also for m > 1000 or rank > 32, for an
 ``--out`` path that cannot be opened for writing, and for ``verify`` or
 ``enumerate`` past 2,000,000 facets, past a bound of 20,000,000 faces or,
-when the Ext table is built, 250,000 Ext-table entries.
+when the Ext table is built, past a bound of 1,500,000 Ext-entry visits.
 """
 
 from __future__ import annotations
@@ -36,14 +36,14 @@ from .root_system import RootSystem, build_root_system, parse_type
 # Larger inputs exit 2 at once instead of hanging.  ``export-zq`` walks
 # from coarse degree 0 to each end of its window.  The Fuss-Catalan facet
 # count bounds the facet list that ``enumerate`` holds, ``face_bound`` the
-# face walk, and the Ext table of m*N*N entries, N the ground-set size,
-# the categorical graph.  All are known before any work.
+# face walk, and the entries that the sparse Ext build visits bound the
+# categorical graph and the Ext checks.  All are known before any work.
 MAX_M = 1000
 MAX_RANK = 32
 MAX_ZQ_SPAN = 2000
 MAX_FACETS = 2_000_000
 MAX_FACES = 20_000_000
-MAX_EXT_ENTRIES = 250_000
+MAX_EXT_VISITS = 1_500_000
 
 
 class UsageError(ValueError):
@@ -102,19 +102,21 @@ def face_bound(rs: RootSystem, m: int) -> Tuple[int, int]:
     return facets, facets * (m + 2) ** rs.n // (m + 1) ** rs.n
 
 
-def _bound_work(rs: RootSystem, m: int, ext_table: bool) -> None:
-    """Refuse an instance whose facet count, face bound or, when the Ext
-    table is to be built, table size is past its bound."""
+def _bound_work(rs: RootSystem, m: int, categorical: bool) -> None:
+    """Refuse an instance past a bound.  The sparse Ext build reads, per
+    node, degree and window object, two shift groups of at most |Phi+|
+    objects: 6*m*N*|Phi+| entries for N nodes, at least the N*N pairs."""
     facets, faces = face_bound(rs, m)
     if facets > MAX_FACETS:
         raise UsageError(f"{rs.type} at m={m} has {facets} facets, more than {MAX_FACETS}")
     if faces > MAX_FACES:
         raise UsageError(f"{rs.type} at m={m} may have up to {faces} faces, "
                          f"more than {MAX_FACES}")
-    size = m * len(rs.positive_roots) + rs.n
-    if ext_table and m * size * size > MAX_EXT_ENTRIES:
-        raise UsageError(f"{rs.type} at m={m} needs an Ext table of {m * size * size} "
-                         f"entries, more than {MAX_EXT_ENTRIES}")
+    roots = len(rs.positive_roots)
+    visits = 6 * m * (m * roots + rs.n) * roots
+    if categorical and visits > MAX_EXT_VISITS:
+        raise UsageError(f"{rs.type} at m={m} may visit up to {visits} Ext entries, "
+                         f"more than {MAX_EXT_VISITS}")
 
 
 def _file_mode(path: str) -> int:

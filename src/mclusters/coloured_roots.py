@@ -187,7 +187,3 @@ def rotation_table(rs: RootSystem, m: int) -> RotationTable:
 
 def coloured_to_json(x: ColouredRoot) -> dict:
     return {"coeffs": list(x.root), "colour": x.colour}
-
-
-def coloured_from_json(data: dict) -> ColouredRoot:
-    return ColouredRoot(tuple(int(c) for c in data["coeffs"]), int(data["colour"]))

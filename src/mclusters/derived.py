@@ -40,9 +40,9 @@ def shift(x: DerivedObject, k: int) -> DerivedObject:
 class DerivedCategory:
     """Computational context for one root system: fine-degree table,
     translate, Hom dimensions, and the bijection with the almost positive
-    roots.  The translate and its inverse are evaluated on first use and
-    the fine table is built on first read, each kept here, so a caller
-    pays only for what it asks.  A reducible system is the product of its
+    roots.  The translate and its inverse are evaluated on each call and
+    the fine table is built on first read and kept here, so a caller pays
+    only for what it asks.  A reducible system is the product of its
     components: Hom between them is 0 by the Euler form, and each grading
     uses the Coxeter number of the object's component."""
 
@@ -57,10 +57,6 @@ class DerivedCategory:
         self.inj_dims: Tuple[Root, ...] = tuple(map(tuple, inj))
         self._proj_index = {d: i for i, d in enumerate(self.proj_dims)}
         self._inj_index = {d: i for i, d in enumerate(self.inj_dims)}
-        # The translate on non-projective and its inverse on non-injective
-        # positive roots, filled as they are asked for.
-        self._tau: Dict[Root, Root] = {}
-        self._tau_inv: Dict[Root, Root] = {}
         self._phi: Optional[Dict[Root, int]] = None
 
     @property
@@ -90,15 +86,15 @@ class DerivedCategory:
             raise RuntimeError("fine-degree table incomplete (bug)")
         return phi
 
-    def _coxeter(self, first: Tuple[int, ...], second: Tuple[int, ...], beta: Root,
-                 what: str) -> Root:
-        """The reflections over the part ``first``, then over ``second``,
-        applied to ``beta``; the image must be a positive root."""
+    def _coxeter(self, first: Tuple[int, ...], second: Tuple[int, ...],
+                 x: DerivedObject) -> DerivedObject:
+        """``x`` with the reflections over the part ``first``, then over
+        ``second``, applied to its root, which must stay positive."""
         rs = self.rs
-        gamma = rs.reflect_part(second, rs.reflect_part(first, beta))
+        gamma = rs.reflect_part(second, rs.reflect_part(first, x.beta))
         if not rs.is_positive_root(gamma):
-            raise RuntimeError(f"{what} left the positive roots (bug)")
-        return gamma
+            raise RuntimeError(f"the translate of {x} left the positive roots (bug)")
+        return DerivedObject(gamma, x.shift)
 
     def _euler(self, d: Root, e: Root) -> int:
         """Euler form <d, e> of the bipartite quiver."""
@@ -140,23 +136,14 @@ class DerivedCategory:
         i = self._proj_index.get(x.beta)
         if i is not None:
             return DerivedObject(self.inj_dims[i], x.shift - 1)
-        gamma = self._tau.get(x.beta)
-        if gamma is None:
-            gamma = self._tau[x.beta] = self._coxeter(
-                self.rs.minus_order, self.rs.plus_order, x.beta, "translate of a non-projective")
-        return DerivedObject(gamma, x.shift)
+        return self._coxeter(self.rs.minus_order, self.rs.plus_order, x)
 
     def tau_inverse(self, x: DerivedObject) -> DerivedObject:
         self._check(x)
         i = self._inj_index.get(x.beta)
         if i is not None:
             return DerivedObject(self.proj_dims[i], x.shift + 1)
-        gamma = self._tau_inv.get(x.beta)
-        if gamma is None:
-            gamma = self._tau_inv[x.beta] = self._coxeter(
-                self.rs.plus_order, self.rs.minus_order, x.beta,
-                "inverse translate of a non-injective")
-        return DerivedObject(gamma, x.shift)
+        return self._coxeter(self.rs.plus_order, self.rs.minus_order, x)
 
     def hom(self, x: DerivedObject, y: DerivedObject) -> int:
         """Hom(V(beta)[s], V(gamma)[t]); hereditary, so supported only on

@@ -15,13 +15,19 @@ can contribute:
   the inverse translate of I_j is P_j[1].  So G^2 X has shift >= 2m (for
   X = I_j[-1], G X = P_j[m]) and G^-2 X has shift <= -m-1 <= -2, and
   neither can map to any Y[i].
+
+R_m becomes the shift [1]: W(R_m x) is W(x)[1] in the fundamental domain,
+at most one G^-1 step away.  Below colour m, W(x)[1] is W of the next
+colour; W(-alpha_i)[1] = I_i[0] has fine degree >= -h+1 >= -mh+1; at
+colour m, V(beta)[m] has fine degree <= -mh, and G^-1 (shift -m, then tau)
+gives tau V(beta) at shift 0, or I_j[-1] for beta = P_j, in W's image.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from .coloured_roots import ColouredRoot, check_coloured, coloured_ground_set
+from .coloured_roots import ColouredRoot, check_coloured, coloured_ground_set, rotation_Rm
 from .derived import DerivedCategory, DerivedObject, derived_category, shift
 from .root_system import RootSystem
 
@@ -34,7 +40,6 @@ class MClusterCategory:
         self.m = m
         self.D: DerivedCategory = derived_category(rs)
         self._ext_entries: Optional[Dict[Tuple[int, int], Dict[int, int]]] = None
-        self._ext_table: Optional[List[List[List[int]]]] = None
 
     # -- fundamental domain --------------------------------------------
 
@@ -66,23 +71,6 @@ class MClusterCategory:
 
     def G_inverse(self, x: DerivedObject) -> DerivedObject:
         return self.D.tau(shift(x, -self.m))
-
-    def reduce(self, x: DerivedObject) -> DerivedObject:
-        """Canonical fundamental-domain representative of the G-orbit.
-        G keeps an object in its component, so one Coxeter number serves."""
-        floor = -self.m * self.D.coxeter_number(x.beta) + 1
-        guard = 0
-        while self.D.fine_degree(x) > 2:
-            x = self.G(x)
-            guard += 1
-            if guard > 2 * len(self.rs.positive_roots) + 4:
-                raise RuntimeError("fundamental-domain reduction failed to land (bug)")
-        while self.D.fine_degree(x) < floor:
-            x = self.G_inverse(x)
-            guard += 1
-            if guard > 2 * len(self.rs.positive_roots) + 4:
-                raise RuntimeError("fundamental-domain reduction failed to land (bug)")
-        return x
 
     # -- Ext dimensions -------------------------------------------------
 
@@ -137,19 +125,6 @@ class MClusterCategory:
             self._ext_entries = entries
         return self._ext_entries
 
-    def ext_table(self) -> List[List[List[int]]]:
-        """The dense view of ``ext_entries``: ``table[i-1][a][b]`` is
-        Ext^i(W(a), W(b)), 0 where no entry is stored.  Built once and held
-        here; a single pair is cheaper asked directly."""
-        if self._ext_table is None:
-            size = self.m * len(self.rs.positive_roots) + self.rs.n
-            table = [[[0] * size for _ in range(size)] for _ in range(self.m)]
-            for (i, a), row in self.ext_entries().items():
-                for b, value in row.items():
-                    table[i - 1][a][b] = value
-            self._ext_table = table
-        return self._ext_table
-
     def compatible(self, x: ColouredRoot, y: ColouredRoot) -> bool:
         X, Y = self.W(x), self.W(y)
         return all(self.ext(X, Y, i) == 0 for i in range(1, self.m + 1))
@@ -157,12 +132,12 @@ class MClusterCategory:
     # -- executable lemma checks ---------------------------------------
 
     def shift_matches_rotation(self, x: ColouredRoot) -> bool:
-        """Whether W of the rotated root equals W(x)[1] reduced into the
-        fundamental domain."""
-        from .coloured_roots import rotation_Rm
-
-        rotated = self.W(rotation_Rm(self.rs, self.m, x))
-        return self.reduce(shift(self.W(x), 1)) == rotated
+        """Whether W(R_m x) is W(x)[1], moved into the fundamental domain by
+        one G^-1 step when it lies outside (see the module docstring)."""
+        y = shift(self.W(x), 1)
+        if not self.in_domain(y):
+            y = self.G_inverse(y)
+        return self.W(rotation_Rm(self.rs, self.m, x)) == y
 
     def ext_symmetry(self, x: DerivedObject, y: DerivedObject, i: int) -> bool:
         """Calabi-Yau style dimension symmetry Ext^i(X,Y) = Ext^{m+1-i}(Y,X)."""

@@ -254,17 +254,6 @@ class RootSystem:
         exps = [sum(1 for c in counts.values() if c >= i) for i in range(1, self.n + 1)]
         return tuple(sorted(exps))
 
-    def to_json(self) -> dict:
-        return {
-            "type": str(self.type) if self.type else None,
-            "rank": self.n,
-            "cartan": [list(r) for r in self.cartan],
-            "positive_roots": [list(b) for b in self.positive_roots],
-            "I_plus": sorted(v + 1 for v in self.I_plus),
-            "I_minus": sorted(v + 1 for v in self.I_minus),
-            "h": self.h if self.irreducible else list(self.coxeter_numbers),
-        }
-
     def __repr__(self) -> str:
         name = str(self.type) if self.type else f"diagram(n={self.n})"
         return f"RootSystem({name})"
@@ -294,10 +283,3 @@ def parabolic(rs: RootSystem, keep: Iterable[int]) -> RootSystem:
     edges = [(local[i], local[j]) for i, j in rs.edges if i in local and j in local]
     plus = [local[v] for v in kept if v in rs.I_plus]
     return RootSystem(len(kept), edges, I_plus=plus)
-
-
-def restrict_root(beta: Root, kept: Sequence[int]) -> Root:
-    """Project a parent-coordinate root supported on ``kept`` to local coordinates."""
-    if any(c != 0 for v, c in enumerate(beta) if v not in set(kept)):
-        raise ValueError("root not supported on the kept vertices")
-    return tuple(beta[v] for v in kept)

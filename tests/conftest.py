@@ -52,6 +52,33 @@ def orbit_sum(cat, X, Y, i):
     return sum(cat.D.hom(o, shift(Y, i)) for o in powers)
 
 
+def reduce_walk(cat, x):
+    """The fundamental-domain representative of the G-orbit of ``x``, with
+    the orbit walked by G and G^-1 as far as it takes: a general reference
+    for the one G^-1 step of ``shift_matches_rotation``.  G keeps an object
+    in its component, so one Coxeter number serves."""
+    floor = -cat.m * cat.D.coxeter_number(x.beta) + 1
+    steps = 2 * len(cat.rs.positive_roots) + 4
+    while cat.D.fine_degree(x) > 2:
+        x, steps = cat.G(x), steps - 1
+        assert steps >= 0, "fundamental-domain walk failed to land"
+    while cat.D.fine_degree(x) < floor:
+        x, steps = cat.G_inverse(x), steps - 1
+        assert steps >= 0, "fundamental-domain walk failed to land"
+    return x
+
+
+def dense_ext(cat):
+    """The whole Ext table of ``cat`` from its sparse entries:
+    ``table[i-1][a][b]`` is Ext^i(W(a), W(b)), 0 where no entry is stored."""
+    size = cat.m * len(cat.rs.positive_roots) + cat.rs.n
+    table = [[[0] * size for _ in range(size)] for _ in range(cat.m)]
+    for (i, a), row in cat.ext_entries().items():
+        for b, value in row.items():
+            table[i - 1][a][b] = value
+    return table
+
+
 def naive_maximal_cliques(adjacency):
     """Exponential-scan oracle for maximal cliques, for cross-checking the
     face walk on small graphs; ``adjacency`` is the graph's bitset rows."""

@@ -6,7 +6,7 @@ import stat
 
 import pytest
 
-from mclusters import cli, cluster_complex, derived
+from mclusters import cli, cluster_complex, derived, orbit_category
 from mclusters.cli import main
 from mclusters.coloured_roots import ColouredRoot
 from mclusters.orbit_category import MClusterCategory
@@ -154,8 +154,8 @@ class TestBounds:
 
 
 class TestWorkBounds:
-    """``verify`` and ``enumerate`` past the facet or Ext-table bound exit 2
-    before any graph, category or complex is built."""
+    """``verify`` and ``enumerate`` past the facet, face or Ext-work bound
+    exit 2 before any graph, category or complex is built."""
 
     @pytest.fixture(autouse=True)
     def no_work(self, monkeypatch):
@@ -166,8 +166,8 @@ class TestWorkBounds:
             monkeypatch.setattr(cli, name, refuse)
 
     @pytest.mark.parametrize("argv,message", [
-        (["verify", "--type", "A2", "--m", "1000"], "Ext table of 9012004000 entries"),
-        (["enumerate", "--type", "A2", "--m", "1000", "--oracle", "both"], "Ext table"),
+        (["verify", "--type", "A2", "--m", "1000"], "up to 54036000 Ext entries"),
+        (["enumerate", "--type", "A2", "--m", "1000", "--oracle", "both"], "Ext entries"),
         (["verify", "--type", "A32"], "212336130412243110 facets"),
         (["enumerate", "--type", "A32"], "212336130412243110 facets"),
         (["enumerate", "--type", "E8", "--m", "3"], "22309287 facets"),
@@ -176,12 +176,15 @@ class TestWorkBounds:
         (["verify", "--type", "D11", "--m", "1"], "up to 45037202 faces"),
         (["enumerate", "--type", "D11", "--m", "1"], "up to 45037202 faces"),
         (["verify", "--type", "A12", "--m", "1"], "up to 96388554 faces"),
-        (["enumerate", "--type", "A12", "--m", "1"], "up to 96388554 faces")])
+        (["enumerate", "--type", "A12", "--m", "1"], "up to 96388554 faces"),
+        (["verify", "--type", "A1", "--m", "1000"], "up to 6006000 Ext entries"),
+        (["verify", "--type", "A2", "--m", "167"], "up to 1512018 Ext entries")])
     def test_past_bound_exits_2(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and message in err
 
-    @pytest.mark.parametrize("name,m", [("E8", 2), ("A6", 3), ("A2", 29), ("A11", 1)])
+    @pytest.mark.parametrize("name,m", [("E8", 2), ("A6", 3), ("A2", 29), ("A11", 1),
+                                        ("A2", 166), ("A3", 19), ("A1", 499)])
     def test_ladder_within_bounds(self, name, m):
         cli._bound_work(cli.build_root_system(cli.parse_type(name)), m, True)
 
@@ -376,6 +379,12 @@ class TestVerify:
         assert code == 1
         assert "PASS  Ext dimension symmetry: 81 (pair, degree) instances" in out
         assert "FAIL  Ext^1 = compatibility degree: 81 ordered pairs" in out
+
+    def test_rotation_failure(self, capsys, monkeypatch):
+        monkeypatch.setattr(orbit_category, "rotation_Rm", lambda rs, m, x: x)
+        code, out, _ = run(capsys, "verify", "--type", "A3", "--m", "2")
+        assert code == 1
+        assert "FAIL  rotation matches shift: 15 coloured roots" in out
 
 
 def tamper_ext_entries(monkeypatch, edit):

@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from conftest import REDUCIBLE, system
+from conftest import REDUCIBLE, dense_ext, system
 from mclusters.cli import main
 from mclusters.orbit_category import mcluster_category
 
@@ -165,7 +165,7 @@ def test_query_digest(capsys, name):
     assert hashlib.sha256(json.dumps(calls).encode()).hexdigest() == QUERY_SHA256[name]
 
 
-# sha256 of ``json.dumps(mcluster_category(rs, m).ext_table())``, by
+# sha256 of ``json.dumps(dense_ext(mcluster_category(rs, m)))``, by
 # (type, kept vertices or None, m): the values themselves, which a wrong
 # entry that stays symmetric would leave the ``verify`` text blind to.
 EXT_TABLE_SHA256 = {
@@ -179,6 +179,6 @@ EXT_TABLE_SHA256 = {
 
 @pytest.mark.parametrize("name,keep,m", list(EXT_TABLE_SHA256))
 def test_ext_table_digest(name, keep, m):
-    table = mcluster_category(system(name, keep), m).ext_table()
+    table = dense_ext(mcluster_category(system(name, keep), m))
     digest = hashlib.sha256(json.dumps(table).encode()).hexdigest()
     assert digest == EXT_TABLE_SHA256[name, keep, m]

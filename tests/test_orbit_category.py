@@ -4,10 +4,10 @@ import weakref
 
 import pytest
 
-from conftest import ALL_SYSTEMS, REDUCIBLE, orbit_sum, system
+from conftest import ALL_SYSTEMS, REDUCIBLE, dense_ext, orbit_sum, reduce_walk, system
 from mclusters import (ColouredRoot, DerivedObject, build_root_system,
                        compatible_combinatorial, coloured_ground_set,
-                       derived_category, parse_type, rotation_table, shift)
+                       derived_category, parse_type, rotation_Rm, rotation_table, shift)
 from mclusters.cli import main
 from mclusters.coloured_roots import compatibility_degree
 from mclusters.orbit_category import MClusterCategory, mcluster_category
@@ -129,7 +129,7 @@ class TestExtTable:
     def check_entries(rs, m):
         cat = mcluster_category(rs, m)
         entries = cat.ext_entries()
-        table = cat.ext_table()
+        table = dense_ext(cat)
         ground = coloured_ground_set(rs, m)
         assert tuple(ground) == rotation_table(rs, m).nodes
         assert len(table) == m
@@ -143,7 +143,7 @@ class TestExtTable:
         assert all(value == cat.ext(cat.W(ground[a]), cat.W(ground[b]), i)
                    for i, a, b, value in stored)
         assert len(stored) == sum(1 for t in table for row in t for value in row if value)
-        assert cat.ext_table() is table and cat.ext_entries() is entries
+        assert cat.ext_entries() is entries
 
     @pytest.mark.parametrize("name,m", [("A3", 1), ("A3", 2), ("A3", 3), ("D4", 2), ("E6", 1)])
     def test_entries_are_orbit_ext(self, name, m):
@@ -159,7 +159,6 @@ class TestExtTable:
         def refuse(self):
             raise AssertionError("Ext table built for a single pair")
 
-        monkeypatch.setattr(MClusterCategory, "ext_table", refuse)
         monkeypatch.setattr(MClusterCategory, "ext_entries", refuse)
         assert main([command, "--type", "A3", "--m", "2", "--", "1,1,0:1", "0,1,1:2"]) == 0
 
@@ -194,7 +193,7 @@ class TestShiftVersusRotation:
         cat = mcluster_category(a2, 1)
         assert cat.shift_matches_rotation(ColouredRoot(a2.negative_simple(0)))
         # by hand: W(-a1)[1] = I_1 = S_1 = V(a1), and R(-a1) = a1
-        assert cat.reduce(shift(cat.W(ColouredRoot(a2.negative_simple(0))), 1)) \
+        assert reduce_walk(cat, shift(cat.W(ColouredRoot(a2.negative_simple(0))), 1)) \
             == DerivedObject((1, 0), 0)
 
     @staticmethod
@@ -202,6 +201,21 @@ class TestShiftVersusRotation:
         cat = mcluster_category(rs, m)
         for x in coloured_ground_set(rs, m):
             assert cat.shift_matches_rotation(x)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("name,keep", ALL_SYSTEMS)
+    def test_one_step_theorem(self, name, keep, m):
+        # The orbit walk from W(x)[1] takes no step inside the fundamental
+        # domain and exactly one G^-1 step outside it, and lands on
+        # W(R_m x).
+        rs = system(name, keep)
+        cat = MClusterCategory(rs, m)
+        for x in coloured_ground_set(rs, m):
+            y = shift(cat.W(x), 1)
+            landed = reduce_walk(cat, y)
+            assert landed in (y, cat.G_inverse(y))
+            assert (landed == y) == cat.in_domain(y)
+            assert landed == cat.W(rotation_Rm(rs, m, x))
 
     @pytest.mark.parametrize("name,m", [("A2", 3), ("A3", 2), ("D4", 2)])
     def test_exhaustive(self, name, m):

@@ -1,10 +1,7 @@
-import json
-
 import pytest
 
 from conftest import ALL_SYSTEMS, system
 from mclusters import DynkinType, build_root_system, parabolic, parse_type
-from mclusters.root_system import restrict_root
 
 
 def test_a1_trivial():
@@ -110,7 +107,7 @@ def test_parabolic_supported_roots(a4):
     for drop in range(a4.n):
         kept = [v for v in range(a4.n) if v != drop]
         sub = parabolic(a4, kept)
-        supported = {restrict_root(b, kept) for b in a4.positive_roots
+        supported = {tuple(b[v] for v in kept) for b in a4.positive_roots
                      if b[drop] == 0}
         assert supported == set(sub.positive_roots)
 
@@ -126,16 +123,6 @@ def test_exponents():
     assert build_root_system(parse_type("A3")).exponents() == (1, 2, 3)
     assert build_root_system(parse_type("D4")).exponents() == (1, 3, 3, 5)
     assert build_root_system(parse_type("E6")).exponents() == (1, 4, 5, 7, 8, 11)
-
-
-def test_json_roundtrip(a3):
-    data = json.loads(json.dumps(a3.to_json()))
-    assert data["type"] == "A3"
-    assert data["rank"] == 3
-    assert data["h"] == 4
-    assert sorted(data["I_plus"]) == [1, 3]
-    assert len(data["positive_roots"]) == 6
-    assert data["cartan"][0][1] == -1
 
 
 def cartan_reflect(rs, i, beta):
