@@ -51,19 +51,19 @@ class UsageError(ValueError):
 
 
 def parse_coloured_root(rs: RootSystem, m: int, text: str) -> ColouredRoot:
-    text = text.strip()
+    root_text = text.strip()
     try:
         colour = 1
-        if ":" in text:
-            text, colour_text = text.rsplit(":", 1)
+        if ":" in root_text:
+            root_text, colour_text = root_text.rsplit(":", 1)
             colour = int(colour_text)
-        if text.startswith("-e"):
-            i = int(text[2:])
+        if root_text.startswith("-e"):
+            i = int(root_text[2:])
             if not 1 <= i <= rs.n:
                 raise UsageError(f"negative simple index {i} out of range 1..{rs.n}")
             coeffs = rs.negative_simple(i - 1)
         else:
-            coeffs = tuple(int(c) for c in text.split(","))
+            coeffs = tuple(int(c) for c in root_text.split(","))
     except UsageError:
         raise
     except ValueError as exc:

@@ -204,18 +204,13 @@ def f_vector(g: CompatibilityGraph) -> List[int]:
 
 
 def verify_parabolic_restriction(rs: RootSystem, m: int, keep: Sequence[int],
-                                 oracle: str = "combinatorial",
-                                 g: Optional[CompatibilityGraph] = None) -> Report:
+                                 oracle: str = "combinatorial") -> Report:
     """Compatibility of pairs supported on ``keep`` must agree between the
     graph of the full system and that of the parabolic subsystem, both
-    under ``oracle``.  ``g`` is the full system's graph under that oracle
-    if the caller has one; otherwise it is built here."""
-    if g is None:
-        g = build_graph(rs, m, oracle)
-    elif g.oracle_tag != oracle or g.rs is not rs or g.m != m:
-        raise ValueError(f"graph is not the {oracle} graph of {rs} at m={m}")
+    under ``oracle``."""
     kept = sorted(set(keep))
-    return _restriction_report(g, build_graph(parabolic(rs, kept), m, oracle), kept)
+    return _restriction_report(build_graph(rs, m, oracle),
+                               build_graph(parabolic(rs, kept), m, oracle), kept)
 
 
 def _restriction_report(g: CompatibilityGraph, g_sub: CompatibilityGraph,

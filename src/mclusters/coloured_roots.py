@@ -82,40 +82,34 @@ def _rotation_cap(rs: RootSystem, m: int) -> int:
     return m * len(rs.positive_roots) + rs.n + 1
 
 
-def compatibility_degree(rs: RootSystem, beta: Root, alpha: Root) -> int:
-    """Rotate the pair jointly until one entry is a negative simple, then
-    read off the corresponding coefficient of the other entry."""
-    _check_almost_positive(rs, beta)
-    _check_almost_positive(rs, alpha)
-    for _ in range(_rotation_cap(rs, 1)):
-        i = rs.negative_simple_index(alpha)
-        if i is None:
-            i = rs.negative_simple_index(beta)
-            other = alpha
-        else:
-            other = beta
-        if i is not None:
-            return other[i] if rs.is_positive_root(other) else 0
-        beta = rotation_R(rs, beta)
-        alpha = rotation_R(rs, alpha)
-    raise RuntimeError("rotation cap exceeded; no negative simple reached (bug)")
-
-
-def compatible_combinatorial(rs: RootSystem, m: int, x: ColouredRoot, y: ColouredRoot) -> bool:
-    """Joint-rotation compatibility test on coloured roots."""
-    check_coloured(rs, m, x)
-    check_coloured(rs, m, y)
+def _reading(rs: RootSystem, m: int, x: ColouredRoot, y: ColouredRoot) -> int:
+    """Rotate the pair jointly by ``R_m`` until one entry is a negative
+    simple -alpha_i, then read coefficient i of the other entry, or 0 if
+    it is a negative simple too."""
     for _ in range(_rotation_cap(rs, m)):
-        i = rs.negative_simple_index(x.root)
-        other = y
+        i, other = rs.negative_simple_index(x.root), y
         if i is None:
-            i = rs.negative_simple_index(y.root)
-            other = x
+            i, other = rs.negative_simple_index(y.root), x
         if i is not None:
-            return rs.negative_simple_index(other.root) is not None or other.root[i] == 0
+            return 0 if rs.negative_simple_index(other.root) is not None else other.root[i]
         x = rotation_Rm(rs, m, x)
         y = rotation_Rm(rs, m, y)
     raise RuntimeError("rotation cap exceeded; no negative simple reached (bug)")
+
+
+def compatibility_degree(rs: RootSystem, beta: Root, alpha: Root) -> int:
+    """The joint-rotation reading of the pair at ``m = 1``, where ``R_m``
+    on colour-1 roots is ``R``."""
+    _check_almost_positive(rs, beta)
+    _check_almost_positive(rs, alpha)
+    return _reading(rs, 1, ColouredRoot(beta), ColouredRoot(alpha))
+
+
+def compatible_combinatorial(rs: RootSystem, m: int, x: ColouredRoot, y: ColouredRoot) -> bool:
+    """Joint-rotation compatibility test on coloured roots: the reading is 0."""
+    check_coloured(rs, m, x)
+    check_coloured(rs, m, y)
+    return _reading(rs, m, x, y) == 0
 
 
 class RotationTable:
@@ -124,12 +118,11 @@ class RotationTable:
     permutation of ids and each node's hitting time: the first ``t`` at
     which ``R_m^t`` of the node is a negative simple, and its path up to then.
 
-    Compatibility is ``R_m``-invariant, so joint rotation of a pair needs
-    no reflections here: it stops at ``t = min(hit[a], hit[b])``, where
-    the node that hits first names the vertex ``i`` and the other node's
-    ``R_m^t`` image supplies coefficient ``i``.  Ties go to the node that
-    ``compatible_combinatorial`` and ``compatibility_degree`` check
-    first, so every verdict and degree equals theirs."""
+    The joint-rotation reading needs no reflections here: the pair lands
+    at ``t = min(hit[a], hit[b])``, where the node that lands first names
+    the vertex ``i`` and the other node's ``R_m^t`` image supplies
+    coefficient ``i``.  No tie needs breaking: when both land together,
+    both are negative simples and the reading is 0 in either order."""
 
     def __init__(self, rs: RootSystem, m: int):
         self.nodes: Tuple[ColouredRoot, ...] = tuple(coloured_ground_set(rs, m))
@@ -153,24 +146,20 @@ class RotationTable:
         """Node id of ``R_m^t`` applied to node ``k``, for ``t <= hit[k]``."""
         return self._path[k][t]
 
-    def _decide(self, first: int, second: int) -> Tuple[int, int]:
-        """Joint rotation of the pair, ``first`` checked first: the vertex
-        ``i`` of the negative simple reached and the id the other node
-        has reached at that time."""
-        if self.hit[second] < self.hit[first]:
-            first, second = second, first
-        t = self.hit[first]
-        return self.neg[self.step(first, t)], self.step(second, t)
+    def degree(self, x: int, y: int) -> int:
+        """The joint-rotation reading of ``_reading`` on node ids, at every
+        ``m``; at ``m = 1`` it is ``compatibility_degree``."""
+        if self.hit[y] < self.hit[x]:
+            x, y = y, x
+        t = self.hit[x]
+        other = self.step(y, t)
+        if self.neg[other] is not None:
+            return 0
+        return self.nodes[other].root[self.neg[self.step(x, t)]]
 
     def compatible(self, x: int, y: int) -> bool:
         """``compatible_combinatorial`` on node ids."""
-        i, other = self._decide(x, y)
-        return self.neg[other] is not None or self.nodes[other].root[i] == 0
-
-    def degree(self, beta: int, alpha: int) -> int:
-        """``compatibility_degree`` on node ids of an ``m = 1`` table."""
-        i, other = self._decide(alpha, beta)
-        return 0 if self.neg[other] is not None else self.nodes[other].root[i]
+        return self.degree(x, y) == 0
 
 
 def rotation_table(rs: RootSystem, m: int) -> RotationTable:

@@ -75,12 +75,25 @@ class RootSystem:
         self.edges: Tuple[Tuple[int, int], ...] = tuple(sorted(tuple(sorted(e)) for e in edges))
         self.cartan: Tuple[Tuple[int, ...], ...] = self._build_cartan()
         self.neighbours: Tuple[Tuple[int, ...], ...] = self._build_neighbours()
-        self.components: Tuple[FrozenSet[int], ...] = self._components()
-        if I_plus is None:
-            self.I_plus, self.I_minus = self._bipartition()
-        else:
-            self.I_plus = frozenset(I_plus)
-            self.I_minus = frozenset(range(n)) - self.I_plus
+        # One walk of the diagram gives the components, in order of their lowest
+        # vertex, and a 2-colouring (side 0 is plus) with that vertex on the plus side.
+        component_of, side = [-1] * n, [0] * n
+        components: List[FrozenSet[int]] = []
+        for v in range(n):
+            if component_of[v] >= 0:
+                continue
+            component_of[v] = k = len(components)
+            comp = [v]
+            for u in comp:  # breadth first: comp grows as it is read
+                for w in self.neighbours[u]:
+                    if component_of[w] < 0:
+                        component_of[w], side[w] = k, 1 - side[u]
+                        comp.append(w)
+            components.append(frozenset(comp))
+        self.components: Tuple[FrozenSet[int], ...] = tuple(components)
+        self.I_plus = frozenset(I_plus if I_plus is not None else
+                                (v for v in range(n) if not side[v]))
+        self.I_minus = frozenset(range(n)) - self.I_plus
         self._check_bipartition()
         # Each part of the bipartition in vertex order, and the arrows of
         # the bipartite orientation, from the plus part to the minus part.
@@ -94,10 +107,6 @@ class RootSystem:
         # vertices|.  A root has connected support, so its first nonzero
         # coordinate (the first occurrence of its first nonzero value)
         # names its component, and one pass counts them all.
-        component_of = [0] * n
-        for k, comp in enumerate(self.components):
-            for v in comp:
-                component_of[v] = k
         counts = [0] * len(self.components)
         for b in self.positive_roots:
             counts[component_of[b.index(next(filter(None, b)))]] += 1
@@ -131,39 +140,6 @@ class RootSystem:
             adj[i].append(j)
             adj[j].append(i)
         return tuple(map(tuple, adj))
-
-    def _components(self) -> Tuple[FrozenSet[int], ...]:
-        seen = set()
-        comps = []
-        for v in range(self.n):
-            if v in seen:
-                continue
-            stack, comp = [v], set()
-            while stack:
-                u = stack.pop()
-                if u in comp:
-                    continue
-                comp.add(u)
-                stack.extend(self.neighbours[u])
-            seen |= comp
-            comps.append(frozenset(comp))
-        return tuple(comps)
-
-    def _bipartition(self) -> Tuple[FrozenSet[int], FrozenSet[int]]:
-        # 2-colour each component, lowest vertex of the component on the plus side.
-        colour: Dict[int, int] = {}
-        for comp in self.components:
-            start = min(comp)
-            colour[start] = 0
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                for w in self.neighbours[u]:
-                    if w not in colour:
-                        colour[w] = 1 - colour[u]
-                        stack.append(w)
-        plus = frozenset(v for v in range(self.n) if colour[v] == 0)
-        return plus, frozenset(range(self.n)) - plus
 
     def _check_bipartition(self) -> None:
         if self.I_plus | self.I_minus != frozenset(range(self.n)):

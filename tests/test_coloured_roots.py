@@ -194,6 +194,7 @@ class TestRotationTable:
         for a, x in enumerate(nodes):
             for b, y in enumerate(nodes):
                 assert table.compatible(a, b) == compatible_combinatorial(rs, m, x, y)
+                assert table.degree(a, b) == coloured_roots._reading(rs, m, x, y)
 
     @pytest.mark.parametrize("name", ["A5", "D6", "E6"])
     def test_degree_matches_joint_rotation(self, name):

@@ -245,28 +245,14 @@ class TestParabolicRestriction:
     def test_identity_keep(self, a3):
         assert verify_parabolic_restriction(a3, 1, range(3)).passed
 
-    @pytest.mark.parametrize("oracle", ["combinatorial", "categorical"])
-    def test_reuses_given_graph(self, d4, oracle, monkeypatch):
-        g = build_graph(d4, 2, oracle)
-        built = []
-        real = cluster_complex.build_graph
-        monkeypatch.setattr(cluster_complex, "build_graph",
-                            lambda rs, m, o: built.append(rs) or real(rs, m, o))
-        report = verify_parabolic_restriction(d4, 2, [0, 1, 2], oracle, g)
-        assert report.passed and report.checked > 0
-        assert built and d4 not in built
-
-    def test_rejects_graph_of_other_oracle(self, a3):
-        with pytest.raises(ValueError):
-            verify_parabolic_restriction(a3, 1, [0, 1], "categorical", build_graph(a3, 1))
-
     def test_reports_disagreement(self, a3, monkeypatch):
         g = build_graph(a3, 1)
         flipped = list(g.adjacency)
         flipped[0] ^= 1 << 1
         flipped[1] ^= 1 << 0
         g.adjacency = flipped
-        report = verify_parabolic_restriction(a3, 1, [0, 1], "combinatorial", g)
+        report = cluster_complex._restriction_report(
+            g, build_graph(parabolic(a3, [0, 1]), 1), [0, 1])
         assert not report.passed
         x, y = g.nodes[0], g.nodes[1]
         assert [(f[0], f[1]) for f in report.failures] == [(x, y)]

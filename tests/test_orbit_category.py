@@ -163,6 +163,25 @@ class TestExtTable:
         assert main([command, "--type", "A3", "--m", "2", "--", "1,1,0:1", "0,1,1:2"]) == 0
 
 
+class TestExtSumIsReading:
+    """An observed identity, checked here and not claimed as a theorem:
+    at every m, the Ext dimensions between W(a) and W(b) summed over all
+    degrees equal the joint-rotation reading ``RotationTable.degree(a, b)``.
+    At m = 1 it is the Ext^1 = compatibility degree check."""
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("name,keep", ALL_SYSTEMS)
+    def test_every_ordered_pair(self, name, keep, m):
+        rs = system(name, keep)
+        table = rotation_table(rs, m)
+        size = len(table.nodes)
+        total = [[0] * size for _ in range(size)]
+        for (_, a), row in mcluster_category(rs, m).ext_entries().items():
+            for b, value in row.items():
+                total[a][b] += value
+        assert total == [[table.degree(a, b) for b in range(size)] for a in range(size)]
+
+
 class TestCompatibleCategorical:
     def test_self_compatible(self, a2):
         cat = mcluster_category(a2, 2)
