@@ -26,8 +26,7 @@ from typing import Iterable, Iterator, List, Optional, TextIO, Tuple
 
 from .cluster_complex import (build_graph, complex_to_json, verify_vertex_deletions,
                               walk_faces)
-from .coloured_roots import (ColouredRoot, check_coloured, compatibility_degree,
-                             compatible_combinatorial, rotation_Rm, rotation_table)
+from .coloured_roots import ColouredRoot, _reading, check_coloured, rotation_Rm, rotation_table
 from .derived import derived_category
 from .orbit_category import compatible_categorical, mcluster_category
 from .root_system import RootSystem, build_root_system, parse_type
@@ -192,12 +191,13 @@ def cmd_compat(args: argparse.Namespace) -> int:
     rs = _root_system(args)
     x = parse_coloured_root(rs, args.m, args.x)
     y = parse_coloured_root(rs, args.m, args.y)
-    comb = compatible_combinatorial(rs, args.m, x, y)
+    reading = _reading(rs, args.m, x, y)  # 0 when compatible; the degree at m=1
+    comb = reading == 0
     cat = compatible_categorical(rs, args.m, x, y)
     line = (f"combinatorial: {'compatible' if comb else 'incompatible'}  "
             f"categorical: {'compatible' if cat else 'incompatible'}")
     if args.m == 1:
-        line += f"  degree: {compatibility_degree(rs, x.root, y.root)}"
+        line += f"  degree: {reading}"
     print(line)
     if comb != cat:
         print("oracle disagreement detected", file=sys.stderr)
@@ -350,6 +350,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout early: no fault here.  The rest of its
+        # buffer goes to os.devnull, so the flush at exit raises nothing.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except Exception as exc:  # internal failure
         print(f"internal error: {exc}", file=sys.stderr)
         return 1

@@ -42,16 +42,16 @@ class FaceWalk:
     """What ``walk_faces`` counts: faces of each size (the f-vector),
     facets of each size, and a histogram of the number of nodes compatible
     with each face one smaller than the rank (a ridge; the empty face in
-    rank 1).  ``oversized`` lists the rank-size faces that extend to a
-    larger clique."""
+    rank 1)."""
     f_vector: List[int]
     facet_sizes: Dict[int, int]
     ridges: Dict[int, int]
-    oversized: List[Tuple[int, ...]]
 
     def theorem2(self, rank: int) -> bool:
-        """Every facet has ``rank`` elements."""
-        return set(self.facet_sizes) == {rank} and not self.oversized
+        """Every facet has ``rank`` elements.  The facet sizes alone settle
+        it: a face that extends to a larger clique lies in a larger facet,
+        whose size the walk counts."""
+        return set(self.facet_sizes) == {rank}
 
     def theorem3(self, m: int) -> bool:
         """Every ridge lies in exactly m+1 facets.  Once theorem 2 holds, a
@@ -109,7 +109,7 @@ def walk_faces(g: CompatibilityGraph, facets: Optional[List[List[int]]] = None) 
     list of node ids; the walk finds them in lexicographic order."""
     neighbours = [row & ~(1 << v) for v, row in enumerate(g.adjacency)]
     rank = g.rs.n
-    walk = FaceWalk([1], {}, {}, [])
+    walk = FaceWalk([1], {}, {})
     fv, sizes, ridges = walk.f_vector, walk.facet_sizes, walk.ridges
     face: List[int] = []
 
@@ -118,8 +118,6 @@ def walk_faces(g: CompatibilityGraph, facets: Optional[List[List[int]]] = None) 
         if size == rank - 1:
             count = common.bit_count()
             ridges[count] = ridges.get(count, 0) + 1
-        elif size == rank and common:
-            walk.oversized.append(tuple(face))
         if not common:
             sizes[size] = sizes.get(size, 0) + 1
             if facets is not None:

@@ -167,11 +167,7 @@ def rotation_table(rs: RootSystem, m: int) -> RotationTable:
     ``rs.memo`` so that it lives exactly as long as the root system does.
     A table costs one ``rotation_Rm`` per node, far more than rotating a
     single pair, so the per-pair functions above serve one-off questions."""
-    key = ("rotation", m)
-    table = rs.memo.get(key)
-    if table is None:
-        table = rs.memo[key] = RotationTable(rs, m)
-    return table
+    return rs.cached(("rotation", m), lambda: RotationTable(rs, m))
 
 
 def coloured_to_json(x: ColouredRoot) -> dict:

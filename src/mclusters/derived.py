@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import mul
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .root_system import Root, RootSystem
 
@@ -41,10 +41,10 @@ class DerivedCategory:
     """Computational context for one root system: fine-degree table,
     translate, Hom dimensions, and the bijection with the almost positive
     roots.  The translate and its inverse are evaluated on each call and
-    the fine table is built on first read and kept here, so a caller pays
-    only for what it asks.  A reducible system is the product of its
-    components: Hom between them is 0 by the Euler form, and each grading
-    uses the Coxeter number of the object's component."""
+    the fine table is built on first read and kept in ``rs.memo``, so a
+    caller pays only for what it asks.  A reducible system is the product
+    of its components: Hom between them is 0 by the Euler form, and each
+    grading uses the Coxeter number of the object's component."""
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
@@ -57,15 +57,12 @@ class DerivedCategory:
         self.inj_dims: Tuple[Root, ...] = tuple(map(tuple, inj))
         self._proj_index = {d: i for i, d in enumerate(self.proj_dims)}
         self._inj_index = {d: i for i, d in enumerate(self.inj_dims)}
-        self._phi: Optional[Dict[Root, int]] = None
 
     @property
     def phi(self) -> Dict[Root, int]:
         """Fine degree of each positive root in the module slice, built on
         first read by walking the inverse-translate orbit of each projective."""
-        if self._phi is None:
-            self._phi = self._build_fine_table()
-        return self._phi
+        return self.rs.cached("fine", self._build_fine_table)
 
     def _build_fine_table(self) -> Dict[Root, int]:
         rs = self.rs
@@ -96,24 +93,23 @@ class DerivedCategory:
             raise RuntimeError(f"the translate of {x} left the positive roots (bug)")
         return DerivedObject(gamma, x.shift)
 
-    def _euler(self, d: Root, e: Root) -> int:
-        """Euler form <d, e> of the bipartite quiver."""
-        return (sum(di * ei for di, ei in zip(d, e))
-                - sum(d[s] * e[t] for s, t in self.rs.arrows))
+    def _euler_row(self, g: Root) -> List[int]:
+        """The u with Euler form <g, d> = u . d: g less, at the head of each
+        arrow of the bipartite quiver, the coefficient of g at its tail."""
+        u = list(g)
+        for s, t in self.rs.arrows:
+            u[t] -= g[s]
+        return u
+
+    def _euler(self, g: Root, d: Root) -> int:
+        """Euler form <g, d> of the bipartite quiver."""
+        return sum(map(mul, self._euler_row(g), d))
 
     def euler_matrix(self) -> List[List[int]]:
         """The Euler form on positive-root ids: ``E[g][d]`` is ``_euler`` of
-        roots ``g`` and ``d`` in ``rs.positive_roots`` order.  <g, d> is the
-        dot product of d with g less, at the head of each arrow, the
-        coefficient of g at its tail, so each row is one such vector."""
+        roots ``g`` and ``d`` in ``rs.positive_roots`` order."""
         roots = self.rs.positive_roots
-        rows = []
-        for g in roots:
-            u = list(g)
-            for s, t in self.rs.arrows:
-                u[t] -= g[s]
-            rows.append([sum(map(mul, u, d)) for d in roots])
-        return rows
+        return [[sum(map(mul, u, d)) for d in roots] for u in map(self._euler_row, roots)]
 
     def _check(self, x: DerivedObject) -> None:
         if not self.rs.is_positive_root(x.beta):
@@ -181,8 +177,6 @@ class DerivedCategory:
         """Vertex (i, p) is tau^p P_i.  Coarse degree is nondecreasing in p,
         so each tau-orbit is walked once, up from p=0 and down from p=-1."""
         verts: Dict[Tuple[int, int], DerivedObject] = {}
-        if coarse_min > coarse_max:
-            return verts
         for i in range(self.rs.n):
             obj, p = DerivedObject(self.proj_dims[i], 0), 0
             while (d_c := self.coarse_degree(obj)) <= coarse_max:
@@ -220,7 +214,4 @@ class DerivedCategory:
 def derived_category(rs: RootSystem) -> DerivedCategory:
     """The category of ``rs``, built once and kept in ``rs.memo`` so that it
     lives exactly as long as the root system does."""
-    d = rs.memo.get("derived")
-    if d is None:
-        d = rs.memo["derived"] = DerivedCategory(rs)
-    return d
+    return rs.cached("derived", lambda: DerivedCategory(rs))

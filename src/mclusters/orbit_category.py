@@ -25,7 +25,7 @@ gives tau V(beta) at shift 0, or I_j[-1] for beta = P_j, in W's image.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .coloured_roots import ColouredRoot, check_coloured, coloured_ground_set, rotation_Rm
 from .derived import DerivedCategory, DerivedObject, derived_category, shift
@@ -39,7 +39,6 @@ class MClusterCategory:
         self.rs = rs
         self.m = m
         self.D: DerivedCategory = derived_category(rs)
-        self._ext_entries: Optional[Dict[Tuple[int, int], Dict[int, int]]] = None
 
     # -- fundamental domain --------------------------------------------
 
@@ -98,32 +97,32 @@ class MClusterCategory:
         u = t + 1, E the Euler form <g, d>, and 0 at every other shift.  So
         each window object V(g)[t] reads, for degree i, only the objects of
         W's image at shift t - i and at shift t - i + 1, off one matrix E
-        on positive-root ids.  Built once from one window per node, and
-        held here."""
-        if self._ext_entries is None:
-            roots = self.rs.positive_roots
-            rid = {beta: k for k, beta in enumerate(roots)}
-            E = self.D.euler_matrix()
-            objs = self.objects()
-            at_shift: Dict[int, List[Tuple[int, int]]] = {}
-            for b, Y in enumerate(objs):
-                at_shift.setdefault(Y.shift, []).append((b, rid[Y.beta]))
-            entries: Dict[Tuple[int, int], Dict[int, int]] = {}
-            for a, X in enumerate(objs):
-                window = [(E[rid[o.beta]], o.shift) for o in self._window(X)]
-                for i in range(1, self.m + 1):
-                    row: Dict[int, int] = {}
-                    for e, t in window:
-                        for b, d in at_shift.get(t - i, ()):
-                            if e[d] > 0:
-                                row[b] = row.get(b, 0) + e[d]
-                        for b, d in at_shift.get(t - i + 1, ()):
-                            if e[d] < 0:
-                                row[b] = row.get(b, 0) - e[d]
-                    if row:
-                        entries[(i, a)] = row
-            self._ext_entries = entries
-        return self._ext_entries
+        on positive-root ids: one window per node, built once."""
+        return self.rs.cached(("ext", self.m), self._build_ext_entries)
+
+    def _build_ext_entries(self) -> Dict[Tuple[int, int], Dict[int, int]]:
+        roots = self.rs.positive_roots
+        rid = {beta: k for k, beta in enumerate(roots)}
+        E = self.D.euler_matrix()
+        objs = self.objects()
+        at_shift: Dict[int, List[Tuple[int, int]]] = {}
+        for b, Y in enumerate(objs):
+            at_shift.setdefault(Y.shift, []).append((b, rid[Y.beta]))
+        entries: Dict[Tuple[int, int], Dict[int, int]] = {}
+        for a, X in enumerate(objs):
+            window = [(E[rid[o.beta]], o.shift) for o in self._window(X)]
+            for i in range(1, self.m + 1):
+                row: Dict[int, int] = {}
+                for e, t in window:
+                    for b, d in at_shift.get(t - i, ()):
+                        if e[d] > 0:
+                            row[b] = row.get(b, 0) + e[d]
+                    for b, d in at_shift.get(t - i + 1, ()):
+                        if e[d] < 0:
+                            row[b] = row.get(b, 0) - e[d]
+                if row:
+                    entries[(i, a)] = row
+        return entries
 
     def compatible(self, x: ColouredRoot, y: ColouredRoot) -> bool:
         X, Y = self.W(x), self.W(y)
@@ -147,11 +146,7 @@ class MClusterCategory:
 def mcluster_category(rs: RootSystem, m: int) -> MClusterCategory:
     """The m-cluster category of ``rs``, built once per ``m`` and kept in
     ``rs.memo`` so that it lives exactly as long as the root system does."""
-    key = ("mcluster", m)
-    cat = rs.memo.get(key)
-    if cat is None:
-        cat = rs.memo[key] = MClusterCategory(rs, m)
-    return cat
+    return rs.cached(("mcluster", m), lambda: MClusterCategory(rs, m))
 
 
 def compatible_categorical(rs: RootSystem, m: int, x: ColouredRoot, y: ColouredRoot) -> bool:

@@ -14,7 +14,7 @@ tuples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 Root = Tuple[int, ...]
 
@@ -52,25 +52,29 @@ class DynkinType:
 
 def parse_type(text: str) -> DynkinType:
     text = text.strip()
-    if len(text) < 2 or text[0].upper() not in "ADE":
+    try:
+        rank = int(text[1:])
+    except ValueError:
+        rank = None
+    if rank is None or text[0].upper() not in "ADE":
         raise ValueError(f"cannot parse Dynkin type {text!r}")
-    return DynkinType(text[0].upper(), int(text[1:]))
+    return DynkinType(text[0].upper(), rank)
 
 
 class RootSystem:
     """A (possibly reducible) simply-laced root system on a fixed diagram.
 
     The root data are fixed at construction and instances hash by
-    identity.  ``memo`` holds the categories built from a system (see
-    ``derived_category`` and ``mcluster_category``), so they are freed
-    together with it.
+    identity.  Everything built from a system, such as its categories,
+    fine table, Ext entries and rotation tables, is kept in ``memo`` by
+    ``cached``, so it is freed together with the system.
     """
 
     def __init__(self, n: int, edges: Sequence[Tuple[int, int]],
                  dynkin_type: Optional[DynkinType] = None,
                  I_plus: Optional[Iterable[int]] = None):
         self.type = dynkin_type
-        self.memo: Dict[object, object] = {}
+        self.memo: Dict[object, Any] = {}
         self.n = n
         self.edges: Tuple[Tuple[int, int], ...] = tuple(sorted(tuple(sorted(e)) for e in edges))
         self.cartan: Tuple[Tuple[int, ...], ...] = self._build_cartan()
@@ -114,6 +118,12 @@ class RootSystem:
             2 * count // len(comp) for comp, count in zip(self.components, counts))
         self.coxeter_number_at: Tuple[int, ...] = tuple(
             self.coxeter_numbers[component_of[v]] for v in range(n))
+
+    def cached(self, key: object, build: Callable[[], Any]) -> Any:
+        """``memo[key]``, from ``build()`` on first use."""
+        if key not in self.memo:
+            self.memo[key] = build()
+        return self.memo[key]
 
     @property
     def h(self) -> int:

@@ -3,9 +3,13 @@ import collections
 import json
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mclusters
 from mclusters import cli, cluster_complex, derived, orbit_category
 from mclusters.cli import main
 from mclusters.coloured_roots import ColouredRoot
@@ -99,6 +103,22 @@ class TestCompat:
             code, out, err = run(capsys, "compat", "--type", "A2", "--", text, "1,1")
             assert code == 2 and out == ""
             assert err == "error: negative simple roots have colour 1\n"
+
+    @pytest.mark.parametrize("x,y,line", [
+        ("2,4,6,5,4,3,2,3", "-e3", "combinatorial: incompatible  categorical: incompatible  degree: 6"),
+        ("0,0,0,0,0,0,0,1", "-e3", "combinatorial: compatible  categorical: compatible  degree: 0")])
+    def test_one_reading_per_call(self, capsys, monkeypatch, x, y, line):
+        readings = []
+
+        def counted(*args):
+            readings.append(args)
+            return real(*args)
+
+        real = cli._reading
+        monkeypatch.setattr(cli, "_reading", counted)
+        code, out, _ = run(capsys, "compat", "--type", "E8", "--m", "1", "--", x, y)
+        assert (code, out) == (0, line + "\n")
+        assert len(readings) == 1
 
     def test_parse_failure_exits_2(self, capsys):
         assert run(capsys, "compat", "--type", "A2", "--m", "1", "--", "bogus", "-e1")[0] == 2
@@ -451,7 +471,7 @@ class TestCorruptedComplex:
         assert f"FAIL  complement count = 3: {ridges} almost-complete sets" in out
         a3 = cli.build_root_system(cli.parse_type("A3"))
         walk = cluster_complex.walk_faces(cli.build_graph(a3, 2))
-        assert bool(walk.oversized) == (case == "merge")
+        assert (max(walk.facet_sizes) > a3.n) == (case == "merge")
         data = cluster_complex.complex_to_json(a3, 2, "combinatorial")
         assert len(data["facets"]) == facets and data["f_vector"][2] == ridges
         assert data["verification"]["theorem2"] == theorem2.lower()
@@ -466,6 +486,9 @@ class TestExportZq:
 
     def test_bad_window_exits_2(self, capsys):
         assert run(capsys, "export-zq", "--type", "A2", "--window", "zzz")[0] == 2
+
+    def test_inverted_window_is_empty(self, capsys):
+        assert run(capsys, "export-zq", "--type", "A3", "--window=1:0") == (0, "digraph ZQ {\n}\n", "")
 
     def test_negative_window_as_in_readme(self, capsys):
         code, out, _ = run(capsys, "export-zq", "--type", "A3", "--window=-1:1")
@@ -483,3 +506,21 @@ class TestExportZq:
                            f"--window=0:{cli.MAX_ZQ_SPAN}")
         assert code == 0
         assert out.count("label") == cli.MAX_ZQ_SPAN + 1
+
+
+class TestClosedStdout:
+    """A reader that closes the pipe early is no internal error: the
+    command ends quietly with status 1, buffered or not."""
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    @pytest.mark.parametrize("argv", [["enumerate", "--type", "E6", "--m", "2"],
+                                      ["orbit", "--type", "E8", "--m", "1000", "--", "-e1"]])
+    def test_quiet_exit_1(self, argv, unbuffered):
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+                   PYTHONPATH=str(Path(mclusters.__file__).parent.parent))
+        with subprocess.Popen([sys.executable, "-m", "mclusters.cli", *argv], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert len(proc.stdout.read(100)) == 100
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert (proc.returncode, err) == (1, b"")

@@ -165,6 +165,9 @@ mcluster enumerate: error: argument --oracle: invalid choice: 'x' (choose from '
     (["verify", "--type", "A3", "--m", "0"], 2,
      "",
      "error: m must be in 1..1000\n"),
+    (["verify", "--type", "A2.0"], 2,
+     "",
+     "error: cannot parse Dynkin type 'A2.0'\n"),
     (["compat", "--type", "A2", "--", "1,1:x", "-e1"], 2,
      "",
      "error: cannot parse coloured root '1,1:x': invalid literal for int() with base 10: 'x'\n"),

@@ -144,7 +144,7 @@ class TestComplements:
         facets = []
         walk = walk_faces(g, facets)
         assert facets == sorted(facets)
-        assert walk.theorem2(rs.n) and walk.theorem3(m) and not walk.oversized
+        assert walk.theorem2(rs.n) and walk.theorem3(m)
         counts = ridge_counts(enumerate_facets(g))
         assert walk.ridges == dict(Counter(counts.values()))
         for ridge, count in counts.items():

@@ -9,6 +9,7 @@ from mclusters import (ColouredRoot, DerivedObject, build_root_system,
                        compatible_combinatorial, coloured_ground_set,
                        derived_category, parse_type, rotation_Rm, rotation_table, shift)
 from mclusters.cli import main
+from mclusters.cluster_complex import ORACLES, build_graph
 from mclusters.coloured_roots import compatibility_degree
 from mclusters.orbit_category import MClusterCategory, mcluster_category
 
@@ -275,6 +276,18 @@ class TestCategoryLifetime:
     def test_cached_per_system(self, a2):
         assert mcluster_category(a2, 2) is mcluster_category(a2, 2)
         assert mcluster_category(a2, 2).D is derived_category(a2)
+
+    def test_everything_built_lives_in_memo(self):
+        def build(rs):
+            for oracle in ORACLES:
+                build_graph(rs, 2, oracle)
+            d, cat = derived_category(rs), mcluster_category(rs, 2)
+            return [d.phi, cat.ext_entries(), d, cat, rotation_table(rs, 2)]
+
+        rs, fresh = system("A3"), system("A3")
+        built = build(rs)
+        assert sorted(map(id, rs.memo.values())) == sorted(map(id, built))
+        assert not {id(v) for v in build(fresh)} & set(map(id, built))
 
     def test_freed_with_root_system(self):
         alive = []
