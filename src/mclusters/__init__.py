@@ -6,8 +6,6 @@ from .root_system import (DynkinType, Root, RootSystem, build_root_system,
 from .coloured_roots import (ColouredRoot, RotationTable, compatibility_degree,
                              compatible_combinatorial, coloured_ground_set,
                              rotation_R, rotation_Rm, rotation_table, tau_eps)
-from .quiver_rep import (BipartiteQuiver, Representation, ext1_dim, euler_form,
-                         hom_dim, indecomposable_for_root, injective, projective)
 from .derived import DerivedCategory, DerivedObject, derived_category, shift
 from .orbit_category import (MClusterCategory, compatible_categorical,
                              mcluster_category)
@@ -35,3 +33,17 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+# The module witness (``quiver_rep``, with its ``Fraction`` linear algebra)
+# is no part of what ``mcluster`` runs, so it is imported on first access
+# to one of its names, not with the package.
+_WITNESS = ("BipartiteQuiver", "Representation", "ext1_dim", "euler_form", "hom_dim",
+            "indecomposable_for_root", "injective", "projective")
+
+
+def __getattr__(name: str):
+    if name in _WITNESS:
+        from . import quiver_rep
+        value = globals()[name] = getattr(quiver_rep, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

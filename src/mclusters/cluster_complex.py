@@ -10,8 +10,7 @@ tests compare the walk with.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .coloured_roots import (ColouredRoot, coloured_ground_set, coloured_to_json,
                              rotation_table)
@@ -21,31 +20,34 @@ from .root_system import RootSystem, parabolic
 ORACLES = ("combinatorial", "categorical")
 
 
-@dataclass
 class CompatibilityGraph:
     """One ``int`` row per node: bit ``b`` of ``adjacency[a]`` is set when
     nodes ``a`` and ``b`` are compatible, so bit ``a`` of row ``a`` is set."""
-    rs: RootSystem
-    m: int
-    oracle_tag: str
-    nodes: List[ColouredRoot]
-    adjacency: List[int]
+
+    def __init__(self, rs: RootSystem, m: int, oracle_tag: str,
+                 nodes: List[ColouredRoot], adjacency: List[int]):
+        self.rs = rs
+        self.m = m
+        self.oracle_tag = oracle_tag
+        self.nodes = nodes
+        self.adjacency = adjacency
 
 
-@dataclass(frozen=True)
-class TiltingSet:
+class TiltingSet(NamedTuple):
     indices: Tuple[int, ...]
 
 
-@dataclass
 class FaceWalk:
     """What ``walk_faces`` counts: faces of each size (the f-vector),
     facets of each size, and a histogram of the number of nodes compatible
     with each face one smaller than the rank (a ridge; the empty face in
     rank 1)."""
-    f_vector: List[int]
-    facet_sizes: Dict[int, int]
-    ridges: Dict[int, int]
+
+    def __init__(self, f_vector: List[int], facet_sizes: Dict[int, int],
+                 ridges: Dict[int, int]):
+        self.f_vector = f_vector
+        self.facet_sizes = facet_sizes
+        self.ridges = ridges
 
     def theorem2(self, rank: int) -> bool:
         """Every facet has ``rank`` elements.  The facet sizes alone settle
@@ -59,12 +61,15 @@ class FaceWalk:
         return all(count == m + 1 for count in self.ridges)
 
 
-@dataclass
 class Report:
-    name: str
-    passed: bool
-    checked: int
-    failures: List = field(default_factory=list)
+    """The verdict of one check: ``checked`` cases, ``failures`` the ones
+    that failed."""
+
+    def __init__(self, name: str, passed: bool, checked: int, failures: List):
+        self.name = name
+        self.passed = passed
+        self.checked = checked
+        self.failures = failures
 
 
 def _pairwise(size: int, verdict: Callable[[int, int], bool]) -> List[int]:

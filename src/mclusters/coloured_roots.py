@@ -13,14 +13,12 @@ permutation of node ids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .root_system import Root, RootSystem
 
 
-@dataclass(frozen=True, order=True)
-class ColouredRoot:
+class ColouredRoot(NamedTuple):
     root: Root
     colour: int = 1
 
@@ -45,6 +43,14 @@ def check_coloured(rs: RootSystem, m: int, x: ColouredRoot) -> None:
         raise ValueError(f"colour {x.colour} out of range [1, {m}]")
 
 
+def _tau(rs: RootSystem, eps: int, beta: Root) -> Root:
+    """``tau_eps`` on an almost positive root, unchecked."""
+    neg = rs.negative_simple_index(beta)
+    if neg is not None and neg in (rs.I_minus if eps == 1 else rs.I_plus):
+        return beta
+    return rs.reflect_part(rs.plus_order if eps == 1 else rs.minus_order, beta)
+
+
 def tau_eps(rs: RootSystem, eps: int, beta: Root) -> Root:
     """Deformed half-rotation: fixes -alpha_i for i in the opposite part,
     otherwise applies the product of the simple reflections of one part
@@ -52,22 +58,25 @@ def tau_eps(rs: RootSystem, eps: int, beta: Root) -> Root:
     if eps not in (1, -1):
         raise ValueError("eps must be +1 or -1")
     _check_almost_positive(rs, beta)
-    fixed_part = rs.I_minus if eps == 1 else rs.I_plus
-    neg = rs.negative_simple_index(beta)
-    if neg is not None and neg in fixed_part:
-        return beta
-    return rs.reflect_part(rs.plus_order if eps == 1 else rs.minus_order, beta)
+    return _tau(rs, eps, beta)
 
 
 def rotation_R(rs: RootSystem, beta: Root) -> Root:
-    return tau_eps(rs, 1, tau_eps(rs, -1, beta))
+    _check_almost_positive(rs, beta)
+    return _tau(rs, 1, _tau(rs, -1, beta))
+
+
+def _step(rs: RootSystem, m: int, x: ColouredRoot) -> ColouredRoot:
+    """``R_m`` on a member of the ground set, unchecked: the rotation maps
+    the ground set to itself, so a checked start stays valid."""
+    if x.colour < m and rs.is_positive_root(x.root):
+        return ColouredRoot(x.root, x.colour + 1)
+    return ColouredRoot(_tau(rs, 1, _tau(rs, -1, x.root)), 1)
 
 
 def rotation_Rm(rs: RootSystem, m: int, x: ColouredRoot) -> ColouredRoot:
     check_coloured(rs, m, x)
-    if rs.is_positive_root(x.root) and x.colour < m:
-        return ColouredRoot(x.root, x.colour + 1)
-    return ColouredRoot(rotation_R(rs, x.root), 1)
+    return _step(rs, m, x)
 
 
 def coloured_ground_set(rs: RootSystem, m: int) -> List[ColouredRoot]:
@@ -85,15 +94,16 @@ def _rotation_cap(rs: RootSystem, m: int) -> int:
 def _reading(rs: RootSystem, m: int, x: ColouredRoot, y: ColouredRoot) -> int:
     """Rotate the pair jointly by ``R_m`` until one entry is a negative
     simple -alpha_i, then read coefficient i of the other entry, or 0 if
-    it is a negative simple too."""
+    it is a negative simple too.  Both entries must lie in the ground
+    set; the steps do not check them again."""
     for _ in range(_rotation_cap(rs, m)):
         i, other = rs.negative_simple_index(x.root), y
         if i is None:
             i, other = rs.negative_simple_index(y.root), x
         if i is not None:
             return 0 if rs.negative_simple_index(other.root) is not None else other.root[i]
-        x = rotation_Rm(rs, m, x)
-        y = rotation_Rm(rs, m, y)
+        x = _step(rs, m, x)
+        y = _step(rs, m, y)
     raise RuntimeError("rotation cap exceeded; no negative simple reached (bug)")
 
 
@@ -127,7 +137,7 @@ class RotationTable:
     def __init__(self, rs: RootSystem, m: int):
         self.nodes: Tuple[ColouredRoot, ...] = tuple(coloured_ground_set(rs, m))
         index = {x: k for k, x in enumerate(self.nodes)}
-        self.perm: Tuple[int, ...] = tuple(index[rotation_Rm(rs, m, x)] for x in self.nodes)
+        self.perm: Tuple[int, ...] = tuple(index[_step(rs, m, x)] for x in self.nodes)
         self.neg: Tuple[Optional[int], ...] = tuple(
             rs.negative_simple_index(x.root) for x in self.nodes)
         cap = _rotation_cap(rs, m)
@@ -165,7 +175,7 @@ class RotationTable:
 def rotation_table(rs: RootSystem, m: int) -> RotationTable:
     """The rotation table of ``(rs, m)``, built once and kept in
     ``rs.memo`` so that it lives exactly as long as the root system does.
-    A table costs one ``rotation_Rm`` per node, far more than rotating a
+    A table costs one rotation step per node, far more than rotating a
     single pair, so the per-pair functions above serve one-off questions."""
     return rs.cached(("rotation", m), lambda: RotationTable(rs, m))
 

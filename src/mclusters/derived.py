@@ -16,15 +16,13 @@ and is the witness the tests compare against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .root_system import Root, RootSystem
 
 
-@dataclass(frozen=True, order=True)
-class DerivedObject:
+class DerivedObject(NamedTuple):
     beta: Root
     shift: int
 

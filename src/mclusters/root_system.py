@@ -13,8 +13,8 @@ tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 Root = Tuple[int, ...]
 
@@ -22,19 +22,26 @@ _RANK_BOUNDS = {"A": 1, "D": 4}
 _E_RANKS = {6, 7, 8}
 
 
-@dataclass(frozen=True)
-class DynkinType:
+class _DynkinFields(NamedTuple):
     family: str
     rank: int
 
-    def __post_init__(self) -> None:
-        if self.family not in ("A", "D", "E"):
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.family == "E":
-            if self.rank not in _E_RANKS:
-                raise ValueError(f"E rank must be 6, 7 or 8, got {self.rank}")
-        elif self.rank < _RANK_BOUNDS[self.family]:
-            raise ValueError(f"{self.family} rank must be >= {_RANK_BOUNDS[self.family]}, got {self.rank}")
+
+class DynkinType(_DynkinFields):
+    """A family and a rank, checked on construction.  A ``NamedTuple``
+    cannot define ``__new__`` in its own body, so the check sits on a
+    subclass of the field tuple."""
+    __slots__ = ()
+
+    def __new__(cls, family: str, rank: int) -> "DynkinType":
+        if family not in ("A", "D", "E"):
+            raise ValueError(f"unknown family {family!r}")
+        if family == "E":
+            if rank not in _E_RANKS:
+                raise ValueError(f"E rank must be 6, 7 or 8, got {rank}")
+        elif rank < _RANK_BOUNDS[family]:
+            raise ValueError(f"{family} rank must be >= {_RANK_BOUNDS[family]}, got {rank}")
+        return super().__new__(cls, family, rank)
 
     def edges(self) -> Tuple[Tuple[int, int], ...]:
         n = self.rank
@@ -51,14 +58,14 @@ class DynkinType:
 
 
 def parse_type(text: str) -> DynkinType:
+    """A family letter and a rank: an optional ``-`` and ASCII digits, so
+    that a negative or zero rank gets its range message, but ``int()``'s
+    underscores, signs, spaces and non-ASCII digits are refused."""
     text = text.strip()
-    try:
-        rank = int(text[1:])
-    except ValueError:
-        rank = None
-    if rank is None or text[0].upper() not in "ADE":
+    digits = text[2:] if text[1:2] == "-" else text[1:]
+    if not (digits.isascii() and digits.isdigit()) or text[0].upper() not in "ADE":
         raise ValueError(f"cannot parse Dynkin type {text!r}")
-    return DynkinType(text[0].upper(), rank)
+    return DynkinType(text[0].upper(), int(text[1:]))
 
 
 class RootSystem:

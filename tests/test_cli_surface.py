@@ -168,6 +168,26 @@ mcluster enumerate: error: argument --oracle: invalid choice: 'x' (choose from '
     (["verify", "--type", "A2.0"], 2,
      "",
      "error: cannot parse Dynkin type 'A2.0'\n"),
+    # The rank is an optional "-" and ASCII digits: int() would also read
+    # these as 10, 2, 2 and 3.
+    (["verify", "--type", "A1_0"], 2,
+     "",
+     "error: cannot parse Dynkin type 'A1_0'\n"),
+    (["verify", "--type", "A +2"], 2,
+     "",
+     "error: cannot parse Dynkin type 'A +2'\n"),
+    (["verify", "--type", "A+2"], 2,
+     "",
+     "error: cannot parse Dynkin type 'A+2'\n"),
+    (["verify", "--type", "A\u0663"], 2,
+     "",
+     "error: cannot parse Dynkin type 'A\u0663'\n"),
+    (["verify", "--type", "A0"], 2,
+     "",
+     "error: A rank must be >= 1, got 0\n"),
+    (["verify", "--type", "A-1"], 2,
+     "",
+     "error: A rank must be >= 1, got -1\n"),
     (["compat", "--type", "A2", "--", "1,1:x", "-e1"], 2,
      "",
      "error: cannot parse coloured root '1,1:x': invalid literal for int() with base 10: 'x'\n"),
