@@ -29,14 +29,14 @@ from .cluster_complex import (build_graph, complex_to_json, verify_vertex_deleti
 from .coloured_roots import ColouredRoot, _reading, check_coloured, rotation_Rm, rotation_table
 from .derived import derived_category
 from .orbit_category import compatible_categorical, mcluster_category
-from .root_system import RootSystem, build_root_system, parse_type
+from .root_system import RootSystem, build_root_system, parse_int, parse_type
 
 
 # Larger inputs exit 2 at once instead of hanging.  ``export-zq`` walks
 # from coarse degree 0 to each end of its window.  The Fuss-Catalan facet
 # count bounds the facet list that ``enumerate`` holds, ``face_bound`` the
-# face walk, and the entries that the sparse Ext build visits bound the
-# categorical graph and the Ext checks.  All are known before any work.
+# face walk, and 6*m*N*|Phi+| the Hom table and the Ext instances that the
+# categorical graph and the Ext checks read.  All are known before any work.
 MAX_M = 1000
 MAX_RANK = 32
 MAX_ZQ_SPAN = 2000
@@ -50,19 +50,16 @@ class UsageError(ValueError):
 
 
 def parse_coloured_root(rs: RootSystem, m: int, text: str) -> ColouredRoot:
-    root_text = text.strip()
     try:
-        colour = 1
-        if ":" in root_text:
-            root_text, colour_text = root_text.rsplit(":", 1)
-            colour = int(colour_text)
+        root_text, sep, colour_text = text.strip().partition(":")
+        colour = parse_int(colour_text) if sep else 1
         if root_text.startswith("-e"):
-            i = int(root_text[2:])
+            i = parse_int(root_text[2:])
             if not 1 <= i <= rs.n:
                 raise UsageError(f"negative simple index {i} out of range 1..{rs.n}")
             coeffs = rs.negative_simple(i - 1)
         else:
-            coeffs = tuple(int(c) for c in root_text.split(","))
+            coeffs = tuple(map(parse_int, root_text.split(",")))
     except UsageError:
         raise
     except ValueError as exc:
@@ -102,9 +99,10 @@ def face_bound(rs: RootSystem, m: int) -> Tuple[int, int]:
 
 
 def _bound_work(rs: RootSystem, m: int, categorical: bool) -> None:
-    """Refuse an instance past a bound.  The sparse Ext build reads, per
-    node, degree and window object, two shift groups of at most |Phi+|
-    objects: 6*m*N*|Phi+| entries for N nodes, at least the N*N pairs."""
+    """Refuse an instance past a bound.  For N nodes, the Hom table build
+    reads 4*N*|Phi+| entries (two shift groups of at most |Phi+| objects
+    for each of G^-1 X and X), and the graph and the Ext checks make
+    m*|H| <= 4*m*N*|Phi+| instance visits; 6*m*N*|Phi+| >= N*N bounds them."""
     facets, faces = face_bound(rs, m)
     if facets > MAX_FACETS:
         raise UsageError(f"{rs.type} at m={m} has {facets} facets, more than {MAX_FACETS}")
@@ -237,7 +235,7 @@ def cmd_orbit(args: argparse.Namespace) -> int:
 def cmd_export_zq(args: argparse.Namespace) -> int:
     rs = _root_system(args)
     try:
-        lo, hi = (int(p) for p in args.window.split(":"))
+        lo, hi = map(parse_int, args.window.split(":"))
     except ValueError:
         raise UsageError(f"cannot parse window {args.window!r}; expected LO:HI") from None
     if max(hi, 0) - min(lo, 0) > MAX_ZQ_SPAN:
@@ -261,8 +259,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             failures += 1
 
     g_comb = build_graph(rs, m, "combinatorial")
-    ground = g_comb.nodes
-    size = len(ground)
+    size = len(g_comb.nodes)
     g_cat = build_graph(rs, m, "categorical")
     record("oracle equivalence", g_comb.adjacency == g_cat.adjacency,
            f"{size} nodes, {size * (size + 1) // 2} pairs")
@@ -277,19 +274,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
     record("parabolic restriction", all(rep.passed for rep in parab),
            f"{sum(rep.checked for rep in parab)} supported pairs")
 
-    rot_ok = all(cat.shift_matches_rotation(x) for x in ground)
-    record("rotation matches shift", rot_ok, f"{size} coloured roots")
+    record("rotation matches shift", cat.shift_permutation() == rotation_table(rs, m).perm,
+           f"{size} coloured roots")
 
-    # Only nonzero dimensions are stored, so the entries and their mirrors
-    # agree exactly when the dense table is symmetric.
-    ext = cat.ext_entries()
-    sym_ok = all(ext.get((m + 1 - i, b), {}).get(a) == value
-                 for (i, a), row in ext.items() for b, value in row.items())
+    # Only nonzero instances are generated, so they and their mirrors agree
+    # exactly when the dense table is symmetric.
+    ext = cat.ext_by_id()
+    sym_ok = all(ext(m + 1 - i, b, a) == value for i, a, b, value in cat.ext_instances())
     record("Ext dimension symmetry", sym_ok, f"{size ** 2 * m} (pair, degree) instances")
 
     if m == 1:
         table = rotation_table(rs, 1)
-        deg_ok = all(ext.get((1, a), {}).get(b, 0) == table.degree(a, b)
+        deg_ok = all(ext(1, a, b) == table.degree(a, b)
                      for a in range(size) for b in range(size))
         record("Ext^1 = compatibility degree", deg_ok, f"{size ** 2} ordered pairs")
 

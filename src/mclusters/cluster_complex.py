@@ -85,9 +85,9 @@ def _pairwise(size: int, verdict: Callable[[int, int], bool]) -> List[int]:
 def build_graph(rs: RootSystem, m: int, oracle: str = "combinatorial") -> CompatibilityGraph:
     """The compatibility graph on ``coloured_ground_set(rs, m)``.  The
     combinatorial oracle is read off the rotation table of ``(rs, m)``,
-    the categorical one off the nonzero Ext entries of its m-cluster
+    the categorical one off the nonzero Ext instances of its m-cluster
     category: two nodes are compatible when every Ext^i between their W
-    images vanishes, so each entry (i, a, b) with b >= a clears the pair.
+    images vanishes, so each instance (i, a, b) with b >= a clears the pair.
     A reducible system is no special case: Ext between components is 0."""
     if oracle not in ORACLES:
         raise ValueError(f"oracle must be one of {ORACLES}")
@@ -97,11 +97,10 @@ def build_graph(rs: RootSystem, m: int, oracle: str = "combinatorial") -> Compat
                                   _pairwise(len(table.nodes), table.compatible))
     nodes = coloured_ground_set(rs, m)
     rows = [(1 << len(nodes)) - 1] * len(nodes)
-    for (_, a), entry in mcluster_category(rs, m).ext_entries().items():
-        for b in entry:
-            if b >= a:
-                rows[a] &= ~(1 << b)
-                rows[b] &= ~(1 << a)
+    for _, a, b, _ in mcluster_category(rs, m).ext_instances():
+        if b >= a:
+            rows[a] &= ~(1 << b)
+            rows[b] &= ~(1 << a)
     return CompatibilityGraph(rs, m, oracle, nodes, rows)
 
 

@@ -1,20 +1,22 @@
-"""Orbit-category model: the W bijection, orbit Ext dimensions, and the
-categorical compatibility oracle.
+"""Orbit-category model: the W bijection, Hom and Ext between orbits, the
+shift on node ids, and the categorical compatibility oracle.
 
 Objects are canonical derived representatives in the fundamental domain
 for the automorphism G = (inverse translate) o [m], i.e. with fine degree
-in [-mh+1, 2], h the Coxeter number of the object's component.  Ext^i
-between orbits is the sum over p of the derived Hom spaces
-Hom(G^p X, Y[i]), and for X and Y in the image of W only p in {-1, 0, 1}
-can contribute:
+in [-mh+1, 2], h the Coxeter number of the object's component.  Hom
+between orbits is the sum over p of the derived Hom spaces Hom(G^p X, Z),
+and Ext^i(X, Y) = Hom(X, Y[i]).  For X, Y and Z in the image of W only p
+in {-1, 0, 1} can contribute to Ext, and only p in {-1, 0} to Hom:
 
 * an object of W's image has shift in [-1, m-1], and shift -1 only for
   an injective, so Y[i] has shift in [0, 2m-1];
 * Hom(A[v], B[u]) = 0 unless u - v is 0 or 1 (the algebra is hereditary);
 * G raises the shift by m, or by m+1 when it passes an injective, since
-  the inverse translate of I_j is P_j[1].  So G^2 X has shift >= 2m (for
-  X = I_j[-1], G X = P_j[m]) and G^-2 X has shift <= -m-1 <= -2, and
-  neither can map to any Y[i].
+  the inverse translate of I_j is P_j[1].  So G X has shift >= m (for
+  X = I_j[-1], G X = P_j[m]), above every Z, and G^2 X has shift >= 2m;
+  G^-2 X has shift <= -m-1 <= -2, so it maps to no Y[i]; it lies two
+  shifts below every Z, but at m = 1 it can lie one below an injective
+  Z = I_j[-1], and Hom(A[-2], I_j[-1]) = Ext^1(A, I_j) = 0.
 
 R_m becomes the shift [1]: W(R_m x) is W(x)[1] in the fundamental domain,
 at most one G^-1 step away.  Below colour m, W(x)[1] is W of the next
@@ -25,7 +27,7 @@ gives tau V(beta) at shift 0, or I_j[-1] for beta = P_j, in W's image.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, Iterator, List, Tuple
 
 from .coloured_roots import ColouredRoot, check_coloured, coloured_ground_set, rotation_Rm
 from .derived import DerivedCategory, DerivedObject, derived_category, shift
@@ -88,41 +90,67 @@ class MClusterCategory:
         target = shift(y, i)
         return sum(self.D.hom(o, target) for o in self._window(x))
 
-    def ext_entries(self) -> Dict[Tuple[int, int], Dict[int, int]]:
-        """Every nonzero orbit Ext dimension by node id: ``entries[(i, a)][b]``
-        is Ext^i(W(a), W(b)) for ids ``a``, ``b`` in ``coloured_ground_set``
-        order, the order of ``RotationTable.nodes``; no zero is stored.
+    def hom_entries(self) -> List[Dict[int, int]]:
+        """Every nonzero Hom between orbits: ``H[a][c]`` is Hom(W(a), W(c))
+        for node ids.  Hom(V(g)[t], V(d)[u]) is max(E, 0) at u = t,
+        max(-E, 0) at u = t + 1 and 0 otherwise, E the Euler form <g, d>, so
+        G^-1 X and X each read W's image at two shifts off one matrix E."""
+        return self.rs.cached(("hom", self.m), self._build_hom_entries)
 
-        Hom(V(g)[t], V(d)[u]) is max(E, 0) at u = t and max(-E, 0) at
-        u = t + 1, E the Euler form <g, d>, and 0 at every other shift.  So
-        each window object V(g)[t] reads, for degree i, only the objects of
-        W's image at shift t - i and at shift t - i + 1, off one matrix E
-        on positive-root ids: one window per node, built once."""
-        return self.rs.cached(("ext", self.m), self._build_ext_entries)
-
-    def _build_ext_entries(self) -> Dict[Tuple[int, int], Dict[int, int]]:
-        roots = self.rs.positive_roots
-        rid = {beta: k for k, beta in enumerate(roots)}
+    def _build_hom_entries(self) -> List[Dict[int, int]]:
+        rid = {beta: k for k, beta in enumerate(self.rs.positive_roots)}
         E = self.D.euler_matrix()
         objs = self.objects()
         at_shift: Dict[int, List[Tuple[int, int]]] = {}
-        for b, Y in enumerate(objs):
-            at_shift.setdefault(Y.shift, []).append((b, rid[Y.beta]))
-        entries: Dict[Tuple[int, int], Dict[int, int]] = {}
-        for a, X in enumerate(objs):
-            window = [(E[rid[o.beta]], o.shift) for o in self._window(X)]
-            for i in range(1, self.m + 1):
-                row: Dict[int, int] = {}
-                for e, t in window:
-                    for b, d in at_shift.get(t - i, ()):
-                        if e[d] > 0:
-                            row[b] = row.get(b, 0) + e[d]
-                    for b, d in at_shift.get(t - i + 1, ()):
-                        if e[d] < 0:
-                            row[b] = row.get(b, 0) - e[d]
-                if row:
-                    entries[(i, a)] = row
-        return entries
+        for c, Z in enumerate(objs):
+            at_shift.setdefault(Z.shift, []).append((c, rid[Z.beta]))
+        H = []
+        for X in objs:
+            row: Dict[int, int] = {}
+            for o in (self.G_inverse(X), X):
+                e = E[rid[o.beta]]
+                for u, sign in ((o.shift, 1), (o.shift + 1, -1)):
+                    for c, d in at_shift.get(u, ()):
+                        if sign * e[d] > 0:
+                            row[c] = row.get(c, 0) + sign * e[d]
+            H.append(row)
+        return H
+
+    def _land(self, y: DerivedObject) -> DerivedObject:
+        """W(x)[1] in the fundamental domain, at most one G^-1 step away."""
+        return y if self.in_domain(y) else self.G_inverse(y)
+
+    def shift_permutation(self) -> Tuple[int, ...]:
+        """The shift [1] on node ids, read off the category alone and never
+        off ``RotationTable``, so that comparing the two is a check."""
+        return self.rs.cached(("shift", self.m), self._build_shift)
+
+    def _build_shift(self) -> Tuple[int, ...]:
+        objs = self.objects()
+        index = {obj: k for k, obj in enumerate(objs)}
+        return tuple(index[self._land(shift(obj, 1))] for obj in objs)
+
+    def ext_by_id(self) -> Callable[[int, int, int], int]:
+        """Ext^i(W(a), W(b)) as a function of ``(i, a, b)``, ``i`` in 1..m.
+        Ext^i(X, Y) = Hom(X, Y[i]), and Y[i] lies in the orbit of
+        W(sigma^i(b)) for Y = W(b), so it is H(a, sigma^i(b)), read off the
+        powers sigma^0..sigma^m, which live as long as the function."""
+        H, sigma = self.hom_entries(), self.shift_permutation()
+        powers = [tuple(range(len(sigma)))]
+        while len(powers) <= self.m:
+            powers.append(tuple(sigma[b] for b in powers[-1]))
+        return lambda i, a, b: H[a].get(powers[i][b], 0)
+
+    def ext_instances(self) -> Iterator[Tuple[int, int, int, int]]:
+        """Every nonzero Ext^i(W(a), W(b)) as ``(i, a, b, value)``: each
+        stored H(a, c) is Ext^i(a, b) at b = sigma^-i(c), for i = 1..m."""
+        sigma = self.shift_permutation()
+        inverse = sorted(range(len(sigma)), key=sigma.__getitem__)
+        for a, row in enumerate(self.hom_entries()):
+            for c, value in row.items():
+                for i in range(1, self.m + 1):
+                    c = inverse[c]  # sigma^-i of the stored column
+                    yield i, a, c, value
 
     def compatible(self, x: ColouredRoot, y: ColouredRoot) -> bool:
         X, Y = self.W(x), self.W(y)
@@ -131,12 +159,9 @@ class MClusterCategory:
     # -- executable lemma checks ---------------------------------------
 
     def shift_matches_rotation(self, x: ColouredRoot) -> bool:
-        """Whether W(R_m x) is W(x)[1], moved into the fundamental domain by
-        one G^-1 step when it lies outside (see the module docstring)."""
-        y = shift(self.W(x), 1)
-        if not self.in_domain(y):
-            y = self.G_inverse(y)
-        return self.W(rotation_Rm(self.rs, self.m, x)) == y
+        """Whether W(R_m x) is W(x)[1] in the fundamental domain: the lemma
+        that ``shift_permutation`` states for every node at once."""
+        return self.W(rotation_Rm(self.rs, self.m, x)) == self._land(shift(self.W(x), 1))
 
     def ext_symmetry(self, x: DerivedObject, y: DerivedObject, i: int) -> bool:
         """Calabi-Yau style dimension symmetry Ext^i(X,Y) = Ext^{m+1-i}(Y,X)."""

@@ -57,15 +57,26 @@ class DynkinType(_DynkinFields):
         return f"{self.family}{self.rank}"
 
 
+def parse_int(text: str) -> int:
+    """``int(text)`` for an optional ``-`` and ASCII digits only, refusing
+    ``int()``'s underscores, ``+``, spaces and non-ASCII digits."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
 def parse_type(text: str) -> DynkinType:
-    """A family letter and a rank: an optional ``-`` and ASCII digits, so
-    that a negative or zero rank gets its range message, but ``int()``'s
-    underscores, signs, spaces and non-ASCII digits are refused."""
+    """A family letter and a rank read by ``parse_int``, so that a negative
+    or zero rank gets its range message."""
     text = text.strip()
-    digits = text[2:] if text[1:2] == "-" else text[1:]
-    if not (digits.isascii() and digits.isdigit()) or text[0].upper() not in "ADE":
+    try:
+        rank = parse_int(text[1:])
+    except ValueError:
+        rank = None
+    if rank is None or text[0].upper() not in "ADE":
         raise ValueError(f"cannot parse Dynkin type {text!r}")
-    return DynkinType(text[0].upper(), int(text[1:]))
+    return DynkinType(text[0].upper(), rank)
 
 
 class RootSystem:
@@ -73,7 +84,7 @@ class RootSystem:
 
     The root data are fixed at construction and instances hash by
     identity.  Everything built from a system, such as its categories,
-    fine table, Ext entries and rotation tables, is kept in ``memo`` by
+    fine table, Hom table, shift and rotation tables, is kept in ``memo`` by
     ``cached``, so it is freed together with the system.
     """
 

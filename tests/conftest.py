@@ -69,13 +69,13 @@ def reduce_walk(cat, x):
 
 
 def dense_ext(cat):
-    """The whole Ext table of ``cat`` from its sparse entries:
-    ``table[i-1][a][b]`` is Ext^i(W(a), W(b)), 0 where no entry is stored."""
+    """The whole Ext table of ``cat`` from its nonzero Ext instances, read
+    off the Hom table through powers of the shift: ``table[i-1][a][b]`` is
+    Ext^i(W(a), W(b)), 0 where no instance is generated."""
     size = cat.m * len(cat.rs.positive_roots) + cat.rs.n
     table = [[[0] * size for _ in range(size)] for _ in range(cat.m)]
-    for (i, a), row in cat.ext_entries().items():
-        for b, value in row.items():
-            table[i - 1][a][b] = value
+    for i, a, b, value in cat.ext_instances():
+        table[i - 1][a][b] = value
     return table
 
 

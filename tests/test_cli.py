@@ -1,5 +1,6 @@
 import argparse
 import collections
+import copy
 import json
 import os
 import stat
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import mclusters
-from mclusters import cli, cluster_complex, derived, orbit_category
+from mclusters import cli, cluster_complex, derived
 from mclusters.cli import main
 from mclusters.coloured_roots import ColouredRoot
 from mclusters.orbit_category import MClusterCategory
@@ -347,21 +348,20 @@ class TestVerify:
         assert len(built) == 1 + 4  # D4 and one subsystem per deleted vertex
 
     def test_each_orbit_ext_evaluated_once(self, capsys, monkeypatch):
-        windows, exts = collections.Counter(), []
-        real = MClusterCategory._window
+        # One Hom table and one shift per category, and no per-pair Ext.
+        builds, exts = collections.Counter(), []
+        for name in ("_build_hom_entries", "_build_shift"):
+            def spy(self, real=getattr(MClusterCategory, name), name=name):
+                builds[(self, name)] += 1
+                return real(self)
 
-        def spy(self, x):
-            windows[(self, x)] += 1
-            return real(self, x)
-
-        monkeypatch.setattr(MClusterCategory, "_window", spy)
+            monkeypatch.setattr(MClusterCategory, name, spy)
         monkeypatch.setattr(MClusterCategory, "ext", lambda *args: exts.append(args))
         code, out, _ = run(capsys, "verify", "--type", "A4", "--m", "2")
         assert code == 0 and "FAIL" not in out
-        assert windows and max(windows.values()) == 1 and not exts
-        # A4 and its four subsystems, one window per object of each.
-        assert len({cat for cat, _ in windows}) == 5
-        assert sum(1 for cat, _ in windows if cat.rs.n == 4) == 24
+        assert set(builds.values()) == {1} and not exts
+        # A4 and its four subsystems, each with its table and its shift.
+        assert sorted(cat.rs.n for cat, _ in builds) == [3] * 8 + [4] * 2
 
     def test_table_makes_no_hom_call(self, capsys, monkeypatch):
         def refuse(self, x, y):
@@ -372,56 +372,86 @@ class TestVerify:
         assert code == 0 and "FAIL" not in out
 
     def test_ext_symmetry_failure(self, capsys, monkeypatch):
-        def bump(entries, m, i, a, b):
-            entries[(i, a)][b] += 1
+        def bump(H, sigma, m, a, c):
+            H[a][c] += 1
 
-        tamper_ext_entries(monkeypatch, bump)
+        tamper_hom(monkeypatch, bump)
         code, out, _ = run(capsys, "verify", "--type", "A3", "--m", "2")
         assert code == 1
         assert "FAIL  Ext dimension symmetry: 450 (pair, degree) instances" in out
 
     def test_ext_symmetry_missing_mirror(self, capsys, monkeypatch):
-        def drop_mirror(entries, m, i, a, b):
-            del entries[(m + 1 - i, b)][a]
+        # The entry is Ext^1(a, b) at b = sigma^-1(c); its mirror,
+        # Ext^m(b, a), is H(b, sigma^m(a)).
+        def drop_mirror(H, sigma, m, a, c):
+            mirror = a
+            for _ in range(m):
+                mirror = sigma[mirror]
+            del H[sigma.index(c)][mirror]
 
-        tamper_ext_entries(monkeypatch, drop_mirror)
+        tamper_hom(monkeypatch, drop_mirror)
         code, out, _ = run(capsys, "verify", "--type", "A3", "--m", "2")
         assert code == 1
         assert "FAIL  Ext dimension symmetry: 450 (pair, degree) instances" in out
 
     def test_ext_degree_failure(self, capsys, monkeypatch):
-        def bump_pair(entries, m, i, a, b):
-            entries[(i, a)][b] += 1
-            entries[(i, b)][a] += 1
+        # At m=1, Ext^1(a, b) = H(a, sigma(b)) and Ext^1(b, a) = H(b, sigma(a)):
+        # both bumped, so the symmetry holds and the degrees do not.
+        def bump_pair(H, sigma, m, a, c):
+            b = sigma.index(c)
+            H[a][c] += 1
+            H[b][sigma[a]] += 1
 
-        tamper_ext_entries(monkeypatch, bump_pair)
+        tamper_hom(monkeypatch, bump_pair)
         code, out, _ = run(capsys, "verify", "--type", "A3", "--m", "1")
         assert code == 1
         assert "PASS  Ext dimension symmetry: 81 (pair, degree) instances" in out
         assert "FAIL  Ext^1 = compatibility degree: 81 ordered pairs" in out
 
     def test_rotation_failure(self, capsys, monkeypatch):
-        monkeypatch.setattr(orbit_category, "rotation_Rm", lambda rs, m, x: x)
+        # sigma with its first two entries swapped: the Ext reads go wrong
+        # too, and every check still prints its line.
+        real = MClusterCategory.shift_permutation
+        monkeypatch.setattr(MClusterCategory, "shift_permutation",
+                            lambda self: (real(self)[1], real(self)[0]) + real(self)[2:])
         code, out, _ = run(capsys, "verify", "--type", "A3", "--m", "2")
         assert code == 1
         assert "FAIL  rotation matches shift: 15 coloured roots" in out
+        assert "  Ext dimension symmetry: 450 (pair, degree) instances" in out
+
+    def test_rotation_failure_perm(self, capsys, monkeypatch):
+        # R_m with its first two entries swapped, after the table has read it.
+        real = cli.rotation_table
+
+        def swapped(rs, m):
+            table = copy.copy(real(rs, m))
+            table.perm = (table.perm[1], table.perm[0]) + table.perm[2:]
+            return table
+
+        monkeypatch.setattr(cli, "rotation_table", swapped)
+        code, out, _ = run(capsys, "verify", "--type", "A3", "--m", "2")
+        assert code == 1
+        assert "FAIL  rotation matches shift: 15 coloured roots" in out
+        assert "FAIL" not in out.replace("FAIL  rotation matches shift", "")
 
 
-def tamper_ext_entries(monkeypatch, edit):
-    """Patch ``MClusterCategory.ext_entries`` to return a copy of the real
-    entries with ``edit(entries, m, i, a, b)`` applied, (i, a, b) the first
-    stored entry; a stored entry has ``a != b``, since W's image is rigid."""
-    real = MClusterCategory.ext_entries
+def tamper_hom(monkeypatch, edit):
+    """Patch ``MClusterCategory.hom_entries`` to return a copy of the real
+    table with ``edit(H, sigma, m, a, c)`` applied, (a, c) its first stored
+    entry off the diagonal (H(a, a) = 1), if it has one.  H(a, c) is
+    Ext^1(a, b) at b = sigma^-1(c), and b != a, since W's image is rigid."""
+    real = MClusterCategory.hom_entries
 
     def tampered(self):
-        entries = {key: dict(row) for key, row in real(self).items()}
-        (i, a), row = next(iter(entries.items()))
-        b = next(iter(row))
-        assert a != b
-        edit(entries, self.m, i, a, b)
-        return entries
+        H = [dict(row) for row in real(self)]
+        entry = next(((a, c) for a, row in enumerate(H) for c in row if c != a), None)
+        if entry is not None:  # A1 + A1, with no Hom off the diagonal, stays as it is
+            sigma = self.shift_permutation()
+            assert sigma.index(entry[1]) != entry[0]
+            edit(H, sigma, self.m, *entry)
+        return H
 
-    monkeypatch.setattr(MClusterCategory, "ext_entries", tampered)
+    monkeypatch.setattr(MClusterCategory, "hom_entries", tampered)
 
 
 def corrupt_a3_m2(monkeypatch, case):

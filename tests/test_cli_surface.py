@@ -191,6 +191,28 @@ mcluster enumerate: error: argument --oracle: invalid choice: 'x' (choose from '
     (["compat", "--type", "A2", "--", "1,1:x", "-e1"], 2,
      "",
      "error: cannot parse coloured root '1,1:x': invalid literal for int() with base 10: 'x'\n"),
+    # Coefficients, colours, -eN indices and window bounds are read as the
+    # rank is: int() would also read colour 1, root (10, 1), colour 1,
+    # index 1, root (1, 1) and window 0:10 here.
+    (["compat", "--type", "A2", "--", "1,1:+1", "-e1"], 2,
+     "",
+     "error: cannot parse coloured root '1,1:+1': invalid literal for int() with base 10: '+1'\n"),
+    (["compat", "--type", "A2", "--", "1_0,1", "-e1"], 2,
+     "",
+     "error: cannot parse coloured root '1_0,1': invalid literal for int() with base 10: '1_0'\n"),
+    (["compat", "--type", "A2", "--", "1,1:\u0661", "-e1"], 2,
+     "",
+     "error: cannot parse coloured root '1,1:\u0661': "
+     "invalid literal for int() with base 10: '\u0661'\n"),
+    (["compat", "--type", "A2", "--", "-e+1", "-e1"], 2,
+     "",
+     "error: cannot parse coloured root '-e+1': invalid literal for int() with base 10: '+1'\n"),
+    (["compat", "--type", "A2", "--", "1, 1:1", "-e1"], 2,
+     "",
+     "error: cannot parse coloured root '1, 1:1': invalid literal for int() with base 10: ' 1'\n"),
+    (["export-zq", "--type", "A2", "--window=+0:1_0"], 2,
+     "",
+     "error: cannot parse window '+0:1_0'; expected LO:HI\n"),
 ]
 
 

@@ -104,12 +104,20 @@ class TestExtOrbit:
         # G raises the shift by m or m+1, so G^2 X and G^-2 X are out of
         # Hom reach of every Y[i], whose shift is in [0, 2m-1].
         cat = MClusterCategory(system(name, keep), m)
-        for X in cat.objects():
+        # For the Hom table, G X is above all of W's image, and G^-2 X is
+        # more than one shift below it but at m=1, where it can sit one
+        # below an injective I_j[-1], and Ext^1 into I_j is 0.
+        objs = cat.objects()
+        for X in objs:
             up, down = cat.G(X), cat.G_inverse(X)
             assert up.shift - X.shift in (m, m + 1)
             assert X.shift - down.shift in (m, m + 1)
             assert cat.G(up).shift >= 2 * m
             assert cat.G_inverse(down).shift <= -2
+            assert up.shift >= m
+            if cat.G_inverse(down).shift == -2:
+                assert m == 1
+                assert all(cat.D.hom(cat.G_inverse(down), Z) == 0 for Z in objs if Z.shift == -1)
 
     @pytest.mark.parametrize("name,m", [("A3", 2), ("D4", 1), ("E6", 3)])
     def test_outside_w_image_rejected(self, name, m):
@@ -129,22 +137,21 @@ class TestExtTable:
     @staticmethod
     def check_entries(rs, m):
         cat = mcluster_category(rs, m)
-        entries = cat.ext_entries()
+        H = cat.hom_entries()
         table = dense_ext(cat)
         ground = coloured_ground_set(rs, m)
         assert tuple(ground) == rotation_table(rs, m).nodes
+        objs, ext = [cat.W(x) for x in ground], cat.ext_by_id()
+        # H against Hom summed over the orbit, G^-4 X to G^4 X.
+        for a, X in enumerate(objs):
+            assert H[a] == {c: v for c, Z in enumerate(objs) if (v := orbit_sum(cat, X, Z, 0))}
         assert len(table) == m
         for i in range(1, m + 1):
             assert len(table[i - 1]) == len(ground)
-            for a, x in enumerate(ground):
-                X = cat.W(x)
-                assert table[i - 1][a] == [cat.ext(X, cat.W(y), i) for y in ground]
-        stored = [(i, a, b, value) for (i, a), row in entries.items() for b, value in row.items()]
-        assert all(value for *_, value in stored)
-        assert all(value == cat.ext(cat.W(ground[a]), cat.W(ground[b]), i)
-                   for i, a, b, value in stored)
-        assert len(stored) == sum(1 for t in table for row in t for value in row if value)
-        assert cat.ext_entries() is entries
+            for a, X in enumerate(objs):
+                assert table[i - 1][a] == [cat.ext(X, Y, i) for Y in objs]
+                assert table[i - 1][a] == [ext(i, a, b) for b in range(len(ground))]
+        assert cat.hom_entries() is H
 
     @pytest.mark.parametrize("name,m", [("A3", 1), ("A3", 2), ("A3", 3), ("D4", 2), ("E6", 1)])
     def test_entries_are_orbit_ext(self, name, m):
@@ -158,10 +165,36 @@ class TestExtTable:
     @pytest.mark.parametrize("command", ["compat", "ext"])
     def test_single_pair_queries_do_not_build_it(self, monkeypatch, command):
         def refuse(self):
-            raise AssertionError("Ext table built for a single pair")
+            raise AssertionError("Hom table or shift built for a single pair")
 
-        monkeypatch.setattr(MClusterCategory, "ext_entries", refuse)
+        monkeypatch.setattr(MClusterCategory, "_build_hom_entries", refuse)
+        monkeypatch.setattr(MClusterCategory, "_build_shift", refuse)
         assert main([command, "--type", "A3", "--m", "2", "--", "1,1,0:1", "0,1,1:2"]) == 0
+
+
+class TestHomTableAndShift:
+    """The shift sigma on node ids and the Hom table H, on every system at
+    m = 1..3."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("name,keep", ALL_SYSTEMS)
+    def test_identities(self, name, keep, m):
+        rs = system(name, keep)
+        cat = MClusterCategory(rs, m)
+        H, sigma = cat.hom_entries(), cat.shift_permutation()
+        assert sigma == rotation_table(rs, m).perm
+        size = len(sigma)
+        power = list(range(size))  # sigma^(m+1)
+        for _ in range(m + 1):
+            power = [sigma[a] for a in power]
+        for a, row in enumerate(H):
+            assert row[a] == 1
+            for c, value in row.items():
+                assert value > 0
+                assert H[sigma[a]].get(sigma[c]) == value
+                assert H[c].get(power[a]) == value
+        nonzero = sum(1 for t in dense_ext(cat) for row in t for value in row if value)
+        assert m * sum(map(len, H)) == nonzero
 
 
 class TestExtSumIsReading:
@@ -177,9 +210,8 @@ class TestExtSumIsReading:
         table = rotation_table(rs, m)
         size = len(table.nodes)
         total = [[0] * size for _ in range(size)]
-        for (_, a), row in mcluster_category(rs, m).ext_entries().items():
-            for b, value in row.items():
-                total[a][b] += value
+        for _, a, b, value in mcluster_category(rs, m).ext_instances():
+            total[a][b] += value
         assert total == [[table.degree(a, b) for b in range(size)] for a in range(size)]
 
 
@@ -282,7 +314,7 @@ class TestCategoryLifetime:
             for oracle in ORACLES:
                 build_graph(rs, 2, oracle)
             d, cat = derived_category(rs), mcluster_category(rs, 2)
-            return [d.phi, cat.ext_entries(), d, cat, rotation_table(rs, 2)]
+            return [d.phi, cat.hom_entries(), cat.shift_permutation(), d, cat, rotation_table(rs, 2)]
 
         rs, fresh = system("A3"), system("A3")
         built = build(rs)
