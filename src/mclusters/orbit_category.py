@@ -122,13 +122,14 @@ class MClusterCategory:
 
     def shift_permutation(self) -> Tuple[int, ...]:
         """The shift [1] on node ids, read off the category alone and never
-        off ``RotationTable``, so that comparing the two is a check."""
+        off ``RotationTable``, so that comparing the two is a check; a node
+        that lands outside W's image maps to -1."""
         return self.rs.cached(("shift", self.m), self._build_shift)
 
     def _build_shift(self) -> Tuple[int, ...]:
         objs = self.objects()
         index = {obj: k for k, obj in enumerate(objs)}
-        return tuple(index[self._land(shift(obj, 1))] for obj in objs)
+        return tuple(index.get(self._land(shift(obj, 1)), -1) for obj in objs)
 
     def ext_by_id(self) -> Callable[[int, int, int], int]:
         """Ext^i(W(a), W(b)) as a function of ``(i, a, b)``, ``i`` in 1..m.

@@ -175,8 +175,8 @@ class TestBounds:
 
 
 class TestWorkBounds:
-    """``verify`` and ``enumerate`` past the facet, face or Ext-work bound
-    exit 2 before any graph, category or complex is built."""
+    """``verify`` and ``enumerate`` past the facet or the face bound exit 2
+    before any graph, category or complex is built, whatever the oracle."""
 
     @pytest.fixture(autouse=True)
     def no_work(self, monkeypatch):
@@ -187,8 +187,8 @@ class TestWorkBounds:
             monkeypatch.setattr(cli, name, refuse)
 
     @pytest.mark.parametrize("argv,message", [
-        (["verify", "--type", "A2", "--m", "1000"], "up to 54036000 Ext entries"),
-        (["enumerate", "--type", "A2", "--m", "1000", "--oracle", "both"], "Ext entries"),
+        (["verify", "--type", "A3", "--m", "91"], "A3 at m=91 has 2059604 facets"),
+        (["enumerate", "--type", "A3", "--m", "91", "--oracle", "both"], "2059604 facets"),
         (["verify", "--type", "A32"], "212336130412243110 facets"),
         (["enumerate", "--type", "A32"], "212336130412243110 facets"),
         (["enumerate", "--type", "E8", "--m", "3"], "22309287 facets"),
@@ -197,17 +197,16 @@ class TestWorkBounds:
         (["verify", "--type", "D11", "--m", "1"], "up to 45037202 faces"),
         (["enumerate", "--type", "D11", "--m", "1"], "up to 45037202 faces"),
         (["verify", "--type", "A12", "--m", "1"], "up to 96388554 faces"),
-        (["enumerate", "--type", "A12", "--m", "1"], "up to 96388554 faces"),
-        (["verify", "--type", "A1", "--m", "1000"], "up to 6006000 Ext entries"),
-        (["verify", "--type", "A2", "--m", "167"], "up to 1512018 Ext entries")])
+        (["enumerate", "--type", "A12", "--m", "1"], "up to 96388554 faces")])
     def test_past_bound_exits_2(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and message in err
 
     @pytest.mark.parametrize("name,m", [("E8", 2), ("A6", 3), ("A2", 29), ("A11", 1),
-                                        ("A2", 166), ("A3", 19), ("A1", 499)])
+                                        ("A2", 166), ("A3", 19), ("A1", 499),
+                                        ("A1", 1000), ("A2", 1000), ("A3", 90)])
     def test_ladder_within_bounds(self, name, m):
-        cli._bound_work(cli.build_root_system(cli.parse_type(name)), m, True)
+        cli._bound_work(cli.build_root_system(cli.parse_type(name)), m)
 
     @pytest.mark.parametrize("name,m", [("A4", 2), ("D6", 2), ("A6", 3), ("E6", 2),
                                         ("E7", 1), ("E8", 1), ("E7", 2)])
@@ -434,6 +433,16 @@ class TestVerify:
         assert "FAIL  rotation matches shift: 15 coloured roots" in out
         assert "FAIL" not in out.replace("FAIL  rotation matches shift", "")
 
+    def test_shift_lands_off_image(self, capsys, monkeypatch):
+        # The landing step by G instead of G^-1: some W(x)[1] land outside
+        # W's image, get no node id, and every check still prints its line.
+        monkeypatch.setattr(MClusterCategory, "_land",
+                            lambda self, y: y if self.in_domain(y) else self.G(y))
+        code, out, err = run(capsys, "verify", "--type", "A3", "--m", "2")
+        assert (code, err) == (1, "")
+        assert "FAIL  rotation matches shift: 15 coloured roots" in out
+        assert len(out.splitlines()) == 6
+
 
 def tamper_hom(monkeypatch, edit):
     """Patch ``MClusterCategory.hom_entries`` to return a copy of the real
@@ -525,17 +534,20 @@ class TestExportZq:
         assert code == 0
         assert out.count("label") == 3 * 6
 
-    @pytest.mark.parametrize("window", [f"0:{cli.MAX_ZQ_SPAN + 1}", f"-{cli.MAX_ZQ_SPAN}:1",
-                                        "1000000000:1000000000"])
-    def test_wide_window_exits_2(self, capsys, window):
-        code, _, err = run(capsys, "export-zq", "--type", "A2", f"--window={window}")
-        assert code == 2 and "spans more than" in err
+    # The bound is on the vertices walked from degree 0, |Phi+| per degree:
+    # 528 on A32, so 0:{MAX_ZQ_VERTICES // 528} is one degree too wide.
+    @pytest.mark.parametrize("window", ["0:2001", "-2000:1", "1000000000:1000000000",
+                                        "-1000:1000", f"0:{cli.MAX_ZQ_VERTICES // 528}"])
+    def test_wide_window_exits_2(self, capsys, monkeypatch, window):
+        monkeypatch.setattr(cli, "derived_category", None)  # any walk would fail
+        code, _, err = run(capsys, "export-zq", "--type", "A32", f"--window={window}")
+        assert code == 2 and f"vertices, more than {cli.MAX_ZQ_VERTICES}" in err
 
     def test_widest_window(self, capsys):
         code, out, _ = run(capsys, "export-zq", "--type", "A1",
-                           f"--window=0:{cli.MAX_ZQ_SPAN}")
+                           f"--window=0:{cli.MAX_ZQ_VERTICES - 1}")
         assert code == 0
-        assert out.count("label") == cli.MAX_ZQ_SPAN + 1
+        assert out.count("label") == cli.MAX_ZQ_VERTICES
 
 
 class TestClosedStdout:

@@ -26,8 +26,7 @@ leading dash is not parsed as a flag.
 Exit codes: 0 success / all checks pass, 1 verification failure or
 internal error, 2 usage error, also for m > 1000 or rank > 32, for an
 ``--out`` path that cannot be opened for writing, and for ``verify`` or
-``enumerate`` past 2,000,000 facets, past a bound of 20,000,000 faces or,
-when the Ext table is built, past a bound of 1,500,000 Ext-entry visits.
+``enumerate`` past 2,000,000 facets or past a bound of 20,000,000 faces.
 
 positional arguments:
   {enumerate,compat,ext,orbit,export-zq,verify}
