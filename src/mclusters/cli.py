@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import os
@@ -287,6 +288,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
+def _parse_m(text: str) -> int:
+    """``--m`` read by ``parse_int``, refused with the message argparse
+    gives for ``type=int``."""
+    try:
+        return parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 _OUT = ("--out", {"help": "output path (default: stdout)"})
 _PAIR = (("x", {}), ("y", {}))
 
@@ -308,9 +318,11 @@ COMMANDS = {
 
 
 def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
-    """The parser for every subcommand, or for the one named ``only``.  The
-    one-command parser names them all in its usage line, as the full
-    parser does; a process runs one command, so it builds one parser."""
+    """A new parser for every subcommand, or for the one named ``only``.
+    The one-command parser names them all in its usage line, as the full
+    parser does.  ``main`` takes its parsers from ``_parser``, which builds
+    each once per process; a caller that changes a parser builds its own
+    here."""
     parser = argparse.ArgumentParser(prog="mcluster", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     metavar = None if only is None else "{" + ",".join(COMMANDS) + "}"
@@ -321,17 +333,25 @@ def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--type", required=True, help="Dynkin type, e.g. A3, D4, E6")
         if takes_m:
-            p.add_argument("--m", type=int, default=1, help=f"number of colours (1..{MAX_M})")
+            p.add_argument("--m", type=_parse_m, default=1, help=f"number of colours (1..{MAX_M})")
         for arg, kwargs in extra:
             p.add_argument(arg, **kwargs)
         p.set_defaults(fn=fn)
     return parser
 
 
+# One parser per key (a command name, or None for the full parser), built
+# on first use, so at most seven per process.  Parsing leaves a parser
+# as it was (each call gets a new Namespace), and help, usage and error
+# texts are formatted when printed, at the width of that moment, so one
+# parser serves every call of a process.
+_parser = functools.lru_cache(maxsize=None)(build_parser)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
+    parser = _parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     if not 1 <= getattr(args, "m", 1) <= MAX_M:
         print(f"error: m must be in 1..{MAX_M}", file=sys.stderr)

@@ -1,6 +1,7 @@
 import argparse
 import collections
 import copy
+import functools
 import json
 import os
 import stat
@@ -129,6 +130,17 @@ class TestCompat:
 
     def test_non_root_exits_2(self, capsys):
         assert run(capsys, "compat", "--type", "A2", "--m", "1", "--", "2,1", "-e1")[0] == 2
+
+    @pytest.mark.parametrize("m", ["1_0", "+2", " 3", "\u0663"])
+    def test_m_read_by_parse_int(self, capsys, m):
+        """``--m`` is read as the rank and the coefficients are: int() would
+        also read these as 10, 2, 3 and 3."""
+        with pytest.raises(SystemExit) as exc:
+            main(["compat", "--type", "A2", "--m", m, "--", "-e1", "-e2"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: argument --m: invalid int value: {m!r}\n")
 
 
 class TestExtAndOrbit:
@@ -270,6 +282,9 @@ class TestPerCallWork:
     """A call builds only what its command reads."""
 
     def test_one_subparser_per_command(self, capsys, monkeypatch):
+        """From an empty parser memo: the first ``compat`` call builds the
+        ``compat`` subparser alone, a second builds nothing, and
+        ``build_parser()`` builds all of them anew."""
         added = []
         real = argparse._SubParsersAction.add_parser
 
@@ -278,6 +293,9 @@ class TestPerCallWork:
             return real(self, name, **kwargs)
 
         monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+        monkeypatch.setattr(cli, "_parser", functools.lru_cache(maxsize=None)(cli.build_parser))
+        assert run(capsys, "compat", "--type", "A2", "--", "-e1", "-e2")[0] == 0
+        assert added == ["compat"]
         assert run(capsys, "compat", "--type", "A2", "--", "-e1", "-e2")[0] == 0
         assert added == ["compat"]
         cli.build_parser()

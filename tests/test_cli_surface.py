@@ -1,15 +1,21 @@
 """The command line's surface: exit code, stdout and stderr of ``main`` on
-help requests and usage errors, at 80 columns.  ``main`` builds the parser
+help requests and usage errors, at 80 columns.  ``main`` uses the parser
 for the named subcommand alone when the first argument names one, and the
-full parser otherwise; either way these texts must not change.  They were
-captured under Python 3.11; later argparse releases word some of these
-messages differently."""
+full parser otherwise, and builds each once per process; neither choice
+may change these texts, and a parser that earlier calls have used must
+print what a new one prints.  They were captured under Python 3.11; later
+argparse releases word some of these messages differently."""
 
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from mclusters.cli import main
+import mclusters
+from mclusters import cli
+from mclusters.cli import build_parser, main
 
 SURFACE = [
     (["--help"], 0,
@@ -161,6 +167,13 @@ usage: mcluster enumerate [-h] --type TYPE [--m M]
                           [--out OUT]
 mcluster enumerate: error: argument --oracle: invalid choice: 'x' (choose from 'combinatorial', 'categorical', 'both')
 """),
+    # --m is read by parse_int too, with argparse's message for type=int.
+    (["compat", "--type", "A2", "--m", "x", "--", "-e1", "-e2"], 2,
+     "",
+     """\
+usage: mcluster compat [-h] --type TYPE [--m M] x y
+mcluster compat: error: argument --m: invalid int value: 'x'
+"""),
     (["verify", "--type", "A3", "--m", "0"], 2,
      "",
      "error: m must be in 1..1000\n"),
@@ -240,3 +253,47 @@ def test_argv_from_sys(capsys, monkeypatch, argv, code, out):
     monkeypatch.setattr(sys, "argv", ["mcluster", *argv])
     assert call(None) == code
     assert capsys.readouterr().out == out
+
+
+def test_reused_parser_same_texts(capsys, monkeypatch):
+    """Every case twice in one process: the second run takes the parser
+    the first one built, or an earlier test did."""
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv, code, out, err in SURFACE:
+        first = (call(argv), *capsys.readouterr())
+        second = (call(argv), *capsys.readouterr())
+        assert first == second == (code, out, err), argv
+
+
+def test_help_at_each_width(capsys, monkeypatch):
+    """A reused parser wraps its help at the width of the moment, as a new
+    one does."""
+    texts = []
+    for columns in ("80", "50"):
+        monkeypatch.setenv("COLUMNS", columns)
+        # At 50 columns the call takes the parser built at 80 or before.
+        hits = cli._parser.cache_info().hits
+        assert call(["compat", "--help"]) == 0
+        texts.append(capsys.readouterr().out)
+        with pytest.raises(SystemExit):
+            build_parser("compat").parse_args(["compat", "--help"])
+        assert texts[-1] == capsys.readouterr().out
+    assert cli._parser.cache_info().hits > hits
+    assert texts[0] != texts[1]
+
+
+@pytest.mark.parametrize("error", [["compat", "--type", "A2", "--m", "x", "--", "-e1", "-e2"],
+                                   ["compat", "--type", "A3"]])
+def test_call_after_usage_error(capsys, error):
+    """A usage error leaves nothing behind in the parser: the next call
+    prints what it prints in a fresh process."""
+    argv = ["compat", "--type", "A2", "--m", "2", "--", "1,0:1", "1,0:2"]
+    assert call(error) == 2
+    capsys.readouterr()
+    rc = call(argv)
+    captured = capsys.readouterr()
+    env = dict(os.environ, PYTHONPATH=str(Path(mclusters.__file__).parent.parent))
+    fresh = subprocess.run([sys.executable, "-m", "mclusters.cli", *argv], env=env,
+                           capture_output=True, text=True)
+    assert (rc, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert rc == 0 and captured.out

@@ -31,6 +31,15 @@ def test_cli_import_is_lean():
     assert out == "[]\n"
 
 
+def test_cli_import_builds_no_parser():
+    """Parsers are built on a command's first call, never at import."""
+    code = "import mclusters.cli as cli; print(cli._parser.cache_info().currsize)"
+    env = dict(os.environ, PYTHONPATH=str(Path(mclusters.__file__).parent.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "0\n"
+
+
 class TestLazyWitness:
     def test_every_exported_name_resolves(self):
         for name in mclusters.__all__:
