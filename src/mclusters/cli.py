@@ -203,8 +203,7 @@ def cmd_ext(args: argparse.Namespace) -> int:
     x = parse_coloured_root(rs, args.m, args.x)
     y = parse_coloured_root(rs, args.m, args.y)
     X, Y = cat.W(x), cat.W(y)
-    dims = [cat.ext(X, Y, i) for i in range(1, args.m + 1)]
-    for i, d in enumerate(dims, start=1):
+    for i, d in enumerate(list(cat.ext_dims(X, Y)), start=1):  # no line before all m terms
         print(f"Ext^{i}({X}, {Y}) = {d}")
     return 0
 

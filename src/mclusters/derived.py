@@ -199,12 +199,16 @@ class DerivedCategory:
             obj = verts[(i, p)]
             label = f"({i + 1},{p}) dF={self.fine_degree(obj)} {obj}"
             lines.append(f'  "v{i + 1}_p{p}" [label="{label}"];')
+        rows: Dict[int, List[int]] = {}  # the p of each row i, ascending
+        for (i, p) in order:
+            rows.setdefault(i, []).append(p)
         for (s, t) in self.rs.arrows:
-            for (i, p) in order:
-                if i == t and (s, p) in verts:
-                    lines.append(f'  "v{t + 1}_p{p}" -> "v{s + 1}_p{p}";')
-                if i == s and (t, p - 1) in verts:
-                    lines.append(f'  "v{s + 1}_p{p}" -> "v{t + 1}_p{p - 1}";')
+            for i in sorted((s, t)):
+                for p in rows.get(i, ()):
+                    if i == t and (s, p) in verts:
+                        lines.append(f'  "v{t + 1}_p{p}" -> "v{s + 1}_p{p}";')
+                    if i == s and (t, p - 1) in verts:
+                        lines.append(f'  "v{s + 1}_p{p}" -> "v{t + 1}_p{p - 1}";')
         lines.append("}")
         return "\n".join(lines) + "\n"
 

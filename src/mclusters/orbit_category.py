@@ -4,29 +4,28 @@ shift on node ids, and the categorical compatibility oracle.
 Objects are canonical derived representatives in the fundamental domain
 for the automorphism G = (inverse translate) o [m], i.e. with fine degree
 in [-mh+1, 2], h the Coxeter number of the object's component.  Hom
-between orbits is the sum over p of the derived Hom spaces Hom(G^p X, Z),
-and Ext^i(X, Y) = Hom(X, Y[i]).  For X, Y and Z in the image of W only p
-in {-1, 0, 1} can contribute to Ext, and only p in {-1, 0} to Hom:
+between orbits is the sum over p of the derived Hom spaces Hom(G^p X, Z).
+For X and Z in the image of W only p in {-1, 0} can contribute:
 
-* an object of W's image has shift in [-1, m-1], and shift -1 only for
-  an injective, so Y[i] has shift in [0, 2m-1];
+* W's image holds the objects at shifts 0..m-1 and the injectives at -1;
 * Hom(A[v], B[u]) = 0 unless u - v is 0 or 1 (the algebra is hereditary);
 * G raises the shift by m, or by m+1 when it passes an injective, since
   the inverse translate of I_j is P_j[1].  So G X has shift >= m (for
-  X = I_j[-1], G X = P_j[m]), above every Z, and G^2 X has shift >= 2m;
-  G^-2 X has shift <= -m-1 <= -2, so it maps to no Y[i]; it lies two
-  shifts below every Z, but at m = 1 it can lie one below an injective
-  Z = I_j[-1], and Hom(A[-2], I_j[-1]) = Ext^1(A, I_j) = 0.
+  X = I_j[-1], G X = P_j[m]), above every Z; G^-2 X has shift <= -m-1,
+  two below every Z but at m = 1 an injective Z = I_j[-1], and
+  Hom(A[-2], I_j[-1]) = Ext^1(A, I_j) = 0.
 
-R_m becomes the shift [1]: W(R_m x) is W(x)[1] in the fundamental domain,
-at most one G^-1 step away.  Below colour m, W(x)[1] is W of the next
-colour; W(-alpha_i)[1] = I_i[0] has fine degree >= -h+1 >= -mh+1; at
-colour m, V(beta)[m] has fine degree <= -mh, and G^-1 (shift -m, then tau)
-gives tau V(beta) at shift 0, or I_j[-1] for beta = P_j, in W's image.
+R_m becomes the shift [1]: W(R_m x) is W(x)[1] landed in W's image, at
+most one G^-1 step away.  Below colour m, W(x)[1] is W of the next
+colour, and W(-alpha_i)[1] = I_i[0] is W of I_i in colour 1; at colour m,
+V(beta)[m] is past W's image, and G^-1 (shift -m, then tau) gives
+tau V(beta) at shift 0, or I_j[-1] for beta = P_j.  So Ext^i(X, Y) =
+Hom(X, Y[i]) is the Hom into Y landed i times.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Dict, Iterator, List, Tuple
 
 from .coloured_roots import ColouredRoot, check_coloured, coloured_ground_set, rotation_Rm
@@ -52,15 +51,16 @@ class MClusterCategory:
         check_coloured(self.rs, self.m, x)
         return shift(self.D.V(x.root), x.colour - 1)
 
+    def _in_image(self, obj: DerivedObject) -> bool:
+        """Whether ``obj`` is W of a coloured root, decided by its shift."""
+        return 0 <= obj.shift <= self.m - 1 or obj.shift == -1 and obj.beta in self.D._inj_index
+
     def W_inverse(self, obj: DerivedObject) -> ColouredRoot:
+        if not self._in_image(obj):
+            raise ValueError(f"{obj} is not in the image of W")
         if obj.shift == -1:
-            i = self.D._inj_index.get(obj.beta)
-            if i is None:
-                raise ValueError(f"{obj} is not in the image of W")
-            return ColouredRoot(self.rs.negative_simple(i), 1)
-        if 0 <= obj.shift <= self.m - 1:
-            return ColouredRoot(obj.beta, obj.shift + 1)
-        raise ValueError(f"{obj} is not in the image of W")
+            return ColouredRoot(self.rs.negative_simple(self.D._inj_index[obj.beta]), 1)
+        return ColouredRoot(obj.beta, obj.shift + 1)
 
     def objects(self) -> List[DerivedObject]:
         return [self.W(x) for x in coloured_ground_set(self.rs, self.m)]
@@ -75,20 +75,22 @@ class MClusterCategory:
 
     # -- Ext dimensions -------------------------------------------------
 
-    def _window(self, x: DerivedObject) -> Tuple[DerivedObject, DerivedObject, DerivedObject]:
-        """(G^-1 x, x, G x): for x in W's image, the only powers of G whose
-        image can have Hom into some y[i] (see the module docstring)."""
-        return self.G_inverse(x), x, self.G(x)
-
-    def ext(self, x: DerivedObject, y: DerivedObject, i: int) -> int:
-        """dim Ext^i between the orbits of x and y, which must lie in W's
-        image: the sum of Hom(G^p x, y[i]) over the window p in {-1, 0, 1}."""
-        if not 1 <= i <= self.m:
-            raise ValueError(f"Ext degree {i} out of range [1, {self.m}]")
+    def ext_dims(self, x: DerivedObject, y: DerivedObject) -> Iterator[int]:
+        """dim Ext^i between the orbits of x and y for i = 1..m, lazily: Hom
+        from G^-1 x and x into y landed i times, each landing checked."""
         self.W_inverse(x)  # each raises ValueError outside W's image
         self.W_inverse(y)
-        target = shift(y, i)
-        return sum(self.D.hom(o, target) for o in self._window(x))
+        window = self.G_inverse(x), x
+        for _ in range(self.m):
+            y = self._land(shift(y, 1))
+            self.W_inverse(y)
+            yield sum(self.D.hom(o, y) for o in window)
+
+    def ext(self, x: DerivedObject, y: DerivedObject, i: int) -> int:
+        """dim Ext^i between the orbits of x and y: term i of ``ext_dims``."""
+        if not 1 <= i <= self.m:
+            raise ValueError(f"Ext degree {i} out of range [1, {self.m}]")
+        return next(itertools.islice(self.ext_dims(x, y), i - 1, None))
 
     def hom_entries(self) -> List[Dict[int, int]]:
         """Every nonzero Hom between orbits: ``H[a][c]`` is Hom(W(a), W(c))
@@ -117,8 +119,8 @@ class MClusterCategory:
         return H
 
     def _land(self, y: DerivedObject) -> DerivedObject:
-        """W(x)[1] in the fundamental domain, at most one G^-1 step away."""
-        return y if self.in_domain(y) else self.G_inverse(y)
+        """W(x)[1] in W's image, at most one G^-1 step away."""
+        return y if self._in_image(y) else self.G_inverse(y)
 
     def shift_permutation(self) -> Tuple[int, ...]:
         """The shift [1] on node ids, read off the category alone and never
@@ -154,8 +156,7 @@ class MClusterCategory:
                     yield i, a, c, value
 
     def compatible(self, x: ColouredRoot, y: ColouredRoot) -> bool:
-        X, Y = self.W(x), self.W(y)
-        return all(self.ext(X, Y, i) == 0 for i in range(1, self.m + 1))
+        return not any(self.ext_dims(self.W(x), self.W(y)))
 
     # -- executable lemma checks ---------------------------------------
 

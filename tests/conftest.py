@@ -44,7 +44,8 @@ def d4():
 
 def orbit_sum(cat, X, Y, i):
     """Hom(G^p X, Y[i]) summed over p in [-4, 4], with the orbit walked
-    here: a wider reference for the three-term ``ext``."""
+    here and Y[i] not landed: a wider reference for ``ext``, which reads
+    G^-1 X and X into Y landed i times."""
     powers, up, down = [X], X, X
     for _ in range(4):
         up, down = cat.G(up), cat.G_inverse(down)

@@ -150,6 +150,17 @@ class TestExtAndOrbit:
         assert code == 0
         assert "Ext^1" in out and "Ext^2" in out and "= 1" in out
 
+    @pytest.mark.parametrize("command", ["compat", "ext"])
+    def test_landing_off_image_raises(self, capsys, monkeypatch, command):
+        # The landing step by G instead of G^-1, as in TestVerify: at m=2,
+        # V(1,1,0)[1] shifted once is V(1,1,0)[2], off W's image, and its
+        # G step is further off, so the query fails instead of answering.
+        monkeypatch.setattr(MClusterCategory, "_land",
+                            lambda self, y: y if self.in_domain(y) else self.G(y))
+        code, out, err = run(capsys, command, "--type", "A3", "--m", "2", "--", "-e1", "1,1,0:2")
+        assert (code, out) == (1, "")
+        assert err.startswith("internal error: ") and err.endswith("is not in the image of W\n")
+
     def test_orbit_cycles(self, capsys):
         code, out, _ = run(capsys, "orbit", "--type", "A2", "--m", "1", "--", "-e1")
         assert code == 0
@@ -301,14 +312,35 @@ class TestPerCallWork:
         cli.build_parser()
         assert added[1:] == list(cli.COMMANDS)
 
-    @pytest.mark.parametrize("command", ["compat", "ext"])
+    # Each command with the arguments it is run with below.
+    E8_PAIR = ("--type", "E8", "--m", "3", "--", "2,4,6,5,4,3,2,3:3", "0,1,2,2,1,1,1,1:1")
+    CALLS = {
+        "compat": E8_PAIR,
+        "ext": E8_PAIR,
+        "verify": ("--type", "E6", "--m", "2"),
+        "enumerate": ("--type", "D5", "--m", "2", "--oracle", "both"),
+    }
+
+    @pytest.mark.parametrize("command", list(CALLS))
     def test_fine_table_unbuilt(self, capsys, monkeypatch, command):
+        # The shift decides W's image by shift alone; only export-zq reads
+        # the fine degrees.
         def refuse(self):
             raise AssertionError("fine table built")
 
         monkeypatch.setattr(derived.DerivedCategory, "_build_fine_table", refuse)
-        code, out, _ = run(capsys, command, "--type", "E8", "--m", "3", "--",
-                           "2,4,6,5,4,3,2,3:3", "0,1,2,2,1,1,1,1:1")
+        code, out, _ = run(capsys, command, *self.CALLS[command])
+        assert code == 0 and out and "FAIL" not in out
+
+    @pytest.mark.parametrize("command", ["compat", "ext"])
+    def test_no_g_step(self, capsys, monkeypatch, command):
+        # Per-pair Ext reads Hom from G^-1 X and X only, and lands Y by
+        # G^-1 steps.
+        def refuse(self, x):
+            raise AssertionError("MClusterCategory.G called")
+
+        monkeypatch.setattr(MClusterCategory, "G", refuse)
+        code, out, _ = run(capsys, command, *self.CALLS[command])
         assert code == 0 and out
 
 

@@ -1,9 +1,10 @@
 """Golden output: the full ``mcluster verify`` text, the sha256 of the
 ``mcluster enumerate`` JSON on a few instances, the sha256 of the
-exit codes and stdout of a fixed list of ``compat`` and ``ext`` calls, and
-the sha256 of a few whole Ext tables.  A change that is meant to
-leave the output alone must leave these values alone; a change that means
-to alter the output updates them and says why."""
+exit codes and stdout of a fixed list of ``compat`` and ``ext`` calls,
+the sha256 of a few whole Ext tables and of a few ``export-zq`` DOT
+texts.  A change that is meant to leave the output alone must leave
+these values alone; a change that means to alter the output updates
+them and says why."""
 
 import hashlib
 import json
@@ -182,3 +183,22 @@ def test_ext_table_digest(name, keep, m):
     table = dense_ext(mcluster_category(system(name, keep), m))
     digest = hashlib.sha256(json.dumps(table).encode()).hexdigest()
     assert digest == EXT_TABLE_SHA256[name, keep, m]
+
+
+# sha256 of the ``mcluster export-zq`` DOT text, by (type, window); 1:0 is
+# an inverted window, which gives the empty digraph.
+EXPORT_ZQ_SHA256 = {
+    ("A1", "0:5"): "1cae0b8bc2840f8de4a03488ee9fd518a6c73cf4d0e68e08a5707d92c633c1c6",
+    ("A3", "-3:3"): "2629f5bfb9ef5d5ada641266a822033780a854d0d6fbc96acfebad9e515dd2a3",
+    ("D5", "-2:2"): "4578150f45f911642f06bc854fb5ee2e2712dde2cbb543de3195b2c14d30c94b",
+    ("E6", "-3:4"): "2d6e5fe9719045b357721c29db68fe0a81787bef071be53e17b5330fb0c5c5b3",
+    ("A3", "1:0"): "33b0bd3a175c8e69ad25589bbc94a1f086f7e79dd8cc9a95239054b942eabf18",
+}
+
+
+@pytest.mark.parametrize("name,window", list(EXPORT_ZQ_SHA256))
+def test_export_zq_digest(capsys, name, window):
+    code = main(["export-zq", "--type", name, f"--window={window}"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EXPORT_ZQ_SHA256[name, window]
