@@ -32,11 +32,11 @@ from .orbit_category import compatible_categorical, mcluster_category
 from .root_system import RootSystem, build_root_system, parse_int, parse_type
 
 
-# Larger inputs exit 2 at once instead of hanging.  ``export-zq`` walks
-# |Phi+| vertices per coarse degree, from degree 0 to each end of its
-# window.  The Fuss-Catalan facet count bounds the facet list that
-# ``enumerate`` holds, and ``face_bound`` the face walk.  All are known
-# before any work.
+# Larger inputs exit 2 at once instead of hanging.  ``export-zq`` steps
+# each row, one tau^-1 period repeated by shift, out from coarse degree 0
+# to each end of its window: |Phi+| vertices per degree.  The
+# Fuss-Catalan facet count bounds the facet list that ``enumerate``
+# holds, and ``face_bound`` the face walk.  All are known before any work.
 MAX_M = 1000
 MAX_RANK = 32
 MAX_ZQ_VERTICES = 150_000

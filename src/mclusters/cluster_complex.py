@@ -65,8 +65,7 @@ class Report:
     """The verdict of one check: ``checked`` cases, ``failures`` the ones
     that failed."""
 
-    def __init__(self, name: str, passed: bool, checked: int, failures: List):
-        self.name = name
+    def __init__(self, passed: bool, checked: int, failures: List):
         self.passed = passed
         self.checked = checked
         self.failures = failures
@@ -155,7 +154,7 @@ def enumerate_facets(g: CompatibilityGraph) -> List[TiltingSet]:
 
 def verify_facet_sizes(facets: Sequence[TiltingSet], n: int) -> Report:
     failures = [f for f in facets if len(f.indices) != n]
-    return Report("facet-sizes", not failures, len(facets), failures)
+    return Report(not failures, len(facets), failures)
 
 
 def complements(g: CompatibilityGraph, t: Sequence[int]) -> List[int]:
@@ -197,7 +196,7 @@ def verify_complement_counts(g: CompatibilityGraph, facets: Sequence[TiltingSet]
     reported as ``(ridge, count)``; ``checked`` is the number of ridges."""
     counts = ridge_counts(facets)
     failures = [(t, c) for t, c in counts.items() if c != g.m + 1]
-    return Report("complement-counts", not failures, len(counts), failures)
+    return Report(not failures, len(counts), failures)
 
 
 def f_vector(g: CompatibilityGraph) -> List[int]:
@@ -237,7 +236,7 @@ def _restriction_report(g: CompatibilityGraph, g_sub: CompatibilityGraph,
             if full != restricted:
                 failures.append((g.nodes[fx], g.nodes[fy], full, restricted))
     checked = len(supported) * (len(supported) + 1) // 2
-    return Report(f"parabolic-restriction keep={kept}", not failures, checked, failures)
+    return Report(not failures, checked, failures)
 
 
 def verify_vertex_deletions(graphs: Sequence[CompatibilityGraph]) -> List[Report]:
@@ -252,7 +251,7 @@ def verify_vertex_deletions(graphs: Sequence[CompatibilityGraph]) -> List[Report
         keep = [v for v in range(rs.n) if v != drop]
         sub = parabolic(rs, keep)
         reps = [_restriction_report(h, build_graph(sub, m, h.oracle_tag), keep) for h in graphs]
-        reports.append(Report(reps[0].name, all(r.passed for r in reps), reps[0].checked,
+        reports.append(Report(all(r.passed for r in reps), reps[0].checked,
                               [f for r in reps for f in r.failures]))
     return reports
 

@@ -59,25 +59,18 @@ class DerivedCategory:
     @property
     def phi(self) -> Dict[Root, int]:
         """Fine degree of each positive root in the module slice, built on
-        first read by walking the inverse-translate orbit of each projective."""
+        first read from the translation-quiver rows at coarse degree 0:
+        tau^p P_i has fine degree dF(P_i) + 2p."""
         return self.rs.cached("fine", self._build_fine_table)
 
     def _build_fine_table(self) -> Dict[Root, int]:
-        rs = self.rs
         phi: Dict[Root, int] = {}
-        for i in range(rs.n):
-            phi[self.proj_dims[i]] = 0 if i in rs.I_minus else -1
-        for i in range(rs.n):
-            x = DerivedObject(self.proj_dims[i], 0)
-            d = phi[x.beta]
-            h = rs.coxeter_number_at[i]
-            while x.beta not in self._inj_index:
-                x = self.tau_inverse(x)
-                d -= 2
-                if d < -h + 1:
-                    raise RuntimeError("fine-degree window underflow (bug)")
-                phi[x.beta] = d
-        if len(phi) != len(rs.positive_roots):
+        for i, row in enumerate(self._zq_rows(0, 0)):
+            d = 0 if i in self.rs.I_minus else -1
+            if d + 2 * min(row) < -self.rs.coxeter_number_at[i] + 1:
+                raise RuntimeError("fine-degree window underflow (bug)")
+            phi.update((x.beta, d + 2 * p) for p, x in row.items())
+        if len(phi) != len(self.rs.positive_roots):
             raise RuntimeError("fine-degree table incomplete (bug)")
         return phi
 
@@ -171,43 +164,49 @@ class DerivedCategory:
 
     # -- translation-quiver export -------------------------------------
 
-    def _zq_vertices(self, coarse_min: int, coarse_max: int) -> Dict[Tuple[int, int], DerivedObject]:
-        """Vertex (i, p) is tau^p P_i.  Coarse degree is nondecreasing in p,
-        so each tau-orbit is walked once, up from p=0 and down from p=-1."""
-        verts: Dict[Tuple[int, int], DerivedObject] = {}
+    def _zq_rows(self, coarse_min: int, coarse_max: int) -> List[Dict[int, DerivedObject]]:
+        """Row i maps p to tau^p P_i, in ascending p, for each p whose
+        coarse degree lies in the window.  tau^-1 is walked once from P_i,
+        until P_i's root comes back as P_i[k] after T steps; tau^p P_i is
+        then step -p mod T of that period, shifted by k * (-p div T).
+        Coarse degree is nondecreasing in p, so each row steps out from 0."""
+        rows = []
         for i in range(self.rs.n):
-            obj, p = DerivedObject(self.proj_dims[i], 0), 0
-            while (d_c := self.coarse_degree(obj)) <= coarse_max:
-                if d_c >= coarse_min:
-                    verts[(i, p)] = obj
-                obj, p = self.tau(obj), p + 1
-            obj, p = self.tau_inverse(DerivedObject(self.proj_dims[i], 0)), -1
-            while (d_c := self.coarse_degree(obj)) >= coarse_min:
-                if d_c <= coarse_max:
-                    verts[(i, p)] = obj
-                obj, p = self.tau_inverse(obj), p - 1
-        return verts
+            period = [DerivedObject(self.proj_dims[i], 0)]
+            while ((x := self.tau_inverse(period[-1])).beta != period[0].beta
+                   and len(period) < len(self.rs.positive_roots)):
+                period.append(x)
+            if x.beta != period[0].beta or x.shift < 1:
+                raise RuntimeError(f"tau^-1 never takes P_{i + 1} to P_{i + 1}[k], k >= 1 (bug)")
+
+            def at(p: int) -> DerivedObject:
+                q, r = divmod(-p, len(period))
+                return shift(period[r], x.shift * q)
+            first = last = 0
+            while -at(first - 1).shift >= coarse_min:
+                first -= 1
+            while -at(last + 1).shift <= coarse_max:
+                last += 1
+            rows.append({p: y for p in range(first, last + 1)
+                         if coarse_min <= -(y := at(p)).shift <= coarse_max})
+        return rows
 
     def export_zq_dot(self, coarse_min: int, coarse_max: int) -> str:
         """DOT digraph of the translation quiver restricted to a window of
-        coarse degrees.  For each bipartite arrow s->t there is an edge
-        (t,p)->(s,p) and an edge (s,p)->(t,p-1)."""
-        verts = self._zq_vertices(coarse_min, coarse_max)
-        order = sorted(verts)
+        coarse degrees, written row by row.  For each bipartite arrow s->t
+        there is an edge (t,p)->(s,p) and an edge (s,p)->(t,p-1)."""
+        rows = self._zq_rows(coarse_min, coarse_max)
         lines = ["digraph ZQ {"]
-        for (i, p) in order:
-            obj = verts[(i, p)]
-            label = f"({i + 1},{p}) dF={self.fine_degree(obj)} {obj}"
-            lines.append(f'  "v{i + 1}_p{p}" [label="{label}"];')
-        rows: Dict[int, List[int]] = {}  # the p of each row i, ascending
-        for (i, p) in order:
-            rows.setdefault(i, []).append(p)
+        for i, row in enumerate(rows):
+            for p, obj in row.items():
+                label = f"({i + 1},{p}) dF={self.fine_degree(obj)} {obj}"
+                lines.append(f'  "v{i + 1}_p{p}" [label="{label}"];')
         for (s, t) in self.rs.arrows:
             for i in sorted((s, t)):
-                for p in rows.get(i, ()):
-                    if i == t and (s, p) in verts:
+                for p in rows[i]:
+                    if i == t and p in rows[s]:
                         lines.append(f'  "v{t + 1}_p{p}" -> "v{s + 1}_p{p}";')
-                    if i == s and (t, p - 1) in verts:
+                    if i == s and p - 1 in rows[t]:
                         lines.append(f'  "v{s + 1}_p{p}" -> "v{t + 1}_p{p - 1}";')
         lines.append("}")
         return "\n".join(lines) + "\n"

@@ -599,6 +599,43 @@ class TestExportZq:
         assert code == 0
         assert out.count("label") == cli.MAX_ZQ_VERTICES
 
+    def test_rows_read_from_one_period(self, capsys, monkeypatch):
+        # Each row repeats one tau^-1 period by shift: D32's widest window
+        # takes no tau step and at most 4 |Phi+| = 3968 tau^-1 steps, the
+        # fine table's included.
+        calls = collections.Counter()
+        for name in ("tau", "tau_inverse"):
+            def spy(self, x, name=name, real=getattr(derived.DerivedCategory, name)):
+                calls[name] += 1
+                return real(self, x)
+            monkeypatch.setattr(derived.DerivedCategory, name, spy)
+        code, out, _ = run(capsys, "export-zq", "--type", "D32", "--window=-75:75")
+        assert code == 0 and out.count("[label=") == 151 * 992
+        assert calls["tau"] == 0 and 0 < calls["tau_inverse"] <= 4 * 992
+
+    @pytest.mark.parametrize("broken", ["identity", "never back"])
+    def test_broken_translate_fails_fast(self, capsys, monkeypatch, broken):
+        # A tau^-1 that brings P_i back at shift 0, or never brings its root
+        # back, fails within |Phi+| = 6 steps instead of walking on.
+        steps = []
+
+        def tau_inverse(self, x):
+            steps.append(x)
+            if broken == "identity":
+                return x
+            return derived.DerivedObject(
+                next(b for b in self.rs.positive_roots if b not in self.proj_dims), x.shift)
+
+        monkeypatch.setattr(derived.DerivedCategory, "tau_inverse", tau_inverse)
+        code, out, err = run(capsys, "export-zq", "--type", "A3", "--window=-1:1")
+        assert (code, out) == (1, "")
+        assert err.startswith("internal error: ") and err.count("\n") == 1
+        assert 0 < len(steps) <= 6
+        steps.clear()
+        with pytest.raises(RuntimeError):
+            derived.derived_category(mclusters.build_root_system(mclusters.parse_type("A3"))).phi
+        assert 0 < len(steps) <= 6
+
 
 class TestClosedStdout:
     """A reader that closes the pipe early is no internal error: the

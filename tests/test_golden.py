@@ -1,8 +1,8 @@
 """Golden output: the full ``mcluster verify`` text, the sha256 of the
 ``mcluster enumerate`` JSON on a few instances, the sha256 of the
 exit codes and stdout of a fixed list of ``compat`` and ``ext`` calls,
-the sha256 of a few whole Ext tables and of a few ``export-zq`` DOT
-texts.  A change that is meant to leave the output alone must leave
+the sha256 of a few whole Ext tables, of a few ``export-zq`` DOT texts
+and of the fine-degree tables.  A change that is meant to leave the output alone must leave
 these values alone; a change that means to alter the output updates
 them and says why."""
 
@@ -11,7 +11,8 @@ import json
 
 import pytest
 
-from conftest import REDUCIBLE, dense_ext, system
+from conftest import ALL_SYSTEMS, REDUCIBLE, dense_ext, system
+from mclusters import derived_category
 from mclusters.cli import main
 from mclusters.orbit_category import mcluster_category
 
@@ -186,13 +187,19 @@ def test_ext_table_digest(name, keep, m):
 
 
 # sha256 of the ``mcluster export-zq`` DOT text, by (type, window); 1:0 is
-# an inverted window, which gives the empty digraph.
+# an inverted window, which gives the empty digraph, and the last four
+# windows leave out coarse degree 0, above it, below it, at one degree and
+# ending at it.
 EXPORT_ZQ_SHA256 = {
     ("A1", "0:5"): "1cae0b8bc2840f8de4a03488ee9fd518a6c73cf4d0e68e08a5707d92c633c1c6",
     ("A3", "-3:3"): "2629f5bfb9ef5d5ada641266a822033780a854d0d6fbc96acfebad9e515dd2a3",
     ("D5", "-2:2"): "4578150f45f911642f06bc854fb5ee2e2712dde2cbb543de3195b2c14d30c94b",
     ("E6", "-3:4"): "2d6e5fe9719045b357721c29db68fe0a81787bef071be53e17b5330fb0c5c5b3",
     ("A3", "1:0"): "33b0bd3a175c8e69ad25589bbc94a1f086f7e79dd8cc9a95239054b942eabf18",
+    ("E6", "2:4"): "598d909c02d393eb31d499986e79ba30ce4eab01b9515346c32f1342e439adbf",
+    ("D5", "-4:-1"): "735b718041d57917742ea5bd6b53de291e37d27a33dfe5a87cb9293fa703da56",
+    ("A4", "3:3"): "4b8e54724917cf4b69ef4e97637bf0827fd97503294c3e95e0c26ffadae3b328",
+    ("E7", "-1:0"): "88bb2974ab2eb2049f5d1931dd4e4d40aed13b582b84b3db8029c246eee4a85f",
 }
 
 
@@ -202,3 +209,43 @@ def test_export_zq_digest(capsys, name, window):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == EXPORT_ZQ_SHA256[name, window]
+
+
+def test_export_zq_reducible_digest():
+    # The library export of E7 without vertex 3 (A2 + A3 + A1), whose rows
+    # repeat with the Coxeter numbers of three components.
+    dot = derived_category(system(*REDUCIBLE[2])).export_zq_dot(-2, 2)
+    assert hashlib.sha256(dot.encode()).hexdigest() == \
+        "4801586dcdec4bad74d25c2b69d5152632527096eedc3c20012c4bf913d2b67c"
+
+
+# sha256 of ``repr(sorted(phi.items()))``, the fine-degree table, by
+# (type, kept vertices or None) for every entry of ``ALL_SYSTEMS``.
+FINE_TABLE_SHA256 = {
+    ("A1", None): "a3af31e2ff8f9f4e818f900f05a711dd97e1258bd43e287e7477800e3a95aa24",
+    ("A2", None): "e2b1a3b900e6e67255a8f53b75af99fa402838b2adf3204d962267a002a7e97c",
+    ("A3", None): "5d3e557dd66cbdedf9ff361ca60c37c1df63ce90867e8359d2cef980c24e92f5",
+    ("A4", None): "fdf7ec4a348ae3634b32b7d8cd8e6f4132e1f16dfe50f77f1c94249d3f3b2009",
+    ("A5", None): "53cb8ffa916af6e2e426884d3814cf304e61ccf121e333070b823b5f410a8d67",
+    ("A6", None): "497fa9d2667ecebf27f5c09c71c81a239fc5a308d3a75fb7734eb07df2a37872",
+    ("A7", None): "8d622bfff8e8e867779f45a6ea923b35cd1a695b8e36eefb1c5452a112429fcb",
+    ("A8", None): "28c9ca22dc46420c139611c2fda8f1ee70ea5bf2ca2acff926a37d75ed38413c",
+    ("D4", None): "9e8041a0d14c0f0e1fe9bc8789223c055dfaaf6e5ac2a6750c5bf70af1025faf",
+    ("D5", None): "8b5d303b3e039db82a9770e69d26d63dfc37d6d8f92e62599b968d2267019b5c",
+    ("D6", None): "4b35b8d31ff51df421dcc722445785b9ce353aa31d181c2593d668f12a8a9dbf",
+    ("D7", None): "ad9da250d4866c107402d08a5edf80a979648c302ca7968bab76b0319634e192",
+    ("D8", None): "0bd9ab269ace6c509b3536022042ce821795b7ebd51866b45722661df8550408",
+    ("E6", None): "661abe5f58865dd5126a344617dff37659c2f4f476638094bcf404b9e985207d",
+    ("E7", None): "fa69bf29a9111466bbfec790d8748d322621db0768039b1dd6e4021b96b83175",
+    ("E8", None): "7eaf39cd0e7e68daba5b12c3d19677b8d99b3e6c2d2f3cfde30eee0709cd6a10",
+    ("A3", (0, 2)): "f53a45d3b7e69a1887c443af9916abab4e848ba0bf64912afeb7295f31fe77d5",
+    ("D4", (0, 2, 3)): "bd1c6c88c67b5a96387596c16614e49ff60d8b91d90cede8262ccb2c1f0f2035",
+    ("E7", (0, 1, 3, 4, 5, 6)): "adb30eed58fca8f55cd80257c11a36af3d7f6877f90f336b9ac4b6f43b236e67",
+}
+
+
+@pytest.mark.parametrize("name,keep", ALL_SYSTEMS)
+def test_fine_table_digest(name, keep):
+    phi = derived_category(system(name, keep)).phi
+    digest = hashlib.sha256(repr(sorted(phi.items())).encode()).hexdigest()
+    assert digest == FINE_TABLE_SHA256[name, keep]
