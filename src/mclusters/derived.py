@@ -16,6 +16,7 @@ and is the witness the tests compare against.
 
 from __future__ import annotations
 
+from itertools import chain, count, takewhile
 from operator import mul
 from typing import Dict, List, NamedTuple, Tuple
 
@@ -169,7 +170,9 @@ class DerivedCategory:
         coarse degree lies in the window.  tau^-1 is walked once from P_i,
         until P_i's root comes back as P_i[k] after T steps; tau^p P_i is
         then step -p mod T of that period, shifted by k * (-p div T).
-        Coarse degree is nondecreasing in p, so each row steps out from 0."""
+        Coarse degree is nondecreasing in p, so each row steps out from 0
+        in both directions, building each tau^p P_i once and stopping one
+        past each end of the window."""
         rows = []
         for i in range(self.rs.n):
             period = [DerivedObject(self.proj_dims[i], 0)]
@@ -179,16 +182,13 @@ class DerivedCategory:
             if x.beta != period[0].beta or x.shift < 1:
                 raise RuntimeError(f"tau^-1 never takes P_{i + 1} to P_{i + 1}[k], k >= 1 (bug)")
 
-            def at(p: int) -> DerivedObject:
+            def at(p: int) -> Tuple[int, DerivedObject]:
                 q, r = divmod(-p, len(period))
-                return shift(period[r], x.shift * q)
-            first = last = 0
-            while -at(first - 1).shift >= coarse_min:
-                first -= 1
-            while -at(last + 1).shift <= coarse_max:
-                last += 1
-            rows.append({p: y for p in range(first, last + 1)
-                         if coarse_min <= -(y := at(p)).shift <= coarse_max})
+                return p, shift(period[r], x.shift * q)
+            down = takewhile(lambda v: -v[1].shift >= coarse_min, map(at, count(0, -1)))
+            up = takewhile(lambda v: -v[1].shift <= coarse_max, map(at, count(1)))
+            rows.append({p: y for p, y in chain(reversed(list(down)), up)
+                         if coarse_min <= -y.shift <= coarse_max})
         return rows
 
     def export_zq_dot(self, coarse_min: int, coarse_max: int) -> str:

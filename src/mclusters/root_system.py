@@ -13,6 +13,7 @@ tuples.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import (Any, Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
@@ -79,13 +80,115 @@ def parse_type(text: str) -> DynkinType:
     return DynkinType(text[0].upper(), rank)
 
 
+class _Diagram(NamedTuple):
+    """The root data of a diagram, which depend on nothing else: the
+    Cartan rows, the neighbour lists, the components (in order of their
+    lowest vertex), the default plus part (that vertex of each component
+    and every vertex at even distance from it), the positive roots in
+    closure order and their set, and the Coxeter number of each component
+    and at each vertex."""
+    cartan: Tuple[Tuple[int, ...], ...]
+    neighbours: Tuple[Tuple[int, ...], ...]
+    components: Tuple[FrozenSet[int], ...]
+    plus: FrozenSet[int]
+    positive_roots: Tuple[Root, ...]
+    positive_set: FrozenSet[Root]
+    coxeter_numbers: Tuple[int, ...]
+    coxeter_number_at: Tuple[int, ...]
+
+
+# A diagram's entry holds only tuples and sets of integers, never a system or
+# anything in its memo, so a cached diagram keeps no category alive.  The
+# largest entry the CLI accepts, D32, holds about 340 KiB, so a full cache
+# holds at most about 22 MiB.
+DIAGRAM_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=DIAGRAM_CACHE_SIZE)
+def _diagram(n: int, edges: Tuple[Tuple[int, int], ...]) -> _Diagram:
+    """The root data of the diagram on vertices 0..n-1 with ``edges``,
+    which must be sorted pairs in sorted order, built once per diagram."""
+    c = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    adj: List[List[int]] = [[] for _ in range(n)]
+    for i, j in edges:
+        c[i][j] = c[j][i] = -1
+        adj[i].append(j)
+        adj[j].append(i)
+    cartan = tuple(map(tuple, c))
+    neighbours = tuple(map(tuple, adj))  # increasing: the edges are sorted
+    # One walk of the diagram gives the components, in order of their lowest
+    # vertex, and a 2-colouring (side 0 is plus) with that vertex on the plus side.
+    component_of, side = [-1] * n, [0] * n
+    components: List[FrozenSet[int]] = []
+    for v in range(n):
+        if component_of[v] >= 0:
+            continue
+        component_of[v] = k = len(components)
+        comp = [v]
+        for u in comp:  # breadth first: comp grows as it is read
+            for w in neighbours[u]:
+                if component_of[w] < 0:
+                    component_of[w], side[w] = k, 1 - side[u]
+                    comp.append(w)
+        components.append(frozenset(comp))
+    positive_roots = _closure(cartan, neighbours)
+    # A component's Coxeter number is 2|its positive roots| / |its
+    # vertices|.  A root has connected support, so its first nonzero
+    # coordinate (the first occurrence of its first nonzero value)
+    # names its component, and one pass counts them all.
+    counts = [0] * len(components)
+    for b in positive_roots:
+        counts[component_of[b.index(next(filter(None, b)))]] += 1
+    coxeter_numbers = tuple(2 * count // len(comp) for comp, count in zip(components, counts))
+    return _Diagram(cartan, neighbours, tuple(components),
+                    frozenset(v for v in range(n) if not side[v]),
+                    positive_roots, frozenset(positive_roots), coxeter_numbers,
+                    tuple(coxeter_numbers[component_of[v]] for v in range(n)))
+
+
+def _closure(cartan: Tuple[Tuple[int, ...], ...],
+             neighbours: Tuple[Tuple[int, ...], ...]) -> Tuple[Root, ...]:
+    """Breadth-first closure of the simple roots under the simple
+    reflections, in queue order and then vertex order.  Each queued
+    root beta carries its Cartan pairings p = C beta, and s_i beta is
+    beta with coordinate i set to beta_i - p_i.  Only raising images
+    (p_i < 0) are queued: queue order is height order, so a lowered
+    image is already queued.  The image's pairings are p - p_i C[i],
+    which changes only entry i and the entries of its neighbours."""
+    n = len(cartan)
+    out: List[Root] = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    pairings: List[Tuple[int, ...]] = list(cartan)  # C alpha_i is row i: C is symmetric
+    seen = set(out)
+    k = 0
+    while k < len(out):
+        beta, p = out[k], pairings[k]
+        k += 1
+        for i, p_i in enumerate(p):
+            if p_i >= 0:
+                continue
+            gamma = beta[:i] + (beta[i] - p_i,) + beta[i + 1:]
+            if gamma not in seen:
+                seen.add(gamma)
+                out.append(gamma)
+                q = list(p)
+                q[i] -= 2 * p_i
+                for j in neighbours[i]:
+                    q[j] += p_i
+                pairings.append(tuple(q))
+    return tuple(out)
+
+
 class RootSystem:
     """A (possibly reducible) simply-laced root system on a fixed diagram.
 
-    The root data are fixed at construction and instances hash by
+    The root data (Cartan rows, neighbours, components, positive roots,
+    Coxeter numbers) depend on the diagram alone and are shared by every
+    system on the same diagram, from a cache of at most
+    ``DIAGRAM_CACHE_SIZE`` diagrams.  The type, the bipartition and the
+    arrows are the caller's and belong to the instance, which hashes by
     identity.  Everything built from a system, such as its categories,
-    fine table, Hom table, shift and rotation tables, is kept in ``memo`` by
-    ``cached``, so it is freed together with the system.
+    fine table, Hom table, shift and rotation tables, is kept in its own
+    ``memo`` by ``cached``, so it is freed together with the system.
     """
 
     def __init__(self, n: int, edges: Sequence[Tuple[int, int]],
@@ -95,26 +198,11 @@ class RootSystem:
         self.memo: Dict[object, Any] = {}
         self.n = n
         self.edges: Tuple[Tuple[int, int], ...] = tuple(sorted(tuple(sorted(e)) for e in edges))
-        self.cartan: Tuple[Tuple[int, ...], ...] = self._build_cartan()
-        self.neighbours: Tuple[Tuple[int, ...], ...] = self._build_neighbours()
-        # One walk of the diagram gives the components, in order of their lowest
-        # vertex, and a 2-colouring (side 0 is plus) with that vertex on the plus side.
-        component_of, side = [-1] * n, [0] * n
-        components: List[FrozenSet[int]] = []
-        for v in range(n):
-            if component_of[v] >= 0:
-                continue
-            component_of[v] = k = len(components)
-            comp = [v]
-            for u in comp:  # breadth first: comp grows as it is read
-                for w in self.neighbours[u]:
-                    if component_of[w] < 0:
-                        component_of[w], side[w] = k, 1 - side[u]
-                        comp.append(w)
-            components.append(frozenset(comp))
-        self.components: Tuple[FrozenSet[int], ...] = tuple(components)
-        self.I_plus = frozenset(I_plus if I_plus is not None else
-                                (v for v in range(n) if not side[v]))
+        d = _diagram(n, self.edges)
+        self.cartan, self.neighbours, self.components = d.cartan, d.neighbours, d.components
+        self.positive_roots, self._positive_set = d.positive_roots, d.positive_set
+        self.coxeter_numbers, self.coxeter_number_at = d.coxeter_numbers, d.coxeter_number_at
+        self.I_plus = d.plus if I_plus is None else frozenset(I_plus)
         self.I_minus = frozenset(range(n)) - self.I_plus
         self._check_bipartition()
         # Each part of the bipartition in vertex order, and the arrows of
@@ -123,19 +211,6 @@ class RootSystem:
         self.minus_order: Tuple[int, ...] = tuple(sorted(self.I_minus))
         self.arrows: Tuple[Tuple[int, int], ...] = tuple(
             (i, j) if i in self.I_plus else (j, i) for i, j in self.edges)
-        self.positive_roots: Tuple[Root, ...] = self._closure()
-        self._positive_set = frozenset(self.positive_roots)
-        # A component's Coxeter number is 2|its positive roots| / |its
-        # vertices|.  A root has connected support, so its first nonzero
-        # coordinate (the first occurrence of its first nonzero value)
-        # names its component, and one pass counts them all.
-        counts = [0] * len(self.components)
-        for b in self.positive_roots:
-            counts[component_of[b.index(next(filter(None, b)))]] += 1
-        self.coxeter_numbers: Tuple[int, ...] = tuple(
-            2 * count // len(comp) for comp, count in zip(self.components, counts))
-        self.coxeter_number_at: Tuple[int, ...] = tuple(
-            self.coxeter_numbers[component_of[v]] for v in range(n))
 
     def cached(self, key: object, build: Callable[[], Any]) -> Any:
         """``memo[key]``, from ``build()`` on first use."""
@@ -154,57 +229,12 @@ class RootSystem:
     def irreducible(self) -> bool:
         return len(self.components) == 1
 
-    def _build_cartan(self) -> Tuple[Tuple[int, ...], ...]:
-        c = [[2 if i == j else 0 for j in range(self.n)] for i in range(self.n)]
-        for i, j in self.edges:
-            c[i][j] = c[j][i] = -1
-        return tuple(tuple(r) for r in c)
-
-    def _build_neighbours(self) -> Tuple[Tuple[int, ...], ...]:
-        """The neighbours of each vertex, in increasing order (the edges
-        are sorted)."""
-        adj: List[List[int]] = [[] for _ in range(self.n)]
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        return tuple(map(tuple, adj))
-
     def _check_bipartition(self) -> None:
         if self.I_plus | self.I_minus != frozenset(range(self.n)):
             raise ValueError("bipartition does not cover the vertex set")
         for i, j in self.edges:
             if (i in self.I_plus) == (j in self.I_plus):
                 raise ValueError(f"edge {{{i},{j}}} joins two vertices of the same part")
-
-    def _closure(self) -> Tuple[Root, ...]:
-        """Breadth-first closure of the simple roots under the simple
-        reflections, in queue order and then vertex order.  Each queued
-        root beta carries its Cartan pairings p = C beta, and s_i beta is
-        beta with coordinate i set to beta_i - p_i.  Only raising images
-        (p_i < 0) are queued: queue order is height order, so a lowered
-        image is already queued.  The image's pairings are p - p_i C[i],
-        which changes only entry i and the entries of its neighbours."""
-        out: List[Root] = [self.simple_root(i) for i in range(self.n)]
-        pairings: List[Tuple[int, ...]] = list(self.cartan)  # C alpha_i is row i: C is symmetric
-        seen = set(out)
-        nbrs = self.neighbours
-        k = 0
-        while k < len(out):
-            beta, p = out[k], pairings[k]
-            k += 1
-            for i, p_i in enumerate(p):
-                if p_i >= 0:
-                    continue
-                gamma = beta[:i] + (beta[i] - p_i,) + beta[i + 1:]
-                if gamma not in seen:
-                    seen.add(gamma)
-                    out.append(gamma)
-                    q = list(p)
-                    q[i] -= 2 * p_i
-                    for j in nbrs[i]:
-                        q[j] += p_i
-                    pairings.append(tuple(q))
-        return tuple(out)
 
     def simple_root(self, i: int) -> Root:
         return tuple(1 if j == i else 0 for j in range(self.n))

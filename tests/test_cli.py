@@ -602,16 +602,25 @@ class TestExportZq:
     def test_rows_read_from_one_period(self, capsys, monkeypatch):
         # Each row repeats one tau^-1 period by shift: D32's widest window
         # takes no tau step and at most 4 |Phi+| = 3968 tau^-1 steps, the
-        # fine table's included.
+        # fine table's included.  Each row steps out from p = 0 and shifts
+        # a period step once per vertex, plus once past each end: 2 n beyond
+        # the vertices per row reader, here the window's 151 * 992 and the
+        # fine table's 992.
         calls = collections.Counter()
         for name in ("tau", "tau_inverse"):
             def spy(self, x, name=name, real=getattr(derived.DerivedCategory, name)):
                 calls[name] += 1
                 return real(self, x)
             monkeypatch.setattr(derived.DerivedCategory, name, spy)
+
+        def shift_spy(x, k, real=derived.shift):
+            calls["shift"] += 1
+            return real(x, k)
+        monkeypatch.setattr(derived, "shift", shift_spy)
         code, out, _ = run(capsys, "export-zq", "--type", "D32", "--window=-75:75")
         assert code == 0 and out.count("[label=") == 151 * 992
         assert calls["tau"] == 0 and 0 < calls["tau_inverse"] <= 4 * 992
+        assert calls["shift"] <= 152 * 992 + 2 * 2 * 32
 
     @pytest.mark.parametrize("broken", ["identity", "never back"])
     def test_broken_translate_fails_fast(self, capsys, monkeypatch, broken):

@@ -1,7 +1,13 @@
+import gc
+import itertools
+import weakref
+
 import pytest
 
 from conftest import ALL_SYSTEMS, system
-from mclusters import DynkinType, build_root_system, parabolic, parse_type
+from mclusters import (DynkinType, build_root_system, derived_category, mcluster_category,
+                       parabolic, parse_type)
+from mclusters.root_system import DIAGRAM_CACHE_SIZE, _diagram
 
 
 def test_a1_trivial():
@@ -192,3 +198,60 @@ def test_reflect_out_of_range(a2):
 def test_closure_order_high_rank(name):
     rs = system(name)
     assert rs.positive_roots == cartan_closure(rs)
+
+
+def leaves(value):
+    """The non-container values inside nested tuples and frozensets."""
+    if isinstance(value, (tuple, frozenset)):
+        for item in value:
+            yield from leaves(item)
+    else:
+        yield value
+
+
+class TestDiagramCache:
+    @pytest.mark.parametrize("sub_first", [True, False])
+    def test_one_diagram_two_bipartitions(self, sub_first):
+        # A3 without vertex 0 and A2 have one diagram: they share its root
+        # data, and each keeps its own bipartition, arrows and memo.
+        _diagram.cache_clear()
+        builds = {"sub": lambda: parabolic(system("A3"), [1, 2]), "a2": lambda: system("A2")}
+        built = {name: builds[name]() for name in (builds if sub_first else reversed(builds))}
+        sub, a2 = built["sub"], built["a2"]
+        assert sub.positive_roots is a2.positive_roots
+        assert (sub.I_plus, a2.I_plus) == ({1}, {0})
+        assert (sub.plus_order, a2.plus_order) == ((1,), (0,))
+        assert (sub.arrows, a2.arrows) == (((1, 0),), ((0, 1),))
+        assert sub.memo is not a2.memo
+
+    def test_holds_no_system(self):
+        # An entry is integers in tuples and sets only, and every system and
+        # category on a cached diagram is freed with the system.
+        alive = []
+        for _ in range(300):
+            rs = system("A3")
+            alive += map(weakref.ref, (rs, derived_category(rs), mcluster_category(rs, 2)))
+        roots = rs.positive_roots
+        del rs
+        gc.collect()
+        assert not any(ref() for ref in alive)
+        assert system("A3").positive_roots is roots
+        assert all(type(v) is int for v in leaves(_diagram(3, ((0, 1), (1, 2)))))
+
+    def test_bounded(self):
+        # The parabolic subsystems of A9 give more diagrams than the bound;
+        # the first one built is evicted, and built again it is still the
+        # reference closure.
+        a9 = system("A9")
+        keeps = [k for r in range(1, 10) for k in itertools.combinations(range(9), r)]
+        _diagram.cache_clear()
+        diagrams = set()
+        for keep in keeps:
+            rs = parabolic(a9, keep)
+            diagrams.add((rs.n, rs.edges))
+        info = _diagram.cache_info()
+        assert len(diagrams) > DIAGRAM_CACHE_SIZE and info.maxsize == DIAGRAM_CACHE_SIZE
+        assert info.currsize == DIAGRAM_CACHE_SIZE
+        rs = parabolic(a9, keeps[0])
+        assert _diagram.cache_info().misses == info.misses + 1
+        assert rs.positive_roots == cartan_closure(rs)
