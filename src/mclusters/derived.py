@@ -1,10 +1,10 @@
 """Indecomposables of the bounded derived category as shifted modules.
 
 Every indecomposable is written canonically as ``V(beta)[s]`` with ``beta``
-a positive root and ``s`` an integer: each coarse-degree slice is a copy
-of the module category, so this form is unique.  The fine grading places
-the projectives at degrees 0 (sinks) and -1 (sources) and extends along
-inverse-translate orbits, dropping by 2 per step.
+a positive root and ``s`` an integer: the objects at each shift are a copy
+of the module category, so this form is unique, and the fundamental domain
+of the orbit category is a range of shifts.  No grading is tabled: the
+translation-quiver export reads each label's fine degree off its row index.
 
 Everything here is root data of the bipartite quiver (Fomin-Reading,
 math/0505085): P_i and I_i are e_i plus the heads, respectively the
@@ -37,13 +37,13 @@ def shift(x: DerivedObject, k: int) -> DerivedObject:
 
 
 class DerivedCategory:
-    """Computational context for one root system: fine-degree table,
-    translate, Hom dimensions, and the bijection with the almost positive
-    roots.  The translate and its inverse are evaluated on each call and
-    the fine table is built on first read and kept in ``rs.memo``, so a
-    caller pays only for what it asks.  A reducible system is the product
-    of its components: Hom between them is 0 by the Euler form, and each
-    grading uses the Coxeter number of the object's component."""
+    """Computational context for one root system: translate, Hom
+    dimensions, the bijection with the almost positive roots (onto shift
+    0 and the injectives at shift -1) and the translation-quiver export.
+    The translate and its inverse are evaluated on each call, so a caller
+    pays only for what it asks.  A reducible system is the product of its
+    components: Hom between them is 0 by the Euler form, and each
+    translation-quiver row repeats with its own component's period."""
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
@@ -56,24 +56,6 @@ class DerivedCategory:
         self.inj_dims: Tuple[Root, ...] = tuple(map(tuple, inj))
         self._proj_index = {d: i for i, d in enumerate(self.proj_dims)}
         self._inj_index = {d: i for i, d in enumerate(self.inj_dims)}
-
-    @property
-    def phi(self) -> Dict[Root, int]:
-        """Fine degree of each positive root in the module slice, built on
-        first read from the translation-quiver rows at coarse degree 0:
-        tau^p P_i has fine degree dF(P_i) + 2p."""
-        return self.rs.cached("fine", self._build_fine_table)
-
-    def _build_fine_table(self) -> Dict[Root, int]:
-        phi: Dict[Root, int] = {}
-        for i, row in enumerate(self._zq_rows(0, 0)):
-            d = 0 if i in self.rs.I_minus else -1
-            if d + 2 * min(row) < -self.rs.coxeter_number_at[i] + 1:
-                raise RuntimeError("fine-degree window underflow (bug)")
-            phi.update((x.beta, d + 2 * p) for p, x in row.items())
-        if len(phi) != len(self.rs.positive_roots):
-            raise RuntimeError("fine-degree table incomplete (bug)")
-        return phi
 
     def _coxeter(self, first: Tuple[int, ...], second: Tuple[int, ...],
                  x: DerivedObject) -> DerivedObject:
@@ -106,18 +88,6 @@ class DerivedCategory:
     def _check(self, x: DerivedObject) -> None:
         if not self.rs.is_positive_root(x.beta):
             raise ValueError(f"{x.beta} is not a positive root")
-
-    def coxeter_number(self, beta: Root) -> int:
-        """Coxeter number of the component that supports ``beta``."""
-        return self.rs.coxeter_number_at[next(v for v, c in enumerate(beta) if c)]
-
-    def fine_degree(self, x: DerivedObject) -> int:
-        self._check(x)
-        return self.phi[x.beta] - x.shift * self.coxeter_number(x.beta)
-
-    def coarse_degree(self, x: DerivedObject) -> int:
-        self._check(x)
-        return -x.shift
 
     def tau(self, x: DerivedObject) -> DerivedObject:
         self._check(x)
@@ -154,8 +124,8 @@ class DerivedCategory:
 
     def V(self, alpha: Root) -> DerivedObject:
         """Bijection from almost positive roots onto the fundamental
-        domain with fine degrees in [-h+1, 2], ``h`` the Coxeter number of
-        the root's component."""
+        domain at m = 1: a positive root to its module at shift 0, and
+        -alpha_i to the injective I_i at shift -1."""
         i = self.rs.negative_simple_index(alpha)
         if i is not None:
             return DerivedObject(self.inj_dims[i], -1)
@@ -193,13 +163,16 @@ class DerivedCategory:
 
     def export_zq_dot(self, coarse_min: int, coarse_max: int) -> str:
         """DOT digraph of the translation quiver restricted to a window of
-        coarse degrees, written row by row.  For each bipartite arrow s->t
-        there is an edge (t,p)->(s,p) and an edge (s,p)->(t,p-1)."""
+        coarse degrees, written row by row.  Vertex (i,p) is tau^p P_i with
+        fine degree dF(P_i) + 2p, dF(P_i) = 0 at a sink and -1 at a source.
+        For each bipartite arrow s->t there is an edge (t,p)->(s,p) and an
+        edge (s,p)->(t,p-1)."""
         rows = self._zq_rows(coarse_min, coarse_max)
         lines = ["digraph ZQ {"]
         for i, row in enumerate(rows):
+            d = 0 if i in self.rs.I_minus else -1
             for p, obj in row.items():
-                label = f"({i + 1},{p}) dF={self.fine_degree(obj)} {obj}"
+                label = f"({i + 1},{p}) dF={d + 2 * p} {obj}"
                 lines.append(f'  "v{i + 1}_p{p}" [label="{label}"];')
         for (s, t) in self.rs.arrows:
             for i in sorted((s, t)):

@@ -2,12 +2,12 @@
 shift on node ids, and the categorical compatibility oracle.
 
 Objects are canonical derived representatives in the fundamental domain
-for the automorphism G = (inverse translate) o [m], i.e. with fine degree
-in [-mh+1, 2], h the Coxeter number of the object's component.  Hom
-between orbits is the sum over p of the derived Hom spaces Hom(G^p X, Z).
-For X and Z in the image of W only p in {-1, 0} can contribute:
+for the automorphism G = (inverse translate) o [m], which is W's image: the
+objects at shifts 0..m-1 and the injectives at shift -1, decided by shift
+alone.  Hom between orbits is the sum over p of the derived Hom spaces
+Hom(G^p X, Z).  For X and Z in the image of W only p in {-1, 0} can
+contribute:
 
-* W's image holds the objects at shifts 0..m-1 and the injectives at -1;
 * Hom(A[v], B[u]) = 0 unless u - v is 0 or 1 (the algebra is hereditary);
 * G raises the shift by m, or by m+1 when it passes an injective, since
   the inverse translate of I_j is P_j[1].  So G X has shift >= m (for
@@ -43,9 +43,6 @@ class MClusterCategory:
 
     # -- fundamental domain --------------------------------------------
 
-    def in_domain(self, x: DerivedObject) -> bool:
-        return -self.m * self.D.coxeter_number(x.beta) + 1 <= self.D.fine_degree(x) <= 2
-
     def W(self, x: ColouredRoot) -> DerivedObject:
         """Coloured root beta^j -> V(beta)[j-1]; negative simple -> I_i[-1]."""
         check_coloured(self.rs, self.m, x)
@@ -66,9 +63,6 @@ class MClusterCategory:
         return [self.W(x) for x in coloured_ground_set(self.rs, self.m)]
 
     # -- orbit automorphism --------------------------------------------
-
-    def G(self, x: DerivedObject) -> DerivedObject:
-        return shift(self.D.tau_inverse(x), self.m)
 
     def G_inverse(self, x: DerivedObject) -> DerivedObject:
         return self.D.tau(shift(x, -self.m))

@@ -85,8 +85,8 @@ class _Diagram(NamedTuple):
     Cartan rows, the neighbour lists, the components (in order of their
     lowest vertex), the default plus part (that vertex of each component
     and every vertex at even distance from it), the positive roots in
-    closure order and their set, and the Coxeter number of each component
-    and at each vertex."""
+    closure order and their set, and the Coxeter number of each
+    component."""
     cartan: Tuple[Tuple[int, ...], ...]
     neighbours: Tuple[Tuple[int, ...], ...]
     components: Tuple[FrozenSet[int], ...]
@@ -94,7 +94,6 @@ class _Diagram(NamedTuple):
     positive_roots: Tuple[Root, ...]
     positive_set: FrozenSet[Root]
     coxeter_numbers: Tuple[int, ...]
-    coxeter_number_at: Tuple[int, ...]
 
 
 # A diagram's entry holds only tuples and sets of integers, never a system or
@@ -142,8 +141,7 @@ def _diagram(n: int, edges: Tuple[Tuple[int, int], ...]) -> _Diagram:
     coxeter_numbers = tuple(2 * count // len(comp) for comp, count in zip(components, counts))
     return _Diagram(cartan, neighbours, tuple(components),
                     frozenset(v for v in range(n) if not side[v]),
-                    positive_roots, frozenset(positive_roots), coxeter_numbers,
-                    tuple(coxeter_numbers[component_of[v]] for v in range(n)))
+                    positive_roots, frozenset(positive_roots), coxeter_numbers)
 
 
 def _closure(cartan: Tuple[Tuple[int, ...], ...],
@@ -187,7 +185,7 @@ class RootSystem:
     ``DIAGRAM_CACHE_SIZE`` diagrams.  The type, the bipartition and the
     arrows are the caller's and belong to the instance, which hashes by
     identity.  Everything built from a system, such as its categories,
-    fine table, Hom table, shift and rotation tables, is kept in its own
+    Hom table, shift and rotation tables, is kept in its own
     ``memo`` by ``cached``, so it is freed together with the system.
     """
 
@@ -201,7 +199,7 @@ class RootSystem:
         d = _diagram(n, self.edges)
         self.cartan, self.neighbours, self.components = d.cartan, d.neighbours, d.components
         self.positive_roots, self._positive_set = d.positive_roots, d.positive_set
-        self.coxeter_numbers, self.coxeter_number_at = d.coxeter_numbers, d.coxeter_number_at
+        self.coxeter_numbers = d.coxeter_numbers
         self.I_plus = d.plus if I_plus is None else frozenset(I_plus)
         self.I_minus = frozenset(range(n)) - self.I_plus
         self._check_bipartition()

@@ -1,8 +1,9 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
-from mclusters import build_root_system, parabolic, parse_type, shift
+from mclusters import DerivedObject, build_root_system, parabolic, parse_type, shift
 
 # Reducible parabolic subsystems: A3 without its middle vertex (A1 + A1),
 # D4 without its branch vertex (A1 + A1 + A1), and E7 without vertex 3,
@@ -42,13 +43,45 @@ def d4():
     return build_root_system(parse_type("D4"))
 
 
+@lru_cache(maxsize=8)
+def fine_table(d):
+    """Fine degree of each positive root in the module slice of ``d``,
+    walked by tau^-1 from each P_i while the shift stays 0: dF(P_i) is 0 at
+    a sink and -1 at a source, and each step lowers it by 2."""
+    table = {}
+    for i, beta in enumerate(d.proj_dims):
+        x, f = DerivedObject(beta, 0), 0 if i in d.rs.I_minus else -1
+        while x.shift == 0:
+            table[x.beta], x, f = f, d.tau_inverse(x), f - 2
+    return table
+
+
+def coxeter_number(rs, beta):
+    """Coxeter number of the component that supports ``beta``."""
+    v = next(v for v, c in enumerate(beta) if c)
+    return next(h for comp, h in zip(rs.components, rs.coxeter_numbers) if v in comp)
+
+
+def fine_degree(d, x):
+    return fine_table(d)[x.beta] - x.shift * coxeter_number(d.rs, x.beta)
+
+
+def G(cat, x):
+    return shift(cat.D.tau_inverse(x), cat.m)
+
+
+def in_domain(cat, x):
+    """Whether ``x`` has fine degree in [-mh+1, 2], h its component's."""
+    return -cat.m * coxeter_number(cat.rs, x.beta) + 1 <= fine_degree(cat.D, x) <= 2
+
+
 def orbit_sum(cat, X, Y, i):
     """Hom(G^p X, Y[i]) summed over p in [-4, 4], with the orbit walked
     here and Y[i] not landed: a wider reference for ``ext``, which reads
     G^-1 X and X into Y landed i times."""
     powers, up, down = [X], X, X
     for _ in range(4):
-        up, down = cat.G(up), cat.G_inverse(down)
+        up, down = G(cat, up), cat.G_inverse(down)
         powers += [up, down]
     return sum(cat.D.hom(o, shift(Y, i)) for o in powers)
 
@@ -58,12 +91,12 @@ def reduce_walk(cat, x):
     the orbit walked by G and G^-1 as far as it takes: a general reference
     for the one G^-1 step of ``shift_matches_rotation``.  G keeps an object
     in its component, so one Coxeter number serves."""
-    floor = -cat.m * cat.D.coxeter_number(x.beta) + 1
+    floor = -cat.m * coxeter_number(cat.rs, x.beta) + 1
     steps = 2 * len(cat.rs.positive_roots) + 4
-    while cat.D.fine_degree(x) > 2:
-        x, steps = cat.G(x), steps - 1
+    while fine_degree(cat.D, x) > 2:
+        x, steps = G(cat, x), steps - 1
         assert steps >= 0, "fundamental-domain walk failed to land"
-    while cat.D.fine_degree(x) < floor:
+    while fine_degree(cat.D, x) < floor:
         x, steps = cat.G_inverse(x), steps - 1
         assert steps >= 0, "fundamental-domain walk failed to land"
     return x

@@ -10,7 +10,7 @@ import math
 
 import pytest
 
-from conftest import fuss_catalan, naive_maximal_cliques, orbit_sum, reduce_walk
+from conftest import fine_degree, fuss_catalan, naive_maximal_cliques, orbit_sum, reduce_walk
 from mclusters import (DerivedObject, build_graph, build_root_system,
                        compatible_combinatorial, coloured_ground_set,
                        derived_category, enumerate_facets, ext1_dim, euler_form,
@@ -163,7 +163,7 @@ def test_criterion_09_internal_consistency():
     for b in rs.positive_roots:
         for s in (-2, -1, 0, 1, 2):
             x = DerivedObject(b, s)
-            assert d.coarse_degree(x) == math.ceil(d.fine_degree(x) / rs.h)
+            assert -x.shift == math.ceil(fine_degree(d, x) / rs.h)
     for name, m in [("A2", 2), ("A3", 2), ("D4", 1)]:
         rs, _ = instance(name, m)
         cat = mcluster_category(rs, m)

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import mclusters
+from conftest import G, in_domain
 from mclusters import cli, cluster_complex, derived
 from mclusters.cli import main
 from mclusters.coloured_roots import ColouredRoot
@@ -156,7 +157,7 @@ class TestExtAndOrbit:
         # V(1,1,0)[1] shifted once is V(1,1,0)[2], off W's image, and its
         # G step is further off, so the query fails instead of answering.
         monkeypatch.setattr(MClusterCategory, "_land",
-                            lambda self, y: y if self.in_domain(y) else self.G(y))
+                            lambda self, y: y if in_domain(self, y) else G(self, y))
         code, out, err = run(capsys, command, "--type", "A3", "--m", "2", "--", "-e1", "1,1,0:2")
         assert (code, out) == (1, "")
         assert err.startswith("internal error: ") and err.endswith("is not in the image of W\n")
@@ -323,23 +324,23 @@ class TestPerCallWork:
 
     @pytest.mark.parametrize("command", list(CALLS))
     def test_fine_table_unbuilt(self, capsys, monkeypatch, command):
-        # The shift decides W's image by shift alone; only export-zq reads
-        # the fine degrees.
-        def refuse(self):
-            raise AssertionError("fine table built")
+        # W's image is decided by shift alone, and no grading is tabled:
+        # only export-zq walks the translation-quiver rows.
+        def refuse(self, coarse_min, coarse_max):
+            raise AssertionError("translation-quiver rows walked")
 
-        monkeypatch.setattr(derived.DerivedCategory, "_build_fine_table", refuse)
+        monkeypatch.setattr(derived.DerivedCategory, "_zq_rows", refuse)
         code, out, _ = run(capsys, command, *self.CALLS[command])
         assert code == 0 and out and "FAIL" not in out
 
     @pytest.mark.parametrize("command", ["compat", "ext"])
     def test_no_g_step(self, capsys, monkeypatch, command):
         # Per-pair Ext reads Hom from G^-1 X and X only, and lands Y by
-        # G^-1 steps.
+        # G^-1 steps, so it takes no tau^-1 step.
         def refuse(self, x):
-            raise AssertionError("MClusterCategory.G called")
+            raise AssertionError("DerivedCategory.tau_inverse called")
 
-        monkeypatch.setattr(MClusterCategory, "G", refuse)
+        monkeypatch.setattr(derived.DerivedCategory, "tau_inverse", refuse)
         code, out, _ = run(capsys, command, *self.CALLS[command])
         assert code == 0 and out
 
@@ -487,7 +488,7 @@ class TestVerify:
         # The landing step by G instead of G^-1: some W(x)[1] land outside
         # W's image, get no node id, and every check still prints its line.
         monkeypatch.setattr(MClusterCategory, "_land",
-                            lambda self, y: y if self.in_domain(y) else self.G(y))
+                            lambda self, y: y if in_domain(self, y) else G(self, y))
         code, out, err = run(capsys, "verify", "--type", "A3", "--m", "2")
         assert (code, err) == (1, "")
         assert "FAIL  rotation matches shift: 15 coloured roots" in out
@@ -601,11 +602,10 @@ class TestExportZq:
 
     def test_rows_read_from_one_period(self, capsys, monkeypatch):
         # Each row repeats one tau^-1 period by shift: D32's widest window
-        # takes no tau step and at most 4 |Phi+| = 3968 tau^-1 steps, the
-        # fine table's included.  Each row steps out from p = 0 and shifts
-        # a period step once per vertex, plus once past each end: 2 n beyond
-        # the vertices per row reader, here the window's 151 * 992 and the
-        # fine table's 992.
+        # takes no tau step and one tau^-1 step per positive root, |Phi+| =
+        # 992 in all.  Each row steps out from p = 0 and shifts a period
+        # step once per vertex, plus once past each end: 2 n = 64 beyond the
+        # window's 151 * 992 vertices.
         calls = collections.Counter()
         for name in ("tau", "tau_inverse"):
             def spy(self, x, name=name, real=getattr(derived.DerivedCategory, name)):
@@ -619,8 +619,8 @@ class TestExportZq:
         monkeypatch.setattr(derived, "shift", shift_spy)
         code, out, _ = run(capsys, "export-zq", "--type", "D32", "--window=-75:75")
         assert code == 0 and out.count("[label=") == 151 * 992
-        assert calls["tau"] == 0 and 0 < calls["tau_inverse"] <= 4 * 992
-        assert calls["shift"] <= 152 * 992 + 2 * 2 * 32
+        assert calls["tau"] == 0 and 0 < calls["tau_inverse"] <= 992
+        assert calls["shift"] <= 151 * 992 + 2 * 32
 
     @pytest.mark.parametrize("broken", ["identity", "never back"])
     def test_broken_translate_fails_fast(self, capsys, monkeypatch, broken):
@@ -642,7 +642,8 @@ class TestExportZq:
         assert 0 < len(steps) <= 6
         steps.clear()
         with pytest.raises(RuntimeError):
-            derived.derived_category(mclusters.build_root_system(mclusters.parse_type("A3"))).phi
+            derived.derived_category(
+                mclusters.build_root_system(mclusters.parse_type("A3")))._zq_rows(0, 0)
         assert 0 < len(steps) <= 6
 
 

@@ -2,10 +2,12 @@ import ast
 import inspect
 import itertools
 import math
+import re
 
 import pytest
 
-from conftest import ALL_SYSTEMS, REDUCIBLE, reduce_walk, system
+from conftest import (ALL_SYSTEMS, REDUCIBLE, coxeter_number, fine_degree, fine_table,
+                      reduce_walk, system)
 from mclusters import (DerivedObject, build_root_system, derived, derived_category,
                        parse_type, quiver_rep, shift)
 from mclusters.orbit_category import mcluster_category
@@ -23,30 +25,30 @@ def da3(a3):
 
 class TestFineTable:
     def test_a2_values(self, da2):
-        assert da2.phi[(0, 1)] == 0
-        assert da2.phi[(1, 1)] == -1
-        assert da2.phi[(1, 0)] == -2
+        assert fine_table(da2)[(0, 1)] == 0
+        assert fine_table(da2)[(1, 1)] == -1
+        assert fine_table(da2)[(1, 0)] == -2
 
     def test_a3_window(self, a3, da3):
-        assert len(da3.phi) == 6
-        assert set(da3.phi.values()) <= set(range(-3, 1))
+        assert len(fine_table(da3)) == 6
+        assert set(fine_table(da3).values()) <= set(range(-3, 1))
 
     @pytest.mark.parametrize("name", ["A4", "D4", "E6"])
     def test_window_filled(self, name):
         rs = build_root_system(parse_type(name))
         d = derived_category(rs)
-        assert len(d.phi) == len(rs.positive_roots)
-        assert all(-rs.h + 1 <= v <= 0 for v in d.phi.values())
+        assert len(fine_table(d)) == len(rs.positive_roots)
+        assert all(-rs.h + 1 <= v <= 0 for v in fine_table(d).values())
         for i in range(rs.n):
-            assert d.phi[d.proj_dims[i]] == (0 if i in rs.I_minus else -1)
+            assert fine_table(d)[d.proj_dims[i]] == (0 if i in rs.I_minus else -1)
 
     @pytest.mark.parametrize("name,keep", REDUCIBLE)
     def test_reducible_window_per_component(self, name, keep):
         rs = system(name, keep)
         d = derived_category(rs)
-        assert len(d.phi) == len(rs.positive_roots)
-        for beta, value in d.phi.items():
-            assert -d.coxeter_number(beta) + 1 <= value <= 0
+        assert len(fine_table(d)) == len(rs.positive_roots)
+        for beta, value in fine_table(d).items():
+            assert -coxeter_number(rs, beta) + 1 <= value <= 0
 
 
 def _component(rs, beta):
@@ -62,7 +64,8 @@ class TestReducible:
     def test_e7_without_vertex_3_builds(self):
         rs = system("E7", (0, 1, 3, 4, 5, 6))
         assert rs.coxeter_numbers == (3, 4, 2)
-        assert rs.coxeter_number_at == (3, 3, 4, 4, 4, 2)
+        assert tuple(coxeter_number(rs, rs.simple_root(v)) for v in range(rs.n)) == \
+            (3, 3, 4, 4, 4, 2)
         assert mcluster_category(rs, 2).D is derived_category(rs)
 
     @pytest.mark.parametrize("name,keep", REDUCIBLE)
@@ -93,24 +96,25 @@ class TestReducible:
             x = DerivedObject(beta, 0)
             for y, step in ((d.tau(x), 2), (d.tau_inverse(x), -2)):
                 assert _component(rs, y.beta) == _component(rs, beta)
-                assert d.fine_degree(y) == d.fine_degree(x) + step
+                assert fine_degree(d, y) == fine_degree(d, x) + step
 
 
 class TestDegrees:
     def test_module_slice_coarse_zero(self, a2, da2):
+        # Coarse degree is -shift, and the ceiling of fine degree over h.
         for beta in a2.positive_roots:
-            assert da2.coarse_degree(DerivedObject(beta, 0)) == 0
+            assert math.ceil(fine_degree(da2, DerivedObject(beta, 0)) / a2.h) == 0
 
     def test_negative_simple_fine_degrees(self, a2, da2):
         # minus-side vertex sits in fine degree 2, plus-side in degree 1
-        assert da2.fine_degree(da2.V((0, -1))) == 2
-        assert da2.fine_degree(da2.V((-1, 0))) == 1
+        assert fine_degree(da2, da2.V((0, -1))) == 2
+        assert fine_degree(da2, da2.V((-1, 0))) == 1
 
     def test_coarse_is_ceil_of_fine(self, a3, da3):
         for beta in a3.positive_roots:
             for s in range(-2, 3):  # 5-slice window
                 x = DerivedObject(beta, s)
-                assert da3.coarse_degree(x) == math.ceil(da3.fine_degree(x) / a3.h)
+                assert -x.shift == math.ceil(fine_degree(da3, x) / a3.h)
 
 
 @pytest.mark.parametrize("name,keep", ALL_SYSTEMS)
@@ -187,8 +191,8 @@ class TestTau:
         for beta in a3.positive_roots:
             for s in (-1, 0, 1):
                 x = DerivedObject(beta, s)
-                assert da3.fine_degree(da3.tau(x)) == da3.fine_degree(x) + 2
-                assert da3.fine_degree(shift(x, 1)) == da3.fine_degree(x) - a3.h
+                assert fine_degree(da3, da3.tau(x)) == fine_degree(da3, x) + 2
+                assert fine_degree(da3, shift(x, 1)) == fine_degree(da3, x) - a3.h
 
     def test_tau_bijective(self, a3, da3):
         for beta in a3.positive_roots:
@@ -241,7 +245,7 @@ class TestV:
 
     def test_image_in_fundamental_domain(self, a3, da3):
         ground = list(a3.positive_roots) + [a3.negative_simple(i) for i in range(a3.n)]
-        degrees = [da3.fine_degree(da3.V(a)) for a in ground]
+        degrees = [fine_degree(da3, da3.V(a)) for a in ground]
         assert all(-a3.h + 1 <= d <= 2 for d in degrees)
         assert len({da3.V(a) for a in ground}) == len(ground)
 
@@ -274,3 +278,17 @@ class TestDotExport:
 
     def test_deterministic(self, da3):
         assert da3.export_zq_dot(-1, 1) == da3.export_zq_dot(-1, 1)
+
+    @pytest.mark.parametrize("name,keep", ALL_SYSTEMS)
+    def test_label_fine_degree_is_reference(self, name, keep):
+        # Each label reads dF off its row index; it must be the reference
+        # fine degree of its object, in windows on and off degree 0.
+        d = derived_category(system(name, keep))
+        label = re.compile(r'label="\(\d+,-?\d+\) dF=(-?\d+) V\(([\d,]+)\)\[(-?\d+)\]"')
+        for lo, hi in ((-3, 3), (2, 4), (-4, -1)):
+            dot = d.export_zq_dot(lo, hi)
+            labels = label.findall(dot)
+            assert labels and len(labels) == dot.count("[label=")
+            for dF, beta, s in labels:
+                x = DerivedObject(tuple(map(int, beta.split(","))), int(s))
+                assert int(dF) == fine_degree(d, x)

@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from conftest import ALL_SYSTEMS, REDUCIBLE, dense_ext, system
+from conftest import ALL_SYSTEMS, REDUCIBLE, dense_ext, fine_table, system
 from mclusters import derived_category
 from mclusters.cli import main
 from mclusters.orbit_category import mcluster_category
@@ -219,7 +219,7 @@ def test_export_zq_reducible_digest():
         "4801586dcdec4bad74d25c2b69d5152632527096eedc3c20012c4bf913d2b67c"
 
 
-# sha256 of ``repr(sorted(phi.items()))``, the fine-degree table, by
+# sha256 of ``repr(sorted(phi.items()))``, the reference fine-degree table, by
 # (type, kept vertices or None) for every entry of ``ALL_SYSTEMS``.
 FINE_TABLE_SHA256 = {
     ("A1", None): "a3af31e2ff8f9f4e818f900f05a711dd97e1258bd43e287e7477800e3a95aa24",
@@ -246,6 +246,6 @@ FINE_TABLE_SHA256 = {
 
 @pytest.mark.parametrize("name,keep", ALL_SYSTEMS)
 def test_fine_table_digest(name, keep):
-    phi = derived_category(system(name, keep)).phi
+    phi = fine_table(derived_category(system(name, keep)))
     digest = hashlib.sha256(repr(sorted(phi.items())).encode()).hexdigest()
     assert digest == FINE_TABLE_SHA256[name, keep]

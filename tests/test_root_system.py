@@ -183,9 +183,6 @@ class TestCartanReference:
         expected = tuple(2 * sum(1 for b in rs.positive_roots if any(b[v] for v in comp))
                          // len(comp) for comp in rs.components)
         assert rs.coxeter_numbers == expected
-        assert rs.coxeter_number_at == tuple(
-            next(h for comp, h in zip(rs.components, expected) if v in comp)
-            for v in range(rs.n))
 
 
 def test_reflect_out_of_range(a2):
