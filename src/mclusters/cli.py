@@ -7,7 +7,8 @@ leading dash is not parsed as a flag.
 
 Exit codes: 0 success / all checks pass, 1 verification failure or
 internal error, 2 usage error, also for m > 1000 or rank > 32, for an
-``--out`` path that cannot be opened for writing, and for ``verify`` or
+``--out`` path that cannot be opened for writing, for an ``export-zq``
+window that walks more than 150,000 vertices, and for ``verify`` or
 ``enumerate`` past 2,000,000 facets or past a bound of 20,000,000 faces.
 """
 
@@ -126,10 +127,11 @@ def _file_mode(path: str) -> int:
 def _output(out: Optional[str]) -> Iterator[TextIO]:
     """``out`` opened for writing, or stdout.  Commands enter this before
     any work, so that a path that cannot be written exits 2 at once.  A
-    file is written to a temporary file beside it, which replaces it only
-    when the command has written it all, so a command that fails leaves
-    the file as it was.  A device or pipe, such as /dev/null, is written
-    in place."""
+    file is written to a temporary file beside it, which replaces it once
+    the command has written it all: a command that fails before that
+    leaves the file as it was, while ``enumerate`` whose oracles disagree
+    writes its JSON, the evidence, and then exits 1.  A device or pipe,
+    such as /dev/null, is written in place."""
     if not out:
         yield sys.stdout
         return
@@ -316,19 +318,14 @@ COMMANDS = {
 }
 
 
-def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
-    """A new parser for every subcommand, or for the one named ``only``.
-    The one-command parser names them all in its usage line, as the full
-    parser does.  ``main`` takes its parsers from ``_parser``, which builds
-    each once per process; a caller that changes a parser builds its own
-    here."""
+def build_parser() -> argparse.ArgumentParser:
+    """A new parser for every subcommand.  ``main`` takes its parser from
+    ``_parser``, which builds it once per process; a caller that changes a
+    parser builds its own here."""
     parser = argparse.ArgumentParser(prog="mcluster", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    metavar = None if only is None else "{" + ",".join(COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, takes_m, extra, fn) in COMMANDS.items():
-        if only not in (None, name):
-            continue
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--type", required=True, help="Dynkin type, e.g. A3, D4, E6")
         if takes_m:
@@ -339,19 +336,15 @@ def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
     return parser
 
 
-# One parser per key (a command name, or None for the full parser), built
-# on first use, so at most seven per process.  Parsing leaves a parser
-# as it was (each call gets a new Namespace), and help, usage and error
-# texts are formatted when printed, at the width of that moment, so one
-# parser serves every call of a process.
-_parser = functools.lru_cache(maxsize=None)(build_parser)
+# The one parser of a process, built on first use.  Parsing leaves it as
+# it was (each call gets a new Namespace), and help, usage and error texts
+# are formatted when printed, at the width of that moment, so it serves
+# every call of a process.
+_parser = functools.lru_cache(maxsize=1)(build_parser)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    parser = _parser(argv[0] if argv and argv[0] in COMMANDS else None)
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if not 1 <= getattr(args, "m", 1) <= MAX_M:
         print(f"error: m must be in 1..{MAX_M}", file=sys.stderr)
         return 2

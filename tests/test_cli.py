@@ -15,7 +15,7 @@ import mclusters
 from conftest import G, in_domain
 from mclusters import cli, cluster_complex, derived
 from mclusters.cli import main
-from mclusters.coloured_roots import ColouredRoot
+from mclusters.coloured_roots import ColouredRoot, rotation_table
 from mclusters.orbit_category import MClusterCategory
 from mclusters.root_system import RootSystem
 
@@ -163,9 +163,25 @@ class TestExtAndOrbit:
         assert err.startswith("internal error: ") and err.endswith("is not in the image of W\n")
 
     def test_orbit_cycles(self, capsys):
-        code, out, _ = run(capsys, "orbit", "--type", "A2", "--m", "1", "--", "-e1")
-        assert code == 0
-        assert "(cycle)" in out
+        # Checked by hand: mh + 2 nodes, 5 at m=1 and 8 at m=2.
+        assert run(capsys, "orbit", "--type", "A2", "--m", "1", "--", "-e1") == (0, (
+            "(-1,0)^1 -> (1,0)^1 -> (0,1)^1 -> (0,-1)^1 -> (1,1)^1 -> (cycle)\n"), "")
+        assert run(capsys, "orbit", "--type", "A2", "--m", "2", "--", "1,0:1") == (0, (
+            "(1,0)^1 -> (1,0)^2 -> (0,1)^1 -> (0,1)^2 -> (0,-1)^1 -> (1,1)^1 -> (1,1)^2 "
+            "-> (-1,0)^1 -> (cycle)\n"), "")
+
+    @pytest.mark.parametrize("name,m", [("A3", 2), ("D4", 1), ("E6", 2)])
+    def test_orbit_is_rotation_cycle(self, capsys, name, m):
+        """``orbit`` prints each node's cycle under the rotation table's
+        permutation, in order, starting at that node."""
+        table = rotation_table(cli.build_root_system(cli.parse_type(name)), m)
+        for k, x in enumerate(table.nodes):
+            cycle = [k]
+            while table.perm[cycle[-1]] != k:
+                cycle.append(table.perm[cycle[-1]])
+            arg = ",".join(map(str, x.root)) + f":{x.colour}"
+            line = " -> ".join(str(table.nodes[j]) for j in cycle) + " -> (cycle)\n"
+            assert run(capsys, "orbit", "--type", name, "--m", str(m), "--", arg) == (0, line, "")
 
     def test_orbit_past_ground_set_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "rotation_Rm",
@@ -259,7 +275,8 @@ class TestBadOut:
 
 
 class TestOutReplaced:
-    """``--out`` is replaced only when the command has written it all."""
+    """``--out`` is replaced once the command has written it all, and only
+    then."""
 
     @pytest.mark.parametrize("command,name", [("enumerate", "complex_to_json"),
                                               ("export-zq", "derived_category")])
@@ -273,6 +290,30 @@ class TestOutReplaced:
         code, out, err = run(capsys, command, "--type", "A2", "--out", str(path))
         assert code == 1 and err == "internal error: failed\n"
         assert path.read_bytes() == b"old bytes\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["x.json"]
+
+    def test_disagreement_replaces_out(self, capsys, monkeypatch, tmp_path):
+        """Oracles that disagree fail the call, but only once the JSON,
+        their evidence, is written whole: it replaces ``--out``."""
+        real = cluster_complex.build_graph
+
+        def flipped(rs, m, oracle="combinatorial"):
+            g = real(rs, m, oracle)
+            if oracle == "categorical":  # one pair flipped, as corrupt_a3_m2 does
+                rows = list(g.adjacency)
+                rows[0] ^= 1 << 1
+                rows[1] ^= 1 << 0
+                g.adjacency = rows
+            return g
+
+        monkeypatch.setattr(cluster_complex, "build_graph", flipped)
+        path = tmp_path / "x.json"
+        path.write_bytes(b"old bytes\n")
+        code, out, err = run(capsys, "enumerate", "--type", "A2", "--oracle", "both",
+                             "--out", str(path))
+        assert (code, out, err) == (1, "", "oracle disagreement detected\n")
+        data = json.loads(path.read_text())
+        assert data["oracles_agree"] is False and (data["type"], data["m"]) == ("A2", 1)
         assert [p.name for p in tmp_path.iterdir()] == ["x.json"]
 
     def test_modes_links_and_devices(self, capsys, tmp_path):
@@ -293,10 +334,11 @@ class TestOutReplaced:
 class TestPerCallWork:
     """A call builds only what its command reads."""
 
-    def test_one_subparser_per_command(self, capsys, monkeypatch):
-        """From an empty parser memo: the first ``compat`` call builds the
-        ``compat`` subparser alone, a second builds nothing, and
-        ``build_parser()`` builds all of them anew."""
+    def test_one_parser_per_process(self, capsys, monkeypatch):
+        """From an empty parser memo: the first ``compat`` call builds every
+        subparser, in ``COMMANDS`` order, later ``ext``, ``orbit`` and
+        ``compat`` calls build none, and ``build_parser()`` builds all of
+        them anew."""
         added = []
         real = argparse._SubParsersAction.add_parser
 
@@ -305,13 +347,17 @@ class TestPerCallWork:
             return real(self, name, **kwargs)
 
         monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
-        monkeypatch.setattr(cli, "_parser", functools.lru_cache(maxsize=None)(cli.build_parser))
+        monkeypatch.setattr(cli, "_parser", functools.lru_cache(maxsize=1)(cli.build_parser))
         assert run(capsys, "compat", "--type", "A2", "--", "-e1", "-e2")[0] == 0
-        assert added == ["compat"]
-        assert run(capsys, "compat", "--type", "A2", "--", "-e1", "-e2")[0] == 0
-        assert added == ["compat"]
+        assert added == list(cli.COMMANDS)
+        for argv in (["ext", "--type", "A2", "--", "-e1", "-e2"],
+                     ["orbit", "--type", "A2", "--", "-e1"],
+                     ["compat", "--type", "A3", "--m", "2", "--", "-e1", "-e2"]):
+            assert run(capsys, *argv)[0] == 0
+        assert added == list(cli.COMMANDS)
+        assert cli._parser.cache_info().currsize == 1
         cli.build_parser()
-        assert added[1:] == list(cli.COMMANDS)
+        assert added == list(cli.COMMANDS) * 2
 
     # Each command with the arguments it is run with below.
     E8_PAIR = ("--type", "E8", "--m", "3", "--", "2,4,6,5,4,3,2,3:3", "0,1,2,2,1,1,1,1:1")

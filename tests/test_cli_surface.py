@@ -1,10 +1,9 @@
 """The command line's surface: exit code, stdout and stderr of ``main`` on
-help requests and usage errors, at 80 columns.  ``main`` uses the parser
-for the named subcommand alone when the first argument names one, and the
-full parser otherwise, and builds each once per process; neither choice
-may change these texts, and a parser that earlier calls have used must
-print what a new one prints.  They were captured under Python 3.11; later
-argparse releases word some of these messages differently."""
+help requests and usage errors, at 80 columns.  ``main`` builds one parser
+per process, on first use, and parses every call with it; a parser that
+earlier calls have used must print what a new one prints.  They were
+captured under Python 3.11; later argparse releases word some of these
+messages differently."""
 
 import os
 import subprocess
@@ -31,7 +30,8 @@ leading dash is not parsed as a flag.
 
 Exit codes: 0 success / all checks pass, 1 verification failure or
 internal error, 2 usage error, also for m > 1000 or rank > 32, for an
-``--out`` path that cannot be opened for writing, and for ``verify`` or
+``--out`` path that cannot be opened for writing, for an ``export-zq``
+window that walks more than 150,000 vertices, and for ``verify`` or
 ``enumerate`` past 2,000,000 facets or past a bound of 20,000,000 faces.
 
 positional arguments:
@@ -244,6 +244,14 @@ def test_surface(capsys, monkeypatch, argv, code, out, err):
     assert (rc, captured.out, captured.err) == (code, out, err)
 
 
+def test_help_names_every_bound():
+    """The exit-code paragraph of ``--help`` states each bound as it is set."""
+    doc = cli.__doc__
+    assert f"m > {cli.MAX_M}" in doc and f"rank > {cli.MAX_RANK}" in doc
+    for bound in (cli.MAX_ZQ_VERTICES, cli.MAX_FACETS, cli.MAX_FACES):
+        assert f"{bound:,}" in doc, bound
+
+
 @pytest.mark.parametrize("argv,code,out", [
     (["compat", "--type", "A2", "--", "1,1:1", "-e1"], 0,
      "combinatorial: incompatible  categorical: incompatible  degree: 1\n"),
@@ -276,7 +284,7 @@ def test_help_at_each_width(capsys, monkeypatch):
         assert call(["compat", "--help"]) == 0
         texts.append(capsys.readouterr().out)
         with pytest.raises(SystemExit):
-            build_parser("compat").parse_args(["compat", "--help"])
+            build_parser().parse_args(["compat", "--help"])
         assert texts[-1] == capsys.readouterr().out
     assert cli._parser.cache_info().hits > hits
     assert texts[0] != texts[1]
