@@ -27,7 +27,8 @@ from typing import Iterable, Iterator, List, Optional, TextIO, Tuple
 
 from .cluster_complex import (build_graph, complex_to_json, verify_vertex_deletions,
                               walk_faces)
-from .coloured_roots import ColouredRoot, _reading, check_coloured, rotation_Rm, rotation_table
+from .coloured_roots import (ColouredRoot, _reading, _rotation_cap, check_coloured, rotation_Rm,
+                             rotation_table)
 from .derived import derived_category
 from .orbit_category import compatible_categorical, mcluster_category
 from .root_system import RootSystem, build_root_system, parse_int, parse_type
@@ -215,8 +216,8 @@ def cmd_orbit(args: argparse.Namespace) -> int:
     x = parse_coloured_root(rs, args.m, args.x)
     start = x
     steps = [x]
-    # An orbit lies in the ground set, so it closes within its size.
-    for _ in range(args.m * len(rs.positive_roots) + rs.n):
+    # An orbit lies in the ground set, so it closes within the rotation cap.
+    for _ in range(_rotation_cap(rs, args.m)):
         x = rotation_Rm(rs, args.m, x)
         if x == start:
             break

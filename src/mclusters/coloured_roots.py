@@ -124,9 +124,11 @@ def compatible_combinatorial(rs: RootSystem, m: int, x: ColouredRoot, y: Coloure
 
 class RotationTable:
     """The coloured ground set of ``(rs, m)`` indexed by node id (in
-    ``coloured_ground_set`` order), with the rotation ``R_m`` as a
-    permutation of ids and each node's hitting time: the first ``t`` at
-    which ``R_m^t`` of the node is a negative simple, and its path up to then.
+    ``coloured_ground_set`` order), with ``R_m`` as a permutation of ids.
+    Every orbit holds a negative simple, so the ids split into ``runs``:
+    ``runs[i]`` walks ``R_m`` back from -alpha_i until the previous
+    negative simple.  Node ``k`` sits at place ``hit[k]``, its hitting
+    time, of run ``lands[k]``, so ``R_m^t`` of it is place ``hit[k] - t``.
 
     The joint-rotation reading needs no reflections here: the pair lands
     at ``t = min(hit[a], hit[b])``, where the node that lands first names
@@ -140,32 +142,31 @@ class RotationTable:
         self.perm: Tuple[int, ...] = tuple(index[_step(rs, m, x)] for x in self.nodes)
         self.neg: Tuple[Optional[int], ...] = tuple(
             rs.negative_simple_index(x.root) for x in self.nodes)
-        cap = _rotation_cap(rs, m)
-        paths = []
-        for k in range(len(self.nodes)):
-            path = [k]
-            while self.neg[path[-1]] is None:
-                if len(path) == cap:
-                    raise RuntimeError("rotation cap exceeded; no negative simple reached (bug)")
-                path.append(self.perm[path[-1]])
-            paths.append(tuple(path))
-        self._path = paths
-        self.hit: Tuple[int, ...] = tuple(len(path) - 1 for path in paths)
-
-    def step(self, k: int, t: int) -> int:
-        """Node id of ``R_m^t`` applied to node ``k``, for ``t <= hit[k]``."""
-        return self._path[k][t]
+        # Each walk back meets a negative simple, its own start at the latest,
+        # or a missing key if perm is no permutation: it cannot spin.
+        back = {j: k for k, j in enumerate(self.perm)}
+        self.runs: List[Tuple[int, ...]] = []
+        self.hit: List[int] = [-1] * len(self.nodes)
+        self.lands: List[int] = [0] * len(self.nodes)
+        for i in range(rs.n):
+            run = [len(self.nodes) - rs.n + i]
+            while self.neg[back[run[-1]]] is None:
+                run.append(back[run[-1]])
+            for t, k in enumerate(run):
+                self.hit[k], self.lands[k] = t, i
+            self.runs.append(tuple(run))
+        if -1 in self.hit:
+            raise RuntimeError("an R_m orbit holds no negative simple (bug)")
 
     def degree(self, x: int, y: int) -> int:
         """The joint-rotation reading of ``_reading`` on node ids, at every
         ``m``; at ``m = 1`` it is ``compatibility_degree``."""
         if self.hit[y] < self.hit[x]:
             x, y = y, x
-        t = self.hit[x]
-        other = self.step(y, t)
+        other = self.runs[self.lands[y]][self.hit[y] - self.hit[x]]
         if self.neg[other] is not None:
             return 0
-        return self.nodes[other].root[self.neg[self.step(x, t)]]
+        return self.nodes[other].root[self.lands[x]]
 
     def compatible(self, x: int, y: int) -> bool:
         """``compatible_combinatorial`` on node ids."""

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -209,10 +210,38 @@ class TestRotationTable:
         table = rotation_table(a3, 2)
         for k, x in enumerate(table.nodes):
             assert table.nodes[table.perm[k]] == rotation_Rm(a3, 2, x)
-            walk = [table.nodes[table.step(k, t)] for t in range(table.hit[k] + 1)]
+            walk = [k]
+            for _ in range(table.hit[k]):
+                walk.append(table.perm[walk[-1]])
+            walk = [table.nodes[j] for j in walk]
             assert walk[0] == x
             assert [a3.negative_simple_index(y.root) is not None for y in walk] == (
                 [False] * table.hit[k] + [True])
+
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("name,keep", TABLE_SYSTEMS)
+    def test_runs_split_the_nodes(self, name, keep, m):
+        """Run i starts at -alpha_i, each node sits once in the run it lands
+        on at its hitting time, and each step along a run is R_m backwards."""
+        rs = system(name, keep)
+        table = rotation_table(rs, m)
+        assert sorted(k for run in table.runs for k in run) == list(range(len(table.nodes)))
+        for i, run in enumerate(table.runs):
+            assert table.nodes[run[0]] == ColouredRoot(neg(rs, i), 1)
+            assert all(table.perm[later] == k for k, later in zip(run, run[1:]))
+        for k in range(len(table.nodes)):
+            assert table.runs[table.lands[k]][table.hit[k]] == k
+
+    def test_state_is_linear_in_nodes(self):
+        """The table holds O(nodes) state: 3,002 nodes at A2 m=1000."""
+        rs = build_root_system(parse_type("A2"))
+        tracemalloc.start()
+        try:
+            table = coloured_roots.RotationTable(rs, 1000)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(table.nodes) == 3002 and held < 2 * 2 ** 20
 
     def test_kept_per_system(self, a3):
         assert rotation_table(a3, 2) is rotation_table(a3, 2)
@@ -226,7 +255,9 @@ class TestRotationTable:
         x = ColouredRoot((1, 1), 1)
         with pytest.raises(RuntimeError, match="rotation cap exceeded"):
             compatible_combinatorial(rs, 1, x, x)
-        with pytest.raises(RuntimeError, match="rotation cap exceeded"):
+        # An identity step lands no positive node on a negative simple.
+        monkeypatch.setattr(coloured_roots, "_step", lambda rs, m, x: x)
+        with pytest.raises(RuntimeError, match="no negative simple"):
             rotation_table(rs, 1)
 
 
