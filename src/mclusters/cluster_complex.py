@@ -103,53 +103,66 @@ def build_graph(rs: RootSystem, m: int, oracle: str = "combinatorial") -> Compat
     return CompatibilityGraph(rs, m, oracle, nodes, rows)
 
 
-def walk_faces(g: CompatibilityGraph, facets: Optional[List[List[int]]] = None) -> FaceWalk:
+def walk_faces(g: CompatibilityGraph,
+               facets: Optional[List[Tuple[int, ...]]] = None) -> FaceWalk:
     """One depth-first walk over every face (clique) of ``g``, in
     increasing node order on the neighbour bitsets.  Each face carries
     ``above``, its candidates above its largest node, and ``common``, every
     node compatible with the whole face; a face is a facet exactly when
-    ``common`` is 0.  Each facet is appended to ``facets``, if given, as a
-    list of node ids; the walk finds them in lexicographic order."""
+    ``common`` is 0.  A face is settled in its parent's loop: its ridge
+    count, and whether it is a facet, are read there, and the walk calls
+    into it only when it has candidates above.  The empty face is settled
+    before the walk.  Each facet is appended to ``facets``, if given, as a
+    tuple of node ids; the walk finds them in lexicographic order."""
     neighbours = [row & ~(1 << v) for v, row in enumerate(g.adjacency)]
-    rank = g.rs.n
-    walk = FaceWalk([1], {}, {})
-    fv, sizes, ridges = walk.f_vector, walk.facet_sizes, walk.ridges
+    size, rank = len(g.nodes), g.rs.n
+    fv = [1]
+    sizes = [0] * (size + 1)
+    ridges = [0] * (size + 1)
     face: List[int] = []
+    if rank == 1:
+        ridges[size] += 1
+    if not size:
+        sizes[0] += 1
+        if facets is not None:
+            facets.append(())
 
-    def visit(above: int, common: int) -> None:
-        size = len(face)
-        if size == rank - 1:
-            count = common.bit_count()
-            ridges[count] = ridges.get(count, 0) + 1
-        if not common:
-            sizes[size] = sizes.get(size, 0) + 1
-            if facets is not None:
-                facets.append(face.copy())
-            return
-        if not above:
-            return
-        if size + 1 == len(fv):
+    def visit(above: int, common: int, depth: int) -> None:
+        # ``depth`` is the size of the faces settled here, one above ``face``.
+        if depth == len(fv):
             fv.append(0)
-        fv[size + 1] += above.bit_count()
+        fv[depth] += above.bit_count()
+        ridge = depth == rank - 1
         while above:
             low = above & -above
             above ^= low
             v = low.bit_length() - 1
             near = neighbours[v]
-            face.append(v)
-            visit(above & near, common & near)
-            face.pop()
+            inner = common & near
+            if ridge:
+                ridges[inner.bit_count()] += 1
+            if not inner:
+                sizes[depth] += 1
+                if facets is not None:
+                    facets.append((*face, v))
+            elif higher := above & near:
+                face.append(v)
+                visit(higher, inner, depth + 1)
+                face.pop()
 
-    everything = (1 << len(g.nodes)) - 1
-    visit(everything, everything)
-    return walk
+    if size:
+        everything = (1 << size) - 1
+        visit(everything, everything, 1)
+    return FaceWalk(fv, {k: c for k, c in enumerate(sizes) if c},
+                    {k: c for k, c in enumerate(ridges) if c})
 
 
 def enumerate_facets(g: CompatibilityGraph) -> List[TiltingSet]:
-    """All maximal cliques, lexicographically ordered by node index."""
-    facets: List[List[int]] = []
+    """All maximal cliques, lexicographically ordered by node index, each
+    the tuple that ``walk_faces`` emits wrapped as it is."""
+    facets: List[Tuple[int, ...]] = []
     walk_faces(g, facets)
-    return [TiltingSet(tuple(f)) for f in facets]
+    return [TiltingSet(f) for f in facets]
 
 
 def verify_facet_sizes(facets: Sequence[TiltingSet], n: int) -> Report:
@@ -265,7 +278,7 @@ def complex_to_json(rs: RootSystem, m: int, oracle: str,
     oracles = ORACLES if oracle == "both" else (oracle,)
     graphs = [build_graph(rs, m, o) for o in oracles]
     g = graphs[0]
-    facets: List[List[int]] = []
+    facets: List[Tuple[int, ...]] = []
     walk = walk_faces(g, facets)
     data = {
         "type": str(rs.type) if rs.type else None,

@@ -1,4 +1,5 @@
 import itertools
+import random
 from collections import Counter
 from math import comb, prod
 
@@ -108,6 +109,43 @@ class TestFacets:
             # The empty face is the only ridge; all m+1 nodes complete it.
             walk = walk_faces(g)
             assert walk.ridges == {m + 1: 1} and walk.facet_sizes == {1: m + 1}
+
+    def test_walk_matches_brute_force_on_random_graphs(self):
+        """The walk on random graphs, any rank against any clique sizes,
+        matches every clique listed by ``itertools.combinations``."""
+        rng = random.Random(25)
+        systems = {r: build_root_system(parse_type(f"A{r}")) for r in range(1, 6)}
+        seen = Counter()
+        for _ in range(600):
+            size, rank, density = rng.randint(0, 11), rng.randint(1, 5), rng.random()
+            rows = [1 << a for a in range(size)]
+            for a, b in itertools.combinations(range(size), 2):
+                if rng.random() < density:
+                    rows[a] |= 1 << b
+                    rows[b] |= 1 << a
+            g = cluster_complex.CompatibilityGraph(systems[rank], 1, "random",
+                                                   list(range(size)), rows)
+            cliques = [c for k in range(size + 1) for c in itertools.combinations(range(size), k)
+                       if all(rows[a] >> b & 1 for a, b in itertools.combinations(c, 2))]
+
+            def common(c):
+                return [u for u in range(size) if u not in c
+                        and all(rows[u] >> b & 1 for b in c)]
+            facets = sorted(c for c in cliques if not common(c))
+            by_size = Counter(map(len, cliques))
+            facets_found = []
+            walk = walk_faces(g, facets_found)
+            assert walk.f_vector == [by_size[k] for k in range(max(by_size) + 1)]
+            assert walk.facet_sizes == dict(Counter(map(len, facets)))
+            assert walk.ridges == dict(Counter(len(common(c)) for c in cliques
+                                               if len(c) == rank - 1))
+            assert [tuple(f) for f in facets_found] == facets
+            assert all(type(f) is tuple for f in facets_found)
+            seen["empty graph"] += not size
+            seen["isolated node"] += any(row == 1 << a for a, row in enumerate(rows))
+            seen["facet below rank"] += any(len(f) < rank for f in facets)
+            seen["clique above rank"] += max(by_size) > rank
+        assert min(seen.values()) > 0, seen
 
 
 class TestComplements:
