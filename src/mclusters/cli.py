@@ -102,7 +102,7 @@ def face_bound(rs: RootSystem, m: int) -> Tuple[int, int]:
 def _bound_work(rs: RootSystem, m: int) -> None:
     """Refuse an instance past the facet or the face bound.  With m and the
     rank bounded, the Hom table and the Ext instances need no bound of their
-    own: A2 m=1000, the most categorical work admitted, verifies in 7-10 s
+    own: A2 m=1000, the most categorical work admitted, verifies in 5-8 s
     on 2 vCPUs."""
     facets, faces = face_bound(rs, m)
     if facets > MAX_FACETS:

@@ -1,11 +1,13 @@
 """Compatibility graph, face walk, and theorem checks.
 
-One depth-first walk over every face, on the graph's ``int`` row per node,
-gives the facets in lexicographic order, the f-vector, and the
-counts that theorems 2 (facet sizes) and 3 (complement counts) are read
-off; all orderings are fixed so that serialized output is byte-stable.
-The facet-list checks and ``complements`` are the references that the
-tests compare the walk with.
+One depth-first walk over the faces of the graph's ``int`` row per node
+gives the facets in lexicographic order, the f-vector, and the counts that
+theorems 2 (facet sizes) and 3 (complement counts) are read off; all
+orderings are fixed so that serialized output is byte-stable.  Where no
+facet list is asked for and the graph carries its oracle's rotation as an
+automorphism, the walk covers one node's link per orbit and weights it by
+the orbit's size.  The facet-list checks and ``complements`` are the
+references that the tests compare the walk with.
 """
 
 from __future__ import annotations
@@ -22,15 +24,21 @@ ORACLES = ("combinatorial", "categorical")
 
 class CompatibilityGraph:
     """One ``int`` row per node: bit ``b`` of ``adjacency[a]`` is set when
-    nodes ``a`` and ``b`` are compatible, so bit ``a`` of row ``a`` is set."""
+    nodes ``a`` and ``b`` are compatible, so bit ``a`` of row ``a`` is set.
+    ``rotation``, when given, is the oracle's own rotation as a tuple of
+    node ids, node ``a`` sent to ``rotation[a]``: R_m for the combinatorial
+    graph, the shift for the categorical one.  Compatibility is invariant
+    under it, which ``walk_faces`` checks before it relies on it."""
 
     def __init__(self, rs: RootSystem, m: int, oracle_tag: str,
-                 nodes: List[ColouredRoot], adjacency: List[int]):
+                 nodes: List[ColouredRoot], adjacency: List[int],
+                 rotation: Optional[Tuple[int, ...]] = None):
         self.rs = rs
         self.m = m
         self.oracle_tag = oracle_tag
         self.nodes = nodes
         self.adjacency = adjacency
+        self.rotation = rotation
 
 
 class TiltingSet(NamedTuple):
@@ -41,7 +49,7 @@ class FaceWalk:
     """What ``walk_faces`` counts: faces of each size (the f-vector),
     facets of each size, and a histogram of the number of nodes compatible
     with each face one smaller than the rank (a ridge; the empty face in
-    rank 1)."""
+    rank 1).  The counts are exact whichever walk produced them."""
 
     def __init__(self, f_vector: List[int], facet_sizes: Dict[int, int],
                  ridges: Dict[int, int]):
@@ -87,45 +95,81 @@ def build_graph(rs: RootSystem, m: int, oracle: str = "combinatorial") -> Compat
     the categorical one off the nonzero Ext instances of its m-cluster
     category: two nodes are compatible when every Ext^i between their W
     images vanishes, so each instance (i, a, b) with b >= a clears the pair.
-    A reducible system is no special case: Ext between components is 0."""
+    A reducible system is no special case: Ext between components is 0.
+    Each graph's ``rotation`` is its own oracle's: the table's ``perm``, or
+    the category's ``shift_permutation``, so neither oracle reads the other."""
     if oracle not in ORACLES:
         raise ValueError(f"oracle must be one of {ORACLES}")
     if oracle == "combinatorial":
         table = rotation_table(rs, m)
         return CompatibilityGraph(rs, m, oracle, list(table.nodes),
-                                  _pairwise(len(table.nodes), table.compatible))
+                                  _pairwise(len(table.nodes), table.compatible), table.perm)
     nodes = coloured_ground_set(rs, m)
     rows = [(1 << len(nodes)) - 1] * len(nodes)
-    for _, a, b, _ in mcluster_category(rs, m).ext_instances():
+    cat = mcluster_category(rs, m)
+    for _, a, b, _ in cat.ext_instances():
         if b >= a:
             rows[a] &= ~(1 << b)
             rows[b] &= ~(1 << a)
-    return CompatibilityGraph(rs, m, oracle, nodes, rows)
+    return CompatibilityGraph(rs, m, oracle, nodes, rows, cat.shift_permutation())
+
+
+def _orbits(g: CompatibilityGraph) -> Optional[List[Tuple[int, int]]]:
+    """The orbits of ``g.rotation`` as (smallest id, size) when it is a
+    permutation of the node ids and an automorphism of ``g.adjacency``,
+    otherwise None.  Each row's image is built whole and compared with the
+    row of the image node: the ids that the rotation sends to id + 1, most
+    of them under R_m, which steps each colour below m to the next, move in
+    one shift, and only the others bit by bit."""
+    rho, rows = g.rotation, g.adjacency
+    if rho is None or sorted(rho) != list(range(len(rows))):
+        return None
+    step = sum(1 << b for b, c in enumerate(rho) if c == b + 1)
+    for a, row in enumerate(rows):
+        image, rest = (row & step) << 1, row & ~step
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            image |= 1 << rho[low.bit_length() - 1]
+        if image != rows[rho[a]]:
+            return None
+    orbits, seen = [], [False] * len(rho)
+    for r in range(len(rho)):
+        k, count = r, 0
+        while not seen[k]:
+            seen[k] = True
+            k, count = rho[k], count + 1
+        if count:
+            orbits.append((r, count))
+    return orbits
 
 
 def walk_faces(g: CompatibilityGraph,
                facets: Optional[List[Tuple[int, ...]]] = None) -> FaceWalk:
-    """One depth-first walk over every face (clique) of ``g``, in
-    increasing node order on the neighbour bitsets.  Each face carries
-    ``above``, its candidates above its largest node, and ``common``, every
-    node compatible with the whole face; a face is a facet exactly when
+    """A depth-first walk over the faces (cliques) of ``g``, in increasing
+    node order on the neighbour bitsets.  Each face carries ``above``, its
+    candidates above its largest node, and ``common``, every node
+    compatible with the whole face; a face is a facet exactly when
     ``common`` is 0.  A face is settled in its parent's loop: its ridge
     count, and whether it is a facet, are read there, and the walk calls
-    into it only when it has candidates above.  The empty face is settled
-    before the walk.  Each facet is appended to ``facets``, if given, as a
-    tuple of node ids; the walk finds them in lexicographic order."""
+    into it only when it has candidates above.
+
+    With ``facets`` given, or when ``g.rotation`` is not an automorphism of
+    ``g`` (see ``_orbits``), the walk covers every face, the empty face
+    settled before it, and appends each facet to ``facets``, if given, as a
+    tuple of node ids, in lexicographic order.  Otherwise it walks the link
+    of one node r per orbit O of the rotation: the face {r}, settled first,
+    with every neighbour of r a candidate.  The rotation maps the link of r
+    onto that of each node of O, so by double counting k*f_k is the sum of
+    |O| times the k-faces through r, the facets of each size are counted
+    alike, and (rank - 1) times the ridges with c compatible nodes is the
+    sum of |O| times those through r.  Rank 1 has the empty ridge only."""
     neighbours = [row & ~(1 << v) for v, row in enumerate(g.adjacency)]
     size, rank = len(g.nodes), g.rs.n
     fv = [1]
     sizes = [0] * (size + 1)
     ridges = [0] * (size + 1)
     face: List[int] = []
-    if rank == 1:
-        ridges[size] += 1
-    if not size:
-        sizes[0] += 1
-        if facets is not None:
-            facets.append(())
 
     def visit(above: int, common: int, depth: int) -> None:
         # ``depth`` is the size of the faces settled here, one above ``face``.
@@ -150,11 +194,49 @@ def walk_faces(g: CompatibilityGraph,
                 visit(higher, inner, depth + 1)
                 face.pop()
 
-    if size:
-        everything = (1 << size) - 1
-        visit(everything, everything, 1)
-    return FaceWalk(fv, {k: c for k, c in enumerate(sizes) if c},
-                    {k: c for k, c in enumerate(ridges) if c})
+    orbits = _orbits(g) if facets is None and size else None
+    if orbits is None:
+        if rank == 1:
+            ridges[size] += 1
+        if not size:
+            sizes[0] += 1
+            if facets is not None:
+                facets.append(())
+        else:
+            everything = (1 << size) - 1
+            visit(everything, everything, 1)
+        return FaceWalk(fv, {k: c for k, c in enumerate(sizes) if c},
+                        {k: c for k, c in enumerate(ridges) if c})
+
+    totals: Tuple[List[int], ...] = ([], [0] * (size + 1), [0] * (size + 1))
+    for r, weight in orbits:
+        fv[:] = [1, 1]
+        sizes[:] = ridges[:] = [0] * (size + 1)
+        near = neighbours[r]
+        if rank == 2:
+            ridges[near.bit_count()] += 1
+        if near:
+            visit(near, near, 2)
+        else:
+            sizes[1] += 1
+        for total, counts in zip(totals, (fv, sizes, ridges)):
+            total.extend([0] * (len(counts) - len(total)))
+            for k, c in enumerate(counts):
+                total[k] += weight * c
+    fv_total, sizes_total, ridges_total = totals
+    return FaceWalk([1] + [_share(c, k) for k, c in enumerate(fv_total) if k],
+                    {k: _share(c, k) for k, c in enumerate(sizes_total) if c},
+                    {k: _share(c, rank - 1) for k, c in enumerate(ridges_total) if c}
+                    if rank > 1 else {size: 1})
+
+
+def _share(total: int, members: int) -> int:
+    """``total`` counted once through each of a face's ``members`` nodes,
+    as a count of faces."""
+    count, remainder = divmod(total, members)
+    if remainder:
+        raise RuntimeError(f"orbit-weighted count {total} is not a multiple of {members} (bug)")
+    return count
 
 
 def enumerate_facets(g: CompatibilityGraph) -> List[TiltingSet]:
@@ -213,7 +295,9 @@ def verify_complement_counts(g: CompatibilityGraph, facets: Sequence[TiltingSet]
 
 
 def f_vector(g: CompatibilityGraph) -> List[int]:
-    """Face counts by cardinality, the empty face first."""
+    """Face counts by cardinality, the empty face first: ``walk_faces``
+    without a facet list, so one link walk per orbit of the graph's
+    rotation when that is an automorphism."""
     return walk_faces(g).f_vector
 
 

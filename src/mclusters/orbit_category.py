@@ -131,11 +131,15 @@ class MClusterCategory:
         """Ext^i(W(a), W(b)) as a function of ``(i, a, b)``, ``i`` in 1..m.
         Ext^i(X, Y) = Hom(X, Y[i]), and Y[i] lies in the orbit of
         W(sigma^i(b)) for Y = W(b), so it is H(a, sigma^i(b)), read off the
-        powers sigma^0..sigma^m, which live as long as the function."""
+        powers sigma^0..sigma^m, which live as long as the function.  A node
+        that lands outside W's image is -1 in sigma, and stays -1 in every
+        later power, since ``step`` reads index -1 as -1; no row of H holds
+        it."""
         H, sigma = self.hom_entries(), self.shift_permutation()
+        step = sigma + (-1,)
         powers = [tuple(range(len(sigma)))]
         while len(powers) <= self.m:
-            powers.append(tuple(sigma[b] for b in powers[-1]))
+            powers.append(tuple(step[b] for b in powers[-1]))
         return lambda i, a, b: H[a].get(powers[i][b], 0)
 
     def ext_instances(self) -> Iterator[Tuple[int, int, int, int]]:

@@ -614,6 +614,57 @@ class TestCorruptedComplex:
         assert data["verification"]["theorem3"] == "fail"
 
 
+    @pytest.mark.parametrize("case", ["edge", "split", "merge"])
+    def test_single_flips_take_the_full_walk(self, monkeypatch, case):
+        corrupt_a3_m2(monkeypatch, case)
+        g = cli.build_graph(cli.build_root_system(cli.parse_type("A3")), 2)
+        assert g.rotation is not None and cluster_complex._orbits(g) is None
+
+    def test_invariant_corruption_walks_orbits(self, capsys, monkeypatch):
+        """One compatible pair of A3 m=2 flipped with every R_m image of it:
+        the graph stays invariant, ``verify`` walks one link per orbit, and
+        its theorem lines carry the counts of the full walk of that graph."""
+        real = cluster_complex.build_graph
+        corrupted_graphs, orbits = [], []
+
+        def corrupted(rs, m, oracle="combinatorial"):
+            g = real(rs, m, oracle)
+            if rs.n != 3 or m != 2 or oracle != "combinatorial":
+                return g
+            a, b = next((a, b) for a in range(len(g.nodes)) for b in range(a + 1, len(g.nodes))
+                        if g.adjacency[a] >> b & 1)
+            pair, flips = frozenset((a, b)), set()
+            while pair not in flips:
+                flips.add(pair)
+                pair = frozenset(g.rotation[v] for v in pair)
+            rows = list(g.adjacency)
+            for a, b in flips:
+                rows[a] ^= 1 << b
+                rows[b] ^= 1 << a
+            g.adjacency = rows
+            corrupted_graphs.append(g)
+            return g
+
+        real_orbits = cluster_complex._orbits
+
+        def spy(g):
+            orbits.append((g, real_orbits(g)))
+            return orbits[-1][1]
+
+        monkeypatch.setattr(cli, "build_graph", corrupted)
+        monkeypatch.setattr(cluster_complex, "_orbits", spy)
+        code, out, _ = run(capsys, "verify", "--type", "A3", "--m", "2")
+        [g] = corrupted_graphs
+        assert [(h, o is not None) for h, o in orbits] == [(g, True)]
+        full = cluster_complex.walk_faces(g, [])
+        assert code == 1
+        theorem2 = "PASS" if full.theorem2(3) else "FAIL"
+        assert f"{theorem2}  facet sizes = rank: {sum(full.facet_sizes.values())} facets" in out
+        assert (f"FAIL  complement count = 3: {sum(full.ridges.values())} almost-complete sets"
+                in out)
+        assert "FAIL  oracle equivalence" in out
+
+
 class TestExportZq:
     def test_a2_window(self, capsys):
         code, out, _ = run(capsys, "export-zq", "--type", "A2", "--window", "0:0")

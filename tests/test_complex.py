@@ -110,9 +110,38 @@ class TestFacets:
             walk = walk_faces(g)
             assert walk.ridges == {m + 1: 1} and walk.facet_sizes == {1: m + 1}
 
+    @staticmethod
+    def check_against_brute_force(g, seen):
+        """The walk of ``g``, with and without a facet list, against every
+        clique listed by ``itertools.combinations``."""
+        size, rank, rows = len(g.nodes), g.rs.n, g.adjacency
+        cliques = [c for k in range(size + 1) for c in itertools.combinations(range(size), k)
+                   if all(rows[a] >> b & 1 for a, b in itertools.combinations(c, 2))]
+
+        def common(c):
+            return [u for u in range(size) if u not in c
+                    and all(rows[u] >> b & 1 for b in c)]
+        facets = sorted(c for c in cliques if not common(c))
+        by_size = Counter(map(len, cliques))
+        facets_found = []
+        for walk in walk_faces(g, facets_found), walk_faces(g):
+            assert walk.f_vector == [by_size[k] for k in range(max(by_size) + 1)]
+            assert walk.facet_sizes == dict(Counter(map(len, facets)))
+            assert walk.ridges == dict(Counter(len(common(c)) for c in cliques
+                                               if len(c) == rank - 1))
+        assert [tuple(f) for f in facets_found] == facets
+        assert all(type(f) is tuple for f in facets_found)
+        seen["empty graph"] += not size
+        seen["isolated node"] += any(row == 1 << a for a, row in enumerate(rows))
+        seen["facet below rank"] += any(len(f) < rank for f in facets)
+        seen["clique above rank"] += max(by_size) > rank
+
     def test_walk_matches_brute_force_on_random_graphs(self):
         """The walk on random graphs, any rank against any clique sizes,
-        matches every clique listed by ``itertools.combinations``."""
+        matches every clique listed by ``itertools.combinations``.  The
+        second batch of graphs is invariant under a random permutation,
+        which each carries as its ``rotation``, so that the walk without a
+        facet list counts one link per orbit."""
         rng = random.Random(25)
         systems = {r: build_root_system(parse_type(f"A{r}")) for r in range(1, 6)}
         seen = Counter()
@@ -125,27 +154,98 @@ class TestFacets:
                     rows[b] |= 1 << a
             g = cluster_complex.CompatibilityGraph(systems[rank], 1, "random",
                                                    list(range(size)), rows)
-            cliques = [c for k in range(size + 1) for c in itertools.combinations(range(size), k)
-                       if all(rows[a] >> b & 1 for a, b in itertools.combinations(c, 2))]
-
-            def common(c):
-                return [u for u in range(size) if u not in c
-                        and all(rows[u] >> b & 1 for b in c)]
-            facets = sorted(c for c in cliques if not common(c))
-            by_size = Counter(map(len, cliques))
-            facets_found = []
-            walk = walk_faces(g, facets_found)
-            assert walk.f_vector == [by_size[k] for k in range(max(by_size) + 1)]
-            assert walk.facet_sizes == dict(Counter(map(len, facets)))
-            assert walk.ridges == dict(Counter(len(common(c)) for c in cliques
-                                               if len(c) == rank - 1))
-            assert [tuple(f) for f in facets_found] == facets
-            assert all(type(f) is tuple for f in facets_found)
-            seen["empty graph"] += not size
-            seen["isolated node"] += any(row == 1 << a for a, row in enumerate(rows))
-            seen["facet below rank"] += any(len(f) < rank for f in facets)
-            seen["clique above rank"] += max(by_size) > rank
+            self.check_against_brute_force(g, seen)
         assert min(seen.values()) > 0, seen
+        rng, seen = random.Random(26), Counter()
+        for _ in range(60):
+            size, rank, density = rng.randint(1, 11), rng.randint(1, 5), rng.random()
+            rho = list(range(size))
+            rng.shuffle(rho)
+            rows = [1 << a for a in range(size)]
+            for a, b in itertools.combinations(range(size), 2):
+                if rng.random() < density and not rows[a] >> b & 1:
+                    while not rows[a] >> b & 1:  # the pair and its images
+                        rows[a] |= 1 << b
+                        rows[b] |= 1 << a
+                        a, b = rho[a], rho[b]
+            g = cluster_complex.CompatibilityGraph(systems[rank], 1, "random",
+                                                   list(range(size)), rows, tuple(rho))
+            orbits = cluster_complex._orbits(g)
+            assert sorted(r for r, _ in orbits) == sorted(min(o) for o in _cycles(rho))
+            assert sum(count for _, count in orbits) == size
+            self.check_against_brute_force(g, seen)
+            seen["orbit of one"] += any(count == 1 for _, count in orbits)
+            seen["one orbit"] += len(orbits) == 1
+        del seen["empty graph"]  # every graph here has a node
+        assert min(seen.values()) > 0, seen
+
+
+def _cycles(rho):
+    """The cycles of the permutation ``rho`` of ``range(len(rho))``."""
+    cycles, seen = [], set()
+    for r in range(len(rho)):
+        cycle = []
+        while r not in seen:
+            seen.add(r)
+            cycle.append(r)
+            r = rho[r]
+        if cycle:
+            cycles.append(cycle)
+    return cycles
+
+
+class TestOrbitWalk:
+    """``walk_faces`` without a facet list counts one link per orbit of the
+    graph's rotation, and gives the full walk's counts."""
+
+    SWEEP = ([(name, keep, 1) for name, keep in ALL_SYSTEMS]
+             + [(name, keep, m) for name, keep in [(f"A{r}", None) for r in range(2, 6)]
+                + [("D4", None), ("D5", None), ("E6", None)] + REDUCIBLE for m in (2, 3)]
+             + [("A1", None, m) for m in range(1, 6)] + [("A2", None, 50)])
+
+    @staticmethod
+    def counts(walk):
+        return walk.f_vector, walk.facet_sizes, walk.ridges
+
+    @pytest.mark.parametrize("name,keep,m", SWEEP)
+    def test_matches_full_walk(self, name, keep, m):
+        rs = system(name, keep)
+        graphs = [build_graph(rs, m, oracle) for oracle in cluster_complex.ORACLES]
+        assert graphs[0].adjacency == graphs[1].adjacency  # one full walk serves both
+        full = self.counts(walk_faces(graphs[0], []))
+        for g in graphs:
+            assert cluster_complex._orbits(g) is not None, g.oracle_tag
+            assert self.counts(walk_faces(g)) == full, g.oracle_tag
+
+    @pytest.mark.parametrize("case", ["none", "short", "repeat", "minus one", "transposed",
+                                      "flipped pair"])
+    def test_other_rotations_take_the_full_walk(self, a3, case):
+        """A rotation that is missing, not a permutation of the ids, holds
+        -1, or is no automorphism of the rows: the walk ignores it."""
+        g = build_graph(a3, 2)
+        rho = g.rotation
+        a, b = next((a, b) for a, b in itertools.combinations(range(len(rho)), 2)
+                    if rho[a] != b and rho[b] != a)
+        if case == "flipped pair":
+            rows = list(g.adjacency)
+            rows[a] ^= 1 << b
+            rows[b] ^= 1 << a
+            g.adjacency = rows
+        else:
+            swapped = list(rho)
+            swapped[a], swapped[b] = rho[b], rho[a]
+            g.rotation = {"none": None, "short": rho[:-1], "repeat": (rho[1],) + rho[1:],
+                          "minus one": (-1,) + rho[1:], "transposed": tuple(swapped)}[case]
+        assert cluster_complex._orbits(g) is None
+        assert self.counts(walk_faces(g)) == self.counts(walk_faces(g, []))
+
+    def test_remainder_raises(self, a3, monkeypatch):
+        """A count that does not divide by its face size can only come from
+        wrong orbits: here a triangle counted through one corner only."""
+        g = cluster_complex.CompatibilityGraph(a3, 1, "triangle", [0, 1, 2], [7, 7, 7], (0, 1, 2))
+        monkeypatch.setattr(cluster_complex, "_orbits", lambda g: [(0, 1)])
+        with pytest.raises(RuntimeError, match="not a multiple of 3"):
+            walk_faces(g)
 
 
 class TestComplements:

@@ -163,6 +163,22 @@ class TestExtTable:
     def test_entries_are_orbit_ext_reducible(self, name, keep, m):
         self.check_entries(system(name, keep), m)
 
+    def test_off_image_stays_off_in_every_power(self, monkeypatch):
+        """The landing step by G instead of G^-1 sends some W(b)[1] outside
+        W's image, so sigma(b) = -1; every later power of b is -1 too, not
+        sigma of the last node.  H(a, a) = 1 at every node a, so a power
+        that reached a node c would read Ext^i(c, b) = 1."""
+        monkeypatch.setattr(MClusterCategory, "_land",
+                            lambda self, y: y if in_domain(self, y) else G(self, y))
+        cat = MClusterCategory(system("A3"), 2)
+        sigma, H, ext = cat.shift_permutation(), cat.hom_entries(), cat.ext_by_id()
+        lost = [b for b, c in enumerate(sigma) if c < 0]
+        assert lost and sigma[-1] >= 0
+        assert all(row[a] == 1 for a, row in enumerate(H))
+        for b in lost:
+            for i in range(1, cat.m + 1):
+                assert [ext(i, a, b) for a in range(len(sigma))] == [0] * len(sigma), (b, i)
+
     @pytest.mark.parametrize("command", ["compat", "ext"])
     def test_single_pair_queries_do_not_build_it(self, monkeypatch, command):
         def refuse(self):

@@ -94,3 +94,10 @@ def test_colour_defaults_to_1():
 def test_dynkin_type_is_checked():
     with pytest.raises(ValueError, match="E rank must be 6, 7 or 8, got 9"):
         DynkinType("E", 9)
+
+
+def test_ci_console_script_parses():
+    """CI runs ``tests/ci_console.sh``; ``bash -n`` shows a syntax error in
+    it without running a line."""
+    script = Path(__file__).with_name("ci_console.sh")
+    subprocess.run(["bash", "-n", str(script)], check=True)
