@@ -7,16 +7,19 @@ orderings are fixed so that serialized output is byte-stable.  Where no
 facet list is asked for and the graph carries its oracle's rotation as an
 automorphism, the walk covers one node's link per orbit and weights it by
 the orbit's size.  The facet-list checks and ``complements`` are the
-references that the tests compare the walk with.
+references that the tests compare the walk with.  ``agrees_on_rows``
+decides from the rows of the negative simples alone whether the
+combinatorial graph is the categorical one, on a system and on each of its
+vertex deletions, so that ``verify`` compares the oracles on n rows.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .coloured_roots import (ColouredRoot, coloured_ground_set, coloured_to_json,
-                             rotation_table)
-from .orbit_category import mcluster_category
+from .coloured_roots import (ColouredRoot, RotationTable, coloured_ground_set,
+                             coloured_to_json, rotation_table)
+from .orbit_category import MClusterCategory, mcluster_category
 from .root_system import RootSystem, parabolic
 
 ORACLES = ("combinatorial", "categorical")
@@ -49,13 +52,16 @@ class FaceWalk:
     """What ``walk_faces`` counts: faces of each size (the f-vector),
     facets of each size, and a histogram of the number of nodes compatible
     with each face one smaller than the rank (a ridge; the empty face in
-    rank 1).  The counts are exact whichever walk produced them."""
+    rank 1).  The counts are exact whichever walk produced them;
+    ``by_orbits`` is set when it walked one link per orbit, and so found
+    the graph's rotation an automorphism of it."""
 
     def __init__(self, f_vector: List[int], facet_sizes: Dict[int, int],
-                 ridges: Dict[int, int]):
+                 ridges: Dict[int, int], by_orbits: bool = False):
         self.f_vector = f_vector
         self.facet_sizes = facet_sizes
         self.ridges = ridges
+        self.by_orbits = by_orbits
 
     def theorem2(self, rank: int) -> bool:
         """Every facet has ``rank`` elements.  The facet sizes alone settle
@@ -79,20 +85,44 @@ class Report:
         self.failures = failures
 
 
-def _pairwise(size: int, verdict: Callable[[int, int], bool]) -> List[int]:
+def _moved(row: int, perm: Sequence[int], fast: int, by: int) -> int:
+    """``row`` with each bit b moved to ``perm[b]``: the bits of ``fast``,
+    those with perm[b] = b + by, move in one shift, and only the others bit
+    by bit.  Under R_m, which steps each colour below m to the next, most
+    ids move by one."""
+    image = (row & fast) << by if by > 0 else (row & fast) >> -by
+    rest = row & ~fast
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        image |= 1 << perm[low.bit_length() - 1]
+    return image
+
+
+def _rotated_rows(table: RotationTable) -> List[int]:
+    """The combinatorial rows of ``table``'s nodes, rotated from n: row k is
+    the row of -alpha_{lands[k]}, read off the table, moved back by R_m
+    ``hit[k]`` times, one step per place of its run.  The rows are
+    invariant under R_m exactly when the image of each -alpha_i row is the
+    row of R_m(-alpha_i), which ``_invariant`` reads off with the rest."""
+    size = len(table.nodes)
+    back = [0] * size
+    for k, j in enumerate(table.perm):
+        back[j] = k
+    down = sum(1 << b for b, c in enumerate(back) if c == b - 1)
     rows = [0] * size
-    for a in range(size):
-        for b in range(a, size):
-            if verdict(a, b):
-                rows[a] |= 1 << b
-                rows[b] |= 1 << a
+    for run in table.runs:
+        row = rows[run[0]] = sum(1 << b for b in range(size) if table.compatible(run[0], b))
+        for k in run[1:]:
+            row = rows[k] = _moved(row, back, down, -1)
     return rows
 
 
 def build_graph(rs: RootSystem, m: int, oracle: str = "combinatorial") -> CompatibilityGraph:
     """The compatibility graph on ``coloured_ground_set(rs, m)``.  The
-    combinatorial oracle is read off the rotation table of ``(rs, m)``,
-    the categorical one off the nonzero Ext instances of its m-cluster
+    combinatorial oracle is read off the rotation table of ``(rs, m)``, its
+    n rows of the -alpha_i rotated to the rest (``_rotated_rows``); the
+    categorical one off the nonzero Ext instances of its m-cluster
     category: two nodes are compatible when every Ext^i between their W
     images vanishes, so each instance (i, a, b) with b >= a clears the pair.
     A reducible system is no special case: Ext between components is 0.
@@ -102,8 +132,8 @@ def build_graph(rs: RootSystem, m: int, oracle: str = "combinatorial") -> Compat
         raise ValueError(f"oracle must be one of {ORACLES}")
     if oracle == "combinatorial":
         table = rotation_table(rs, m)
-        return CompatibilityGraph(rs, m, oracle, list(table.nodes),
-                                  _pairwise(len(table.nodes), table.compatible), table.perm)
+        return CompatibilityGraph(rs, m, oracle, list(table.nodes), _rotated_rows(table),
+                                  table.perm)
     nodes = coloured_ground_set(rs, m)
     rows = [(1 << len(nodes)) - 1] * len(nodes)
     cat = mcluster_category(rs, m)
@@ -114,25 +144,23 @@ def build_graph(rs: RootSystem, m: int, oracle: str = "combinatorial") -> Compat
     return CompatibilityGraph(rs, m, oracle, nodes, rows, cat.shift_permutation())
 
 
-def _orbits(g: CompatibilityGraph) -> Optional[List[Tuple[int, int]]]:
-    """The orbits of ``g.rotation`` as (smallest id, size) when it is a
-    permutation of the node ids and an automorphism of ``g.adjacency``,
-    otherwise None.  Each row's image is built whole and compared with the
-    row of the image node: the ids that the rotation sends to id + 1, most
-    of them under R_m, which steps each colour below m to the next, move in
-    one shift, and only the others bit by bit."""
+def _invariant(g: CompatibilityGraph) -> bool:
+    """Whether ``g.rotation`` is a permutation of the node ids and an
+    automorphism of ``g.adjacency``: each row's image, built whole by
+    ``_moved``, is the row of the image node."""
     rho, rows = g.rotation, g.adjacency
     if rho is None or sorted(rho) != list(range(len(rows))):
-        return None
+        return False
     step = sum(1 << b for b, c in enumerate(rho) if c == b + 1)
-    for a, row in enumerate(rows):
-        image, rest = (row & step) << 1, row & ~step
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            image |= 1 << rho[low.bit_length() - 1]
-        if image != rows[rho[a]]:
-            return None
+    return all(_moved(row, rho, step, 1) == rows[rho[a]] for a, row in enumerate(rows))
+
+
+def _orbits(g: CompatibilityGraph) -> Optional[List[Tuple[int, int]]]:
+    """The orbits of ``g.rotation`` as (smallest id, size) when it is an
+    automorphism of ``g`` (see ``_invariant``), otherwise None."""
+    if not _invariant(g):
+        return None
+    rho = g.rotation
     orbits, seen = [], [False] * len(rho)
     for r in range(len(rho)):
         k, count = r, 0
@@ -227,7 +255,7 @@ def walk_faces(g: CompatibilityGraph,
     return FaceWalk([1] + [_share(c, k) for k, c in enumerate(fv_total) if k],
                     {k: _share(c, k) for k, c in enumerate(sizes_total) if c},
                     {k: _share(c, rank - 1) for k, c in enumerate(ridges_total) if c}
-                    if rank > 1 else {size: 1})
+                    if rank > 1 else {size: 1}, by_orbits=True)
 
 
 def _share(total: int, members: int) -> int:
@@ -336,20 +364,59 @@ def _restriction_report(g: CompatibilityGraph, g_sub: CompatibilityGraph,
     return Report(not failures, checked, failures)
 
 
+def _deletions(rs: RootSystem) -> Iterator[Tuple[List[int], RootSystem]]:
+    """Each single-vertex deletion (none in rank 1) as the kept vertices
+    and their parabolic subsystem."""
+    for drop in range(rs.n if rs.n > 1 else 0):
+        keep = [v for v in range(rs.n) if v != drop]
+        yield keep, parabolic(rs, keep)
+
+
 def verify_vertex_deletions(graphs: Sequence[CompatibilityGraph]) -> List[Report]:
     """``verify_parabolic_restriction`` for each single-vertex deletion
     (none in rank 1) under the oracle of every graph given, all of one
     system and one ``m``.  Each subsystem is built once and shared by the
     oracles' graphs of it.  One report per deleted vertex: it passes only
     if it passes under every oracle, and counts the supported pairs once."""
-    rs, m = graphs[0].rs, graphs[0].m
     reports = []
-    for drop in range(rs.n if rs.n > 1 else 0):
-        keep = [v for v in range(rs.n) if v != drop]
-        sub = parabolic(rs, keep)
-        reps = [_restriction_report(h, build_graph(sub, m, h.oracle_tag), keep) for h in graphs]
+    for keep, sub in _deletions(graphs[0].rs):
+        reps = [_restriction_report(h, build_graph(sub, h.m, h.oracle_tag), keep)
+                for h in graphs]
         reports.append(Report(all(r.passed for r in reps), reps[0].checked,
                               [f for r in reps for f in r.failures]))
+    return reports
+
+
+def agrees_on_rows(g: CompatibilityGraph, table: RotationTable, cat: MClusterCategory) -> bool:
+    """Whether the combinatorial graph ``g`` of a system is its categorical
+    graph, decided on the n rows of the -alpha_i, given that R_m =
+    ``g.rotation`` is an automorphism of ``g``.  The premises: the shift
+    sigma of ``cat`` is R_m, the ``perm`` of ``table``; H passes
+    ``cat.shift_invariant``, so the categorical graph is invariant under
+    sigma; and each -alpha_i row of ``g`` is the row that
+    ``cat.compatible_rows`` reads off H.  Every orbit of R_m holds a
+    negative simple (``RotationTable`` raises otherwise), so then each pair
+    rotates onto a pair in a -alpha_i row, where the graphs agree."""
+    negatives = [run[0] for run in table.runs]
+    return (cat.shift_permutation() == table.perm == g.rotation and cat.shift_invariant()
+            and [g.adjacency[r] for r in negatives] == cat.compatible_rows(negatives))
+
+
+def verify_vertex_deletions_on_rows(g: CompatibilityGraph) -> Optional[List[Report]]:
+    """``verify_vertex_deletions([g, g_cat])`` for a combinatorial graph
+    ``g`` equal to ``g_cat``, the categorical graph of its system, with no
+    categorical graph built: the combinatorial reports alone, or None
+    unless the graph of every subsystem is invariant under its rotation and
+    passes ``agrees_on_rows``.  With each subsystem's graphs equal too, the
+    restriction holds under one oracle exactly when it holds under the
+    other."""
+    reports = []
+    for keep, sub in _deletions(g.rs):
+        g_sub = build_graph(sub, g.m)
+        if not (_invariant(g_sub) and agrees_on_rows(g_sub, rotation_table(sub, g.m),
+                                                     mcluster_category(sub, g.m))):
+            return None
+        reports.append(_restriction_report(g, g_sub, keep))
     return reports
 
 

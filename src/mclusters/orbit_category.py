@@ -26,7 +26,7 @@ Hom(X, Y[i]) is the Hom into Y landed i times.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, Iterator, List, Tuple
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 from .coloured_roots import ColouredRoot, check_coloured, coloured_ground_set, rotation_Rm
 from .derived import DerivedCategory, DerivedObject, derived_category, shift
@@ -129,6 +129,8 @@ class MClusterCategory:
 
     def ext_by_id(self) -> Callable[[int, int, int], int]:
         """Ext^i(W(a), W(b)) as a function of ``(i, a, b)``, ``i`` in 1..m.
+        It serves only the pair by pair checks that ``verify`` falls back
+        to when a premise of ``cluster_complex.agrees_on_rows`` fails.
         Ext^i(X, Y) = Hom(X, Y[i]), and Y[i] lies in the orbit of
         W(sigma^i(b)) for Y = W(b), so it is H(a, sigma^i(b)), read off the
         powers sigma^0..sigma^m, which live as long as the function.  A node
@@ -141,6 +143,37 @@ class MClusterCategory:
         while len(powers) <= self.m:
             powers.append(tuple(step[b] for b in powers[-1]))
         return lambda i, a, b: H[a].get(powers[i][b], 0)
+
+    def shift_invariant(self) -> bool:
+        """Whether H(sigma a, sigma c) = H(a, c) and H(a, c) =
+        H(c, sigma^(m+1) a) on every stored entry of H, the shift sigma a
+        permutation of the node ids.  Both maps of pairs are one to one,
+        so each then maps the stored entries onto themselves: H is
+        invariant under the shift, and, with Ext^i(a, b) = H(a, sigma^i b),
+        Ext^i(a, b) = Ext^(m+1-i)(b, a) for every i, the Serre duality of
+        an (m+1)-Calabi-Yau category (Keller, math/0503240)."""
+        H, sigma = self.hom_entries(), self.shift_permutation()
+        far = _power(sigma, self.m + 1)
+        return all(H[sigma[a]].get(sigma[c]) == value and H[c].get(far[a]) == value
+                   for a, row in enumerate(H) for c, value in row.items())
+
+    def compatible_rows(self, ids: Sequence[int]) -> List[int]:
+        """For each node a of ``ids``, the nodes b with Ext^i(W(a), W(b)) = 0
+        for i = 1..m as a bitset: each stored H(a, c) is Ext^i(a, b) at
+        b = sigma^-i(c).  Once ``shift_invariant`` holds, Ext^i(a, b) and
+        Ext^(m+1-i)(b, a) vanish together, so this is a's row in the
+        categorical graph."""
+        H, back = self.hom_entries(), _power(self.shift_permutation(), -1)
+        everything = (1 << len(back)) - 1
+        rows = []
+        for a in ids:
+            ext = 0
+            for c in H[a]:
+                for _ in range(self.m):
+                    c = back[c]
+                    ext |= 1 << c
+            rows.append(everything & ~ext)
+        return rows
 
     def ext_instances(self) -> Iterator[Tuple[int, int, int, int]]:
         """Every nonzero Ext^i(W(a), W(b)) as ``(i, a, b, value)``: each
@@ -166,6 +199,21 @@ class MClusterCategory:
     def ext_symmetry(self, x: DerivedObject, y: DerivedObject, i: int) -> bool:
         """Calabi-Yau style dimension symmetry Ext^i(X,Y) = Ext^{m+1-i}(Y,X)."""
         return self.ext(x, y, i) == self.ext(y, x, self.m + 1 - i)
+
+
+def _power(perm: Tuple[int, ...], k: int) -> List[int]:
+    """``perm`` to the power ``k``, read off its cycles: each node steps k
+    places along its own."""
+    out, seen = list(perm), [False] * len(perm)
+    for r in range(len(perm)):
+        cycle, a = [], r
+        while not seen[a]:
+            seen[a] = True
+            cycle.append(a)
+            a = perm[a]
+        for j, a in enumerate(cycle):
+            out[a] = cycle[(j + k) % len(cycle)]
+    return out
 
 
 def mcluster_category(rs: RootSystem, m: int) -> MClusterCategory:

@@ -113,6 +113,19 @@ def dense_ext(cat):
     return table
 
 
+def pairwise(size, verdict):
+    """The bitset rows of the graph on ``range(size)`` with ``verdict(a, b)``
+    read for every pair a <= b: the reference for ``build_graph``, which
+    rotates the combinatorial rows of the negative simples to the rest."""
+    rows = [0] * size
+    for a in range(size):
+        for b in range(a, size):
+            if verdict(a, b):
+                rows[a] |= 1 << b
+                rows[b] |= 1 << a
+    return rows
+
+
 def naive_maximal_cliques(adjacency):
     """Exponential-scan oracle for maximal cliques, for cross-checking the
     face walk on small graphs; ``adjacency`` is the graph's bitset rows."""

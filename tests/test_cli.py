@@ -410,6 +410,10 @@ class TestVerify:
 
     @pytest.mark.parametrize("failing", [None, "combinatorial", "categorical"])
     def test_parabolic_restriction_under_both_oracles(self, capsys, monkeypatch, failing):
+        """Each oracle's restriction fails in turn.  While every subsystem's
+        graphs agree on their rows, only the combinatorial restriction is
+        compared; the categorical failure is injected at that premise, so
+        that both oracles' restrictions are compared pair by pair."""
         seen = []
         real = cluster_complex._restriction_report
 
@@ -421,9 +425,15 @@ class TestVerify:
             return report
 
         monkeypatch.setattr(cluster_complex, "_restriction_report", spy)
+        if failing == "categorical":
+            real_agrees = cluster_complex.agrees_on_rows
+            monkeypatch.setattr(cluster_complex, "agrees_on_rows",
+                                lambda g, table, cat: g.rs.n == 3 and real_agrees(g, table, cat))
         code, out, _ = run(capsys, "verify", "--type", "A3", "--m", "1")
+        oracles = ("combinatorial", "categorical") if failing == "categorical" else (
+            "combinatorial",)
         assert sorted(seen) == sorted((keep, oracle) for keep in [(0, 1), (0, 2), (1, 2)]
-                                      for oracle in ("combinatorial", "categorical"))
+                                      for oracle in oracles)
         line = "parabolic restriction: 40 supported pairs"
         if failing is None:
             assert code == 0 and f"PASS  {line}" in out
@@ -539,6 +549,158 @@ class TestVerify:
         assert (code, err) == (1, "")
         assert "FAIL  rotation matches shift: 15 coloured roots" in out
         assert len(out.splitlines()) == 6
+
+
+def pair_by_pair_calls(monkeypatch):
+    """Spy on the calls that only ``verify``'s pair by pair checks make:
+    a categorical ``build_graph`` (through ``cli`` or ``cluster_complex``)
+    and ``ext_by_id``.  Each call is recorded with its system's rank."""
+    calls = []
+
+    def spy_build(real):
+        def build(rs, m, oracle="combinatorial"):
+            if oracle == "categorical":
+                calls.append(("build_graph", rs.n))
+            return real(rs, m, oracle)
+        return build
+
+    real_ext = MClusterCategory.ext_by_id
+
+    def ext_by_id(self):
+        calls.append(("ext_by_id", self.rs.n))
+        return real_ext(self)
+
+    for module in (cli, cluster_complex):
+        monkeypatch.setattr(module, "build_graph", spy_build(module.build_graph))
+    monkeypatch.setattr(MClusterCategory, "ext_by_id", ext_by_id)
+    return calls
+
+
+def flip_bits(monkeypatch, choose):
+    """Patch ``cli.build_graph`` so that the combinatorial graph of A3 m=2
+    has bit b of row a flipped for each (a, b) that ``choose(g, neg, b0)``
+    returns: neg is -alpha_1, b0 the first other node compatible with it."""
+    real = cli.build_graph
+
+    def corrupted(rs, m, oracle="combinatorial"):
+        g = real(rs, m, oracle)
+        if rs.n != 3 or m != 2 or oracle != "combinatorial":
+            return g
+        neg = len(g.nodes) - rs.n
+        b0 = next(b for b in range(len(g.nodes)) if b != neg and g.adjacency[neg] >> b & 1)
+        rows = list(g.adjacency)
+        for a, b in choose(g, neg, b0):
+            rows[a] ^= 1 << b
+        g.adjacency = rows
+        return g
+
+    monkeypatch.setattr(cli, "build_graph", corrupted)
+
+
+def rotation_orbit(g, a, b):
+    """The ordered pair (a, b) and its images under ``g.rotation``."""
+    pairs = []
+    while (a, b) not in pairs:
+        pairs.append((a, b))
+        a, b = g.rotation[a], g.rotation[b]
+    return pairs
+
+
+def bump_closure(H, sigma, m, a, c):
+    """H(a, c) bumped with every image under the shift and under the Serre
+    map (a, c) -> (c, sigma^(m+1) a), so that H stays shift-invariant and
+    dual, and only the Ext dimensions change."""
+    far = list(range(len(sigma)))
+    for _ in range(m + 1):
+        far = [sigma[x] for x in far]
+    todo, done = [(a, c)], set()
+    while todo:
+        x, y = todo.pop()
+        if (x, y) not in done:
+            done.add((x, y))
+            todo += [(sigma[x], sigma[y]), (y, far[x])]
+    for x, y in done:
+        H[x][y] += 1
+
+
+A3_M2_FLIPPED = """\
+FAIL  oracle equivalence: 15 nodes, 120 pairs
+PASS  facet sizes = rank: {} facets
+FAIL  complement count = 3: {} almost-complete sets
+FAIL  parabolic restriction: 93 supported pairs
+PASS  rotation matches shift: 15 coloured roots
+PASS  Ext dimension symmetry: 450 (pair, degree) instances
+"""
+
+
+class TestRowPremises:
+    """``verify`` compares the oracles on the rows of the negative simples
+    when its premises hold, and pair by pair, with the same lines as
+    before, when one fails."""
+
+    @pytest.mark.parametrize("name,m", [("A3", 2), ("D4", 1), ("E6", 2)])
+    def test_passing_run_builds_no_categorical_graph(self, capsys, monkeypatch, name, m):
+        calls = pair_by_pair_calls(monkeypatch)
+        code, out, _ = run(capsys, "verify", "--type", name, "--m", str(m))
+        assert code == 0 and "FAIL" not in out
+        assert calls == []
+
+    @pytest.mark.parametrize("case,choose,out,err", [
+        # The R_m orbit of a pair through -alpha_1, flipped both ways: the
+        # graph stays invariant and symmetric, and its -alpha_1 row is wrong.
+        ("row", lambda g, neg, b: [p for a, b in rotation_orbit(g, neg, b)
+                                   for p in ((a, b), (b, a))],
+         A3_M2_FLIPPED.format(30, 45), ""),
+        # One pair through -alpha_1, flipped both ways.
+        ("boundary pair", lambda g, neg, b: [(neg, b), (b, neg)],
+         A3_M2_FLIPPED.format(52, 54), ""),
+        # One bit of a pair of positive roots: the -alpha_i rows stay right,
+        # and the graph is neither symmetric nor invariant.
+        ("asymmetric pair", lambda g, neg, b: [next(
+            (x, y) for x in range(neg) for y in range(x + 1, neg) if g.adjacency[x] >> y & 1)],
+         A3_M2_FLIPPED.format(52, 54), ""),
+        # The R_m orbit of one bit through -alpha_1: invariant, so the walk
+        # goes by orbits and fails on the asymmetry after the first line.
+        ("asymmetric orbit", lambda g, neg, b: rotation_orbit(g, neg, b),
+         "FAIL  oracle equivalence: 15 nodes, 120 pairs\n",
+         "internal error: orbit-weighted count 115 is not a multiple of 3 (bug)\n"),
+    ])
+    def test_corrupted_graph(self, capsys, monkeypatch, case, choose, out, err):
+        flip_bits(monkeypatch, choose)
+        calls = pair_by_pair_calls(monkeypatch)
+        assert run(capsys, "verify", "--type", "A3", "--m", "2") == (1, out, err)
+        assert ("build_graph", 3) in calls
+
+    def test_hom_entry(self, capsys, monkeypatch):
+        """One H entry bumped: H is no longer invariant under the shift."""
+        tamper_hom(monkeypatch, lambda H, sigma, m, a, c: H[a].__setitem__(c, H[a][c] + 1))
+        calls = pair_by_pair_calls(monkeypatch)
+        assert run(capsys, "verify", "--type", "A3", "--m", "2") == (1, """\
+PASS  oracle equivalence: 15 nodes, 120 pairs
+PASS  facet sizes = rank: 55 facets
+PASS  complement count = 3: 55 almost-complete sets
+PASS  parabolic restriction: 93 supported pairs
+PASS  rotation matches shift: 15 coloured roots
+FAIL  Ext dimension symmetry: 450 (pair, degree) instances
+""", "")
+        assert ("ext_by_id", 3) in calls
+
+    def test_ext1_off_degree(self, capsys, monkeypatch):
+        """H bumped on a whole orbit of the shift and of the Serre map: the
+        graphs agree, and only Ext^1 = degree, read on the -alpha_i pairs,
+        refuses the shortcut."""
+        tamper_hom(monkeypatch, bump_closure)
+        calls = pair_by_pair_calls(monkeypatch)
+        assert run(capsys, "verify", "--type", "D4", "--m", "1") == (1, """\
+PASS  oracle equivalence: 16 nodes, 136 pairs
+PASS  facet sizes = rank: 50 facets
+PASS  complement count = 2: 100 almost-complete sets
+PASS  parabolic restriction: 156 supported pairs
+PASS  rotation matches shift: 16 coloured roots
+PASS  Ext dimension symmetry: 256 (pair, degree) instances
+FAIL  Ext^1 = compatibility degree: 256 ordered pairs
+""", "")
+        assert ("ext_by_id", 4) in calls
 
 
 def tamper_hom(monkeypatch, edit):

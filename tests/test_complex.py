@@ -5,12 +5,14 @@ from math import comb, prod
 
 import pytest
 
-from conftest import ALL_SYSTEMS, REDUCIBLE, fuss_catalan, naive_maximal_cliques, system
+from conftest import (ALL_SYSTEMS, REDUCIBLE, fuss_catalan, naive_maximal_cliques, pairwise,
+                      system)
 from mclusters import (ColouredRoot, build_graph, build_root_system, complements,
-                       complex_to_json, enumerate_facets, f_vector, parabolic, parse_type,
-                       verify_complement_counts, verify_facet_sizes,
-                       verify_parabolic_restriction, walk_faces)
-from mclusters import cluster_complex
+                       complex_to_json, enumerate_facets, f_vector, mcluster_category,
+                       parabolic, parse_type, rotation_table, verify_complement_counts,
+                       verify_facet_sizes, verify_parabolic_restriction,
+                       verify_vertex_deletions, walk_faces)
+from mclusters import cli, cluster_complex
 from mclusters.cluster_complex import ridge_counts
 
 
@@ -73,6 +75,82 @@ class TestBuildGraph:
     def test_bad_oracle(self, a2):
         with pytest.raises(ValueError):
             build_graph(a2, 1, "guesswork")
+
+    @pytest.mark.parametrize("name,keep,m",
+                             [(name, keep, m) for name, keep in ALL_SYSTEMS for m in (1, 2, 3)]
+                             + [("A1", None, m) for m in (4, 5)] + [("A2", None, 50)])
+    def test_rotated_rows_are_pairwise(self, name, keep, m):
+        """The combinatorial graph, rotated from the rows of the negative
+        simples, is the graph read off the table pair by pair."""
+        rs = system(name, keep)
+        g = build_graph(rs, m)
+        assert g.adjacency == pairwise(len(g.nodes), rotation_table(rs, m).compatible)
+
+
+class TestRowPremises:
+    """The premises under which ``verify`` compares the oracles on n rows
+    hold on every system at m = 1..3, and each premise says what it claims."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("name,keep", ALL_SYSTEMS)
+    def test_hold(self, name, keep, m):
+        rs = system(name, keep)
+        g, table, cat = build_graph(rs, m), rotation_table(rs, m), mcluster_category(rs, m)
+        assert cluster_complex._invariant(g)
+        assert cluster_complex.agrees_on_rows(g, table, cat)
+        assert m > 1 or cli._ext1_is_degree(cat, table)
+        # The rows read off H are the categorical graph's, on every node.
+        assert cat.compatible_rows(range(len(g.nodes))) == g.adjacency
+
+    @pytest.mark.parametrize("name,m", [("A3", 1), ("A3", 2), ("D4", 3), ("E6", 1)]
+                             + [(name, 2) for name, _ in REDUCIBLE])
+    def test_deletions_on_rows(self, name, m):
+        """Without a categorical graph, the reports of both oracles."""
+        rs = system(name)
+        g = build_graph(rs, m)
+        expected = verify_vertex_deletions([g, build_graph(rs, m, "categorical")])
+        got = cluster_complex.verify_vertex_deletions_on_rows(g)
+        assert [(r.passed, r.checked) for r in got] == [(r.passed, r.checked) for r in expected]
+
+    def test_subsystem_refused(self, a3, monkeypatch):
+        """A subsystem whose graph is not invariant refuses the shortcut."""
+        real = cluster_complex.build_graph
+
+        def flipped(rs, m, oracle="combinatorial"):
+            g = real(rs, m, oracle)
+            if rs.n == 2:
+                g.adjacency = [g.adjacency[0] ^ 2, g.adjacency[1] ^ 1] + g.adjacency[2:]
+            return g
+
+        monkeypatch.setattr(cluster_complex, "build_graph", flipped)
+        assert cluster_complex.verify_vertex_deletions_on_rows(real(a3, 2)) is None
+
+    def test_tampered_hom_refused(self):
+        """One H entry bumped breaks the shift's invariance; one entry and
+        every shift of it, but not its Serre mirrors, break the duality.
+        The table is edited in place, so its system is built here."""
+        cat = mcluster_category(system("A3"), 2)
+        H, sigma = cat.hom_entries(), cat.shift_permutation()
+        a, c = next((a, c) for a, row in enumerate(H) for c in row if c != a)
+        H[a][c] += 1
+        assert not cat.shift_invariant()
+        x, y = sigma[a], sigma[c]
+        while (x, y) != (a, c):
+            H[x][y] += 1
+            x, y = sigma[x], sigma[y]
+        assert not cat.shift_invariant()
+
+    def test_row_mismatch_refused(self, a3):
+        g, table, cat = build_graph(a3, 2), rotation_table(a3, 2), mcluster_category(a3, 2)
+        neg = table.runs[0][0]
+        g.adjacency = list(g.adjacency)
+        g.adjacency[neg] ^= 1
+        assert not cluster_complex.agrees_on_rows(g, table, cat)
+
+    def test_other_rotation_refused(self, a3):
+        g, table, cat = build_graph(a3, 2), rotation_table(a3, 2), mcluster_category(a3, 2)
+        g.rotation = (g.rotation[1], g.rotation[0]) + g.rotation[2:]
+        assert not cluster_complex.agrees_on_rows(g, table, cat)
 
 
 class TestFacets:

@@ -9,6 +9,7 @@ from conftest import (ALL_SYSTEMS, REDUCIBLE, G, dense_ext, in_domain, orbit_sum
 from mclusters import (ColouredRoot, DerivedObject, build_root_system,
                        compatible_combinatorial, coloured_ground_set,
                        derived_category, parse_type, rotation_Rm, rotation_table, shift)
+from mclusters import orbit_category
 from mclusters.cli import main
 from mclusters.cluster_complex import ORACLES, build_graph
 from mclusters.coloured_roots import compatibility_degree
@@ -204,6 +205,9 @@ class TestHomTableAndShift:
         power = list(range(size))  # sigma^(m+1)
         for _ in range(m + 1):
             power = [sigma[a] for a in power]
+        assert orbit_category._power(sigma, m + 1) == power
+        assert [orbit_category._power(sigma, -1)[b] for b in sigma] == list(range(size))
+        assert cat.shift_invariant()
         for a, row in enumerate(H):
             assert row[a] == 1
             for c, value in row.items():
