@@ -25,7 +25,7 @@ import sys
 import tempfile
 from typing import Iterable, Iterator, List, Optional, TextIO, Tuple
 
-from .cluster_complex import (agrees_on_rows, build_graph, complex_to_json,
+from .cluster_complex import (_invariant, agrees_on_rows, build_graph, complex_to_json,
                               verify_vertex_deletions, verify_vertex_deletions_on_rows, walk_faces)
 from .coloured_roots import (ColouredRoot, RotationTable, _reading, _rotation_cap, check_coloured,
                              rotation_Rm, rotation_table)
@@ -262,14 +262,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     table = rotation_table(rs, m)
     # When the n-row premises hold, on the system and on each subsystem,
     # every check that compares the oracles pair by pair would pass, so
-    # none is run; the walk tells whether the graph is invariant under its
-    # rotation.  When one fails, each check runs as it stands, in its
-    # order, so a failing run prints what it did, also when the walk raises.
+    # none is run, and the counts of theorems 2 and 3 come from the walks
+    # of the subsystems' graphs when the links pass their premises too.
+    # When one fails, each check runs as it stands, in its order, so a
+    # failing run prints what it did, also when the walk raises.
     walk = parab = None
-    if agrees_on_rows(g_comb, table, cat) and (m > 1 or _ext1_is_degree(cat, table)):
-        walk = walk_faces(g_comb)
-        if walk.by_orbits:
-            parab = verify_vertex_deletions_on_rows(g_comb)
+    if (agrees_on_rows(g_comb, table, cat) and (m > 1 or _ext1_is_degree(cat, table))
+            and _invariant(g_comb)):
+        parab, walk = verify_vertex_deletions_on_rows(g_comb) or (None, None)
     on_rows = parab is not None
     g_cat = None if on_rows else build_graph(rs, m, "categorical")
     record("oracle equivalence", on_rows or g_comb.adjacency == g_cat.adjacency,

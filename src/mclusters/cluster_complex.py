@@ -10,12 +10,16 @@ the orbit's size.  The facet-list checks and ``complements`` are the
 references that the tests compare the walk with.  ``agrees_on_rows``
 decides from the rows of the negative simples alone whether the
 combinatorial graph is the categorical one, on a system and on each of its
-vertex deletions, so that ``verify`` compares the oracles on n rows.
+vertex deletions, so that ``verify`` compares the oracles on n rows; the
+graphs of those deletions are the links of the negative simples, so
+``verify_vertex_deletions_on_rows`` also counts the faces of the system's
+graph from one walk of each, and walks no face of the graph itself.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from collections import Counter
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .coloured_roots import (ColouredRoot, RotationTable, coloured_ground_set,
                              coloured_to_json, rotation_table)
@@ -52,16 +56,16 @@ class FaceWalk:
     """What ``walk_faces`` counts: faces of each size (the f-vector),
     facets of each size, and a histogram of the number of nodes compatible
     with each face one smaller than the rank (a ridge; the empty face in
-    rank 1).  The counts are exact whichever walk produced them;
-    ``by_orbits`` is set when it walked one link per orbit, and so found
-    the graph's rotation an automorphism of it."""
+    rank 1).  The counts are exact whichever way they were produced: a walk
+    of every face, one link walk per orbit of the graph's rotation, or, in
+    ``verify_vertex_deletions_on_rows``, the walks of the vertex deletions'
+    graphs, which are the links of the negative simples."""
 
     def __init__(self, f_vector: List[int], facet_sizes: Dict[int, int],
-                 ridges: Dict[int, int], by_orbits: bool = False):
+                 ridges: Dict[int, int]):
         self.f_vector = f_vector
         self.facet_sizes = facet_sizes
         self.ridges = ridges
-        self.by_orbits = by_orbits
 
     def theorem2(self, rank: int) -> bool:
         """Every facet has ``rank`` elements.  The facet sizes alone settle
@@ -157,10 +161,13 @@ def _invariant(g: CompatibilityGraph) -> bool:
 
 def _orbits(g: CompatibilityGraph) -> Optional[List[Tuple[int, int]]]:
     """The orbits of ``g.rotation`` as (smallest id, size) when it is an
-    automorphism of ``g`` (see ``_invariant``), otherwise None."""
+    automorphism of ``g`` (see ``_invariant``) and ``g`` is symmetric,
+    otherwise None.  Symmetry is read on the smallest id r of each orbit,
+    its row against its column: the rotation carries each pair onto one
+    through some r, so that covers every pair."""
     if not _invariant(g):
         return None
-    rho = g.rotation
+    rho, rows = g.rotation, g.adjacency
     orbits, seen = [], [False] * len(rho)
     for r in range(len(rho)):
         k, count = r, 0
@@ -168,6 +175,8 @@ def _orbits(g: CompatibilityGraph) -> Optional[List[Tuple[int, int]]]:
             seen[k] = True
             k, count = rho[k], count + 1
         if count:
+            if rows[r] != sum(1 << a for a, row in enumerate(rows) if row >> r & 1):
+                return None
             orbits.append((r, count))
     return orbits
 
@@ -236,8 +245,8 @@ def walk_faces(g: CompatibilityGraph,
         return FaceWalk(fv, {k: c for k, c in enumerate(sizes) if c},
                         {k: c for k, c in enumerate(ridges) if c})
 
-    totals: Tuple[List[int], ...] = ([], [0] * (size + 1), [0] * (size + 1))
-    for r, weight in orbits:
+    def link(r: int) -> FaceWalk:
+        # The faces through r, each counted at its size less one.
         fv[:] = [1, 1]
         sizes[:] = ridges[:] = [0] * (size + 1)
         near = neighbours[r]
@@ -247,15 +256,35 @@ def walk_faces(g: CompatibilityGraph,
             visit(near, near, 2)
         else:
             sizes[1] += 1
-        for total, counts in zip(totals, (fv, sizes, ridges)):
-            total.extend([0] * (len(counts) - len(total)))
-            for k, c in enumerate(counts):
-                total[k] += weight * c
-    fv_total, sizes_total, ridges_total = totals
-    return FaceWalk([1] + [_share(c, k) for k, c in enumerate(fv_total) if k],
-                    {k: _share(c, k) for k, c in enumerate(sizes_total) if c},
-                    {k: _share(c, rank - 1) for k, c in enumerate(ridges_total) if c}
-                    if rank > 1 else {size: 1}, by_orbits=True)
+        return FaceWalk(fv[1:], {k - 1: c for k, c in enumerate(sizes) if c},
+                        {k: c for k, c in enumerate(ridges) if c})
+
+    return _from_links([(weight, link(r)) for r, weight in orbits], rank, size)
+
+
+def _from_links(links: Sequence[Tuple[int, FaceWalk]], rank: int, size: int) -> FaceWalk:
+    """The counts of a graph of ``rank`` on ``size`` nodes, from the links
+    of its nodes: each ``(weight, walk)`` stands for ``weight`` nodes whose
+    links have ``walk``'s counts, and every node is in exactly one.  A
+    k-face, less one of its k nodes, is a (k-1)-face of that node's link,
+    a facet of the link exactly when the k-face is a facet, and a ridge
+    with c compatible nodes is a ridge with c compatible nodes of each of
+    its rank - 1 nodes' links, so by double counting each weighted total
+    divides by its face size.  Rank 1 has the empty ridge only, which lies
+    in no link."""
+    fv, sizes, ridges = [1], Counter(), Counter()
+    for weight, walk in links:
+        fv.extend([0] * (len(walk.f_vector) + 1 - len(fv)))
+        for k, c in enumerate(walk.f_vector, start=1):
+            fv[k] += weight * c
+        for k, c in walk.facet_sizes.items():
+            sizes[k + 1] += weight * c
+        for c, count in walk.ridges.items():
+            ridges[c] += weight * count
+    return FaceWalk([1] + [_share(c, k) for k, c in enumerate(fv) if k],
+                    {k: _share(c, k) for k, c in sorted(sizes.items())},
+                    {c: _share(t, rank - 1) for c, t in sorted(ridges.items())}
+                    if rank > 1 else {size: 1})
 
 
 def _share(total: int, members: int) -> int:
@@ -263,7 +292,7 @@ def _share(total: int, members: int) -> int:
     as a count of faces."""
     count, remainder = divmod(total, members)
     if remainder:
-        raise RuntimeError(f"orbit-weighted count {total} is not a multiple of {members} (bug)")
+        raise RuntimeError(f"link-weighted count {total} is not a multiple of {members} (bug)")
     return count
 
 
@@ -342,17 +371,10 @@ def verify_parabolic_restriction(rs: RootSystem, m: int, keep: Sequence[int],
 def _restriction_report(g: CompatibilityGraph, g_sub: CompatibilityGraph,
                         kept: List[int]) -> Report:
     """Compare ``g`` on the pairs supported on ``kept`` with ``g_sub``, the
-    graph of the parabolic subsystem on ``kept`` under the same oracle.
-    Each subsystem node lifts to the node of ``g`` with its coordinates at
-    ``kept``; pairs run in ``g``'s order, a failure is ``(x, y, full, restricted)``."""
-    full_id = {x: k for k, x in enumerate(g.nodes)}
-    supported = []
-    for s, x in enumerate(g_sub.nodes):
-        root = [0] * g.rs.n
-        for v, c in zip(kept, x.root):
-            root[v] = c
-        supported.append((full_id[ColouredRoot(tuple(root), x.colour)], s))
-    supported.sort()
+    graph of the parabolic subsystem on ``kept`` under the same oracle,
+    each subsystem node lifted by ``_lift``.  Pairs run in ``g``'s order, a
+    failure is ``(x, y, full, restricted)``."""
+    supported = _lift(g, g_sub, kept)
     failures = []
     for a, (fx, sx) in enumerate(supported):
         row, sub_row = g.adjacency[fx], g_sub.adjacency[sx]
@@ -364,12 +386,29 @@ def _restriction_report(g: CompatibilityGraph, g_sub: CompatibilityGraph,
     return Report(not failures, checked, failures)
 
 
-def _deletions(rs: RootSystem) -> Iterator[Tuple[List[int], RootSystem]]:
-    """Each single-vertex deletion (none in rank 1) as the kept vertices
-    and their parabolic subsystem."""
-    for drop in range(rs.n if rs.n > 1 else 0):
-        keep = [v for v in range(rs.n) if v != drop]
-        yield keep, parabolic(rs, keep)
+def _lift(g: CompatibilityGraph, g_sub: CompatibilityGraph,
+          kept: List[int]) -> List[Tuple[int, int]]:
+    """Each node of ``g_sub``, the graph of the parabolic subsystem on
+    ``kept``, as (its id in ``g``, its own id), in ``g``'s order: it lifts
+    to the node of ``g`` with its coordinates at ``kept`` and 0 elsewhere."""
+    full_id = {x: k for k, x in enumerate(g.nodes)}
+    supported = []
+    for s, x in enumerate(g_sub.nodes):
+        root = [0] * g.rs.n
+        for v, c in zip(kept, x.root):
+            root[v] = c
+        supported.append((full_id[ColouredRoot(tuple(root), x.colour)], s))
+    supported.sort()
+    return supported
+
+
+def _deletions(rs: RootSystem) -> List[Tuple[List[int], RootSystem]]:
+    """Each single-vertex deletion (none in rank 1), vertex i the i-th, as
+    the kept vertices and their parabolic subsystem.  The list is kept in
+    ``rs.memo``, so that every check of a system shares its subsystems and
+    what each builds in its own memo."""
+    keeps = [[v for v in range(rs.n) if v != drop] for drop in range(rs.n if rs.n > 1 else 0)]
+    return rs.cached("deletions", lambda: [(keep, parabolic(rs, keep)) for keep in keeps])
 
 
 def verify_vertex_deletions(graphs: Sequence[CompatibilityGraph]) -> List[Report]:
@@ -402,22 +441,44 @@ def agrees_on_rows(g: CompatibilityGraph, table: RotationTable, cat: MClusterCat
             and [g.adjacency[r] for r in negatives] == cat.compatible_rows(negatives))
 
 
-def verify_vertex_deletions_on_rows(g: CompatibilityGraph) -> Optional[List[Report]]:
-    """``verify_vertex_deletions([g, g_cat])`` for a combinatorial graph
-    ``g`` equal to ``g_cat``, the categorical graph of its system, with no
-    categorical graph built: the combinatorial reports alone, or None
-    unless the graph of every subsystem is invariant under its rotation and
-    passes ``agrees_on_rows``.  With each subsystem's graphs equal too, the
+def verify_vertex_deletions_on_rows(
+        g: CompatibilityGraph) -> Optional[Tuple[List[Report], Optional[FaceWalk]]]:
+    """``verify_vertex_deletions([g, g_cat])`` and ``walk_faces(g)`` for a
+    combinatorial graph ``g`` equal to ``g_cat``, the categorical graph of
+    its system, with R_m = ``g.rotation`` an automorphism of ``g``: both
+    read off the graphs of the subsystems, with no categorical graph built
+    and no face of ``g`` walked.  None unless the graph g_i of every
+    subsystem is invariant under its rotation and passes
+    ``agrees_on_rows``.  With each subsystem's graphs equal too, the
     restriction holds under one oracle exactly when it holds under the
-    other."""
-    reports = []
-    for keep, sub in _deletions(g.rs):
+    other, so the reports are the combinatorial ones alone.
+
+    The link of -alpha_i is the complex of the deletion of vertex i
+    (Fomin-Reading, math/0505085).  Here it is g_i when the row of
+    -alpha_i, less its own bit, is exactly the set of nodes that g_i's
+    nodes lift to, and the restriction report of g_i passes.  Each node of
+    run i of the rotation table is R_m^-t(-alpha_i), so its link is
+    isomorphic to that of -alpha_i, and ``_from_links`` counts the faces of
+    ``g`` from one ``walk_faces(g_i)`` per subsystem, weighted by the
+    run's length.  The runs partition the ids, so an orbit that holds two
+    negative simples needs no fractional weight.  The walk is None in
+    rank 1 and when a link fails its premises."""
+    table = rotation_table(g.rs, g.m)
+    reports: List[Report] = []
+    links: Optional[List[Tuple[int, FaceWalk]]] = []
+    for (keep, sub), run in zip(_deletions(g.rs), table.runs):
         g_sub = build_graph(sub, g.m)
         if not (_invariant(g_sub) and agrees_on_rows(g_sub, rotation_table(sub, g.m),
                                                      mcluster_category(sub, g.m))):
             return None
         reports.append(_restriction_report(g, g_sub, keep))
-    return reports
+        neg = run[0]
+        lifted = sum(1 << f for f, _ in _lift(g, g_sub, keep))
+        if links is not None and reports[-1].passed and g.adjacency[neg] & ~(1 << neg) == lifted:
+            links.append((len(run), walk_faces(g_sub)))
+        else:
+            links = None
+    return reports, _from_links(links, g.rs.n, len(g.nodes)) if links else None
 
 
 def complex_to_json(rs: RootSystem, m: int, oracle: str,

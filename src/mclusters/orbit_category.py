@@ -96,14 +96,14 @@ class MClusterCategory:
     def _build_hom_entries(self) -> List[Dict[int, int]]:
         rid = {beta: k for k, beta in enumerate(self.rs.positive_roots)}
         E = self.D.euler_matrix()
-        objs = self.objects()
+        objs, backs = self._image()
         at_shift: Dict[int, List[Tuple[int, int]]] = {}
         for c, Z in enumerate(objs):
             at_shift.setdefault(Z.shift, []).append((c, rid[Z.beta]))
         H = []
-        for X in objs:
+        for X, back in zip(objs, backs):
             row: Dict[int, int] = {}
-            for o in (self.G_inverse(X), X):
+            for o in (back, X):
                 e = E[rid[o.beta]]
                 for u, sign in ((o.shift, 1), (o.shift + 1, -1)):
                     for c, d in at_shift.get(u, ()):
@@ -123,9 +123,19 @@ class MClusterCategory:
         return self.rs.cached(("shift", self.m), self._build_shift)
 
     def _build_shift(self) -> Tuple[int, ...]:
-        objs = self.objects()
+        # W(x)[1] lands at G^-1(W(x)[1]) = G^-1(W(x))[1] when it leaves W's image.
+        objs, backs = self._image()
         index = {obj: k for k, obj in enumerate(objs)}
-        return tuple(index.get(self._land(shift(obj, 1)), -1) for obj in objs)
+        return tuple(index.get(up if self._in_image(up := shift(obj, 1)) else shift(back, 1), -1)
+                     for obj, back in zip(objs, backs))
+
+    def _image(self) -> Tuple[List[DerivedObject], List[DerivedObject]]:
+        """W's image in node order and the G^-1 step of each object, which
+        both the shift and H read, so that each step is taken once."""
+        def build() -> Tuple[List[DerivedObject], List[DerivedObject]]:
+            objs = self.objects()
+            return objs, [self.G_inverse(X) for X in objs]
+        return self.rs.cached(("image", self.m), build)
 
     def ext_by_id(self) -> Callable[[int, int, int], int]:
         """Ext^i(W(a), W(b)) as a function of ``(i, a, b)``, ``i`` in 1..m.

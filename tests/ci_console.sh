@@ -16,6 +16,8 @@ $MCLUSTER verify --type D4 --m 2
 $MCLUSTER verify --type E7 --m 2
 $MCLUSTER verify --type E8 --m 1
 $MCLUSTER verify --type E8 --m 2
+$MCLUSTER verify --type A5 --m 10
+$MCLUSTER verify --type A6 --m 3
 python -c "import resource, mclusters.cli as cli; assert cli.main(['enumerate', '--type', 'E7', '--m', '2', '--out', '/dev/null']) == 0; peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; assert peak < 32 * 1024, f'enumerate E7 m=2 peaked at {peak} KiB'"
 $MCLUSTER enumerate --type A3 --m 2 --oracle both > /dev/null
 $MCLUSTER compat --type E8 --m 3 -- 2,4,6,5,4,3,2,3:2 -e1

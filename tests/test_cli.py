@@ -413,7 +413,9 @@ class TestVerify:
         """Each oracle's restriction fails in turn.  While every subsystem's
         graphs agree on their rows, only the combinatorial restriction is
         compared; the categorical failure is injected at that premise, so
-        that both oracles' restrictions are compared pair by pair."""
+        that both oracles' restrictions are compared pair by pair.  A
+        failing restriction also refuses the subsystems' walks as links,
+        so the full graph is walked."""
         seen = []
         real = cluster_complex._restriction_report
 
@@ -429,7 +431,9 @@ class TestVerify:
             real_agrees = cluster_complex.agrees_on_rows
             monkeypatch.setattr(cluster_complex, "agrees_on_rows",
                                 lambda g, table, cat: g.rs.n == 3 and real_agrees(g, table, cat))
+        walked = spy_walks(monkeypatch)
         code, out, _ = run(capsys, "verify", "--type", "A3", "--m", "1")
+        assert walked == ([2] * 3 if failing is None else [3])
         oracles = ("combinatorial", "categorical") if failing == "categorical" else (
             "combinatorial",)
         assert sorted(seen) == sorted((keep, oracle) for keep in [(0, 1), (0, 2), (1, 2)]
@@ -441,6 +445,8 @@ class TestVerify:
             assert code == 1 and f"FAIL  {line}" in out
 
     def test_each_subsystem_built_once(self, capsys, monkeypatch):
+        """Also when the premises hold on D4 but not on its subsystems, so
+        that the pair by pair comparison follows the n-row one."""
         built = []
         real = RootSystem.__init__
 
@@ -449,9 +455,52 @@ class TestVerify:
             real(self, *args, **kwargs)
 
         monkeypatch.setattr(RootSystem, "__init__", spy)
-        code, out, _ = run(capsys, "verify", "--type", "D4", "--m", "2")
+        real_agrees = cluster_complex.agrees_on_rows
+        for subsystems_agree in (True, False):
+            monkeypatch.setattr(cluster_complex, "agrees_on_rows", lambda g, table, cat: (
+                (subsystems_agree or g.rs.n == 4) and real_agrees(g, table, cat)))
+            built.clear()
+            code, out, _ = run(capsys, "verify", "--type", "D4", "--m", "2")
+            assert code == 0 and "FAIL" not in out
+            assert len(built) == 1 + 4  # D4 and one subsystem per deleted vertex
+
+    def test_walks_subsystem_graphs_only(self, capsys, monkeypatch):
+        """A passing run counts the faces from one walk of each vertex
+        deletion's graph, and walks no face of the graph itself."""
+        walked = spy_walks(monkeypatch)
+        code, out, _ = run(capsys, "verify", "--type", "E7", "--m", "1")
         assert code == 0 and "FAIL" not in out
-        assert len(built) == 1 + 4  # D4 and one subsystem per deleted vertex
+        assert walked == [6] * 7
+
+    def test_broken_link_walks_the_graph(self, capsys, monkeypatch):
+        """The deletion loop reads a row of -alpha_1 that lacks one node
+        that the graph of the deletion of vertex 1 lifts to.  The
+        restriction reports read that row only at the other negative
+        simples, so they pass, and only the link fails its premise: verify
+        walks the full graph and prints what it prints when all hold."""
+        real = cli.verify_vertex_deletions_on_rows
+
+        def broken(g):
+            neg = len(g.nodes) - g.rs.n
+            h = copy.copy(g)
+            h.adjacency = list(g.adjacency)
+            h.adjacency[neg] ^= 1 << next(b for b in range(neg) if g.adjacency[neg] >> b & 1)
+            reports, walk = real(h)
+            assert all(report.passed for report in reports) and walk is None
+            return reports, walk
+
+        monkeypatch.setattr(cli, "verify_vertex_deletions_on_rows", broken)
+        walked = spy_walks(monkeypatch)
+        calls = pair_by_pair_calls(monkeypatch)
+        assert run(capsys, "verify", "--type", "D4", "--m", "2") == (0, """\
+PASS  oracle equivalence: 28 nodes, 406 pairs
+PASS  facet sizes = rank: 336 facets
+PASS  complement count = 3: 448 almost-complete sets
+PASS  parabolic restriction: 405 supported pairs
+PASS  rotation matches shift: 28 coloured roots
+PASS  Ext dimension symmetry: 1568 (pair, degree) instances
+""", "")
+        assert walked == [4] and calls == []
 
     def test_each_orbit_ext_evaluated_once(self, capsys, monkeypatch):
         # One Hom table and one shift per category, and no per-pair Ext.
@@ -541,14 +590,30 @@ class TestVerify:
         assert "FAIL" not in out.replace("FAIL  rotation matches shift", "")
 
     def test_shift_lands_off_image(self, capsys, monkeypatch):
-        # The landing step by G instead of G^-1: some W(x)[1] land outside
-        # W's image, get no node id, and every check still prints its line.
-        monkeypatch.setattr(MClusterCategory, "_land",
-                            lambda self, y: y if in_domain(self, y) else G(self, y))
+        # The step that the shift and H share taken by G instead of G^-1:
+        # some W(x)[1] land outside W's image, get no node id, and every
+        # check still prints its line.
+        monkeypatch.setattr(MClusterCategory, "_image", lambda self: (
+            self.objects(), [G(self, X) for X in self.objects()]))
         code, out, err = run(capsys, "verify", "--type", "A3", "--m", "2")
         assert (code, err) == (1, "")
         assert "FAIL  rotation matches shift: 15 coloured roots" in out
         assert len(out.splitlines()) == 6
+
+
+def spy_walks(monkeypatch):
+    """Spy on ``walk_faces``, through ``cli`` and ``cluster_complex``: the
+    rank of each graph walked, in order."""
+    walked = []
+    real = cluster_complex.walk_faces
+
+    def spy(g, facets=None):
+        walked.append(g.rs.n)
+        return real(g, facets)
+
+    for module in (cli, cluster_complex):
+        monkeypatch.setattr(module, "walk_faces", spy)
+    return walked
 
 
 def pair_by_pair_calls(monkeypatch):
@@ -659,11 +724,10 @@ class TestRowPremises:
         ("asymmetric pair", lambda g, neg, b: [next(
             (x, y) for x in range(neg) for y in range(x + 1, neg) if g.adjacency[x] >> y & 1)],
          A3_M2_FLIPPED.format(52, 54), ""),
-        # The R_m orbit of one bit through -alpha_1: invariant, so the walk
-        # goes by orbits and fails on the asymmetry after the first line.
+        # The R_m orbit of one bit through -alpha_1: invariant but not
+        # symmetric, so the walk goes face by face.
         ("asymmetric orbit", lambda g, neg, b: rotation_orbit(g, neg, b),
-         "FAIL  oracle equivalence: 15 nodes, 120 pairs\n",
-         "internal error: orbit-weighted count 115 is not a multiple of 3 (bug)\n"),
+         A3_M2_FLIPPED.format(37, 48), ""),
     ])
     def test_corrupted_graph(self, capsys, monkeypatch, case, choose, out, err):
         flip_bits(monkeypatch, choose)

@@ -109,7 +109,7 @@ class TestRowPremises:
         rs = system(name)
         g = build_graph(rs, m)
         expected = verify_vertex_deletions([g, build_graph(rs, m, "categorical")])
-        got = cluster_complex.verify_vertex_deletions_on_rows(g)
+        got, _ = cluster_complex.verify_vertex_deletions_on_rows(g)
         assert [(r.passed, r.checked) for r in got] == [(r.passed, r.checked) for r in expected]
 
     def test_subsystem_refused(self, a3, monkeypatch):
@@ -296,10 +296,11 @@ class TestOrbitWalk:
             assert self.counts(walk_faces(g)) == full, g.oracle_tag
 
     @pytest.mark.parametrize("case", ["none", "short", "repeat", "minus one", "transposed",
-                                      "flipped pair"])
+                                      "flipped pair", "asymmetric orbit"])
     def test_other_rotations_take_the_full_walk(self, a3, case):
         """A rotation that is missing, not a permutation of the ids, holds
-        -1, or is no automorphism of the rows: the walk ignores it."""
+        -1, or is no automorphism of the rows, or rows that it keeps but
+        that are not symmetric: the walk ignores it."""
         g = build_graph(a3, 2)
         rho = g.rotation
         a, b = next((a, b) for a, b in itertools.combinations(range(len(rho)), 2)
@@ -309,6 +310,15 @@ class TestOrbitWalk:
             rows[a] ^= 1 << b
             rows[b] ^= 1 << a
             g.adjacency = rows
+        elif case == "asymmetric orbit":  # bit b of row a and its images only
+            rows, x, y = list(g.adjacency), a, b
+            while True:
+                rows[x] ^= 1 << y
+                x, y = rho[x], rho[y]
+                if (x, y) == (a, b):
+                    break
+            g.adjacency = rows
+            assert cluster_complex._invariant(g)
         else:
             swapped = list(rho)
             swapped[a], swapped[b] = rho[b], rho[a]
@@ -324,6 +334,42 @@ class TestOrbitWalk:
         monkeypatch.setattr(cluster_complex, "_orbits", lambda g: [(0, 1)])
         with pytest.raises(RuntimeError, match="not a multiple of 3"):
             walk_faces(g)
+
+
+def facet_count(rs, m):
+    """The facets of ``rs`` at ``m``: the product of its components'."""
+    return prod(fuss_catalan(parabolic(rs, sorted(c)), m) for c in rs.components)
+
+
+class TestLinkWalk:
+    """``verify_vertex_deletions_on_rows`` counts the faces of a graph from
+    one walk per vertex deletion's graph, the link of a negative simple,
+    and gives the counts of ``walk_faces`` of the graph itself.  Instances
+    past 100,000 facets, whose reference walk takes 0.1 s or more, are
+    left out."""
+
+    SWEEP = ([(name, keep, m) for name, keep in ALL_SYSTEMS for m in (1, 2, 3)
+              if facet_count(system(name, keep), m) <= 100_000]
+             + [("A1", None, m) for m in (4, 5)] + [("A2", None, 50), ("A5", None, 10)])
+
+    @pytest.mark.parametrize("name,keep,m", SWEEP)
+    def test_matches_walk(self, name, keep, m):
+        rs = system(name, keep)
+        g = build_graph(rs, m)
+        reports, walk = cluster_complex.verify_vertex_deletions_on_rows(g)
+        assert all(report.passed for report in reports) and len(reports) == (rs.n > 1) * rs.n
+        if rs.n == 1:  # no deletion: the caller walks the graph
+            assert walk is None
+        else:
+            assert TestOrbitWalk.counts(walk) == TestOrbitWalk.counts(walk_faces(g))
+
+    def test_runs_weight_each_link(self, a2):
+        """A2 at m=1 has orbits of 5 nodes that hold both negative simples,
+        which weights each link by a run, 2 and 3 nodes long."""
+        g = build_graph(a2, 1)
+        assert sorted(map(len, rotation_table(a2, 1).runs)) == [2, 3]
+        _, walk = cluster_complex.verify_vertex_deletions_on_rows(g)
+        assert (walk.f_vector, walk.facet_sizes, walk.ridges) == ([1, 5, 5], {2: 5}, {2: 5})
 
 
 class TestComplements:

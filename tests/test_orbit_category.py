@@ -165,12 +165,13 @@ class TestExtTable:
         self.check_entries(system(name, keep), m)
 
     def test_off_image_stays_off_in_every_power(self, monkeypatch):
-        """The landing step by G instead of G^-1 sends some W(b)[1] outside
-        W's image, so sigma(b) = -1; every later power of b is -1 too, not
-        sigma of the last node.  H(a, a) = 1 at every node a, so a power
-        that reached a node c would read Ext^i(c, b) = 1."""
-        monkeypatch.setattr(MClusterCategory, "_land",
-                            lambda self, y: y if in_domain(self, y) else G(self, y))
+        """The step that the shift and H share taken by G instead of G^-1
+        sends some W(b)[1] outside W's image, so sigma(b) = -1; every later
+        power of b is -1 too, not sigma of the last node.  H(a, a) = 1 at
+        every node a, so a power that reached a node c would read
+        Ext^i(c, b) = 1."""
+        monkeypatch.setattr(MClusterCategory, "_image", lambda self: (
+            self.objects(), [G(self, X) for X in self.objects()]))
         cat = MClusterCategory(system("A3"), 2)
         sigma, H, ext = cat.shift_permutation(), cat.hom_entries(), cat.ext_by_id()
         lost = [b for b, c in enumerate(sigma) if c < 0]
@@ -335,7 +336,8 @@ class TestCategoryLifetime:
             for oracle in ORACLES:
                 build_graph(rs, 2, oracle)
             d, cat = derived_category(rs), mcluster_category(rs, 2)
-            return [cat.hom_entries(), cat.shift_permutation(), d, cat, rotation_table(rs, 2)]
+            return [cat.hom_entries(), cat.shift_permutation(), cat._image(), d, cat,
+                    rotation_table(rs, 2)]
 
         rs, fresh = system("A3"), system("A3")
         built = build(rs)
