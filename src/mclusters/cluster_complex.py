@@ -181,8 +181,8 @@ def _orbits(g: CompatibilityGraph) -> Optional[List[Tuple[int, int]]]:
     return orbits
 
 
-def walk_faces(g: CompatibilityGraph,
-               facets: Optional[List[Tuple[int, ...]]] = None) -> FaceWalk:
+def walk_faces(g: CompatibilityGraph, facets: Optional[List[Tuple[int, ...]]] = None,
+               orbits: Optional[List[Tuple[int, int]]] = None) -> FaceWalk:
     """A depth-first walk over the faces (cliques) of ``g``, in increasing
     node order on the neighbour bitsets.  Each face carries ``above``, its
     candidates above its largest node, and ``common``, every node
@@ -200,7 +200,9 @@ def walk_faces(g: CompatibilityGraph,
     onto that of each node of O, so by double counting k*f_k is the sum of
     |O| times the k-faces through r, the facets of each size are counted
     alike, and (rank - 1) times the ridges with c compatible nodes is the
-    sum of |O| times those through r.  Rank 1 has the empty ridge only."""
+    sum of |O| times those through r.  Rank 1 has the empty ridge only.
+    A caller that has already read ``_orbits(g)``, not None, passes it as
+    ``orbits`` for a walk without a facet list, and it is not read again."""
     neighbours = [row & ~(1 << v) for v, row in enumerate(g.adjacency)]
     size, rank = len(g.nodes), g.rs.n
     fv = [1]
@@ -231,7 +233,8 @@ def walk_faces(g: CompatibilityGraph,
                 visit(higher, inner, depth + 1)
                 face.pop()
 
-    orbits = _orbits(g) if facets is None and size else None
+    if orbits is None and facets is None and size:
+        orbits = _orbits(g)
     if orbits is None:
         if rank == 1:
             ridges[size] += 1
@@ -368,16 +371,32 @@ def verify_parabolic_restriction(rs: RootSystem, m: int, keep: Sequence[int],
                                build_graph(parabolic(rs, kept), m, oracle), kept)
 
 
-def _restriction_report(g: CompatibilityGraph, g_sub: CompatibilityGraph,
-                        kept: List[int]) -> Report:
+def _restriction_report(g: CompatibilityGraph, g_sub: CompatibilityGraph, kept: List[int],
+                        supported: Optional[List[Tuple[int, int]]] = None) -> Report:
     """Compare ``g`` on the pairs supported on ``kept`` with ``g_sub``, the
     graph of the parabolic subsystem on ``kept`` under the same oracle,
-    each subsystem node lifted by ``_lift``.  Pairs run in ``g``'s order, a
-    failure is ``(x, y, full, restricted)``."""
-    supported = _lift(g, g_sub, kept)
+    each subsystem node lifted by ``_lift``, or as ``supported`` gives it
+    when the caller has lifted them.  Pairs run in ``g``'s order, a failure
+    is ``(x, y, full, restricted)``.  Each supported row is compared whole:
+    its part at and above its own id on the lifted nodes, against the row
+    of ``g_sub`` lifted bit by bit, and only a row that differs is compared
+    pair by pair."""
+    if supported is None:
+        supported = _lift(g, g_sub, kept)
+    full_id = [0] * len(g_sub.nodes)
+    for f, s in supported:
+        full_id[s] = f
+    lifted = sum(1 << f for f, _ in supported)
     failures = []
     for a, (fx, sx) in enumerate(supported):
         row, sub_row = g.adjacency[fx], g_sub.adjacency[sx]
+        image, rest = 0, sub_row
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            image |= 1 << full_id[low.bit_length() - 1]
+        if not (row ^ image) & lifted >> fx << fx:
+            continue
         for fy, sy in supported[a:]:
             full, restricted = bool(row >> fy & 1), bool(sub_row >> sy & 1)
             if full != restricted:
@@ -448,8 +467,9 @@ def verify_vertex_deletions_on_rows(
     its system, with R_m = ``g.rotation`` an automorphism of ``g``: both
     read off the graphs of the subsystems, with no categorical graph built
     and no face of ``g`` walked.  None unless the graph g_i of every
-    subsystem is invariant under its rotation and passes
-    ``agrees_on_rows``.  With each subsystem's graphs equal too, the
+    subsystem has orbits (``_orbits``: it is invariant under its rotation,
+    and symmetric, as it is whenever it equals its categorical graph) and
+    passes ``agrees_on_rows``.  With each subsystem's graphs equal too, the
     restriction holds under one oracle exactly when it holds under the
     other, so the reports are the combinatorial ones alone.
 
@@ -459,23 +479,27 @@ def verify_vertex_deletions_on_rows(
     nodes lift to, and the restriction report of g_i passes.  Each node of
     run i of the rotation table is R_m^-t(-alpha_i), so its link is
     isomorphic to that of -alpha_i, and ``_from_links`` counts the faces of
-    ``g`` from one ``walk_faces(g_i)`` per subsystem, weighted by the
-    run's length.  The runs partition the ids, so an orbit that holds two
-    negative simples needs no fractional weight.  The walk is None in
-    rank 1 and when a link fails its premises."""
+    ``g`` from one ``walk_faces(g_i)`` per subsystem, over the orbits
+    already read, weighted by the run's length.  Each g_i is lifted once,
+    for its restriction report and for this test.  The runs partition the
+    ids, so an orbit that holds two negative simples needs no fractional
+    weight.  The walk is None in rank 1 and when a link fails its
+    premises."""
     table = rotation_table(g.rs, g.m)
     reports: List[Report] = []
     links: Optional[List[Tuple[int, FaceWalk]]] = []
     for (keep, sub), run in zip(_deletions(g.rs), table.runs):
         g_sub = build_graph(sub, g.m)
-        if not (_invariant(g_sub) and agrees_on_rows(g_sub, rotation_table(sub, g.m),
-                                                     mcluster_category(sub, g.m))):
+        orbits = _orbits(g_sub)
+        if orbits is None or not agrees_on_rows(g_sub, rotation_table(sub, g.m),
+                                                mcluster_category(sub, g.m)):
             return None
-        reports.append(_restriction_report(g, g_sub, keep))
+        supported = _lift(g, g_sub, keep)
+        reports.append(_restriction_report(g, g_sub, keep, supported))
         neg = run[0]
-        lifted = sum(1 << f for f, _ in _lift(g, g_sub, keep))
+        lifted = sum(1 << f for f, _ in supported)
         if links is not None and reports[-1].passed and g.adjacency[neg] & ~(1 << neg) == lifted:
-            links.append((len(run), walk_faces(g_sub)))
+            links.append((len(run), walk_faces(g_sub, orbits=orbits)))
         else:
             links = None
     return reports, _from_links(links, g.rs.n, len(g.nodes)) if links else None

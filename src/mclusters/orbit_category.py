@@ -26,7 +26,7 @@ Hom(X, Y[i]) is the Hom into Y landed i times.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .coloured_roots import ColouredRoot, check_coloured, coloured_ground_set, rotation_Rm
 from .derived import DerivedCategory, DerivedObject, derived_category, shift
@@ -90,25 +90,43 @@ class MClusterCategory:
         """Every nonzero Hom between orbits: ``H[a][c]`` is Hom(W(a), W(c))
         for node ids.  Hom(V(g)[t], V(d)[u]) is max(E, 0) at u = t,
         max(-E, 0) at u = t + 1 and 0 otherwise, E the Euler form <g, d>, so
-        G^-1 X and X each read W's image at two shifts off one matrix E."""
+        G^-1 X and X each read W's image at two shifts off one Euler row."""
         return self.rs.cached(("hom", self.m), self._build_hom_entries)
 
     def _build_hom_entries(self) -> List[Dict[int, int]]:
+        """H off the packed rows of ``DerivedCategory.euler_rows``: for G^-1 X
+        and X of each node, the row of its root is read at the nodes of its
+        own shift, where a lane above the bias is a Hom, and at the nodes of
+        the next shift, where a lane below it is an Ext^1.  Each colour holds
+        every positive root in order, so its nodes read the row as it is;
+        the injectives pick their roots' lanes."""
         rid = {beta: k for k, beta in enumerate(self.rs.positive_roots)}
-        E = self.D.euler_matrix()
+        bias, E = self.D.euler_rows()
         objs, backs = self._image()
-        at_shift: Dict[int, List[Tuple[int, int]]] = {}
+        at_shift: Dict[int, Tuple[List[int], List[int]]] = {}
         for c, Z in enumerate(objs):
-            at_shift.setdefault(Z.shift, []).append((c, rid[Z.beta]))
+            cs, ds = at_shift.setdefault(Z.shift, ([], []))
+            cs.append(c)
+            ds.append(rid[Z.beta])
+        whole = list(range(len(rid)))
+        reads = {u: (cs, None if ds == whole else ds) for u, (cs, ds) in at_shift.items()}
+
+        def lanes(u: int, e: memoryview) -> Iterable[Tuple[int, int]]:
+            # (node, lane) for each node at shift u, in node order.
+            cs, ds = reads.get(u, ((), None))
+            return zip(cs, e if ds is None else [e[d] for d in ds])
+
         H = []
         for X, back in zip(objs, backs):
             row: Dict[int, int] = {}
             for o in (back, X):
                 e = E[rid[o.beta]]
-                for u, sign in ((o.shift, 1), (o.shift + 1, -1)):
-                    for c, d in at_shift.get(u, ()):
-                        if sign * e[d] > 0:
-                            row[c] = row.get(c, 0) + sign * e[d]
+                for c, v in lanes(o.shift, e):
+                    if v > bias:
+                        row[c] = row.get(c, 0) + v - bias
+                for c, v in lanes(o.shift + 1, e):
+                    if v < bias:
+                        row[c] = row.get(c, 0) + bias - v
             H.append(row)
         return H
 

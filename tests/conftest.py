@@ -1,9 +1,11 @@
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 import pytest
 
-from mclusters import DerivedObject, build_root_system, parabolic, parse_type, shift
+from mclusters import (DerivedObject, build_root_system, cluster_complex, parabolic, parse_type,
+                       shift)
 
 # Reducible parabolic subsystems: A3 without its middle vertex (A1 + A1),
 # D4 without its branch vertex (A1 + A1 + A1), and E7 without vertex 3,
@@ -111,6 +113,47 @@ def dense_ext(cat):
     for i, a, b, value in cat.ext_instances():
         table[i - 1][a][b] = value
     return table
+
+
+def dense_hom_entries(cat):
+    """The Hom table of ``cat`` as it was built before the Euler rows were
+    packed: a dense Euler matrix, one dot product per pair of positive
+    roots, read for G^-1 X and X of each node at its own shift and at the
+    next: the reference for ``hom_entries``."""
+    roots = cat.rs.positive_roots
+    rid = {beta: k for k, beta in enumerate(roots)}
+    E = [[sum(map(mul, u, d)) for d in roots] for u in map(cat.D._euler_row, roots)]
+    objs, backs = cat._image()
+    at_shift = {}
+    for c, Z in enumerate(objs):
+        at_shift.setdefault(Z.shift, []).append((c, rid[Z.beta]))
+    H = []
+    for X, back in zip(objs, backs):
+        row = {}
+        for o in (back, X):
+            e = E[rid[o.beta]]
+            for u, sign in ((o.shift, 1), (o.shift + 1, -1)):
+                for c, d in at_shift.get(u, ()):
+                    if sign * e[d] > 0:
+                        row[c] = row.get(c, 0) + sign * e[d]
+        H.append(row)
+    return H
+
+
+def restriction_pairs(g, g_sub, kept):
+    """``(checked, failures)`` of the parabolic restriction of ``g`` to
+    ``kept`` against ``g_sub``, compared pair by pair over the lifted nodes
+    in ``g``'s order: the reference for ``_restriction_report``, which
+    compares a row pair by pair only when it differs."""
+    supported = cluster_complex._lift(g, g_sub, kept)
+    failures = []
+    for a, (fx, sx) in enumerate(supported):
+        row, sub_row = g.adjacency[fx], g_sub.adjacency[sx]
+        for fy, sy in supported[a:]:
+            full, restricted = bool(row >> fy & 1), bool(sub_row >> sy & 1)
+            if full != restricted:
+                failures.append((g.nodes[fx], g.nodes[fy], full, restricted))
+    return len(supported) * (len(supported) + 1) // 2, failures
 
 
 def pairwise(size, verdict):

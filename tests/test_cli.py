@@ -419,10 +419,10 @@ class TestVerify:
         seen = []
         real = cluster_complex._restriction_report
 
-        def spy(g, g_sub, kept):
+        def spy(g, g_sub, kept, supported=None):
             assert g_sub.oracle_tag == g.oracle_tag
             seen.append((tuple(kept), g.oracle_tag))
-            report = real(g, g_sub, kept)
+            report = real(g, g_sub, kept, supported)
             report.passed &= g.oracle_tag != failing
             return report
 
@@ -607,9 +607,9 @@ def spy_walks(monkeypatch):
     walked = []
     real = cluster_complex.walk_faces
 
-    def spy(g, facets=None):
+    def spy(g, facets=None, orbits=None):
         walked.append(g.rs.n)
-        return real(g, facets)
+        return real(g, facets, orbits)
 
     for module in (cli, cluster_complex):
         monkeypatch.setattr(module, "walk_faces", spy)

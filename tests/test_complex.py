@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 from collections import Counter
@@ -6,7 +7,7 @@ from math import comb, prod
 import pytest
 
 from conftest import (ALL_SYSTEMS, REDUCIBLE, fuss_catalan, naive_maximal_cliques, pairwise,
-                      system)
+                      restriction_pairs, system)
 from mclusters import (ColouredRoot, build_graph, build_root_system, complements,
                        complex_to_json, enumerate_facets, f_vector, mcluster_category,
                        parabolic, parse_type, rotation_table, verify_complement_counts,
@@ -540,6 +541,39 @@ class TestParabolicRestriction:
         report = cluster_complex._restriction_report(g, g_sub, keep)
         assert report.checked == len(pairs) == len(report.failures)
         assert [(x, y) for x, y, _, _ in report.failures] == pairs
+
+    @pytest.mark.parametrize("name,drop,m", [("A4", 1, 2), ("D5", 2, 1), ("E6", 0, 1),
+                                             ("A2", 0, 30), ("E7", 2, 1)])
+    def test_corrupted_rows_fail_pair_by_pair(self, name, drop, m):
+        """Bits flipped at random in either graph or both, one at a time
+        and so not symmetrically, most in supported rows, some on the
+        diagonal and some off the supported nodes: the failures are those
+        of the pair by pair comparison, in its order, with the lift given
+        or not."""
+        rs = system(name)
+        keep = [v for v in range(rs.n) if v != drop]
+        graphs = build_graph(rs, m), build_graph(parabolic(rs, keep), m)
+        supported = cluster_complex._lift(*graphs, keep)
+        assert restriction_pairs(*graphs, keep) == (len(supported) * (len(supported) + 1) // 2,
+                                                    [])
+        rng = random.Random(f"{name} {m}")
+        failing = 0
+        for _ in range(40):
+            corrupted = []
+            for h, ids in zip(graphs, zip(*supported)):
+                rows = list(h.adjacency)
+                for _ in range(rng.choice((0, 1, 2, 5))):
+                    a = rng.choice(ids) if rng.random() < 0.8 else rng.randrange(len(rows))
+                    rows[a] ^= 1 << rng.choice((a, rng.choice(ids), rng.randrange(len(rows))))
+                corrupted.append(copy.copy(h))
+                corrupted[-1].adjacency = rows
+            checked, failures = restriction_pairs(*corrupted, keep)
+            failing += bool(failures)
+            for lift in (None, supported):
+                report = cluster_complex._restriction_report(*corrupted, keep, lift)
+                assert (report.checked, report.failures) == (checked, failures)
+                assert report.passed == (not failures)
+        assert failing > 10
 
     @pytest.mark.parametrize("name,m", [("A4", 1), ("D4", 1)])
     def test_single_vertex_deletions(self, name, m):

@@ -235,6 +235,45 @@ class TestEulerMatrix:
         roots = d.rs.positive_roots
         assert d.euler_matrix() == [[d._euler(g, e) for e in roots] for g in roots]
 
+    @pytest.mark.parametrize("name,keep", ALL_SYSTEMS)
+    def test_packed_rows_are_euler_form(self, name, keep):
+        """Lane d of row g is <g, d> plus the bias, in one-byte lanes but
+        on E8, whose bound of 174 needs two."""
+        d = derived_category(system(name, keep))
+        roots = d.rs.positive_roots
+        bias, rows = d.euler_rows()
+        width = 2 if name == "E8" else 1
+        assert bias == 1 << (8 * width - 1)
+        assert all(row.itemsize == width and len(row) == len(roots) for row in rows)
+        assert [[v - bias for v in row] for row in rows] == [[d._euler(g, e) for e in roots]
+                                                             for g in roots]
+
+    @pytest.mark.parametrize("name,bound", [("A8", 8), ("D8", 26), ("E6", 33), ("E7", 68),
+                                            ("E8", 174)])
+    def test_bound(self, name, bound):
+        d = derived_category(system(name))
+        roots = d.rs.positive_roots
+        us = [d._euler_row(g) for g in roots]
+        assert derived._euler_bound(us, roots) == bound
+        assert bound >= max(abs(d._euler(g, e)) for g in roots for e in roots)
+
+    @pytest.mark.parametrize("bound,width", [(127, 1), (128, 2), (2 ** 15 - 1, 2)])
+    def test_width_follows_the_bound(self, monkeypatch, bound, width):
+        """The lanes are as wide as the bound asks, whatever the entries:
+        a bound across 127 packs E6's rows into two-byte lanes, and they
+        read the same matrix."""
+        d = derived_category(system("E6"))
+        dense = d.euler_matrix()
+        monkeypatch.setattr(derived, "_euler_bound", lambda us, roots: bound)
+        bias, rows = d.euler_rows()
+        assert bias == 1 << (8 * width - 1) and {row.itemsize for row in rows} == {width}
+        assert d.euler_matrix() == dense
+
+    def test_no_width_fits(self, monkeypatch):
+        monkeypatch.setattr(derived, "_euler_bound", lambda us, roots: 2 ** 15)
+        with pytest.raises(ValueError, match="fits no lane width"):
+            derived_category(system("A2")).euler_rows()
+
 
 class TestV:
     def test_positive_clause(self, da2):

@@ -4,8 +4,8 @@ import weakref
 
 import pytest
 
-from conftest import (ALL_SYSTEMS, REDUCIBLE, G, dense_ext, in_domain, orbit_sum, reduce_walk,
-                      system)
+from conftest import (ALL_SYSTEMS, REDUCIBLE, G, dense_ext, dense_hom_entries, in_domain,
+                      orbit_sum, reduce_walk, system)
 from mclusters import (ColouredRoot, DerivedObject, build_root_system,
                        compatible_combinatorial, coloured_ground_set,
                        derived_category, parse_type, rotation_Rm, rotation_table, shift)
@@ -194,6 +194,17 @@ class TestExtTable:
 class TestHomTableAndShift:
     """The shift sigma on node ids and the Hom table H, on every system at
     m = 1..3."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("name,keep", ALL_SYSTEMS)
+    def test_hom_entries_are_the_dense_construction(self, name, keep, m):
+        """H read off the packed Euler rows, two-byte lanes on E8, equals H
+        read off a dense matrix of dot products, entry by entry and in
+        each row's order."""
+        cat = MClusterCategory(system(name, keep), m)
+        H, dense = cat.hom_entries(), dense_hom_entries(cat)
+        assert H == dense
+        assert [list(row) for row in H] == [list(row) for row in dense]
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("name,keep", ALL_SYSTEMS)
