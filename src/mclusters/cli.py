@@ -347,14 +347,16 @@ COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """A new parser for every subcommand.  ``main`` takes its parser from
+    """A new parser for every subcommand, which keeps each subcommand's
+    parser by name in ``commands``.  ``main`` takes its parser from
     ``_parser``, which builds it once per process; a caller that changes a
     parser builds its own here."""
     parser = argparse.ArgumentParser(prog="mcluster", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = {}
     for name, (help_text, takes_m, extra, fn) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        p = parser.commands[name] = sub.add_parser(name, help=help_text)
         p.add_argument("--type", required=True, help="Dynkin type, e.g. A3, D4, E6")
         if takes_m:
             p.add_argument("--m", type=_parse_m, default=1, help=f"number of colours (1..{MAX_M})")
@@ -372,7 +374,16 @@ _parser = functools.lru_cache(maxsize=1)(build_parser)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _parser()
+    # The named command's parser reads the rest, as the full parser would
+    # hand it on.  Anything else, and a call that leaves arguments over,
+    # goes to the full parser, which prints argparse's own texts.
+    sub = parser.commands.get(argv[0]) if argv else None
+    args, extra = (sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+                   if sub else (None, True))
+    if extra:
+        args = parser.parse_args(argv)
     if not 1 <= getattr(args, "m", 1) <= MAX_M:
         print(f"error: m must be in 1..{MAX_M}", file=sys.stderr)
         return 2

@@ -52,7 +52,9 @@ class DerivedCategory:
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
-        proj = [[int(j == i) for j in range(rs.n)] for i in range(rs.n)]
+        proj = [[0] * rs.n for _ in range(rs.n)]
+        for i, row in enumerate(proj):
+            row[i] = 1
         inj = [row[:] for row in proj]
         for s, t in rs.arrows:
             proj[s][t] += 1

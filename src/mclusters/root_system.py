@@ -85,8 +85,8 @@ class _Diagram(NamedTuple):
     Cartan rows, the neighbour lists, the components (in order of their
     lowest vertex), the default plus part (that vertex of each component
     and every vertex at even distance from it), the positive roots in
-    closure order and their set, and the Coxeter number of each
-    component."""
+    closure order and their set, the Coxeter number of each component,
+    and the set of the negative simple roots."""
     cartan: Tuple[Tuple[int, ...], ...]
     neighbours: Tuple[Tuple[int, ...], ...]
     components: Tuple[FrozenSet[int], ...]
@@ -94,6 +94,7 @@ class _Diagram(NamedTuple):
     positive_roots: Tuple[Root, ...]
     positive_set: FrozenSet[Root]
     coxeter_numbers: Tuple[int, ...]
+    negative_simples: FrozenSet[Root]
 
 
 # A diagram's entry holds only tuples and sets of integers, never a system or
@@ -141,7 +142,8 @@ def _diagram(n: int, edges: Tuple[Tuple[int, int], ...]) -> _Diagram:
     coxeter_numbers = tuple(2 * count // len(comp) for comp, count in zip(components, counts))
     return _Diagram(cartan, neighbours, tuple(components),
                     frozenset(v for v in range(n) if not side[v]),
-                    positive_roots, frozenset(positive_roots), coxeter_numbers)
+                    positive_roots, frozenset(positive_roots), coxeter_numbers,
+                    frozenset(tuple(-c for c in b) for b in positive_roots[:n]))
 
 
 def _closure(cartan: Tuple[Tuple[int, ...], ...],
@@ -199,7 +201,7 @@ class RootSystem:
         d = _diagram(n, self.edges)
         self.cartan, self.neighbours, self.components = d.cartan, d.neighbours, d.components
         self.positive_roots, self._positive_set = d.positive_roots, d.positive_set
-        self.coxeter_numbers = d.coxeter_numbers
+        self.coxeter_numbers, self._negative_simples = d.coxeter_numbers, d.negative_simples
         self.I_plus = d.plus if I_plus is None else frozenset(I_plus)
         self.I_minus = frozenset(range(n)) - self.I_plus
         self._check_bipartition()
@@ -256,7 +258,10 @@ class RootSystem:
         v = list(beta)
         nbrs = self.neighbours
         for i in part:
-            v[i] = sum([v[j] for j in nbrs[i]]) - v[i]
+            b = -v[i]
+            for j in nbrs[i]:
+                b += v[j]
+            v[i] = b
         return tuple(v)
 
     def is_positive_root(self, beta: Root) -> bool:
@@ -264,13 +269,7 @@ class RootSystem:
 
     def negative_simple_index(self, beta: Root) -> Optional[int]:
         """Vertex i if beta == -alpha_i, else None."""
-        idx = None
-        for j, c in enumerate(beta):
-            if c == -1 and idx is None:
-                idx = j
-            elif c != 0:
-                return None
-        return idx
+        return beta.index(-1) if beta in self._negative_simples else None
 
     def is_almost_positive(self, beta: Root) -> bool:
         return self.is_positive_root(beta) or self.negative_simple_index(beta) is not None

@@ -24,6 +24,11 @@ $MCLUSTER enumerate --type A3 --m 2 --oracle both > /dev/null
 $MCLUSTER compat --type E8 --m 3 -- 2,4,6,5,4,3,2,3:2 -e1
 test "$($MCLUSTER compat --type E8 --m 1 -- 2,4,6,5,4,3,2,3 -e3)" = \
   "combinatorial: incompatible  categorical: incompatible  degree: 6"
+$MCLUSTER compat --type A2 -- -e1 -e2
+status=0
+$MCLUSTER compat --type A2 -- -e1 -e2 extra 2>err.txt || status=$?
+test "$status" -eq 2
+grep -qx "mcluster: error: unrecognized arguments: extra" err.txt
 status=0
 $MCLUSTER compat --type A2 -- 1,1:x -e1 || status=$?
 test "$status" -eq 2

@@ -359,6 +359,24 @@ class TestPerCallWork:
         cli.build_parser()
         assert added == list(cli.COMMANDS) * 2
 
+    def test_command_parser_alone(self, capsys, monkeypatch):
+        """A valid ``compat`` or ``ext`` call is read by its command's parser
+        alone, and never by the full parser's ``parse_known_args``, which
+        ``parse_args`` calls too; a call with an argument left over is."""
+        monkeypatch.setattr(cli, "_parser", functools.lru_cache(maxsize=1)(cli.build_parser))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("full parser called")
+
+        monkeypatch.setattr(cli._parser(), "parse_known_args", refuse)
+        for argv in (["compat", "--type", "E8", "--m", "3", "--", "2,4,6,5,4,3,2,3:2", "-e1"],
+                     ["ext", "--type", "A2", "--", "-e1", "-e2"],
+                     ["compat", "--m=2", "--type", "D4", "--", "1,1,0,0:2", "-e3"]):
+            code, out, err = run(capsys, *argv)
+            assert code == 0 and out and not err, argv
+        with pytest.raises(AssertionError, match="full parser called"):
+            main(["ext", "--type", "A2", "--", "-e1", "-e2", "extra"])
+
     # Each command with the arguments it is run with below.
     E8_PAIR = ("--type", "E8", "--m", "3", "--", "2,4,6,5,4,3,2,3:3", "0,1,2,2,1,1,1,1:1")
     CALLS = {

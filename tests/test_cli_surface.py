@@ -1,7 +1,8 @@
 """The command line's surface: exit code, stdout and stderr of ``main`` on
 help requests and usage errors, at 80 columns.  ``main`` builds one parser
-per process, on first use, and parses every call with it; a parser that
-earlier calls have used must print what a new one prints.  They were
+per process, on first use, and parses every call with it or with one of
+its subcommands' parsers; a parser that earlier calls have used must print
+what a new one prints.  They were
 captured under Python 3.11; later argparse releases word some of these
 messages differently."""
 
@@ -140,6 +141,20 @@ mcluster: error: argument command: invalid choice: 'bogus' (choose from 'enumera
      """\
 usage: mcluster [-h] {enumerate,compat,ext,orbit,export-zq,verify} ...
 mcluster: error: argument command: invalid choice: 'A3' (choose from 'enumerate', 'compat', 'ext', 'orbit', 'export-zq', 'verify')
+"""),
+    # main hands a call to its command's parser only when the command comes
+    # first and nothing is left over; the full parser reads the rest.
+    (["--type", "A2", "compat", "--", "-e1", "-e2"], 2,
+     "",
+     """\
+usage: mcluster [-h] {enumerate,compat,ext,orbit,export-zq,verify} ...
+mcluster: error: argument command: invalid choice: 'A2' (choose from 'enumerate', 'compat', 'ext', 'orbit', 'export-zq', 'verify')
+"""),
+    (["ext", "--type", "A2", "--", "-e1", "-e2", "extra"], 2,
+     "",
+     """\
+usage: mcluster [-h] {enumerate,compat,ext,orbit,export-zq,verify} ...
+mcluster: error: unrecognized arguments: extra
 """),
     (["compat", "--type", "A3"], 2,
      "",

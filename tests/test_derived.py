@@ -118,6 +118,19 @@ class TestDegrees:
 
 
 @pytest.mark.parametrize("name,keep", ALL_SYSTEMS)
+def test_projective_injective_dims_brute_force(name, keep):
+    """P_i is e_i plus the heads of the arrows out of i, and I_i is e_i
+    plus the tails of the arrows into i, entry by entry."""
+    rs = system(name, keep)
+    d = derived_category(rs)
+    arrows, n = set(rs.arrows), rs.n
+    assert d.proj_dims == tuple(tuple(int(j == i) + ((i, j) in arrows) for j in range(n))
+                                for i in range(n))
+    assert d.inj_dims == tuple(tuple(int(j == i) + ((j, i) in arrows) for j in range(n))
+                               for i in range(n))
+
+
+@pytest.mark.parametrize("name,keep", ALL_SYSTEMS)
 class TestRootDataWitness:
     """The closed-form root data equal what ``quiver_rep`` builds."""
 

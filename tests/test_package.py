@@ -6,6 +6,7 @@ every ``mcluster`` process far more than a one-pair query does.  The
 witness names stay reachable from the package root, loaded on first
 access."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -101,3 +102,16 @@ def test_ci_console_script_parses():
     it without running a line."""
     script = Path(__file__).with_name("ci_console.sh")
     subprocess.run(["bash", "-n", str(script)], check=True)
+
+
+def test_python_310_syntax():
+    """``pyproject.toml`` admits Python 3.10: every source file parses with
+    3.10's grammar, which refuses 3.11 syntax such as ``except*``.  This
+    checks syntax only; a library call new in 3.11 would pass."""
+    root = Path(__file__).resolve().parent.parent
+    files = sorted(path for top in ("src", "tests", "perfbench")
+                   for path in (root / top).rglob("*.py"))
+    assert root / "src" / "mclusters" / "cli.py" in files
+    assert root / "perfbench" / "worker.py" in files
+    for path in files:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

@@ -185,6 +185,70 @@ class TestCartanReference:
         assert rs.coxeter_numbers == expected
 
 
+def scan_negative_simple_index(beta):
+    """``negative_simple_index`` as it was: a scan of the coefficients for
+    one -1 and zeros, at any length."""
+    idx = None
+    for j, c in enumerate(beta):
+        if c == -1 and idx is None:
+            idx = j
+        elif c != 0:
+            return None
+    return idx
+
+
+def list_reflect_part(rs, part, beta):
+    """``reflect_part`` as it was: each neighbour sum over a list."""
+    v = list(beta)
+    for i in part:
+        v[i] = sum([v[j] for j in rs.neighbours[i]]) - v[i]
+    return tuple(v)
+
+
+def outcome(f, *args):
+    """What ``f(*args)`` returns, or the type of what it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+def probes(rs):
+    """Every positive root and -alpha_i, the zero vector, each -2 alpha_i
+    and each -alpha_i - alpha_j, all of length n."""
+    zero, n = (0,) * rs.n, rs.n
+    return ([*rs.positive_roots, *map(rs.negative_simple, range(n)), zero]
+            + [zero[:i] + (-2,) + zero[i + 1:] for i in range(n)]
+            + [tuple(-int(k in (i, j)) for k in range(n))
+               for i, j in itertools.combinations(range(n), 2)])
+
+
+def wrong_lengths(rs):
+    """Tuples one shorter and one longer than n, each -alpha_1 cut or padded."""
+    return [rs.negative_simple(0)[:-1], rs.negative_simple(0) + (0,)]
+
+
+@pytest.mark.parametrize("name,keep", ALL_SYSTEMS)
+class TestPrimitivesAgainstOldForms:
+    def test_negative_simple_index(self, name, keep):
+        rs = system(name, keep)
+        for beta in probes(rs):
+            assert rs.negative_simple_index(beta) == scan_negative_simple_index(beta), beta
+        # No tuple of another length is a -alpha_i.  The scan named vertex 0
+        # for these (for A1, the shorter one is empty and it named none).
+        for beta in wrong_lengths(rs):
+            assert rs.negative_simple_index(beta) is None
+            assert not rs.is_almost_positive(beta)
+            assert scan_negative_simple_index(beta) == (0 if beta else None)
+
+    def test_reflect_part(self, name, keep):
+        rs = system(name, keep)
+        for part in (rs.plus_order, rs.minus_order):
+            for beta in probes(rs) + wrong_lengths(rs):
+                assert (outcome(rs.reflect_part, part, beta)
+                        == outcome(list_reflect_part, rs, part, beta)), (part, beta)
+
+
 def test_reflect_out_of_range(a2):
     for i in (-1, 2):
         with pytest.raises(ValueError):
