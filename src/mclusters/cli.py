@@ -25,12 +25,13 @@ import sys
 import tempfile
 from typing import Iterable, Iterator, List, Optional, TextIO, Tuple
 
-from .cluster_complex import (_invariant, agrees_on_rows, build_graph, complex_to_json,
-                              verify_vertex_deletions, verify_vertex_deletions_on_rows, walk_faces)
-from .coloured_roots import (ColouredRoot, RotationTable, _reading, _rotation_cap, check_coloured,
-                             rotation_Rm, rotation_table)
+from .cluster_complex import (DEGREE, DUALITY, INVARIANT, ROWS, SHIFT, build_graph,
+                              complex_to_json, failed_premises, verify_vertex_deletions_on_rows,
+                              walk_faces)
+from .coloured_roots import (ColouredRoot, _reading, _rotation_cap, check_coloured, rotation_Rm,
+                             rotation_table)
 from .derived import derived_category
-from .orbit_category import MClusterCategory, compatible_categorical, mcluster_category
+from .orbit_category import compatible_categorical, mcluster_category
 from .root_system import RootSystem, build_root_system, parse_int, parse_type
 
 
@@ -101,10 +102,8 @@ def face_bound(rs: RootSystem, m: int) -> Tuple[int, int]:
 
 def _bound_work(rs: RootSystem, m: int) -> None:
     """Refuse an instance past the facet or the face bound.  With m and the
-    rank bounded, the Hom table and the Ext instances need no bound of their
-    own: A2 m=1000, the most categorical work admitted, verifies in about
-    0.35 s on 2 vCPUs, and in about 7 s when a premise of the n-row
-    comparison fails and every check runs pair by pair."""
+    rank bounded, the Hom table needs no bound of its own: A2 m=1000, the
+    most categorical work admitted, verifies in about 0.35 s on 2 vCPUs."""
     facets, faces = face_bound(rs, m)
     if facets > MAX_FACETS:
         raise UsageError(f"{rs.type} at m={m} has {facets} facets, more than {MAX_FACETS}")
@@ -251,30 +250,27 @@ def cmd_verify(args: argparse.Namespace) -> int:
     cat = mcluster_category(rs, m)
     failures = 0
 
-    def record(name: str, ok: bool, detail: str) -> None:
+    def record(name: str, ok: bool, detail: str, premise: Optional[str] = None) -> None:
         nonlocal failures
-        print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
+        suffix = f" (failed premise: {premise})" if premise else ""
+        print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}{suffix}")
         if not ok:
             failures += 1
 
     g_comb = build_graph(rs, m, "combinatorial")
     size = len(g_comb.nodes)
     table = rotation_table(rs, m)
-    # When the n-row premises hold, on the system and on each subsystem,
-    # every check that compares the oracles pair by pair would pass, so
-    # none is run, and the counts of theorems 2 and 3 come from the walks
-    # of the subsystems' graphs when the links pass their premises too.
-    # When one fails, each check runs as it stands, in its order, so a
-    # failing run prints what it did, also when the walk raises.
-    walk = parab = None
-    if (agrees_on_rows(g_comb, table, cat) and (m > 1 or _ext1_is_degree(cat, table))
-            and _invariant(g_comb)):
-        parab, walk = verify_vertex_deletions_on_rows(g_comb) or (None, None)
-    on_rows = parab is not None
-    g_cat = None if on_rows else build_graph(rs, m, "categorical")
-    record("oracle equivalence", on_rows or g_comb.adjacency == g_cat.adjacency,
-           f"{size} nodes, {size * (size + 1) // 2} pairs")
+    # Each check that compares the oracles takes its verdict from the
+    # premises of its proof, and fails with the first of them that fails.
+    failed = failed_premises(g_comb, table, cat)
 
+    def first(*names: str) -> Optional[str]:
+        return next((name for name in failed if name in names), None)
+
+    equal = first(SHIFT, INVARIANT, DUALITY, ROWS)
+    record("oracle equivalence", not equal, f"{size} nodes, {size * (size + 1) // 2} pairs", equal)
+
+    parab, walk = verify_vertex_deletions_on_rows(g_comb, not first(SHIFT, INVARIANT))
     if walk is None:
         walk = walk_faces(g_comb)
     record("facet sizes = rank", walk.theorem2(rs.n),
@@ -282,39 +278,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
     record(f"complement count = {m + 1}", walk.theorem3(m),
            f"{sum(walk.ridges.values())} almost-complete sets")
 
-    if not on_rows:
-        parab = verify_vertex_deletions([g_comb, g_cat])
-    record("parabolic restriction", all(rep.passed for rep in parab),
-           f"{sum(rep.checked for rep in parab)} supported pairs")
+    deleted = next((f"{rep.premise}, deletion of vertex {drop}"
+                    for drop, rep in enumerate(parab, start=1) if rep.premise), None)
+    premise = (equal if parab else None) or deleted  # rank 1 has no subsystem
+    record("parabolic restriction", not premise and all(rep.passed for rep in parab),
+           f"{sum(rep.checked for rep in parab)} supported pairs", premise)
 
     record("rotation matches shift", cat.shift_permutation() == table.perm,
            f"{size} coloured roots")
 
-    # Only nonzero instances are generated, so they and their mirrors agree
-    # exactly when the dense table is symmetric.
-    ext = None if on_rows else cat.ext_by_id()
-    sym_ok = on_rows or all(ext(m + 1 - i, b, a) == value
-                            for i, a, b, value in cat.ext_instances())
-    record("Ext dimension symmetry", sym_ok, f"{size ** 2 * m} (pair, degree) instances")
+    dual = first(SHIFT, DUALITY)
+    record("Ext dimension symmetry", not dual, f"{size ** 2 * m} (pair, degree) instances", dual)
 
     if m == 1:
-        deg_ok = on_rows or all(ext(1, a, b) == table.degree(a, b)
-                                for a in range(size) for b in range(size))
-        record("Ext^1 = compatibility degree", deg_ok, f"{size ** 2} ordered pairs")
+        degree = first(SHIFT, DUALITY, DEGREE)
+        record("Ext^1 = compatibility degree", not degree, f"{size ** 2} ordered pairs", degree)
 
     return 1 if failures else 0
-
-
-def _ext1_is_degree(cat: MClusterCategory, table: RotationTable) -> bool:
-    """Ext^1 = degree on the pairs that hold a -alpha_i, in both orders,
-    with Ext^1(a, b) = H(a, sigma b).  Under the premises of
-    ``agrees_on_rows`` Ext^1 is invariant under R_m, and the degree reads
-    a pair at its landing time, so rotating each pair until one of its
-    nodes lands settles every pair."""
-    H, sigma = cat.hom_entries(), cat.shift_permutation()
-    return all(H[a].get(sigma[b], 0) == table.degree(a, b)
-               and H[b].get(sigma[a], 0) == table.degree(b, a)
-               for a in (run[0] for run in table.runs) for b in range(len(sigma)))
 
 
 def _parse_m(text: str) -> int:

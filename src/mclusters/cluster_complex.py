@@ -7,13 +7,13 @@ orderings are fixed so that serialized output is byte-stable.  Where no
 facet list is asked for and the graph carries its oracle's rotation as an
 automorphism, the walk covers one node's link per orbit and weights it by
 the orbit's size.  The facet-list checks and ``complements`` are the
-references that the tests compare the walk with.  ``agrees_on_rows``
-decides from the rows of the negative simples alone whether the
-combinatorial graph is the categorical one, on a system and on each of its
-vertex deletions, so that ``verify`` compares the oracles on n rows; the
-graphs of those deletions are the links of the negative simples, so
-``verify_vertex_deletions_on_rows`` also counts the faces of the system's
-graph from one walk of each, and walks no face of the graph itself.
+references that the tests compare the walk with.  ``failed_premises``
+names the premises, each one linear pass, under which the combinatorial
+graph is the categorical one, on a system and on each of its vertex
+deletions, and ``verify`` takes each verdict that compares the oracles
+from them; the graphs of those deletions are the links of the negative
+simples, so ``verify_vertex_deletions_on_rows`` also counts the faces of
+the system's graph from one walk of each, and walks no face of it.
 """
 
 from __future__ import annotations
@@ -81,12 +81,13 @@ class FaceWalk:
 
 class Report:
     """The verdict of one check: ``checked`` cases, ``failures`` the ones
-    that failed."""
+    that failed, and ``premise``, when set, a failed premise of the check."""
 
-    def __init__(self, passed: bool, checked: int, failures: List):
+    def __init__(self, passed: bool, checked: int, failures: List, premise: Optional[str] = None):
         self.passed = passed
         self.checked = checked
         self.failures = failures
+        self.premise = premise
 
 
 def _moved(row: int, perm: Sequence[int], fast: int, by: int) -> int:
@@ -445,63 +446,94 @@ def verify_vertex_deletions(graphs: Sequence[CompatibilityGraph]) -> List[Report
     return reports
 
 
-def agrees_on_rows(g: CompatibilityGraph, table: RotationTable, cat: MClusterCategory) -> bool:
-    """Whether the combinatorial graph ``g`` of a system is its categorical
-    graph, decided on the n rows of the -alpha_i, given that R_m =
-    ``g.rotation`` is an automorphism of ``g``.  The premises: the shift
-    sigma of ``cat`` is R_m, the ``perm`` of ``table``; H passes
+# The premises of the n-row comparison, in the order ``failed_premises`` reads them.
+SHIFT, INVARIANT, DUALITY, ROWS, DEGREE = ("shift = R_m", "R_m invariance", "H shift-invariant",
+                                           "-alpha_i rows", "Ext^1 on -alpha_i pairs")
+
+
+def failed_premises(g: CompatibilityGraph, table: RotationTable, cat: MClusterCategory,
+                    invariant: Optional[bool] = None, degree: bool = True) -> List[str]:
+    """The names of the premises that fail on the system of the
+    combinatorial graph ``g``, in order, each one linear pass.  SHIFT: the
+    shift sigma of ``cat`` is R_m, the ``perm`` of ``table``, and
+    ``g.rotation``; when it fails it is the only name, since the others
+    read sigma as a permutation.  The others are all read, so that each
+    caller can take the first failure among those it needs.  INVARIANT: ``_invariant(g)``, or
+    ``invariant`` when the caller has read it.  DUALITY: H passes
     ``cat.shift_invariant``, so the categorical graph is invariant under
-    sigma; and each -alpha_i row of ``g`` is the row that
-    ``cat.compatible_rows`` reads off H.  Every orbit of R_m holds a
-    negative simple (``RotationTable`` raises otherwise), so then each pair
-    rotates onto a pair in a -alpha_i row, where the graphs agree."""
+    sigma, and Ext^i(a, b) = Ext^(m+1-i)(b, a).  ROWS: each -alpha_i row of
+    ``g`` is the one ``cat.compatible_rows`` reads off H.  DEGREE, at m = 1
+    unless ``degree`` is False: ``_ext1_is_degree``.  Under the first four,
+    ``g`` is the categorical graph: every orbit of R_m holds a negative
+    simple (``RotationTable`` raises otherwise), so each pair rotates onto
+    a pair in a -alpha_i row, where the graphs agree."""
+    if not cat.shift_permutation() == table.perm == g.rotation:
+        return [SHIFT]
     negatives = [run[0] for run in table.runs]
-    return (cat.shift_permutation() == table.perm == g.rotation and cat.shift_invariant()
-            and [g.adjacency[r] for r in negatives] == cat.compatible_rows(negatives))
+    holds = {INVARIANT: _invariant(g) if invariant is None else invariant,
+             DUALITY: cat.shift_invariant(),
+             ROWS: [g.adjacency[r] for r in negatives] == cat.compatible_rows(negatives),
+             DEGREE: not degree or cat.m > 1 or _ext1_is_degree(cat, table)}
+    return [name for name, ok in holds.items() if not ok]
+
+
+def _ext1_is_degree(cat: MClusterCategory, table: RotationTable) -> bool:
+    """Ext^1 = degree on the pairs that hold a -alpha_i, in both orders,
+    with Ext^1(a, b) = H(a, sigma b).  Under ``SHIFT`` and ``DUALITY``
+    Ext^1 is invariant under R_m, and the degree reads a pair at its
+    landing time, so rotating each pair until one of its nodes lands
+    settles every pair."""
+    H, sigma = cat.hom_entries(), cat.shift_permutation()
+    return all(H[a].get(sigma[b], 0) == table.degree(a, b)
+               and H[b].get(sigma[a], 0) == table.degree(b, a)
+               for a in (run[0] for run in table.runs) for b in range(len(sigma)))
 
 
 def verify_vertex_deletions_on_rows(
-        g: CompatibilityGraph) -> Optional[Tuple[List[Report], Optional[FaceWalk]]]:
+        g: CompatibilityGraph, invariant: bool) -> Tuple[List[Report], Optional[FaceWalk]]:
     """``verify_vertex_deletions([g, g_cat])`` and ``walk_faces(g)`` for a
-    combinatorial graph ``g`` equal to ``g_cat``, the categorical graph of
-    its system, with R_m = ``g.rotation`` an automorphism of ``g``: both
-    read off the graphs of the subsystems, with no categorical graph built
-    and no face of ``g`` walked.  None unless the graph g_i of every
-    subsystem has orbits (``_orbits``: it is invariant under its rotation,
-    and symmetric, as it is whenever it equals its categorical graph) and
-    passes ``agrees_on_rows``.  With each subsystem's graphs equal too, the
-    restriction holds under one oracle exactly when it holds under the
-    other, so the reports are the combinatorial ones alone.
+    combinatorial graph ``g``, g_cat the categorical graph of its system,
+    read off the graphs g_i of the subsystems, with no categorical graph
+    built and no face of ``g`` walked.  Each report is g_i's combinatorial
+    one, failed with the first of its ``failed_premises`` as ``premise``
+    when one fails.  With none failing g_i is its categorical graph, so,
+    once the system's premises make ``g`` g_cat, the restriction holds
+    under one oracle exactly when it holds under the other.
 
     The link of -alpha_i is the complex of the deletion of vertex i
     (Fomin-Reading, math/0505085).  Here it is g_i when the row of
     -alpha_i, less its own bit, is exactly the set of nodes that g_i's
     nodes lift to, and the restriction report of g_i passes.  Each node of
-    run i of the rotation table is R_m^-t(-alpha_i), so its link is
-    isomorphic to that of -alpha_i, and ``_from_links`` counts the faces of
-    ``g`` from one ``walk_faces(g_i)`` per subsystem, over the orbits
-    already read, weighted by the run's length.  Each g_i is lifted once,
-    for its restriction report and for this test.  The runs partition the
-    ids, so an orbit that holds two negative simples needs no fractional
-    weight.  The walk is None in rank 1 and when a link fails its
-    premises."""
+    run i of the rotation table is R_m^-t(-alpha_i), so when R_m is an
+    automorphism of ``g``, as ``invariant`` says (``_invariant``), its
+    link is isomorphic to that of -alpha_i, and ``_from_links`` counts the
+    faces of ``g`` from one ``walk_faces(g_i)`` per subsystem, over the
+    orbits of g_i, weighted by the run's length: combinatorial facts
+    alone.  Each g_i is lifted once, for its restriction report and for
+    this test, and its orbits are read once, for its walk and its premise
+    INVARIANT.  The runs partition the ids, so an orbit that holds two
+    negative simples needs no fractional weight.  The walk is None in rank
+    1 and when a link fails."""
     table = rotation_table(g.rs, g.m)
     reports: List[Report] = []
-    links: Optional[List[Tuple[int, FaceWalk]]] = []
+    links: Optional[List[Tuple[int, FaceWalk]]] = [] if invariant else None
     for (keep, sub), run in zip(_deletions(g.rs), table.runs):
         g_sub = build_graph(sub, g.m)
         orbits = _orbits(g_sub)
-        if orbits is None or not agrees_on_rows(g_sub, rotation_table(sub, g.m),
-                                                mcluster_category(sub, g.m)):
-            return None
         supported = _lift(g, g_sub, keep)
-        reports.append(_restriction_report(g, g_sub, keep, supported))
+        report = _restriction_report(g, g_sub, keep, supported)
         neg = run[0]
         lifted = sum(1 << f for f, _ in supported)
-        if links is not None and reports[-1].passed and g.adjacency[neg] & ~(1 << neg) == lifted:
+        if (links is not None and orbits is not None and report.passed
+                and g.adjacency[neg] & ~(1 << neg) == lifted):
             links.append((len(run), walk_faces(g_sub, orbits=orbits)))
         else:
             links = None
+        failed = failed_premises(g_sub, rotation_table(sub, g.m), mcluster_category(sub, g.m),
+                                 orbits is not None, degree=False)
+        if failed:
+            report.passed, report.premise = False, failed[0]
+        reports.append(report)
     return reports, _from_links(links, g.rs.n, len(g.nodes)) if links else None
 
 

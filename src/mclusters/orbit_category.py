@@ -26,7 +26,7 @@ Hom(X, Y[i]) is the Hom into Y landed i times.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .coloured_roots import ColouredRoot, check_coloured, coloured_ground_set, rotation_Rm
 from .derived import DerivedCategory, DerivedObject, derived_category, shift
@@ -154,23 +154,6 @@ class MClusterCategory:
             objs = self.objects()
             return objs, [self.G_inverse(X) for X in objs]
         return self.rs.cached(("image", self.m), build)
-
-    def ext_by_id(self) -> Callable[[int, int, int], int]:
-        """Ext^i(W(a), W(b)) as a function of ``(i, a, b)``, ``i`` in 1..m.
-        It serves only the pair by pair checks that ``verify`` falls back
-        to when a premise of ``cluster_complex.agrees_on_rows`` fails.
-        Ext^i(X, Y) = Hom(X, Y[i]), and Y[i] lies in the orbit of
-        W(sigma^i(b)) for Y = W(b), so it is H(a, sigma^i(b)), read off the
-        powers sigma^0..sigma^m, which live as long as the function.  A node
-        that lands outside W's image is -1 in sigma, and stays -1 in every
-        later power, since ``step`` reads index -1 as -1; no row of H holds
-        it."""
-        H, sigma = self.hom_entries(), self.shift_permutation()
-        step = sigma + (-1,)
-        powers = [tuple(range(len(sigma)))]
-        while len(powers) <= self.m:
-            powers.append(tuple(step[b] for b in powers[-1]))
-        return lambda i, a, b: H[a].get(powers[i][b], 0)
 
     def shift_invariant(self) -> bool:
         """Whether H(sigma a, sigma c) = H(a, c) and H(a, c) =

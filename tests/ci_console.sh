@@ -63,6 +63,7 @@ $MCLUSTER verify --type A3 --m 19
 $MCLUSTER verify --type A2 --m 166
 python -c "import resource, mclusters.cli as cli; assert cli.main(['verify', '--type', 'A1', '--m', '499']) == 0; peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; assert peak < 40 * 1024, f'verify A1 m=499 peaked at {peak} KiB'"
 python -c "import resource, mclusters.cli as cli; assert cli.main(['verify', '--type', 'A2', '--m', '1000']) == 0; peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; assert peak < 30 * 1024, f'verify A2 m=1000 peaked at {peak} KiB'"
+python -c "import io, sys, resource, mclusters.cli as cli, mclusters.orbit_category as oc; oc.MClusterCategory.shift_invariant = lambda self: False; sys.stdout = out = io.StringIO(); code = cli.main(['verify', '--type', 'A2', '--m', '1000']); sys.stdout = sys.__stdout__; peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; assert code == 1 and '(failed premise: H shift-invariant)' in out.getvalue(), (code, out.getvalue()); assert peak < 30 * 1024, f'verify A2 m=1000 with a failed premise peaked at {peak} KiB'"
 $MCLUSTER verify --type A2 --m 167
 $MCLUSTER verify --type A1 --m 1000
 status=0

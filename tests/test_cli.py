@@ -428,43 +428,43 @@ class TestVerify:
 
     @pytest.mark.parametrize("failing", [None, "combinatorial", "categorical"])
     def test_parabolic_restriction_under_both_oracles(self, capsys, monkeypatch, failing):
-        """Each oracle's restriction fails in turn.  While every subsystem's
-        graphs agree on their rows, only the combinatorial restriction is
-        compared; the categorical failure is injected at that premise, so
-        that both oracles' restrictions are compared pair by pair.  A
-        failing restriction also refuses the subsystems' walks as links,
-        so the full graph is walked."""
+        """Each oracle's restriction fails in turn.  Only the combinatorial
+        restriction is compared, graph against graph; the categorical one
+        holds with it exactly when the subsystems' premises hold, so its
+        failure is injected at those premises, and the line names the first
+        deletion's.  A failing combinatorial restriction also refuses the
+        subsystems' walks as links, so the full graph is walked; a failed
+        premise does not, since the links are combinatorial facts."""
         seen = []
         real = cluster_complex._restriction_report
 
         def spy(g, g_sub, kept, supported=None):
-            assert g_sub.oracle_tag == g.oracle_tag
-            seen.append((tuple(kept), g.oracle_tag))
+            assert g.oracle_tag == g_sub.oracle_tag == "combinatorial"
+            seen.append(tuple(kept))
             report = real(g, g_sub, kept, supported)
-            report.passed &= g.oracle_tag != failing
+            report.passed &= failing != "combinatorial"
             return report
 
         monkeypatch.setattr(cluster_complex, "_restriction_report", spy)
         if failing == "categorical":
-            real_agrees = cluster_complex.agrees_on_rows
-            monkeypatch.setattr(cluster_complex, "agrees_on_rows",
-                                lambda g, table, cat: g.rs.n == 3 and real_agrees(g, table, cat))
+            real_premises = cluster_complex.failed_premises
+            monkeypatch.setattr(cluster_complex, "failed_premises", lambda g, *args, **kw: (
+                real_premises(g, *args, **kw) + [cluster_complex.DUALITY] * (g.rs.n == 2)))
         walked = spy_walks(monkeypatch)
-        code, out, _ = run(capsys, "verify", "--type", "A3", "--m", "1")
-        assert walked == ([2] * 3 if failing is None else [3])
-        oracles = ("combinatorial", "categorical") if failing == "categorical" else (
-            "combinatorial",)
-        assert sorted(seen) == sorted((keep, oracle) for keep in [(0, 1), (0, 2), (1, 2)]
-                                      for oracle in oracles)
+        refuse_pair_by_pair(monkeypatch)
+        code, out, err = run(capsys, "verify", "--type", "A3", "--m", "1")
+        assert walked == ([3] if failing == "combinatorial" else [2] * 3)
+        assert sorted(seen) == [(0, 1), (0, 2), (1, 2)]
         line = "parabolic restriction: 40 supported pairs"
-        if failing is None:
-            assert code == 0 and f"PASS  {line}" in out
-        else:
-            assert code == 1 and f"FAIL  {line}" in out
+        assert (code, err) == ((0, "") if failing is None else (1, ""))
+        assert {None: f"PASS  {line}\n", "combinatorial": f"FAIL  {line}\n",
+                "categorical": f"FAIL  {line} (failed premise: H shift-invariant, "
+                               f"deletion of vertex 1)\n"}[failing] in out
+        assert out.count("FAIL") == (failing is not None)
 
     def test_each_subsystem_built_once(self, capsys, monkeypatch):
         """Also when the premises hold on D4 but not on its subsystems, so
-        that the pair by pair comparison follows the n-row one."""
+        that the parabolic restriction fails on their premise."""
         built = []
         real = RootSystem.__init__
 
@@ -473,13 +473,17 @@ class TestVerify:
             real(self, *args, **kwargs)
 
         monkeypatch.setattr(RootSystem, "__init__", spy)
-        real_agrees = cluster_complex.agrees_on_rows
+        real_premises = cluster_complex.failed_premises
         for subsystems_agree in (True, False):
-            monkeypatch.setattr(cluster_complex, "agrees_on_rows", lambda g, table, cat: (
-                (subsystems_agree or g.rs.n == 4) and real_agrees(g, table, cat)))
+            monkeypatch.setattr(cluster_complex, "failed_premises", lambda g, *args, **kw: (
+                real_premises(g, *args, **kw)
+                + [cluster_complex.ROWS] * (not subsystems_agree and g.rs.n == 3)))
             built.clear()
             code, out, _ = run(capsys, "verify", "--type", "D4", "--m", "2")
-            assert code == 0 and "FAIL" not in out
+            failing = [line for line in out.splitlines() if line.startswith("FAIL")]
+            assert (code, failing) == ((0, []) if subsystems_agree else (1, [
+                "FAIL  parabolic restriction: 405 supported pairs "
+                "(failed premise: -alpha_i rows, deletion of vertex 1)"]))
             assert len(built) == 1 + 4  # D4 and one subsystem per deleted vertex
 
     def test_walks_subsystem_graphs_only(self, capsys, monkeypatch):
@@ -498,18 +502,18 @@ class TestVerify:
         walks the full graph and prints what it prints when all hold."""
         real = cli.verify_vertex_deletions_on_rows
 
-        def broken(g):
+        def broken(g, invariant):
             neg = len(g.nodes) - g.rs.n
             h = copy.copy(g)
             h.adjacency = list(g.adjacency)
             h.adjacency[neg] ^= 1 << next(b for b in range(neg) if g.adjacency[neg] >> b & 1)
-            reports, walk = real(h)
+            reports, walk = real(h, invariant)
             assert all(report.passed for report in reports) and walk is None
             return reports, walk
 
         monkeypatch.setattr(cli, "verify_vertex_deletions_on_rows", broken)
         walked = spy_walks(monkeypatch)
-        calls = pair_by_pair_calls(monkeypatch)
+        refuse_pair_by_pair(monkeypatch)
         assert run(capsys, "verify", "--type", "D4", "--m", "2") == (0, """\
 PASS  oracle equivalence: 28 nodes, 406 pairs
 PASS  facet sizes = rank: 336 facets
@@ -518,7 +522,7 @@ PASS  parabolic restriction: 405 supported pairs
 PASS  rotation matches shift: 28 coloured roots
 PASS  Ext dimension symmetry: 1568 (pair, degree) instances
 """, "")
-        assert walked == [4] and calls == []
+        assert walked == [4]
 
     def test_each_orbit_ext_evaluated_once(self, capsys, monkeypatch):
         # One Hom table and one shift per category, and no per-pair Ext.
@@ -536,6 +540,28 @@ PASS  Ext dimension symmetry: 1568 (pair, degree) instances
         # A4 and its four subsystems, each with its table and its shift.
         assert sorted(cat.rs.n for cat, _ in builds) == [3] * 8 + [4] * 2
 
+    def test_each_premise_read_once(self, capsys, monkeypatch):
+        """On a passing run each system's H is checked once, and each graph's
+        invariance read once, for its premise and its walk together."""
+        reads = collections.Counter()
+        real_dual, real_invariant = MClusterCategory.shift_invariant, cluster_complex._invariant
+
+        def dual(self):
+            reads[("dual", self.rs.n, id(self))] += 1
+            return real_dual(self)
+
+        def invariant(g):
+            reads[("invariant", g.rs.n, id(g))] += 1
+            return real_invariant(g)
+
+        monkeypatch.setattr(MClusterCategory, "shift_invariant", dual)
+        monkeypatch.setattr(cluster_complex, "_invariant", invariant)
+        code, out, _ = run(capsys, "verify", "--type", "A4", "--m", "2")
+        assert code == 0 and "FAIL" not in out
+        assert set(reads.values()) == {1}
+        assert sorted(key[:2] for key in reads) == [("dual", 3)] * 4 + [("dual", 4)] + [
+            ("invariant", 3)] * 4 + [("invariant", 4)]
+
     def test_table_makes_no_hom_call(self, capsys, monkeypatch):
         def refuse(self, x, y):
             raise AssertionError("DerivedCategory.hom called")
@@ -545,13 +571,15 @@ PASS  Ext dimension symmetry: 1568 (pair, degree) instances
         assert code == 0 and "FAIL" not in out
 
     def test_ext_symmetry_failure(self, capsys, monkeypatch):
+        """One H entry bumped: H is no longer invariant under the shift, so
+        every line whose proof reads it fails on that premise, and the
+        combinatorial counts pass."""
         def bump(H, sigma, m, a, c):
             H[a][c] += 1
 
         tamper_hom(monkeypatch, bump)
-        code, out, _ = run(capsys, "verify", "--type", "A3", "--m", "2")
-        assert code == 1
-        assert "FAIL  Ext dimension symmetry: 450 (pair, degree) instances" in out
+        refuse_pair_by_pair(monkeypatch)
+        assert run(capsys, "verify", "--type", "A3", "--m", "2") == (1, A3_M2_DUALITY, "")
 
     def test_ext_symmetry_missing_mirror(self, capsys, monkeypatch):
         # The entry is Ext^1(a, b) at b = sigma^-1(c); its mirror,
@@ -569,31 +597,40 @@ PASS  Ext dimension symmetry: 1568 (pair, degree) instances
 
     def test_ext_degree_failure(self, capsys, monkeypatch):
         # At m=1, Ext^1(a, b) = H(a, sigma(b)) and Ext^1(b, a) = H(b, sigma(a)):
-        # both bumped, so the symmetry holds and the degrees do not.
+        # both bumped, so the symmetry holds pair by pair and the degrees do
+        # not.  H is no longer invariant under the shift, and both Ext lines
+        # read that premise.
         def bump_pair(H, sigma, m, a, c):
             b = sigma.index(c)
             H[a][c] += 1
             H[b][sigma[a]] += 1
 
         tamper_hom(monkeypatch, bump_pair)
-        code, out, _ = run(capsys, "verify", "--type", "A3", "--m", "1")
-        assert code == 1
-        assert "PASS  Ext dimension symmetry: 81 (pair, degree) instances" in out
-        assert "FAIL  Ext^1 = compatibility degree: 81 ordered pairs" in out
+        refuse_pair_by_pair(monkeypatch)
+        assert run(capsys, "verify", "--type", "A3", "--m", "1") == (1, """\
+FAIL  oracle equivalence: 9 nodes, 45 pairs (failed premise: H shift-invariant)
+PASS  facet sizes = rank: 14 facets
+PASS  complement count = 2: 21 almost-complete sets
+FAIL  parabolic restriction: 40 supported pairs (failed premise: H shift-invariant)
+PASS  rotation matches shift: 9 coloured roots
+FAIL  Ext dimension symmetry: 81 (pair, degree) instances (failed premise: H shift-invariant)
+FAIL  Ext^1 = compatibility degree: 81 ordered pairs (failed premise: H shift-invariant)
+""", "")
 
     def test_rotation_failure(self, capsys, monkeypatch):
-        # sigma with its first two entries swapped: the Ext reads go wrong
-        # too, and every check still prints its line.
+        # sigma with its first two entries swapped, in the system and in its
+        # subsystems: every line that reads sigma fails on the first premise,
+        # and every check still prints its line.
         real = MClusterCategory.shift_permutation
         monkeypatch.setattr(MClusterCategory, "shift_permutation",
                             lambda self: (real(self)[1], real(self)[0]) + real(self)[2:])
-        code, out, _ = run(capsys, "verify", "--type", "A3", "--m", "2")
-        assert code == 1
-        assert "FAIL  rotation matches shift: 15 coloured roots" in out
-        assert "  Ext dimension symmetry: 450 (pair, degree) instances" in out
+        refuse_pair_by_pair(monkeypatch)
+        assert run(capsys, "verify", "--type", "A3", "--m", "2") == (1, A3_M2_SHIFT, "")
 
     def test_rotation_failure_perm(self, capsys, monkeypatch):
-        # R_m with its first two entries swapped, after the table has read it.
+        # R_m with its first two entries swapped, after the table has read it,
+        # in the table that verify reads for the system alone: sigma is no
+        # longer R_m there, and the counts, read off the graphs, pass.
         real = cli.rotation_table
 
         def swapped(rs, m):
@@ -602,10 +639,8 @@ PASS  Ext dimension symmetry: 1568 (pair, degree) instances
             return table
 
         monkeypatch.setattr(cli, "rotation_table", swapped)
-        code, out, _ = run(capsys, "verify", "--type", "A3", "--m", "2")
-        assert code == 1
-        assert "FAIL  rotation matches shift: 15 coloured roots" in out
-        assert "FAIL" not in out.replace("FAIL  rotation matches shift", "")
+        refuse_pair_by_pair(monkeypatch)
+        assert run(capsys, "verify", "--type", "A3", "--m", "2") == (1, A3_M2_SHIFT, "")
 
     def test_shift_lands_off_image(self, capsys, monkeypatch):
         # The step that the shift and H share taken by G instead of G^-1:
@@ -634,29 +669,25 @@ def spy_walks(monkeypatch):
     return walked
 
 
-def pair_by_pair_calls(monkeypatch):
-    """Spy on the calls that only ``verify``'s pair by pair checks make:
-    a categorical ``build_graph`` (through ``cli`` or ``cluster_complex``)
-    and ``ext_by_id``.  Each call is recorded with its system's rank."""
-    calls = []
+def refuse_pair_by_pair(monkeypatch):
+    """Refuse what would compare the oracles pair by pair: a categorical
+    ``build_graph`` (through ``cli`` or ``cluster_complex``),
+    ``ext_instances`` and ``DerivedCategory.hom``.  A refusal raises inside
+    the command, which ``main`` reports as an internal error on stderr."""
+    def refuse(*args):
+        raise AssertionError(f"pair by pair call {args[1:]}")
 
-    def spy_build(real):
+    def refuse_categorical(real):
         def build(rs, m, oracle="combinatorial"):
             if oracle == "categorical":
-                calls.append(("build_graph", rs.n))
+                refuse(None, rs.n, m, oracle)
             return real(rs, m, oracle)
         return build
 
-    real_ext = MClusterCategory.ext_by_id
-
-    def ext_by_id(self):
-        calls.append(("ext_by_id", self.rs.n))
-        return real_ext(self)
-
     for module in (cli, cluster_complex):
-        monkeypatch.setattr(module, "build_graph", spy_build(module.build_graph))
-    monkeypatch.setattr(MClusterCategory, "ext_by_id", ext_by_id)
-    return calls
+        monkeypatch.setattr(module, "build_graph", refuse_categorical(module.build_graph))
+    monkeypatch.setattr(MClusterCategory, "ext_instances", refuse)
+    monkeypatch.setattr(derived.DerivedCategory, "hom", refuse)
 
 
 def flip_bits(monkeypatch, choose):
@@ -706,73 +737,88 @@ def bump_closure(H, sigma, m, a, c):
         H[x][y] += 1
 
 
+# The lines of A3 m=2 with a corrupted combinatorial graph, given the
+# first premise that fails and the counts of the graph's faces: facets,
+# then ridges.
 A3_M2_FLIPPED = """\
-FAIL  oracle equivalence: 15 nodes, 120 pairs
-PASS  facet sizes = rank: {} facets
-FAIL  complement count = 3: {} almost-complete sets
-FAIL  parabolic restriction: 93 supported pairs
+FAIL  oracle equivalence: 15 nodes, 120 pairs (failed premise: {0})
+PASS  facet sizes = rank: {1} facets
+FAIL  complement count = 3: {2} almost-complete sets
+FAIL  parabolic restriction: 93 supported pairs (failed premise: {0})
 PASS  rotation matches shift: 15 coloured roots
 PASS  Ext dimension symmetry: 450 (pair, degree) instances
 """
 
+A3_M2_SHIFT = """\
+FAIL  oracle equivalence: 15 nodes, 120 pairs (failed premise: shift = R_m)
+PASS  facet sizes = rank: 55 facets
+PASS  complement count = 3: 55 almost-complete sets
+FAIL  parabolic restriction: 93 supported pairs (failed premise: shift = R_m)
+FAIL  rotation matches shift: 15 coloured roots
+FAIL  Ext dimension symmetry: 450 (pair, degree) instances (failed premise: shift = R_m)
+"""
+
+A3_M2_DUALITY = """\
+FAIL  oracle equivalence: 15 nodes, 120 pairs (failed premise: H shift-invariant)
+PASS  facet sizes = rank: 55 facets
+PASS  complement count = 3: 55 almost-complete sets
+FAIL  parabolic restriction: 93 supported pairs (failed premise: H shift-invariant)
+PASS  rotation matches shift: 15 coloured roots
+FAIL  Ext dimension symmetry: 450 (pair, degree) instances (failed premise: H shift-invariant)
+"""
+
 
 class TestRowPremises:
-    """``verify`` compares the oracles on the rows of the negative simples
-    when its premises hold, and pair by pair, with the same lines as
-    before, when one fails."""
+    """``verify`` compares the oracles on the rows of the negative simples,
+    and each check that compares them takes its verdict from the premises
+    of its proof.  One corruption per premise, each run's whole output
+    pinned: sigma swapped (``SHIFT``) in ``TestVerify.test_rotation_failure``,
+    the rest here.  No run, passing or failing, compares the oracles pair
+    by pair."""
 
     @pytest.mark.parametrize("name,m", [("A3", 2), ("D4", 1), ("E6", 2)])
     def test_passing_run_builds_no_categorical_graph(self, capsys, monkeypatch, name, m):
-        calls = pair_by_pair_calls(monkeypatch)
-        code, out, _ = run(capsys, "verify", "--type", name, "--m", str(m))
-        assert code == 0 and "FAIL" not in out
-        assert calls == []
+        refuse_pair_by_pair(monkeypatch)
+        code, out, err = run(capsys, "verify", "--type", name, "--m", str(m))
+        assert code == 0 and "FAIL" not in out and err == ""
 
     @pytest.mark.parametrize("case,choose,out,err", [
         # The R_m orbit of a pair through -alpha_1, flipped both ways: the
         # graph stays invariant and symmetric, and its -alpha_1 row is wrong.
         ("row", lambda g, neg, b: [p for a, b in rotation_orbit(g, neg, b)
                                    for p in ((a, b), (b, a))],
-         A3_M2_FLIPPED.format(30, 45), ""),
-        # One pair through -alpha_1, flipped both ways.
+         A3_M2_FLIPPED.format("-alpha_i rows", 30, 45), ""),
+        # One pair through -alpha_1, flipped both ways: not invariant.
         ("boundary pair", lambda g, neg, b: [(neg, b), (b, neg)],
-         A3_M2_FLIPPED.format(52, 54), ""),
+         A3_M2_FLIPPED.format("R_m invariance", 52, 54), ""),
         # One bit of a pair of positive roots: the -alpha_i rows stay right,
         # and the graph is neither symmetric nor invariant.
         ("asymmetric pair", lambda g, neg, b: [next(
             (x, y) for x in range(neg) for y in range(x + 1, neg) if g.adjacency[x] >> y & 1)],
-         A3_M2_FLIPPED.format(52, 54), ""),
+         A3_M2_FLIPPED.format("R_m invariance", 52, 54), ""),
         # The R_m orbit of one bit through -alpha_1: invariant but not
-        # symmetric, so the walk goes face by face.
+        # symmetric, so its -alpha_1 row is wrong, and the walk goes face by
+        # face.
         ("asymmetric orbit", lambda g, neg, b: rotation_orbit(g, neg, b),
-         A3_M2_FLIPPED.format(37, 48), ""),
+         A3_M2_FLIPPED.format("-alpha_i rows", 37, 48), ""),
     ])
     def test_corrupted_graph(self, capsys, monkeypatch, case, choose, out, err):
         flip_bits(monkeypatch, choose)
-        calls = pair_by_pair_calls(monkeypatch)
+        refuse_pair_by_pair(monkeypatch)
         assert run(capsys, "verify", "--type", "A3", "--m", "2") == (1, out, err)
-        assert ("build_graph", 3) in calls
 
     def test_hom_entry(self, capsys, monkeypatch):
         """One H entry bumped: H is no longer invariant under the shift."""
         tamper_hom(monkeypatch, lambda H, sigma, m, a, c: H[a].__setitem__(c, H[a][c] + 1))
-        calls = pair_by_pair_calls(monkeypatch)
-        assert run(capsys, "verify", "--type", "A3", "--m", "2") == (1, """\
-PASS  oracle equivalence: 15 nodes, 120 pairs
-PASS  facet sizes = rank: 55 facets
-PASS  complement count = 3: 55 almost-complete sets
-PASS  parabolic restriction: 93 supported pairs
-PASS  rotation matches shift: 15 coloured roots
-FAIL  Ext dimension symmetry: 450 (pair, degree) instances
-""", "")
-        assert ("ext_by_id", 3) in calls
+        refuse_pair_by_pair(monkeypatch)
+        assert run(capsys, "verify", "--type", "A3", "--m", "2") == (1, A3_M2_DUALITY, "")
 
     def test_ext1_off_degree(self, capsys, monkeypatch):
         """H bumped on a whole orbit of the shift and of the Serre map: the
         graphs agree, and only Ext^1 = degree, read on the -alpha_i pairs,
-        refuses the shortcut."""
+        fails."""
         tamper_hom(monkeypatch, bump_closure)
-        calls = pair_by_pair_calls(monkeypatch)
+        refuse_pair_by_pair(monkeypatch)
         assert run(capsys, "verify", "--type", "D4", "--m", "1") == (1, """\
 PASS  oracle equivalence: 16 nodes, 136 pairs
 PASS  facet sizes = rank: 50 facets
@@ -780,9 +826,53 @@ PASS  complement count = 2: 100 almost-complete sets
 PASS  parabolic restriction: 156 supported pairs
 PASS  rotation matches shift: 16 coloured roots
 PASS  Ext dimension symmetry: 256 (pair, degree) instances
-FAIL  Ext^1 = compatibility degree: 256 ordered pairs
+FAIL  Ext^1 = compatibility degree: 256 ordered pairs (failed premise: Ext^1 on -alpha_i pairs)
 """, "")
-        assert ("ext_by_id", 4) in calls
+
+    @pytest.mark.parametrize("name,m", [("A1", 3), ("A2", 30), ("D4", 1), ("E6", 1), ("A4", 2)])
+    def test_stubbed_duality_fails(self, capsys, monkeypatch, name, m):
+        """``shift_invariant`` stubbed to return False on every system: each
+        line whose proof reads it fails and names it, the combinatorial
+        lines pass, and nothing crashes.  In rank 1 there is no subsystem
+        to restrict to, so the parabolic restriction passes."""
+        monkeypatch.setattr(MClusterCategory, "shift_invariant", lambda self: False)
+        refuse_pair_by_pair(monkeypatch)
+        code, out, err = run(capsys, "verify", "--type", name, "--m", str(m))
+        failing = [line.split(":")[0] for line in out.splitlines() if line.startswith("FAIL")]
+        assert (code, err) == (1, "")
+        assert failing == ["FAIL  oracle equivalence"] + ["FAIL  parabolic restriction"] * (
+            name != "A1") + ["FAIL  Ext dimension symmetry"] + [
+            "FAIL  Ext^1 = compatibility degree"] * (m == 1)
+        assert all(line.endswith(" (failed premise: H shift-invariant)")
+                   for line in out.splitlines() if line.startswith("FAIL"))
+
+    def test_deletion_premise(self, capsys, monkeypatch):
+        """H(a, a) bumped at one node of A1 x A1, the deletion of the middle
+        vertex of A3: its H is no longer invariant under its shift, so the
+        parabolic restriction fails on that deletion's premise alone.  The
+        links are combinatorial facts, so the counts still come from the
+        deletions' walks."""
+        real = MClusterCategory.hom_entries
+
+        def tampered(self):
+            H = real(self)
+            if len(self.rs.components) == 2:
+                H = [dict(row) for row in H]
+                H[0][0] += 1
+            return H
+
+        monkeypatch.setattr(MClusterCategory, "hom_entries", tampered)
+        walked = spy_walks(monkeypatch)
+        refuse_pair_by_pair(monkeypatch)
+        assert run(capsys, "verify", "--type", "A3", "--m", "2") == (1, """\
+PASS  oracle equivalence: 15 nodes, 120 pairs
+PASS  facet sizes = rank: 55 facets
+PASS  complement count = 3: 55 almost-complete sets
+FAIL  parabolic restriction: 93 supported pairs (failed premise: H shift-invariant, deletion of vertex 2)
+PASS  rotation matches shift: 15 coloured roots
+PASS  Ext dimension symmetry: 450 (pair, degree) instances
+""", "")
+        assert walked == [2] * 3
 
 
 def tamper_hom(monkeypatch, edit):
@@ -838,17 +928,18 @@ def corrupt_a3_m2(monkeypatch, case):
 
 class TestCorruptedComplex:
     """Theorems 2 and 3 fail, in ``verify`` and in the ``enumerate`` JSON,
-    on a corrupted combinatorial graph of A3 m=2."""
+    on a corrupted combinatorial graph of A3 m=2.  Each corruption flips
+    single pairs, so the graph is no longer invariant under R_m."""
 
     @pytest.mark.parametrize("case,theorem2,facets,ridges", [
         ("edge", "PASS", 52, 54), ("split", "FAIL", 49, 52), ("merge", "FAIL", 52, 56)])
     def test_verify_and_enumerate_fail(self, capsys, monkeypatch, case, theorem2,
                                        facets, ridges):
         corrupt_a3_m2(monkeypatch, case)
-        code, out, _ = run(capsys, "verify", "--type", "A3", "--m", "2")
-        assert code == 1
-        assert f"{theorem2}  facet sizes = rank: {facets} facets" in out
-        assert f"FAIL  complement count = 3: {ridges} almost-complete sets" in out
+        refuse_pair_by_pair(monkeypatch)
+        lines = A3_M2_FLIPPED.format("R_m invariance", facets, ridges)
+        assert run(capsys, "verify", "--type", "A3", "--m", "2") == (
+            1, lines.replace("PASS  facet sizes", f"{theorem2}  facet sizes"), "")
         a3 = cli.build_root_system(cli.parse_type("A3"))
         walk = cluster_complex.walk_faces(cli.build_graph(a3, 2))
         assert (max(walk.facet_sizes) > a3.n) == (case == "merge")
@@ -866,8 +957,10 @@ class TestCorruptedComplex:
 
     def test_invariant_corruption_walks_orbits(self, capsys, monkeypatch):
         """One compatible pair of A3 m=2 flipped with every R_m image of it:
-        the graph stays invariant, ``verify`` walks one link per orbit, and
-        its theorem lines carry the counts of the full walk of that graph."""
+        the graph stays invariant, its -alpha_i rows refuse the deletions'
+        graphs as links, ``verify`` walks one link per orbit of the graph,
+        and its theorem lines carry the counts of the full walk of that
+        graph.  The deletions' graphs have their orbits read too."""
         real = cluster_complex.build_graph
         corrupted_graphs, orbits = [], []
 
@@ -899,14 +992,16 @@ class TestCorruptedComplex:
         monkeypatch.setattr(cluster_complex, "_orbits", spy)
         code, out, _ = run(capsys, "verify", "--type", "A3", "--m", "2")
         [g] = corrupted_graphs
-        assert [(h, o is not None) for h, o in orbits] == [(g, True)]
+        assert [(h.rs.n, o is not None) for h, o in orbits] == [(2, True)] * 3 + [(3, True)]
+        assert orbits[-1][0] is g
         full = cluster_complex.walk_faces(g, [])
         assert code == 1
         theorem2 = "PASS" if full.theorem2(3) else "FAIL"
         assert f"{theorem2}  facet sizes = rank: {sum(full.facet_sizes.values())} facets" in out
         assert (f"FAIL  complement count = 3: {sum(full.ridges.values())} almost-complete sets"
                 in out)
-        assert "FAIL  oracle equivalence" in out
+        assert ("FAIL  oracle equivalence: 15 nodes, 120 pairs (failed premise: -alpha_i rows)"
+                in out)
 
 
 class TestExportZq:

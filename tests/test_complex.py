@@ -13,7 +13,7 @@ from mclusters import (ColouredRoot, build_graph, build_root_system, complements
                        parabolic, parse_type, rotation_table, verify_complement_counts,
                        verify_facet_sizes, verify_parabolic_restriction,
                        verify_vertex_deletions, walk_faces)
-from mclusters import cli, cluster_complex
+from mclusters import cluster_complex
 from mclusters.cluster_complex import ridge_counts
 
 
@@ -98,8 +98,7 @@ class TestRowPremises:
         rs = system(name, keep)
         g, table, cat = build_graph(rs, m), rotation_table(rs, m), mcluster_category(rs, m)
         assert cluster_complex._invariant(g)
-        assert cluster_complex.agrees_on_rows(g, table, cat)
-        assert m > 1 or cli._ext1_is_degree(cat, table)
+        assert cluster_complex.failed_premises(g, table, cat) == []
         # The rows read off H are the categorical graph's, on every node.
         assert cat.compatible_rows(range(len(g.nodes))) == g.adjacency
 
@@ -110,11 +109,12 @@ class TestRowPremises:
         rs = system(name)
         g = build_graph(rs, m)
         expected = verify_vertex_deletions([g, build_graph(rs, m, "categorical")])
-        got, _ = cluster_complex.verify_vertex_deletions_on_rows(g)
+        got, _ = cluster_complex.verify_vertex_deletions_on_rows(g, True)
         assert [(r.passed, r.checked) for r in got] == [(r.passed, r.checked) for r in expected]
 
     def test_subsystem_refused(self, a3, monkeypatch):
-        """A subsystem whose graph is not invariant refuses the shortcut."""
+        """A subsystem whose graph is not invariant fails its report on that
+        premise, and is no link: the faces are not counted."""
         real = cluster_complex.build_graph
 
         def flipped(rs, m, oracle="combinatorial"):
@@ -124,7 +124,9 @@ class TestRowPremises:
             return g
 
         monkeypatch.setattr(cluster_complex, "build_graph", flipped)
-        assert cluster_complex.verify_vertex_deletions_on_rows(real(a3, 2)) is None
+        reports, walk = cluster_complex.verify_vertex_deletions_on_rows(real(a3, 2), True)
+        assert [(r.passed, r.premise) for r in reports] == [(False, "R_m invariance")] * 3
+        assert walk is None
 
     def test_tampered_hom_refused(self):
         """One H entry bumped breaks the shift's invariance; one entry and
@@ -146,12 +148,13 @@ class TestRowPremises:
         neg = table.runs[0][0]
         g.adjacency = list(g.adjacency)
         g.adjacency[neg] ^= 1
-        assert not cluster_complex.agrees_on_rows(g, table, cat)
+        assert cluster_complex.failed_premises(g, table, cat) == ["R_m invariance",
+                                                                  "-alpha_i rows"]
 
     def test_other_rotation_refused(self, a3):
         g, table, cat = build_graph(a3, 2), rotation_table(a3, 2), mcluster_category(a3, 2)
         g.rotation = (g.rotation[1], g.rotation[0]) + g.rotation[2:]
-        assert not cluster_complex.agrees_on_rows(g, table, cat)
+        assert cluster_complex.failed_premises(g, table, cat) == ["shift = R_m"]
 
 
 class TestFacets:
@@ -357,7 +360,8 @@ class TestLinkWalk:
     def test_matches_walk(self, name, keep, m):
         rs = system(name, keep)
         g = build_graph(rs, m)
-        reports, walk = cluster_complex.verify_vertex_deletions_on_rows(g)
+        reports, walk = cluster_complex.verify_vertex_deletions_on_rows(
+            g, cluster_complex._invariant(g))
         assert all(report.passed for report in reports) and len(reports) == (rs.n > 1) * rs.n
         if rs.n == 1:  # no deletion: the caller walks the graph
             assert walk is None
@@ -369,7 +373,8 @@ class TestLinkWalk:
         which weights each link by a run, 2 and 3 nodes long."""
         g = build_graph(a2, 1)
         assert sorted(map(len, rotation_table(a2, 1).runs)) == [2, 3]
-        _, walk = cluster_complex.verify_vertex_deletions_on_rows(g)
+        _, walk = cluster_complex.verify_vertex_deletions_on_rows(
+            g, cluster_complex._invariant(g))
         assert (walk.f_vector, walk.facet_sizes, walk.ridges) == ([1, 5, 5], {2: 5}, {2: 5})
 
 

@@ -143,7 +143,7 @@ class TestExtTable:
         table = dense_ext(cat)
         ground = coloured_ground_set(rs, m)
         assert tuple(ground) == rotation_table(rs, m).nodes
-        objs, ext = [cat.W(x) for x in ground], cat.ext_by_id()
+        objs = [cat.W(x) for x in ground]
         # H against Hom summed over the orbit, G^-4 X to G^4 X.
         for a, X in enumerate(objs):
             assert H[a] == {c: v for c, Z in enumerate(objs) if (v := orbit_sum(cat, X, Z, 0))}
@@ -152,7 +152,6 @@ class TestExtTable:
             assert len(table[i - 1]) == len(ground)
             for a, X in enumerate(objs):
                 assert table[i - 1][a] == [cat.ext(X, Y, i) for Y in objs]
-                assert table[i - 1][a] == [ext(i, a, b) for b in range(len(ground))]
         assert cat.hom_entries() is H
 
     @pytest.mark.parametrize("name,m", [("A3", 1), ("A3", 2), ("A3", 3), ("D4", 2), ("E6", 1)])
@@ -163,23 +162,6 @@ class TestExtTable:
     @pytest.mark.parametrize("name,keep", REDUCIBLE)
     def test_entries_are_orbit_ext_reducible(self, name, keep, m):
         self.check_entries(system(name, keep), m)
-
-    def test_off_image_stays_off_in_every_power(self, monkeypatch):
-        """The step that the shift and H share taken by G instead of G^-1
-        sends some W(b)[1] outside W's image, so sigma(b) = -1; every later
-        power of b is -1 too, not sigma of the last node.  H(a, a) = 1 at
-        every node a, so a power that reached a node c would read
-        Ext^i(c, b) = 1."""
-        monkeypatch.setattr(MClusterCategory, "_image", lambda self: (
-            self.objects(), [G(self, X) for X in self.objects()]))
-        cat = MClusterCategory(system("A3"), 2)
-        sigma, H, ext = cat.shift_permutation(), cat.hom_entries(), cat.ext_by_id()
-        lost = [b for b, c in enumerate(sigma) if c < 0]
-        assert lost and sigma[-1] >= 0
-        assert all(row[a] == 1 for a, row in enumerate(H))
-        for b in lost:
-            for i in range(1, cat.m + 1):
-                assert [ext(i, a, b) for a in range(len(sigma))] == [0] * len(sigma), (b, i)
 
     @pytest.mark.parametrize("command", ["compat", "ext"])
     def test_single_pair_queries_do_not_build_it(self, monkeypatch, command):
