@@ -127,12 +127,13 @@ def build_graph(rs: RootSystem, m: int, oracle: str = "combinatorial") -> Compat
     """The compatibility graph on ``coloured_ground_set(rs, m)``.  The
     combinatorial oracle is read off the rotation table of ``(rs, m)``, its
     n rows of the -alpha_i rotated to the rest (``_rotated_rows``); the
-    categorical one off the nonzero Ext instances of its m-cluster
-    category: two nodes are compatible when every Ext^i between their W
-    images vanishes, so each instance (i, a, b) with b >= a clears the pair.
-    A reducible system is no special case: Ext between components is 0.
-    Each graph's ``rotation`` is its own oracle's: the table's ``perm``, or
-    the category's ``shift_permutation``, so neither oracle reads the other."""
+    categorical one is ``compatible_rows`` of every node of its m-cluster
+    category: b in the row of a when every Ext^i(W(a), W(b)) vanishes,
+    read off H.  Under the category's Serre duality, which
+    ``shift_invariant`` checks, those rows are symmetric.  A reducible
+    system is no special case: Ext between components is 0.  Each graph's
+    ``rotation`` is its own oracle's: the table's ``perm``, or the
+    category's ``shift_permutation``, so neither oracle reads the other."""
     if oracle not in ORACLES:
         raise ValueError(f"oracle must be one of {ORACLES}")
     if oracle == "combinatorial":
@@ -140,13 +141,9 @@ def build_graph(rs: RootSystem, m: int, oracle: str = "combinatorial") -> Compat
         return CompatibilityGraph(rs, m, oracle, list(table.nodes), _rotated_rows(table),
                                   table.perm)
     nodes = coloured_ground_set(rs, m)
-    rows = [(1 << len(nodes)) - 1] * len(nodes)
     cat = mcluster_category(rs, m)
-    for _, a, b, _ in cat.ext_instances():
-        if b >= a:
-            rows[a] &= ~(1 << b)
-            rows[b] &= ~(1 << a)
-    return CompatibilityGraph(rs, m, oracle, nodes, rows, cat.shift_permutation())
+    return CompatibilityGraph(rs, m, oracle, nodes, cat.compatible_rows(range(len(nodes))),
+                              cat.shift_permutation())
 
 
 def _invariant(g: CompatibilityGraph) -> bool:
@@ -368,22 +365,20 @@ def verify_parabolic_restriction(rs: RootSystem, m: int, keep: Sequence[int],
     graph of the full system and that of the parabolic subsystem, both
     under ``oracle``."""
     kept = sorted(set(keep))
-    return _restriction_report(build_graph(rs, m, oracle),
-                               build_graph(parabolic(rs, kept), m, oracle), kept)
+    g, g_sub = build_graph(rs, m, oracle), build_graph(parabolic(rs, kept), m, oracle)
+    return _restriction_report(g, g_sub, _lift(g, g_sub, kept))
 
 
-def _restriction_report(g: CompatibilityGraph, g_sub: CompatibilityGraph, kept: List[int],
-                        supported: Optional[List[Tuple[int, int]]] = None) -> Report:
-    """Compare ``g`` on the pairs supported on ``kept`` with ``g_sub``, the
-    graph of the parabolic subsystem on ``kept`` under the same oracle,
-    each subsystem node lifted by ``_lift``, or as ``supported`` gives it
-    when the caller has lifted them.  Pairs run in ``g``'s order, a failure
-    is ``(x, y, full, restricted)``.  Each supported row is compared whole:
+def _restriction_report(g: CompatibilityGraph, g_sub: CompatibilityGraph,
+                        supported: List[Tuple[int, int]]) -> Report:
+    """Compare ``g`` on the pairs supported on the kept vertices with
+    ``g_sub``, the graph of the parabolic subsystem on them under the same
+    oracle, each subsystem node lifted as ``supported``, the ``_lift`` of
+    the two graphs, gives it.  Pairs run in ``g``'s order, a failure is
+    ``(x, y, full, restricted)``.  Each supported row is compared whole:
     its part at and above its own id on the lifted nodes, against the row
-    of ``g_sub`` lifted bit by bit, and only a row that differs is compared
-    pair by pair."""
-    if supported is None:
-        supported = _lift(g, g_sub, kept)
+    of ``g_sub`` lifted by ``_moved``, and only a row that differs is
+    compared pair by pair."""
     full_id = [0] * len(g_sub.nodes)
     for f, s in supported:
         full_id[s] = f
@@ -391,12 +386,7 @@ def _restriction_report(g: CompatibilityGraph, g_sub: CompatibilityGraph, kept: 
     failures = []
     for a, (fx, sx) in enumerate(supported):
         row, sub_row = g.adjacency[fx], g_sub.adjacency[sx]
-        image, rest = 0, sub_row
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            image |= 1 << full_id[low.bit_length() - 1]
-        if not (row ^ image) & lifted >> fx << fx:
+        if not (row ^ _moved(sub_row, full_id, 0, 0)) & lifted >> fx << fx:
             continue
         for fy, sy in supported[a:]:
             full, restricted = bool(row >> fy & 1), bool(sub_row >> sy & 1)
@@ -439,8 +429,8 @@ def verify_vertex_deletions(graphs: Sequence[CompatibilityGraph]) -> List[Report
     if it passes under every oracle, and counts the supported pairs once."""
     reports = []
     for keep, sub in _deletions(graphs[0].rs):
-        reps = [_restriction_report(h, build_graph(sub, h.m, h.oracle_tag), keep)
-                for h in graphs]
+        reps = [_restriction_report(h, h_sub, _lift(h, h_sub, keep))
+                for h in graphs for h_sub in [build_graph(sub, h.m, h.oracle_tag)]]
         reports.append(Report(all(r.passed for r in reps), reps[0].checked,
                               [f for r in reps for f in r.failures]))
     return reports
@@ -451,22 +441,25 @@ SHIFT, INVARIANT, DUALITY, ROWS, DEGREE = ("shift = R_m", "R_m invariance", "H s
                                            "-alpha_i rows", "Ext^1 on -alpha_i pairs")
 
 
-def failed_premises(g: CompatibilityGraph, table: RotationTable, cat: MClusterCategory,
-                    invariant: Optional[bool] = None, degree: bool = True) -> List[str]:
+def failed_premises(g: CompatibilityGraph, invariant: Optional[bool] = None,
+                    degree: bool = True) -> List[str]:
     """The names of the premises that fail on the system of the
-    combinatorial graph ``g``, in order, each one linear pass.  SHIFT: the
-    shift sigma of ``cat`` is R_m, the ``perm`` of ``table``, and
-    ``g.rotation``; when it fails it is the only name, since the others
-    read sigma as a permutation.  The others are all read, so that each
-    caller can take the first failure among those it needs.  INVARIANT: ``_invariant(g)``, or
-    ``invariant`` when the caller has read it.  DUALITY: H passes
-    ``cat.shift_invariant``, so the categorical graph is invariant under
-    sigma, and Ext^i(a, b) = Ext^(m+1-i)(b, a).  ROWS: each -alpha_i row of
-    ``g`` is the one ``cat.compatible_rows`` reads off H.  DEGREE, at m = 1
-    unless ``degree`` is False: ``_ext1_is_degree``.  Under the first four,
-    ``g`` is the categorical graph: every orbit of R_m holds a negative
-    simple (``RotationTable`` raises otherwise), so each pair rotates onto
-    a pair in a -alpha_i row, where the graphs agree."""
+    combinatorial graph ``g``, in order, each one linear pass, read off the
+    ``rotation_table`` and the ``mcluster_category`` of ``g``'s system and
+    ``m``, both kept in its memo.  SHIFT: the category's shift sigma is
+    R_m, the table's ``perm``, and ``g.rotation``; when it fails it is the
+    only name, since the others read sigma as a permutation.  The others
+    are all read, so that each caller can take the first failure among
+    those it needs.  INVARIANT: ``_invariant(g)``, or ``invariant`` when
+    the caller has read it.  DUALITY: H passes ``shift_invariant``, so the
+    categorical graph is invariant under sigma, and Ext^i(a, b) =
+    Ext^(m+1-i)(b, a).  ROWS: each -alpha_i row of ``g`` is the one
+    ``compatible_rows`` reads off H.  DEGREE, at m = 1 unless ``degree`` is
+    False: ``_ext1_is_degree``.  Under the first four, ``g`` is the
+    categorical graph: every orbit of R_m holds a negative simple
+    (``RotationTable`` raises otherwise), so each pair rotates onto a pair
+    in a -alpha_i row, where the graphs agree."""
+    table, cat = rotation_table(g.rs, g.m), mcluster_category(g.rs, g.m)
     if not cat.shift_permutation() == table.perm == g.rotation:
         return [SHIFT]
     negatives = [run[0] for run in table.runs]
@@ -521,7 +514,7 @@ def verify_vertex_deletions_on_rows(
         g_sub = build_graph(sub, g.m)
         orbits = _orbits(g_sub)
         supported = _lift(g, g_sub, keep)
-        report = _restriction_report(g, g_sub, keep, supported)
+        report = _restriction_report(g, g_sub, supported)
         neg = run[0]
         lifted = sum(1 << f for f, _ in supported)
         if (links is not None and orbits is not None and report.passed
@@ -529,8 +522,7 @@ def verify_vertex_deletions_on_rows(
             links.append((len(run), walk_faces(g_sub, orbits=orbits)))
         else:
             links = None
-        failed = failed_premises(g_sub, rotation_table(sub, g.m), mcluster_category(sub, g.m),
-                                 orbits is not None, degree=False)
+        failed = failed_premises(g_sub, orbits is not None, degree=False)
         if failed:
             report.passed, report.premise = False, failed[0]
         reports.append(report)

@@ -158,11 +158,11 @@ class MClusterCategory:
     def shift_invariant(self) -> bool:
         """Whether H(sigma a, sigma c) = H(a, c) and H(a, c) =
         H(c, sigma^(m+1) a) on every stored entry of H, the shift sigma a
-        permutation of the node ids.  Both maps of pairs are one to one,
-        so each then maps the stored entries onto themselves: H is
-        invariant under the shift, and, with Ext^i(a, b) = H(a, sigma^i b),
-        Ext^i(a, b) = Ext^(m+1-i)(b, a) for every i, the Serre duality of
-        an (m+1)-Calabi-Yau category (Keller, math/0503240)."""
+        permutation of the node ids (``_power`` raises otherwise).  Both
+        maps of pairs are one to one, so each then maps the stored entries
+        onto themselves: H is invariant under the shift, and, with Ext^i(a,
+        b) = H(a, sigma^i b), Ext^i(a, b) = Ext^(m+1-i)(b, a) for every i,
+        the Serre duality of an (m+1)-CY category (Keller, math/0503240)."""
         H, sigma = self.hom_entries(), self.shift_permutation()
         far = _power(sigma, self.m + 1)
         return all(H[sigma[a]].get(sigma[c]) == value and H[c].get(far[a]) == value
@@ -171,9 +171,9 @@ class MClusterCategory:
     def compatible_rows(self, ids: Sequence[int]) -> List[int]:
         """For each node a of ``ids``, the nodes b with Ext^i(W(a), W(b)) = 0
         for i = 1..m as a bitset: each stored H(a, c) is Ext^i(a, b) at
-        b = sigma^-i(c).  Once ``shift_invariant`` holds, Ext^i(a, b) and
-        Ext^(m+1-i)(b, a) vanish together, so this is a's row in the
-        categorical graph."""
+        b = sigma^-i(c), sigma a permutation (``_power`` raises otherwise).
+        Once ``shift_invariant`` holds, Ext^i(a, b) and Ext^(m+1-i)(b, a)
+        vanish together, so the rows of all nodes are the categorical graph."""
         H, back = self.hom_entries(), _power(self.shift_permutation(), -1)
         everything = (1 << len(back)) - 1
         rows = []
@@ -188,9 +188,9 @@ class MClusterCategory:
 
     def ext_instances(self) -> Iterator[Tuple[int, int, int, int]]:
         """Every nonzero Ext^i(W(a), W(b)) as ``(i, a, b, value)``: each
-        stored H(a, c) is Ext^i(a, b) at b = sigma^-i(c), for i = 1..m."""
-        sigma = self.shift_permutation()
-        inverse = sorted(range(len(sigma)), key=sigma.__getitem__)
+        stored H(a, c) is Ext^i(a, b) at b = sigma^-i(c), for i = 1..m: the
+        values behind ``compatible_rows``, which raises where this does."""
+        inverse = _power(self.shift_permutation(), -1)
         for a, row in enumerate(self.hom_entries()):
             for c, value in row.items():
                 for i in range(1, self.m + 1):
@@ -214,7 +214,10 @@ class MClusterCategory:
 
 def _power(perm: Tuple[int, ...], k: int) -> List[int]:
     """``perm`` to the power ``k``, read off its cycles: each node steps k
-    places along its own."""
+    places along its own.  Raises ValueError on a ``perm`` that is not a
+    permutation of its indices, such as a shift with a node off W's image."""
+    if sorted(perm) != list(range(len(perm))):
+        raise ValueError("the shift is not a permutation of the node ids")
     out, seen = list(perm), [False] * len(perm)
     for r in range(len(perm)):
         cycle, a = [], r

@@ -294,7 +294,9 @@ class TestOutReplaced:
 
     def test_disagreement_replaces_out(self, capsys, monkeypatch, tmp_path):
         """Oracles that disagree fail the call, but only once the JSON,
-        their evidence, is written whole: it replaces ``--out``."""
+        their evidence, is written whole: it replaces ``--out``.  The flip
+        is made in each deletion's categorical graph too, so theorem 4
+        fails under that oracle."""
         real = cluster_complex.build_graph
 
         def flipped(rs, m, oracle="combinatorial"):
@@ -311,7 +313,8 @@ class TestOutReplaced:
         path.write_bytes(b"old bytes\n")
         code, out, err = run(capsys, "enumerate", "--type", "A2", "--oracle", "both",
                              "--out", str(path))
-        assert (code, out, err) == (1, "", "oracle disagreement detected\n")
+        assert (code, out, err) == (1, "", "oracle disagreement detected\n"
+                                            "verification failed: theorem4\n")
         data = json.loads(path.read_text())
         assert data["oracles_agree"] is False and (data["type"], data["m"]) == ("A2", 1)
         assert [p.name for p in tmp_path.iterdir()] == ["x.json"]
@@ -438,10 +441,12 @@ class TestVerify:
         seen = []
         real = cluster_complex._restriction_report
 
-        def spy(g, g_sub, kept, supported=None):
+        def spy(g, g_sub, supported):
             assert g.oracle_tag == g_sub.oracle_tag == "combinatorial"
-            seen.append(tuple(kept))
-            report = real(g, g_sub, kept, supported)
+            # The kept vertices: the support of the lifted nodes.
+            seen.append(tuple(sorted({v for f, _ in supported
+                                      for v, c in enumerate(g.nodes[f].root) if c})))
+            report = real(g, g_sub, supported)
             report.passed &= failing != "combinatorial"
             return report
 
@@ -628,30 +633,58 @@ FAIL  Ext^1 = compatibility degree: 81 ordered pairs (failed premise: H shift-in
         assert run(capsys, "verify", "--type", "A3", "--m", "2") == (1, A3_M2_SHIFT, "")
 
     def test_rotation_failure_perm(self, capsys, monkeypatch):
-        # R_m with its first two entries swapped, after the table has read it,
-        # in the table that verify reads for the system alone: sigma is no
-        # longer R_m there, and the counts, read off the graphs, pass.
-        real = cli.rotation_table
+        # R_m with its first two entries swapped in the memoised table of the
+        # system alone, once the system's graph has been built off it: sigma
+        # is no longer R_m there, the graph is intact, and the counts, read
+        # off the graphs, pass.
+        real = cli.build_graph
 
-        def swapped(rs, m):
-            table = copy.copy(real(rs, m))
+        def swapped(rs, m, oracle="combinatorial"):
+            g = real(rs, m, oracle)
+            table = rotation_table(rs, m)
             table.perm = (table.perm[1], table.perm[0]) + table.perm[2:]
-            return table
+            return g
 
-        monkeypatch.setattr(cli, "rotation_table", swapped)
+        monkeypatch.setattr(cli, "build_graph", swapped)
         refuse_pair_by_pair(monkeypatch)
         assert run(capsys, "verify", "--type", "A3", "--m", "2") == (1, A3_M2_SHIFT, "")
 
     def test_shift_lands_off_image(self, capsys, monkeypatch):
-        # The step that the shift and H share taken by G instead of G^-1:
-        # some W(x)[1] land outside W's image, get no node id, and every
+        # Some W(x)[1] land outside W's image, get no node id, and every
         # check still prints its line.
-        monkeypatch.setattr(MClusterCategory, "_image", lambda self: (
-            self.objects(), [G(self, X) for X in self.objects()]))
+        g_step_for_g_inverse(monkeypatch)
         code, out, err = run(capsys, "verify", "--type", "A3", "--m", "2")
         assert (code, err) == (1, "")
         assert "FAIL  rotation matches shift: 15 coloured roots" in out
         assert len(out.splitlines()) == 6
+
+    def test_shift_off_image_refused(self, capsys, monkeypatch, tmp_path):
+        """A shift that sends nodes off W's image is no permutation: the
+        categorical rows, the Ext instances and the duality refuse it, and
+        ``enumerate`` fails with an internal error before ``--out`` is
+        replaced, where it once read such a sigma as an inverse."""
+        g_step_for_g_inverse(monkeypatch)
+        cat = MClusterCategory(cli.build_root_system(cli.parse_type("A3")), 2)
+        assert -1 in cat.shift_permutation()
+        for read in (lambda: cat.compatible_rows([0]), lambda: next(cat.ext_instances()),
+                     cat.shift_invariant):
+            with pytest.raises(ValueError, match="not a permutation"):
+                read()
+        path = tmp_path / "x.json"
+        path.write_bytes(b"old bytes\n")
+        code, out, err = run(capsys, "enumerate", "--type", "A3", "--m", "2",
+                             "--oracle", "categorical", "--out", str(path))
+        assert (code, out) == (1, "")
+        assert err == "internal error: the shift is not a permutation of the node ids\n"
+        assert path.read_bytes() == b"old bytes\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["x.json"]
+
+
+def g_step_for_g_inverse(monkeypatch):
+    """Patch ``MClusterCategory._image`` so that the step the shift and H
+    share is taken by G instead of G^-1."""
+    monkeypatch.setattr(MClusterCategory, "_image", lambda self: (
+        self.objects(), [G(self, X) for X in self.objects()]))
 
 
 def spy_walks(monkeypatch):
@@ -948,6 +981,18 @@ class TestCorruptedComplex:
         assert data["verification"]["theorem2"] == theorem2.lower()
         assert data["verification"]["theorem3"] == "fail"
 
+
+    def test_enumerate_fails_once_written(self, capsys, monkeypatch, tmp_path):
+        """A failed theorem fails ``enumerate`` too, once the JSON, the
+        evidence, replaces ``--out``; stderr names the failed theorems."""
+        corrupt_a3_m2(monkeypatch, "split")
+        path = tmp_path / "x.json"
+        path.write_bytes(b"old bytes\n")
+        code, out, err = run(capsys, "enumerate", "--type", "A3", "--m", "2", "--out", str(path))
+        assert (code, out, err) == (1, "", "verification failed: theorem2, theorem3, theorem4\n")
+        verification = json.loads(path.read_text())["verification"]
+        assert (verification["theorem2"], verification["theorem3"]) == ("fail", "fail")
+        assert "fail" in [e["result"] for e in verification["theorem4"]]
 
     @pytest.mark.parametrize("case", ["edge", "split", "merge"])
     def test_single_flips_take_the_full_walk(self, monkeypatch, case):

@@ -96,9 +96,9 @@ class TestRowPremises:
     @pytest.mark.parametrize("name,keep", ALL_SYSTEMS)
     def test_hold(self, name, keep, m):
         rs = system(name, keep)
-        g, table, cat = build_graph(rs, m), rotation_table(rs, m), mcluster_category(rs, m)
+        g, cat = build_graph(rs, m), mcluster_category(rs, m)
         assert cluster_complex._invariant(g)
-        assert cluster_complex.failed_premises(g, table, cat) == []
+        assert cluster_complex.failed_premises(g) == []
         # The rows read off H are the categorical graph's, on every node.
         assert cat.compatible_rows(range(len(g.nodes))) == g.adjacency
 
@@ -144,17 +144,16 @@ class TestRowPremises:
         assert not cat.shift_invariant()
 
     def test_row_mismatch_refused(self, a3):
-        g, table, cat = build_graph(a3, 2), rotation_table(a3, 2), mcluster_category(a3, 2)
-        neg = table.runs[0][0]
+        g = build_graph(a3, 2)
+        neg = rotation_table(a3, 2).runs[0][0]
         g.adjacency = list(g.adjacency)
         g.adjacency[neg] ^= 1
-        assert cluster_complex.failed_premises(g, table, cat) == ["R_m invariance",
-                                                                  "-alpha_i rows"]
+        assert cluster_complex.failed_premises(g) == ["R_m invariance", "-alpha_i rows"]
 
     def test_other_rotation_refused(self, a3):
-        g, table, cat = build_graph(a3, 2), rotation_table(a3, 2), mcluster_category(a3, 2)
+        g = build_graph(a3, 2)
         g.rotation = (g.rotation[1], g.rotation[0]) + g.rotation[2:]
-        assert cluster_complex.failed_premises(g, table, cat) == ["shift = R_m"]
+        assert cluster_complex.failed_premises(g) == ["shift = R_m"]
 
 
 class TestFacets:
@@ -519,8 +518,9 @@ class TestParabolicRestriction:
         flipped[0] ^= 1 << 1
         flipped[1] ^= 1 << 0
         g.adjacency = flipped
-        report = cluster_complex._restriction_report(
-            g, build_graph(parabolic(a3, [0, 1]), 1), [0, 1])
+        g_sub = build_graph(parabolic(a3, [0, 1]), 1)
+        report = cluster_complex._restriction_report(g, g_sub,
+                                                     cluster_complex._lift(g, g_sub, [0, 1]))
         assert not report.passed
         x, y = g.nodes[0], g.nodes[1]
         assert [(f[0], f[1]) for f in report.failures] == [(x, y)]
@@ -543,7 +543,8 @@ class TestParabolicRestriction:
         pairs = [(x, y) for a, x in enumerate(supported) for y in supported[a:]]
         everything = (1 << len(g.nodes)) - 1
         g.adjacency = [row ^ everything for row in g.adjacency]
-        report = cluster_complex._restriction_report(g, g_sub, keep)
+        lift = cluster_complex._lift(g, g_sub, keep)
+        report = cluster_complex._restriction_report(g, g_sub, lift)
         assert report.checked == len(pairs) == len(report.failures)
         assert [(x, y) for x, y, _, _ in report.failures] == pairs
 
@@ -553,8 +554,7 @@ class TestParabolicRestriction:
         """Bits flipped at random in either graph or both, one at a time
         and so not symmetrically, most in supported rows, some on the
         diagonal and some off the supported nodes: the failures are those
-        of the pair by pair comparison, in its order, with the lift given
-        or not."""
+        of the pair by pair comparison, in its order."""
         rs = system(name)
         keep = [v for v in range(rs.n) if v != drop]
         graphs = build_graph(rs, m), build_graph(parabolic(rs, keep), m)
@@ -574,10 +574,9 @@ class TestParabolicRestriction:
                 corrupted[-1].adjacency = rows
             checked, failures = restriction_pairs(*corrupted, keep)
             failing += bool(failures)
-            for lift in (None, supported):
-                report = cluster_complex._restriction_report(*corrupted, keep, lift)
-                assert (report.checked, report.failures) == (checked, failures)
-                assert report.passed == (not failures)
+            report = cluster_complex._restriction_report(*corrupted, supported)
+            assert (report.checked, report.failures) == (checked, failures)
+            assert report.passed == (not failures)
         assert failing > 10
 
     @pytest.mark.parametrize("name,m", [("A4", 1), ("D4", 1)])
@@ -607,8 +606,9 @@ class TestJson:
         seen = []
         real = cluster_complex._restriction_report
         monkeypatch.setattr(cluster_complex, "_restriction_report",
-                            lambda g, g_sub, kept:
-                            seen.append((g.oracle_tag, g_sub.oracle_tag)) or real(g, g_sub, kept))
+                            lambda g, g_sub, supported:
+                            seen.append((g.oracle_tag, g_sub.oracle_tag))
+                            or real(g, g_sub, supported))
         data = complex_to_json(a3, 2, oracle)
         assert {o for o, _ in seen} == expected and len(seen) == a3.n * len(expected)
         assert all(o == o_sub for o, o_sub in seen)
