@@ -307,41 +307,41 @@ def _parse_m(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
+_TYPE = ("--type", {"required": True, "help": "Dynkin type, e.g. A3, D4, E6"})
+_M = ("--m", {"type": _parse_m, "default": 1, "help": f"number of colours (1..{MAX_M})"})
 _OUT = ("--out", {"help": "output path (default: stdout)"})
-_PAIR = (("x", {}), ("y", {}))
+_PAIR = (_TYPE, _M, ("x", {}), ("y", {}))  # the arguments of compat and ext
 
-# One row per subcommand: help, whether it takes --m, its further
-# arguments as (name, add_argument keywords), and its handler.
+# One row per subcommand: help, its arguments as (name, add_argument
+# keywords), and its handler.  ``build_parser`` and ``_read`` both read
+# these rows, so each name, default and choice is stated here once.
 COMMANDS = {
-    "enumerate": ("enumerate facets and write the complex as JSON", True,
-                  (("--oracle", {"choices": ["combinatorial", "categorical", "both"],
-                                 "default": "combinatorial"}), _OUT), cmd_enumerate),
-    "compat": ("compatibility verdict for a pair of coloured roots", True, _PAIR, cmd_compat),
-    "ext": ("orbit Ext dimensions for a pair of coloured roots", True, _PAIR, cmd_ext),
-    "orbit": ("print the rotation orbit of a coloured root", True, (("x", {}),), cmd_orbit),
-    "export-zq": ("DOT export of the translation quiver", False,
-                  (("--window", {"default": "0:0",
-                                 "help": "coarse-degree range, e.g. --window=-1:1"}), _OUT),
-                  cmd_export_zq),
-    "verify": ("run all theorem/lemma suites for one instance", True, (), cmd_verify),
+    "enumerate": ("enumerate facets and write the complex as JSON",
+                  (_TYPE, _M, ("--oracle", {"choices": ["combinatorial", "categorical", "both"],
+                                            "default": "combinatorial"}), _OUT), cmd_enumerate),
+    "compat": ("compatibility verdict for a pair of coloured roots", _PAIR, cmd_compat),
+    "ext": ("orbit Ext dimensions for a pair of coloured roots", _PAIR, cmd_ext),
+    "orbit": ("print the rotation orbit of a coloured root", (_TYPE, _M, ("x", {})), cmd_orbit),
+    "export-zq": ("DOT export of the translation quiver",
+                  (_TYPE, ("--window", {"default": "0:0",
+                                        "help": "coarse-degree range, e.g. --window=-1:1"}),
+                   _OUT), cmd_export_zq),
+    "verify": ("run all theorem/lemma suites for one instance", (_TYPE, _M), cmd_verify),
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
     """A new parser for every subcommand, which keeps each subcommand's
     parser by name in ``commands``.  ``main`` takes its parser from
-    ``_parser``, which builds it once per process; a caller that changes a
-    parser builds its own here."""
+    ``_parser``, which builds it once per process, the first time ``_read``
+    refuses a call; a caller that changes a parser builds its own here."""
     parser = argparse.ArgumentParser(prog="mcluster", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = {}
-    for name, (help_text, takes_m, extra, fn) in COMMANDS.items():
+    for name, (help_text, arguments, fn) in COMMANDS.items():
         p = parser.commands[name] = sub.add_parser(name, help=help_text)
-        p.add_argument("--type", required=True, help="Dynkin type, e.g. A3, D4, E6")
-        if takes_m:
-            p.add_argument("--m", type=_parse_m, default=1, help=f"number of colours (1..{MAX_M})")
-        for arg, kwargs in extra:
+        for arg, kwargs in arguments:
             p.add_argument(arg, **kwargs)
         p.set_defaults(fn=fn)
     return parser
@@ -354,17 +354,58 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.lru_cache(maxsize=1)(build_parser)
 
 
+def _read(argv: List[str]) -> Optional[argparse.Namespace]:
+    """What ``build_parser().parse_args(argv)`` returns, read off
+    ``COMMANDS`` for a call that is a command, ``NAME VALUE`` for its
+    options (each at most once, the required ones given, VALUE of the
+    option's type and choices and not starting with ``-``) and its
+    positionals after an optional ``--``; None for any other call."""
+    row = COMMANDS.get(argv[0]) if argv else None
+    if row is None:
+        return None
+    options = {name: kwargs for name, kwargs in row[1] if name.startswith("-")}
+    positionals = [name for name, _ in row[1] if name not in options]
+    given, i = {}, 1
+    while (i + 1 < len(argv) and argv[i] in options and argv[i] not in given
+           and not argv[i + 1].startswith("-")):
+        given[argv[i]] = argv[i + 1]
+        i += 2
+    dashed = bool(positionals) and argv[i:i + 1] == ["--"]
+    rest = argv[i + dashed:]
+    if len(rest) != len(positionals) or any(
+            t == "--" or (not dashed and t.startswith("-")) for t in rest):
+        return None
+    args = argparse.Namespace(command=argv[0], fn=row[2], **dict(zip(positionals, rest)))
+    for name, kwargs in options.items():
+        if name in given:
+            try:
+                value = kwargs.get("type", str)(given[name])
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+            if value not in kwargs.get("choices", (value,)):
+                return None
+        elif kwargs.get("required"):
+            return None
+        else:
+            value = kwargs.get("default")
+        setattr(args, name[2:].replace("-", "_"), value)
+    return args
+
+
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one call: ``_read`` reads a well-formed one without a parser,
+    and argparse reads any other and prints every help and error text."""
     argv = sys.argv[1:] if argv is None else argv
-    parser = _parser()
-    # The named command's parser reads the rest, as the full parser would
-    # hand it on.  Anything else, and a call that leaves arguments over,
-    # goes to the full parser, which prints argparse's own texts.
-    sub = parser.commands.get(argv[0]) if argv else None
-    args, extra = (sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-                   if sub else (None, True))
-    if extra:
-        args = parser.parse_args(argv)
+    args = _read(argv)
+    if args is None:
+        # The named command's parser reads the rest, as the full parser would
+        # hand it on; anything else, and arguments left over, go to the full one.
+        parser = _parser()
+        sub = parser.commands.get(argv[0]) if argv else None
+        args, extra = (sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+                       if sub else (None, True))
+        if extra:
+            args = parser.parse_args(argv)
     if not 1 <= getattr(args, "m", 1) <= MAX_M:
         print(f"error: m must be in 1..{MAX_M}", file=sys.stderr)
         return 2

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import List, NamedTuple, Optional, Tuple
 
-from .root_system import Root, RootSystem
+from .root_system import Root, RootSystem, root_text
 
 
 class ColouredRoot(NamedTuple):
@@ -23,8 +23,7 @@ class ColouredRoot(NamedTuple):
     colour: int = 1
 
     def __str__(self) -> str:
-        coeffs = ",".join(str(c) for c in self.root)
-        return f"({coeffs})^{self.colour}"
+        return f"({root_text(self.root)})^{self.colour}"
 
 
 def _check_almost_positive(rs: RootSystem, beta: Root) -> None:

@@ -21,7 +21,7 @@ from itertools import chain, count, repeat, takewhile
 from operator import mul
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
-from .root_system import Root, RootSystem
+from .root_system import Root, RootSystem, root_text
 
 # The ``memoryview`` format of an unsigned lane of each width in bytes, in
 # the order ``_lane_width`` tries them.
@@ -33,8 +33,7 @@ class DerivedObject(NamedTuple):
     shift: int
 
     def __str__(self) -> str:
-        coeffs = ",".join(str(c) for c in self.beta)
-        return f"V({coeffs})[{self.shift}]"
+        return f"V({root_text(self.beta)})[{self.shift}]"
 
 
 def shift(x: DerivedObject, k: int) -> DerivedObject:

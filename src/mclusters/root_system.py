@@ -80,6 +80,16 @@ def parse_type(text: str) -> DynkinType:
     return DynkinType(text[0].upper(), rank)
 
 
+# Every root of any system the CLI accepts: D32 has 992 + 32 almost positive.
+ROOT_TEXT_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=ROOT_TEXT_CACHE_SIZE)
+def root_text(beta: Root) -> str:
+    """The coefficients of ``beta`` joined by commas, as labels print them."""
+    return ",".join(map(str, beta))
+
+
 class _Diagram(NamedTuple):
     """The root data of a diagram, which depend on nothing else: the
     Cartan rows, the neighbour lists, the components (in order of their
@@ -146,6 +156,22 @@ def _diagram(n: int, edges: Tuple[Tuple[int, int], ...]) -> _Diagram:
                     frozenset(tuple(-c for c in b) for b in positive_roots[:n]))
 
 
+@lru_cache(maxsize=DIAGRAM_CACHE_SIZE)
+def _orientation(n: int, edges: Tuple[Tuple[int, int], ...], plus: FrozenSet[int]) -> Tuple:
+    """The minus part, each part in vertex order and the arrows, from the
+    plus part to the minus part, of the bipartition of the diagram whose
+    plus part is ``plus``.  A ``plus`` that is no bipartition raises
+    ``ValueError``, which the cache does not keep, so each call raises."""
+    minus = frozenset(range(n)) - plus
+    if plus | minus != frozenset(range(n)):
+        raise ValueError("bipartition does not cover the vertex set")
+    for i, j in edges:
+        if (i in plus) == (j in plus):
+            raise ValueError(f"edge {{{i},{j}}} joins two vertices of the same part")
+    return (minus, tuple(sorted(plus)), tuple(sorted(minus)),
+            tuple((i, j) if i in plus else (j, i) for i, j in edges))
+
+
 def _closure(cartan: Tuple[Tuple[int, ...], ...],
              neighbours: Tuple[Tuple[int, ...], ...]) -> Tuple[Root, ...]:
     """Breadth-first closure of the simple roots under the simple
@@ -184,9 +210,10 @@ class RootSystem:
     The root data (Cartan rows, neighbours, components, positive roots,
     Coxeter numbers) depend on the diagram alone and are shared by every
     system on the same diagram, from a cache of at most
-    ``DIAGRAM_CACHE_SIZE`` diagrams.  The type, the bipartition and the
-    arrows are the caller's and belong to the instance, which hashes by
-    identity.  Everything built from a system, such as its categories,
+    ``DIAGRAM_CACHE_SIZE`` diagrams.  The type and the bipartition are the
+    caller's and belong to the instance, which hashes by identity; the
+    parts and arrows of a bipartition come from a cache of the same size.
+    Everything built from a system, such as its categories,
     Hom table, shift and rotation tables, is kept in its own
     ``memo`` by ``cached``, so it is freed together with the system.
     """
@@ -203,14 +230,8 @@ class RootSystem:
         self.positive_roots, self._positive_set = d.positive_roots, d.positive_set
         self.coxeter_numbers, self._negative_simples = d.coxeter_numbers, d.negative_simples
         self.I_plus = d.plus if I_plus is None else frozenset(I_plus)
-        self.I_minus = frozenset(range(n)) - self.I_plus
-        self._check_bipartition()
-        # Each part of the bipartition in vertex order, and the arrows of
-        # the bipartite orientation, from the plus part to the minus part.
-        self.plus_order: Tuple[int, ...] = tuple(sorted(self.I_plus))
-        self.minus_order: Tuple[int, ...] = tuple(sorted(self.I_minus))
-        self.arrows: Tuple[Tuple[int, int], ...] = tuple(
-            (i, j) if i in self.I_plus else (j, i) for i, j in self.edges)
+        self.I_minus, self.plus_order, self.minus_order, self.arrows = _orientation(
+            n, self.edges, self.I_plus)
 
     def cached(self, key: object, build: Callable[[], Any]) -> Any:
         """``memo[key]``, from ``build()`` on first use."""
@@ -228,13 +249,6 @@ class RootSystem:
     @property
     def irreducible(self) -> bool:
         return len(self.components) == 1
-
-    def _check_bipartition(self) -> None:
-        if self.I_plus | self.I_minus != frozenset(range(self.n)):
-            raise ValueError("bipartition does not cover the vertex set")
-        for i, j in self.edges:
-            if (i in self.I_plus) == (j in self.I_plus):
-                raise ValueError(f"edge {{{i},{j}}} joins two vertices of the same part")
 
     def simple_root(self, i: int) -> Root:
         return tuple(1 if j == i else 0 for j in range(self.n))

@@ -11,7 +11,8 @@ set -eo pipefail
 MCLUSTER=${MCLUSTER:-mcluster}
 python -c "import sys, mclusters.cli; loaded = {'dataclasses', 'mclusters.quiver_rep'} & set(sys.modules); assert not loaded, loaded"
 python -c "import mclusters.cli as cli, mclusters.root_system as r; built = cli._parser.cache_info().currsize, r._diagram.cache_info().currsize; assert built == (0, 0), f'{built} parsers and diagrams built at import'"
-python -c "import mclusters.cli as cli, mclusters.root_system as r; codes = [cli.main([c, '--type', t, '--', '-e1', '-e2']) for c, t in zip(('compat', 'ext') * 5, ('A6', 'D6', 'E6', 'E7', 'E8') * 2)]; built = r._diagram.cache_info().currsize, cli._parser.cache_info().currsize; assert codes == [0] * 10 and built == (5, 1), (codes, built)" > /dev/null
+python -c "import mclusters.cli as cli, mclusters.root_system as r; codes = [cli.main([c, '--type', t, '--', '-e1', '-e2']) for c, t in zip(('compat', 'ext') * 5, ('A6', 'D6', 'E6', 'E7', 'E8') * 2)]; built = r._diagram.cache_info().currsize, cli._parser.cache_info().currsize; assert codes == [0] * 10 and built == (5, 0), (codes, built)" > /dev/null
+python -c "import mclusters.cli as cli; steps = [(cli.main(argv), cli._parser.cache_info().currsize) for argv in (['compat', '--type', 'A6', '--', '-e1', '-e2'], ['compat', '--m=2', '--type', 'A6', '--', '-e1', '-e2'], ['ext', '--type', 'E6', '--', '-e1', '-e2'])]; misses = cli._parser.cache_info().misses; assert steps == [(0, 0), (0, 1), (0, 1)] and misses == 1, (steps, misses)" > /dev/null
 python -c "from mclusters import build_root_system, parse_type, derived_category; d = derived_category(build_root_system(parse_type('D32'))); roots = d.rs.positive_roots; assert len(roots) ** 2 == 984064 and d.euler_rows()[1][0].itemsize == 1 and d.euler_matrix() == [[d._euler(g, e) for e in roots] for g in roots]"
 $MCLUSTER verify --type D4 --m 2
 $MCLUSTER verify --type E7 --m 2

@@ -338,10 +338,10 @@ class TestPerCallWork:
     """A call builds only what its command reads."""
 
     def test_one_parser_per_process(self, capsys, monkeypatch):
-        """From an empty parser memo: the first ``compat`` call builds every
-        subparser, in ``COMMANDS`` order, later ``ext``, ``orbit`` and
-        ``compat`` calls build none, and ``build_parser()`` builds all of
-        them anew."""
+        """From an empty parser memo: well-formed calls build no subparser;
+        the first call that ``_read`` refuses builds every subparser, in
+        ``COMMANDS`` order, later calls of either kind build none, and
+        ``build_parser()`` builds all of them anew."""
         added = []
         real = argparse._SubParsersAction.add_parser
 
@@ -351,10 +351,15 @@ class TestPerCallWork:
 
         monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
         monkeypatch.setattr(cli, "_parser", functools.lru_cache(maxsize=1)(cli.build_parser))
-        assert run(capsys, "compat", "--type", "A2", "--", "-e1", "-e2")[0] == 0
+        for argv in (["compat", "--type", "A2", "--", "-e1", "-e2"],
+                     ["ext", "--type", "A2", "--m", "2", "--", "-e1", "-e2"],
+                     ["orbit", "--type", "A2", "--", "-e1"]):
+            assert run(capsys, *argv)[0] == 0
+        assert added == [] and cli._parser.cache_info().currsize == 0
+        assert run(capsys, "compat", "--m=2", "--type", "A2", "--", "-e1", "-e2")[0] == 0
         assert added == list(cli.COMMANDS)
         for argv in (["ext", "--type", "A2", "--", "-e1", "-e2"],
-                     ["orbit", "--type", "A2", "--", "-e1"],
+                     ["ext", "--m=2", "--type", "A2", "--", "-e1", "-e2"],
                      ["compat", "--type", "A3", "--m", "2", "--", "-e1", "-e2"]):
             assert run(capsys, *argv)[0] == 0
         assert added == list(cli.COMMANDS)
@@ -363,9 +368,10 @@ class TestPerCallWork:
         assert added == list(cli.COMMANDS) * 2
 
     def test_command_parser_alone(self, capsys, monkeypatch):
-        """A valid ``compat`` or ``ext`` call is read by its command's parser
-        alone, and never by the full parser's ``parse_known_args``, which
-        ``parse_args`` calls too; a call with an argument left over is."""
+        """A valid ``compat`` or ``ext`` call is read by ``_read`` or, as
+        ``--m=2`` is, by its command's parser alone, and never by the full
+        parser's ``parse_known_args``, which ``parse_args`` calls too; a call
+        with an argument left over is."""
         monkeypatch.setattr(cli, "_parser", functools.lru_cache(maxsize=1)(cli.build_parser))
 
         def refuse(*args, **kwargs):

@@ -1,12 +1,17 @@
 """The command line's surface: exit code, stdout and stderr of ``main`` on
-help requests and usage errors, at 80 columns.  ``main`` builds one parser
-per process, on first use, and parses every call with it or with one of
-its subcommands' parsers; a parser that earlier calls have used must print
-what a new one prints.  They were
-captured under Python 3.11; later argparse releases word some of these
-messages differently."""
+help requests and usage errors, at 80 columns.  ``main`` reads a
+well-formed call off the ``COMMANDS`` table with ``_read``, which must
+return what argparse returns, and hands every other call to argparse: one
+parser per process, built on the first such call, or one of its
+subcommands' parsers.  A parser that earlier calls have used must print
+what a new one prints.  The texts were captured under Python 3.11; later
+argparse releases word some of these messages differently."""
 
+import contextlib
+import importlib.util
+import io
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -320,3 +325,90 @@ def test_call_after_usage_error(capsys, error):
                            capture_output=True, text=True)
     assert (rc, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
     assert rc == 0 and captured.out
+
+
+# Tokens that argparse reads in ways ``_read`` must refuse or match:
+# abbreviations, ``=`` forms, negative numbers, the empty string, dashes,
+# every option name, and values of each kind.
+OPTIONS = sorted({name for _, arguments, _ in cli.COMMANDS.values()
+                  for name, _ in arguments if name.startswith("-")})
+VOCABULARY = ["--", "-h", "--ty", "--type=E7", "--m=2", "-1", "", "-e1", "1,0:2", *OPTIONS,
+              "A2", "E7", "D4", "2", "0", "1001", "x", "both", "categorical", "0:0", "-1:1",
+              "o.json", "compat", "-", "--help"]
+VALUES = ["A2", "E7", "0:0", "o.json", "2", "0", "x", "both", "-1", "", "-e1", "--m"]
+
+
+def _draw(rng, command):
+    """An argv for ``command``: often a well-formed shape, with its options
+    in a random order and values mostly of their kind, perhaps an option
+    twice, a ``--`` where the command has no positionals, or one token
+    more; otherwise random tokens."""
+    if rng.random() < 0.2:
+        return [command, *rng.choices(VOCABULARY, k=rng.randrange(7))]
+    arguments = cli.COMMANDS[command][1]
+    options = [(name, kwargs) for name, kwargs in arguments if name.startswith("-")]
+    positionals = [name for name, _ in arguments if not name.startswith("-")]
+    argv = [command]
+    required, *others = options  # --type comes first in each row
+    chosen = rng.sample(others, rng.randrange(len(others) + 1))
+    if rng.random() < 0.9:
+        chosen.insert(rng.randrange(len(chosen) + 1), required)
+    if chosen and rng.random() < 0.2:
+        chosen.append(rng.choice(chosen))
+    for name, kwargs in chosen:
+        if rng.random() < 0.2:
+            value = rng.choice(VALUES)
+        elif "choices" in kwargs:
+            value = rng.choice(kwargs["choices"])
+        else:
+            value = str(rng.randrange(4)) if "type" in kwargs else rng.choice(VALUES[:4])
+        argv += [name, value]
+    if rng.random() < (0.7 if positionals else 0.1):
+        argv.append("--")
+    argv += [rng.choice(["-e1", "1,0:2", "1,1", "x", "", "-e2", "--"])
+             for _ in range(len(positionals))]
+    if rng.random() < 0.2:
+        argv.insert(rng.randrange(1, len(argv) + 1), rng.choice(VOCABULARY))
+    return argv
+
+
+def _parse(parser, argv):
+    """``vars()`` of the full parser's Namespace, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_read_matches_argparse(command):
+    """Wherever ``_read`` accepts an argv, the full parser returns the same
+    Namespace, so it never accepts one that argparse refuses."""
+    rng = random.Random(f"read {command}")
+    parser = build_parser()
+    accepted = 0
+    for _ in range(400):
+        argv = _draw(rng, command)
+        args = cli._read(argv)
+        if args is not None:
+            accepted += 1
+            assert vars(args) == _parse(parser, argv), argv
+    assert accepted >= 80, accepted  # a fifth of the draws
+
+
+def test_read_takes_the_query_stream(monkeypatch):
+    """Every call of the benchmark's query stream is read without argparse,
+    into the Namespace that argparse returns."""
+    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    spec = importlib.util.spec_from_file_location("perfbench_run", bench / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, run)  # dataclasses look the module up
+    spec.loader.exec_module(run)
+    parser = build_parser()
+    stream = run.make_stream(mclusters, 1, run.Config())
+    assert {tuple(argv[:2]) for argv in stream} == {("compat", "--type"), ("ext", "--type")}
+    for argv in stream:
+        args = cli._read(argv)
+        assert args is not None and vars(args) == _parse(parser, argv), argv

@@ -7,7 +7,10 @@ import pytest
 from conftest import ALL_SYSTEMS, system
 from mclusters import (DynkinType, build_root_system, derived_category, mcluster_category,
                        parabolic, parse_type)
-from mclusters.root_system import DIAGRAM_CACHE_SIZE, _diagram
+from mclusters.coloured_roots import ColouredRoot
+from mclusters.derived import DerivedObject
+from mclusters.root_system import (DIAGRAM_CACHE_SIZE, ROOT_TEXT_CACHE_SIZE, RootSystem, _diagram,
+                                   _orientation, root_text)
 
 
 def test_a1_trivial():
@@ -285,6 +288,31 @@ class TestDiagramCache:
         assert (sub.arrows, a2.arrows) == (((1, 0),), ((0, 1),))
         assert sub.memo is not a2.memo
 
+    def test_one_orientation_per_bipartition(self):
+        # Systems on one diagram with one bipartition share its parts and
+        # arrows; another bipartition of the diagram gets its own.
+        _orientation.cache_clear()
+        e7, again = system("E7"), system("E7")
+        assert (e7.I_minus, e7.plus_order, e7.arrows) == (again.I_minus, again.plus_order,
+                                                          again.arrows)
+        assert e7.arrows is again.arrows and e7.minus_order is again.minus_order
+        flipped = RootSystem(7, e7.edges, I_plus=e7.I_minus)
+        assert flipped.arrows == tuple((j, i) for i, j in e7.arrows)
+        info = _orientation.cache_info()
+        assert (info.currsize, info.maxsize) == (2, DIAGRAM_CACHE_SIZE)
+
+    def test_bad_bipartition_raises_on_every_call(self):
+        # The cache keeps no failed bipartition: each call checks it again.
+        _orientation.cache_clear()
+        for _ in range(3):
+            with pytest.raises(ValueError, match=r"^edge \{0,1\} joins two vertices of the same part$"):
+                RootSystem(3, [(0, 1), (1, 2)], I_plus=[0, 1])
+            with pytest.raises(ValueError, match="^bipartition does not cover the vertex set$"):
+                RootSystem(2, [(0, 1)], I_plus=[0, 5])
+        assert _orientation.cache_info().currsize == 0
+        assert RootSystem(3, [(0, 1), (1, 2)], I_plus=[0, 2]).arrows == ((0, 1), (2, 1))
+        assert _orientation.cache_info().currsize == 1
+
     def test_holds_no_system(self):
         # An entry is integers in tuples and sets only, and every system and
         # category on a cached diagram is freed with the system.
@@ -298,6 +326,8 @@ class TestDiagramCache:
         assert not any(ref() for ref in alive)
         assert system("A3").positive_roots is roots
         assert all(type(v) is int for v in leaves(_diagram(3, ((0, 1), (1, 2)))))
+        assert all(type(v) is int for v in leaves(_orientation(3, ((0, 1), (1, 2)),
+                                                               frozenset({0, 2}))))
 
     def test_bounded(self):
         # The parabolic subsystems of A9 give more diagrams than the bound;
@@ -316,3 +346,14 @@ class TestDiagramCache:
         rs = parabolic(a9, keeps[0])
         assert _diagram.cache_info().misses == info.misses + 1
         assert rs.positive_roots == cartan_closure(rs)
+
+
+def test_root_text_holds_every_root_of_d32():
+    """Labels take a root's text from a bounded cache, which holds every
+    root of the largest system the CLI accepts."""
+    d32 = system("D32")
+    assert root_text.cache_info().maxsize == ROOT_TEXT_CACHE_SIZE
+    assert len(d32.positive_roots) + d32.n <= ROOT_TEXT_CACHE_SIZE
+    assert str(DerivedObject((1, -2, 10), -3)) == "V(1,-2,10)[-3]"
+    assert str(ColouredRoot((0, -1), 2)) == "(0,-1)^2"
+    assert root_text(()) == ""
