@@ -51,6 +51,8 @@ class UsageError(ValueError):
 
 
 def parse_coloured_root(rs: RootSystem, m: int, text: str) -> ColouredRoot:
+    if not isinstance(text, str):  # argparse reads ``-- X --`` as Y = []
+        raise UsageError("cannot parse coloured root '--'")
     try:
         root_text, sep, colour_text = text.strip().partition(":")
         colour = parse_int(colour_text) if sep else 1
@@ -131,13 +133,13 @@ def _output(out: Optional[str]) -> Iterator[TextIO]:
     the command has written it all: a command that fails before that
     leaves the file as it was, while ``enumerate`` whose oracles disagree
     or whose theorems fail writes its JSON, the evidence, and then exits 1.
-    A device or pipe, such as /dev/null, is written in place."""
-    if not out:
+    A device or pipe, such as /dev/null, or the empty path is opened."""
+    if out is None:
         yield sys.stdout
         return
     tmp = None
     try:
-        if os.path.exists(out) and not os.path.isfile(out):
+        if not out or os.path.exists(out) and not os.path.isfile(out):
             fh = open(out, "w")
         else:
             target = os.path.realpath(out)
@@ -331,16 +333,15 @@ COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """A new parser for every subcommand, which keeps each subcommand's
-    parser by name in ``commands``.  ``main`` takes its parser from
-    ``_parser``, which builds it once per process, the first time ``_read``
-    refuses a call; a caller that changes a parser builds its own here."""
+    """A new parser with a subparser for every row of ``COMMANDS``.
+    ``main`` takes its parser from ``_parser``, which builds it once per
+    process, the first time ``_read`` refuses a call; a caller that changes
+    a parser builds its own here."""
     parser = argparse.ArgumentParser(prog="mcluster", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.commands = {}
     for name, (help_text, arguments, fn) in COMMANDS.items():
-        p = parser.commands[name] = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text)
         for arg, kwargs in arguments:
             p.add_argument(arg, **kwargs)
         p.set_defaults(fn=fn)
@@ -394,18 +395,11 @@ def _read(argv: List[str]) -> Optional[argparse.Namespace]:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Run one call: ``_read`` reads a well-formed one without a parser,
-    and argparse reads any other and prints every help and error text."""
+    and ``_parser()`` reads any other and prints every help and error text."""
     argv = sys.argv[1:] if argv is None else argv
     args = _read(argv)
     if args is None:
-        # The named command's parser reads the rest, as the full parser would
-        # hand it on; anything else, and arguments left over, go to the full one.
-        parser = _parser()
-        sub = parser.commands.get(argv[0]) if argv else None
-        args, extra = (sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-                       if sub else (None, True))
-        if extra:
-            args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     if not 1 <= getattr(args, "m", 1) <= MAX_M:
         print(f"error: m must be in 1..{MAX_M}", file=sys.stderr)
         return 2

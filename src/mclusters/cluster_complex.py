@@ -81,13 +81,17 @@ class FaceWalk:
 
 class Report:
     """The verdict of one check: ``checked`` cases, ``failures`` the ones
-    that failed, and ``premise``, when set, a failed premise of the check."""
+    that failed, and ``premise``, when set, a failed premise of the check.
+    It passes exactly when neither is set."""
 
-    def __init__(self, passed: bool, checked: int, failures: List, premise: Optional[str] = None):
-        self.passed = passed
+    def __init__(self, checked: int, failures: List, premise: Optional[str] = None):
         self.checked = checked
         self.failures = failures
         self.premise = premise
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures and self.premise is None
 
 
 def _moved(row: int, perm: Sequence[int], fast: int, by: int) -> int:
@@ -181,31 +185,40 @@ def _orbits(g: CompatibilityGraph) -> Optional[List[Tuple[int, int]]]:
 
 def walk_faces(g: CompatibilityGraph, facets: Optional[List[Tuple[int, ...]]] = None,
                orbits: Optional[List[Tuple[int, int]]] = None) -> FaceWalk:
-    """A depth-first walk over the faces (cliques) of ``g``, in increasing
-    node order on the neighbour bitsets.  Each face carries ``above``, its
-    candidates above its largest node, and ``common``, every node
+    """The counts of the faces (cliques) of ``g``.  With ``facets`` given,
+    or when ``g.rotation`` is not an automorphism of ``g`` (see
+    ``_orbits``), ``_walk`` covers every node and appends each facet to
+    ``facets``, if given.  Otherwise it walks the link of one node r per
+    orbit O of the rotation, the clique complex on r's neighbours one rank
+    lower; the rotation maps it onto the link of each node of O, so
+    ``_from_links`` weights it by |O|.  A caller that has already read
+    ``_orbits(g)``, not None, passes it as ``orbits`` for a walk without a
+    facet list, and it is not read again."""
+    neighbours = [row & ~(1 << v) for v, row in enumerate(g.adjacency)]
+    if orbits is None and facets is None and neighbours:
+        orbits = _orbits(g)
+    if orbits is None:
+        return _walk(neighbours, g.rs.n, (1 << len(neighbours)) - 1, facets)
+    return _from_links([(weight, _walk(neighbours, g.rs.n - 1, neighbours[r]))
+                        for r, weight in orbits], g.rs.n)
+
+
+def _walk(neighbours: List[int], rank: int, top: int,
+          facets: Optional[List[Tuple[int, ...]]] = None) -> FaceWalk:
+    """A depth-first walk, in increasing node order, over the faces of the
+    clique complex of ``rank`` on the nodes of ``top``, each node's
+    ``neighbours`` a bitset without itself.  Each face carries ``above``,
+    its candidates above its largest node, and ``common``, every candidate
     compatible with the whole face; a face is a facet exactly when
     ``common`` is 0.  A face is settled in its parent's loop: its ridge
     count, and whether it is a facet, are read there, and the walk calls
-    into it only when it has candidates above.
-
-    With ``facets`` given, or when ``g.rotation`` is not an automorphism of
-    ``g`` (see ``_orbits``), the walk covers every face, the empty face
-    settled before it, and appends each facet to ``facets``, if given, as a
-    tuple of node ids, in lexicographic order.  Otherwise it walks the link
-    of one node r per orbit O of the rotation: the face {r}, settled first,
-    with every neighbour of r a candidate.  The rotation maps the link of r
-    onto that of each node of O, so by double counting k*f_k is the sum of
-    |O| times the k-faces through r, the facets of each size are counted
-    alike, and (rank - 1) times the ridges with c compatible nodes is the
-    sum of |O| times those through r.  Rank 1 has the empty ridge only.
-    A caller that has already read ``_orbits(g)``, not None, passes it as
-    ``orbits`` for a walk without a facet list, and it is not read again."""
-    neighbours = [row & ~(1 << v) for v, row in enumerate(g.adjacency)]
-    size, rank = len(g.nodes), g.rs.n
+    into it only when it has candidates above.  The empty face is settled
+    first: the ridge in rank 1, a facet when ``top`` is 0.  Each facet is
+    appended to ``facets``, if given, as a tuple of node ids, in
+    lexicographic order."""
     fv = [1]
-    sizes = [0] * (size + 1)
-    ridges = [0] * (size + 1)
+    sizes = [0] * (len(neighbours) + 1)
+    ridges = [0] * (len(neighbours) + 1)
     face: List[int] = []
 
     def visit(above: int, common: int, depth: int) -> None:
@@ -231,48 +244,27 @@ def walk_faces(g: CompatibilityGraph, facets: Optional[List[Tuple[int, ...]]] = 
                 visit(higher, inner, depth + 1)
                 face.pop()
 
-    if orbits is None and facets is None and size:
-        orbits = _orbits(g)
-    if orbits is None:
-        if rank == 1:
-            ridges[size] += 1
-        if not size:
-            sizes[0] += 1
-            if facets is not None:
-                facets.append(())
-        else:
-            everything = (1 << size) - 1
-            visit(everything, everything, 1)
-        return FaceWalk(fv, {k: c for k, c in enumerate(sizes) if c},
-                        {k: c for k, c in enumerate(ridges) if c})
-
-    def link(r: int) -> FaceWalk:
-        # The faces through r, each counted at its size less one.
-        fv[:] = [1, 1]
-        sizes[:] = ridges[:] = [0] * (size + 1)
-        near = neighbours[r]
-        if rank == 2:
-            ridges[near.bit_count()] += 1
-        if near:
-            visit(near, near, 2)
-        else:
-            sizes[1] += 1
-        return FaceWalk(fv[1:], {k - 1: c for k, c in enumerate(sizes) if c},
-                        {k: c for k, c in enumerate(ridges) if c})
-
-    return _from_links([(weight, link(r)) for r, weight in orbits], rank, size)
+    if rank == 1:
+        ridges[top.bit_count()] += 1
+    if top:
+        visit(top, top, 1)
+    else:
+        sizes[0] += 1
+        if facets is not None:
+            facets.append(())
+    return FaceWalk(fv, {k: c for k, c in enumerate(sizes) if c},
+                    {k: c for k, c in enumerate(ridges) if c})
 
 
-def _from_links(links: Sequence[Tuple[int, FaceWalk]], rank: int, size: int) -> FaceWalk:
-    """The counts of a graph of ``rank`` on ``size`` nodes, from the links
-    of its nodes: each ``(weight, walk)`` stands for ``weight`` nodes whose
-    links have ``walk``'s counts, and every node is in exactly one.  A
-    k-face, less one of its k nodes, is a (k-1)-face of that node's link,
-    a facet of the link exactly when the k-face is a facet, and a ridge
-    with c compatible nodes is a ridge with c compatible nodes of each of
-    its rank - 1 nodes' links, so by double counting each weighted total
-    divides by its face size.  Rank 1 has the empty ridge only, which lies
-    in no link."""
+def _from_links(links: Sequence[Tuple[int, FaceWalk]], rank: int) -> FaceWalk:
+    """The counts of a graph of ``rank`` from the links of its nodes: each
+    ``(weight, walk)`` stands for ``weight`` nodes whose links have
+    ``walk``'s counts, and every node is in exactly one.  A k-face, less
+    one of its k nodes, is a (k-1)-face of that node's link, a facet of the
+    link exactly when the k-face is a facet, and a ridge with c compatible
+    nodes is one of each of its rank - 1 nodes' links, so by double
+    counting each weighted total divides by its face size.  Rank 1 has the
+    empty ridge only, in no link; the weights count its compatible nodes."""
     fv, sizes, ridges = [1], Counter(), Counter()
     for weight, walk in links:
         fv.extend([0] * (len(walk.f_vector) + 1 - len(fv)))
@@ -285,7 +277,7 @@ def _from_links(links: Sequence[Tuple[int, FaceWalk]], rank: int, size: int) -> 
     return FaceWalk([1] + [_share(c, k) for k, c in enumerate(fv) if k],
                     {k: _share(c, k) for k, c in sorted(sizes.items())},
                     {c: _share(t, rank - 1) for c, t in sorted(ridges.items())}
-                    if rank > 1 else {size: 1})
+                    if rank > 1 else {sum(weight for weight, _ in links): 1})
 
 
 def _share(total: int, members: int) -> int:
@@ -307,7 +299,7 @@ def enumerate_facets(g: CompatibilityGraph) -> List[TiltingSet]:
 
 def verify_facet_sizes(facets: Sequence[TiltingSet], n: int) -> Report:
     failures = [f for f in facets if len(f.indices) != n]
-    return Report(not failures, len(facets), failures)
+    return Report(len(facets), failures)
 
 
 def complements(g: CompatibilityGraph, t: Sequence[int]) -> List[int]:
@@ -349,7 +341,7 @@ def verify_complement_counts(g: CompatibilityGraph, facets: Sequence[TiltingSet]
     reported as ``(ridge, count)``; ``checked`` is the number of ridges."""
     counts = ridge_counts(facets)
     failures = [(t, c) for t, c in counts.items() if c != g.m + 1]
-    return Report(not failures, len(counts), failures)
+    return Report(len(counts), failures)
 
 
 def f_vector(g: CompatibilityGraph) -> List[int]:
@@ -393,7 +385,7 @@ def _restriction_report(g: CompatibilityGraph, g_sub: CompatibilityGraph,
             if full != restricted:
                 failures.append((g.nodes[fx], g.nodes[fy], full, restricted))
     checked = len(supported) * (len(supported) + 1) // 2
-    return Report(not failures, checked, failures)
+    return Report(checked, failures)
 
 
 def _lift(g: CompatibilityGraph, g_sub: CompatibilityGraph,
@@ -431,8 +423,7 @@ def verify_vertex_deletions(graphs: Sequence[CompatibilityGraph]) -> List[Report
     for keep, sub in _deletions(graphs[0].rs):
         reps = [_restriction_report(h, h_sub, _lift(h, h_sub, keep))
                 for h in graphs for h_sub in [build_graph(sub, h.m, h.oracle_tag)]]
-        reports.append(Report(all(r.passed for r in reps), reps[0].checked,
-                              [f for r in reps for f in r.failures]))
+        reports.append(Report(reps[0].checked, [f for r in reps for f in r.failures]))
     return reports
 
 
@@ -524,9 +515,9 @@ def verify_vertex_deletions_on_rows(
             links = None
         failed = failed_premises(g_sub, orbits is not None, degree=False)
         if failed:
-            report.passed, report.premise = False, failed[0]
+            report.premise = failed[0]
         reports.append(report)
-    return reports, _from_links(links, g.rs.n, len(g.nodes)) if links else None
+    return reports, _from_links(links, g.rs.n) if links else None
 
 
 def complex_to_json(rs: RootSystem, m: int, oracle: str,

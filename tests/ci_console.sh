@@ -34,6 +34,7 @@ grep -qx "mcluster: error: unrecognized arguments: extra" err.txt
 status=0
 $MCLUSTER compat --type A2 -- 1,1:x -e1 || status=$?
 test "$status" -eq 2
+status=0; $MCLUSTER compat --type A2 -- 1,1 -- 2>err.txt || status=$?; test "$status: $(cat err.txt)" = "2: error: cannot parse coloured root '--'"
 status=0
 $MCLUSTER enumerate --type E6 --m 2 2>err.txt | head -c 100 >/dev/null || status=$?
 test "$status" -eq 1

@@ -2,10 +2,10 @@
 help requests and usage errors, at 80 columns.  ``main`` reads a
 well-formed call off the ``COMMANDS`` table with ``_read``, which must
 return what argparse returns, and hands every other call to argparse: one
-parser per process, built on the first such call, or one of its
-subcommands' parsers.  A parser that earlier calls have used must print
-what a new one prints.  The texts were captured under Python 3.11; later
-argparse releases word some of these messages differently."""
+parser per process, built on the first such call.  A parser that earlier
+calls have used must print what a new one prints.  The texts were captured
+under Python 3.11; later argparse releases word some of these messages
+differently."""
 
 import contextlib
 import importlib.util
@@ -147,8 +147,8 @@ mcluster: error: argument command: invalid choice: 'bogus' (choose from 'enumera
 usage: mcluster [-h] {enumerate,compat,ext,orbit,export-zq,verify} ...
 mcluster: error: argument command: invalid choice: 'A3' (choose from 'enumerate', 'compat', 'ext', 'orbit', 'export-zq', 'verify')
 """),
-    # main hands a call to its command's parser only when the command comes
-    # first and nothing is left over; the full parser reads the rest.
+    # The full parser prints its own usage, not a command's, when the command
+    # does not come first or an argument is left over.
     (["--type", "A2", "compat", "--", "-e1", "-e2"], 2,
      "",
      """\
@@ -245,6 +245,13 @@ mcluster compat: error: argument --m: invalid int value: 'x'
     (["export-zq", "--type", "A2", "--window=+0:1_0"], 2,
      "",
      "error: cannot parse window '+0:1_0'; expected LO:HI\n"),
+    # A second ``--`` is read as y, which argparse hands on as [].
+    (["compat", "--type", "A2", "--", "1,1", "--"], 2,
+     "",
+     "error: cannot parse coloured root '--'\n"),
+    (["ext", "--type", "A2", "--", "1,1", "--"], 2,
+     "",
+     "error: cannot parse coloured root '--'\n"),
 ]
 
 
