@@ -1,12 +1,14 @@
-"""Compatibility graph, face walk, and theorem checks.
+"""Compatibility graph, face walks, and theorem checks.
 
 One depth-first walk over the faces of the graph's ``int`` row per node
-gives the facets in lexicographic order, the f-vector, and the counts that
-theorems 2 (facet sizes) and 3 (complement counts) are read off; all
-orderings are fixed so that serialized output is byte-stable.  Where no
-facet list is asked for and the graph carries its oracle's rotation as an
-automorphism, the walk covers one node's link per orbit and weights it by
-the orbit's size.  The facet-list checks and ``complements`` are the
+(``face_walk``) gives the facets in lexicographic order, the f-vector, and
+the counts that theorems 2 (facet sizes) and 3 (complement counts) are
+read off; all orderings are fixed so that serialized output is
+byte-stable.  A walk of every face of a large graph runs on two processes,
+with the same result.  Where no facet list is asked for and the graph
+carries its oracle's rotation as an automorphism, the walk covers one
+node's link per orbit and weights it by the orbit's size.  The facet-list
+checks and ``complements`` are the
 references that the tests compare the walk with.  ``failed_premises``
 names the premises, each one linear pass, under which the combinatorial
 graph is the categorical one, on a system and on each of its vertex
@@ -18,11 +20,11 @@ the system's graph from one walk of each, and walks no face of it.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .coloured_roots import (ColouredRoot, RotationTable, coloured_ground_set,
                              coloured_to_json, rotation_table)
+from .face_walk import FaceWalk, _can_split, _from_links, _split_walk, _walk
 from .orbit_category import MClusterCategory, mcluster_category
 from .root_system import RootSystem, parabolic
 
@@ -50,33 +52,6 @@ class CompatibilityGraph:
 
 class TiltingSet(NamedTuple):
     indices: Tuple[int, ...]
-
-
-class FaceWalk:
-    """What ``walk_faces`` counts: faces of each size (the f-vector),
-    facets of each size, and a histogram of the number of nodes compatible
-    with each face one smaller than the rank (a ridge; the empty face in
-    rank 1).  The counts are exact whichever way they were produced: a walk
-    of every face, one link walk per orbit of the graph's rotation, or, in
-    ``verify_vertex_deletions_on_rows``, the walks of the vertex deletions'
-    graphs, which are the links of the negative simples."""
-
-    def __init__(self, f_vector: List[int], facet_sizes: Dict[int, int],
-                 ridges: Dict[int, int]):
-        self.f_vector = f_vector
-        self.facet_sizes = facet_sizes
-        self.ridges = ridges
-
-    def theorem2(self, rank: int) -> bool:
-        """Every facet has ``rank`` elements.  The facet sizes alone settle
-        it: a face that extends to a larger clique lies in a larger facet,
-        whose size the walk counts."""
-        return set(self.facet_sizes) == {rank}
-
-    def theorem3(self, m: int) -> bool:
-        """Every ridge lies in exactly m+1 facets.  Once theorem 2 holds, a
-        ridge's compatible nodes are exactly its completions."""
-        return all(count == m + 1 for count in self.ridges)
 
 
 class Report:
@@ -187,106 +162,23 @@ def walk_faces(g: CompatibilityGraph, facets: Optional[List[Tuple[int, ...]]] = 
                orbits: Optional[List[Tuple[int, int]]] = None) -> FaceWalk:
     """The counts of the faces (cliques) of ``g``.  With ``facets`` given,
     or when ``g.rotation`` is not an automorphism of ``g`` (see
-    ``_orbits``), ``_walk`` covers every node and appends each facet to
-    ``facets``, if given.  Otherwise it walks the link of one node r per
-    orbit O of the rotation, the clique complex on r's neighbours one rank
-    lower; the rotation maps it onto the link of each node of O, so
-    ``_from_links`` weights it by |O|.  A caller that has already read
-    ``_orbits(g)``, not None, passes it as ``orbits`` for a walk without a
-    facet list, and it is not read again."""
+    ``_orbits``), the walk covers every node and appends each facet to
+    ``facets``, if given: ``_split_walk`` on two processes where
+    ``_can_split`` allows it, else ``_walk``, with the same result.
+    Otherwise it walks the link of one node r per orbit O of the rotation,
+    the clique complex on r's neighbours one rank lower; the rotation maps
+    it onto the link of each node of O, so ``_from_links`` weights it by
+    |O|.  A caller that has already read ``_orbits(g)``, not None, passes
+    it as ``orbits`` for a walk without a facet list, and it is not read
+    again."""
     neighbours = [row & ~(1 << v) for v, row in enumerate(g.adjacency)]
     if orbits is None and facets is None and neighbours:
         orbits = _orbits(g)
     if orbits is None:
-        return _walk(neighbours, g.rs.n, (1 << len(neighbours)) - 1, facets)
+        walk = _split_walk if _can_split(len(neighbours)) else _walk
+        return walk(neighbours, g.rs.n, (1 << len(neighbours)) - 1, facets)
     return _from_links([(weight, _walk(neighbours, g.rs.n - 1, neighbours[r]))
                         for r, weight in orbits], g.rs.n)
-
-
-def _walk(neighbours: List[int], rank: int, top: int,
-          facets: Optional[List[Tuple[int, ...]]] = None) -> FaceWalk:
-    """A depth-first walk, in increasing node order, over the faces of the
-    clique complex of ``rank`` on the nodes of ``top``, each node's
-    ``neighbours`` a bitset without itself.  Each face carries ``above``,
-    its candidates above its largest node, and ``common``, every candidate
-    compatible with the whole face; a face is a facet exactly when
-    ``common`` is 0.  A face is settled in its parent's loop: its ridge
-    count, and whether it is a facet, are read there, and the walk calls
-    into it only when it has candidates above.  The empty face is settled
-    first: the ridge in rank 1, a facet when ``top`` is 0.  Each facet is
-    appended to ``facets``, if given, as a tuple of node ids, in
-    lexicographic order."""
-    fv = [1]
-    sizes = [0] * (len(neighbours) + 1)
-    ridges = [0] * (len(neighbours) + 1)
-    face: List[int] = []
-
-    def visit(above: int, common: int, depth: int) -> None:
-        # ``depth`` is the size of the faces settled here, one above ``face``.
-        if depth == len(fv):
-            fv.append(0)
-        fv[depth] += above.bit_count()
-        ridge = depth == rank - 1
-        while above:
-            low = above & -above
-            above ^= low
-            v = low.bit_length() - 1
-            near = neighbours[v]
-            inner = common & near
-            if ridge:
-                ridges[inner.bit_count()] += 1
-            if not inner:
-                sizes[depth] += 1
-                if facets is not None:
-                    facets.append((*face, v))
-            elif higher := above & near:
-                face.append(v)
-                visit(higher, inner, depth + 1)
-                face.pop()
-
-    if rank == 1:
-        ridges[top.bit_count()] += 1
-    if top:
-        visit(top, top, 1)
-    else:
-        sizes[0] += 1
-        if facets is not None:
-            facets.append(())
-    return FaceWalk(fv, {k: c for k, c in enumerate(sizes) if c},
-                    {k: c for k, c in enumerate(ridges) if c})
-
-
-def _from_links(links: Sequence[Tuple[int, FaceWalk]], rank: int) -> FaceWalk:
-    """The counts of a graph of ``rank`` from the links of its nodes: each
-    ``(weight, walk)`` stands for ``weight`` nodes whose links have
-    ``walk``'s counts, and every node is in exactly one.  A k-face, less
-    one of its k nodes, is a (k-1)-face of that node's link, a facet of the
-    link exactly when the k-face is a facet, and a ridge with c compatible
-    nodes is one of each of its rank - 1 nodes' links, so by double
-    counting each weighted total divides by its face size.  Rank 1 has the
-    empty ridge only, in no link; the weights count its compatible nodes."""
-    fv, sizes, ridges = [1], Counter(), Counter()
-    for weight, walk in links:
-        fv.extend([0] * (len(walk.f_vector) + 1 - len(fv)))
-        for k, c in enumerate(walk.f_vector, start=1):
-            fv[k] += weight * c
-        for k, c in walk.facet_sizes.items():
-            sizes[k + 1] += weight * c
-        for c, count in walk.ridges.items():
-            ridges[c] += weight * count
-    return FaceWalk([1] + [_share(c, k) for k, c in enumerate(fv) if k],
-                    {k: _share(c, k) for k, c in sorted(sizes.items())},
-                    {c: _share(t, rank - 1) for c, t in sorted(ridges.items())}
-                    if rank > 1 else {sum(weight for weight, _ in links): 1})
-
-
-def _share(total: int, members: int) -> int:
-    """``total`` counted once through each of a face's ``members`` nodes,
-    as a count of faces."""
-    count, remainder = divmod(total, members)
-    if remainder:
-        raise RuntimeError(f"link-weighted count {total} is not a multiple of {members} (bug)")
-    return count
 
 
 def enumerate_facets(g: CompatibilityGraph) -> List[TiltingSet]:

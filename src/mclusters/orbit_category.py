@@ -186,17 +186,6 @@ class MClusterCategory:
             rows.append(everything & ~ext)
         return rows
 
-    def ext_instances(self) -> Iterator[Tuple[int, int, int, int]]:
-        """Every nonzero Ext^i(W(a), W(b)) as ``(i, a, b, value)``: each
-        stored H(a, c) is Ext^i(a, b) at b = sigma^-i(c), for i = 1..m: the
-        values behind ``compatible_rows``, which raises where this does."""
-        inverse = _power(self.shift_permutation(), -1)
-        for a, row in enumerate(self.hom_entries()):
-            for c, value in row.items():
-                for i in range(1, self.m + 1):
-                    c = inverse[c]  # sigma^-i of the stored column
-                    yield i, a, c, value
-
     def compatible(self, x: ColouredRoot, y: ColouredRoot) -> bool:
         return not any(self.ext_dims(self.W(x), self.W(y)))
 

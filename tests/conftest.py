@@ -1,11 +1,14 @@
+import itertools
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 from operator import mul
 
 import pytest
 
 from mclusters import (DerivedObject, build_root_system, cluster_complex, parabolic, parse_type,
                        shift)
+from mclusters.orbit_category import _power
 
 # Reducible parabolic subsystems: A3 without its middle vertex (A1 + A1),
 # D4 without its branch vertex (A1 + A1 + A1), and E7 without vertex 3,
@@ -104,13 +107,26 @@ def reduce_walk(cat, x):
     return x
 
 
+def ext_instances(cat):
+    """Every nonzero Ext^i(W(a), W(b)) of ``cat`` as ``(i, a, b, value)``:
+    each stored H(a, c) is Ext^i(a, b) at b = sigma^-i(c), for i = 1..m.
+    These are the values behind ``compatible_rows``, read here apart from
+    it; like it, this raises on a sigma that is not a permutation."""
+    inverse = _power(cat.shift_permutation(), -1)
+    for a, row in enumerate(cat.hom_entries()):
+        for c, value in row.items():
+            for i in range(1, cat.m + 1):
+                c = inverse[c]  # sigma^-i of the stored column
+                yield i, a, c, value
+
+
 def dense_ext(cat):
     """The whole Ext table of ``cat`` from its nonzero Ext instances, read
     off the Hom table through powers of the shift: ``table[i-1][a][b]`` is
     Ext^i(W(a), W(b)), 0 where no instance is generated."""
     size = cat.m * len(cat.rs.positive_roots) + cat.rs.n
     table = [[[0] * size for _ in range(size)] for _ in range(cat.m)]
-    for i, a, b, value in cat.ext_instances():
+    for i, a, b, value in ext_instances(cat):
         table[i - 1][a][b] = value
     return table
 
@@ -169,6 +185,38 @@ def pairwise(size, verdict):
     return rows
 
 
+def corrupt(g, case):
+    """``g`` with its rotation or its rows corrupted as ``case`` names: a
+    rotation that is missing ("none"), not a permutation of the ids
+    ("short", "repeat"), holds -1 ("minus one") or is no automorphism of
+    the rows ("transposed"); or rows with a pair flipped ("flipped pair"),
+    or with one bit flipped with all its images, so that the rotation
+    keeps them but they are not symmetric ("asymmetric orbit")."""
+    rho = g.rotation
+    a, b = next((a, b) for a, b in itertools.combinations(range(len(rho)), 2)
+                if rho[a] != b and rho[b] != a)
+    if case == "flipped pair":
+        rows = list(g.adjacency)
+        rows[a] ^= 1 << b
+        rows[b] ^= 1 << a
+        g.adjacency = rows
+    elif case == "asymmetric orbit":  # bit b of row a and its images only
+        rows, x, y = list(g.adjacency), a, b
+        while True:
+            rows[x] ^= 1 << y
+            x, y = rho[x], rho[y]
+            if (x, y) == (a, b):
+                break
+        g.adjacency = rows
+        assert cluster_complex._invariant(g)
+    else:
+        swapped = list(rho)
+        swapped[a], swapped[b] = rho[b], rho[a]
+        g.rotation = {"none": None, "short": rho[:-1], "repeat": (rho[1],) + rho[1:],
+                      "minus one": (-1,) + rho[1:], "transposed": tuple(swapped)}[case]
+    return g
+
+
 def naive_maximal_cliques(adjacency):
     """Exponential-scan oracle for maximal cliques, for cross-checking the
     face walk on small graphs; ``adjacency`` is the graph's bitset rows."""
@@ -182,6 +230,11 @@ def naive_maximal_cliques(adjacency):
                 cliques.append(tuple(members))
     cliques.sort()
     return cliques
+
+
+def facet_count(rs, m):
+    """The facets of ``rs`` at ``m``: the product of its components'."""
+    return prod(fuss_catalan(parabolic(rs, sorted(c)), m) for c in rs.components)
 
 
 def fuss_catalan(rs, m):

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import mclusters
-from conftest import G, in_domain
+from conftest import G, ext_instances, in_domain
 from mclusters import cli, cluster_complex, derived
 from mclusters.cli import main
 from mclusters.coloured_roots import ColouredRoot, rotation_table
@@ -686,7 +686,7 @@ FAIL  Ext^1 = compatibility degree: 81 ordered pairs (failed premise: H shift-in
         g_step_for_g_inverse(monkeypatch)
         cat = MClusterCategory(cli.build_root_system(cli.parse_type("A3")), 2)
         assert -1 in cat.shift_permutation()
-        for read in (lambda: cat.compatible_rows([0]), lambda: next(cat.ext_instances()),
+        for read in (lambda: cat.compatible_rows([0]), lambda: next(ext_instances(cat)),
                      cat.shift_invariant):
             with pytest.raises(ValueError, match="not a permutation"):
                 read()
@@ -724,9 +724,9 @@ def spy_walks(monkeypatch):
 
 def refuse_pair_by_pair(monkeypatch):
     """Refuse what would compare the oracles pair by pair: a categorical
-    ``build_graph`` (through ``cli`` or ``cluster_complex``),
-    ``ext_instances`` and ``DerivedCategory.hom``.  A refusal raises inside
-    the command, which ``main`` reports as an internal error on stderr."""
+    ``build_graph`` (through ``cli`` or ``cluster_complex``) and
+    ``DerivedCategory.hom``.  A refusal raises inside the command, which
+    ``main`` reports as an internal error on stderr."""
     def refuse(*args):
         raise AssertionError(f"pair by pair call {args[1:]}")
 
@@ -739,7 +739,6 @@ def refuse_pair_by_pair(monkeypatch):
 
     for module in (cli, cluster_complex):
         monkeypatch.setattr(module, "build_graph", refuse_categorical(module.build_graph))
-    monkeypatch.setattr(MClusterCategory, "ext_instances", refuse)
     monkeypatch.setattr(derived.DerivedCategory, "hom", refuse)
 
 

@@ -2,12 +2,12 @@ import copy
 import itertools
 import random
 from collections import Counter
-from math import comb, prod
+from math import comb
 
 import pytest
 
-from conftest import (ALL_SYSTEMS, REDUCIBLE, fuss_catalan, naive_maximal_cliques, pairwise,
-                      restriction_pairs, system)
+from conftest import (ALL_SYSTEMS, REDUCIBLE, corrupt, facet_count, fuss_catalan,
+                      naive_maximal_cliques, pairwise, restriction_pairs, system)
 from mclusters import (ColouredRoot, build_graph, build_root_system, complements,
                        complex_to_json, enumerate_facets, f_vector, mcluster_category,
                        parabolic, parse_type, rotation_table, verify_complement_counts,
@@ -304,29 +304,7 @@ class TestOrbitWalk:
         """A rotation that is missing, not a permutation of the ids, holds
         -1, or is no automorphism of the rows, or rows that it keeps but
         that are not symmetric: the walk ignores it."""
-        g = build_graph(a3, 2)
-        rho = g.rotation
-        a, b = next((a, b) for a, b in itertools.combinations(range(len(rho)), 2)
-                    if rho[a] != b and rho[b] != a)
-        if case == "flipped pair":
-            rows = list(g.adjacency)
-            rows[a] ^= 1 << b
-            rows[b] ^= 1 << a
-            g.adjacency = rows
-        elif case == "asymmetric orbit":  # bit b of row a and its images only
-            rows, x, y = list(g.adjacency), a, b
-            while True:
-                rows[x] ^= 1 << y
-                x, y = rho[x], rho[y]
-                if (x, y) == (a, b):
-                    break
-            g.adjacency = rows
-            assert cluster_complex._invariant(g)
-        else:
-            swapped = list(rho)
-            swapped[a], swapped[b] = rho[b], rho[a]
-            g.rotation = {"none": None, "short": rho[:-1], "repeat": (rho[1],) + rho[1:],
-                          "minus one": (-1,) + rho[1:], "transposed": tuple(swapped)}[case]
+        g = corrupt(build_graph(a3, 2), case)
         assert cluster_complex._orbits(g) is None
         assert self.counts(walk_faces(g)) == self.counts(walk_faces(g, []))
 
@@ -337,11 +315,6 @@ class TestOrbitWalk:
         monkeypatch.setattr(cluster_complex, "_orbits", lambda g: [(0, 1)])
         with pytest.raises(RuntimeError, match="not a multiple of 3"):
             walk_faces(g)
-
-
-def facet_count(rs, m):
-    """The facets of ``rs`` at ``m``: the product of its components'."""
-    return prod(fuss_catalan(parabolic(rs, sorted(c)), m) for c in rs.components)
 
 
 class TestLinkWalk:
@@ -417,7 +390,7 @@ class TestComplements:
         for ridge, count in counts.items():
             assert count == len(complements(g, ridge))
         # The facets of a join are the products of its components' facets.
-        expected = prod(fuss_catalan(parabolic(rs, sorted(c)), m) for c in rs.components)
+        expected = facet_count(rs, m)
         assert walk.facet_sizes == {rs.n: expected}
         if len(g.nodes) <= 20:  # the naive scan visits every subset
             assert walk.facet_sizes == dict(Counter(map(len, naive_maximal_cliques(g.adjacency))))

@@ -4,8 +4,8 @@ import weakref
 
 import pytest
 
-from conftest import (ALL_SYSTEMS, REDUCIBLE, G, dense_ext, dense_hom_entries, in_domain,
-                      orbit_sum, reduce_walk, system)
+from conftest import (ALL_SYSTEMS, REDUCIBLE, G, dense_ext, dense_hom_entries, ext_instances,
+                      in_domain, orbit_sum, reduce_walk, system)
 from mclusters import (ColouredRoot, DerivedObject, build_root_system,
                        compatible_combinatorial, coloured_ground_set,
                        derived_category, parse_type, rotation_Rm, rotation_table, shift)
@@ -225,7 +225,7 @@ class TestExtSumIsReading:
         table = rotation_table(rs, m)
         size = len(table.nodes)
         total = [[0] * size for _ in range(size)]
-        for _, a, b, value in mcluster_category(rs, m).ext_instances():
+        for _, a, b, value in ext_instances(mcluster_category(rs, m)):
             total[a][b] += value
         assert total == [[table.degree(a, b) for b in range(size)] for a in range(size)]
 
