@@ -24,7 +24,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .coloured_roots import (ColouredRoot, RotationTable, coloured_ground_set,
                              coloured_to_json, rotation_table)
-from .face_walk import FaceWalk, _can_split, _from_links, _split_walk, _walk
+from .face_walk import FaceWalk, _from_links, _split_walk, _walk
 from .orbit_category import MClusterCategory, mcluster_category
 from .root_system import RootSystem, parabolic
 
@@ -163,8 +163,8 @@ def walk_faces(g: CompatibilityGraph, facets: Optional[List[Tuple[int, ...]]] = 
     """The counts of the faces (cliques) of ``g``.  With ``facets`` given,
     or when ``g.rotation`` is not an automorphism of ``g`` (see
     ``_orbits``), the walk covers every node and appends each facet to
-    ``facets``, if given: ``_split_walk`` on two processes where
-    ``_can_split`` allows it, else ``_walk``, with the same result.
+    ``facets``, if given: ``_split_walk``, which runs on two processes
+    where the machine allows it, with the result of ``_walk``.
     Otherwise it walks the link of one node r per orbit O of the rotation,
     the clique complex on r's neighbours one rank lower; the rotation maps
     it onto the link of each node of O, so ``_from_links`` weights it by
@@ -175,8 +175,7 @@ def walk_faces(g: CompatibilityGraph, facets: Optional[List[Tuple[int, ...]]] = 
     if orbits is None and facets is None and neighbours:
         orbits = _orbits(g)
     if orbits is None:
-        walk = _split_walk if _can_split(len(neighbours)) else _walk
-        return walk(neighbours, g.rs.n, (1 << len(neighbours)) - 1, facets)
+        return _split_walk(neighbours, g.rs.n, (1 << len(neighbours)) - 1, facets)
     return _from_links([(weight, _walk(neighbours, g.rs.n - 1, neighbours[r]))
                         for r, weight in orbits], g.rs.n)
 

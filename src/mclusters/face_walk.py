@@ -3,11 +3,15 @@
 ``_walk`` walks the faces depth first, in increasing node order, so the
 facets come in lexicographic order, with the f-vector, the facet sizes and
 the ridge histogram that ``FaceWalk`` holds.  ``_from_links`` counts a
-complex from weighted walks of links of its nodes.  ``_split_walk`` runs a
-full walk on two processes, this one and a child made by ``os.fork``, each
-settling the faces of half of the first nodes: when ``_can_split`` allows
-it (a graph of at least ``SPLIT_NODES`` nodes, two CPUs and no other
-thread), ``cluster_complex.walk_faces`` takes it, with the same result.
+complex from weighted walks of links of its nodes.  ``_split_walk`` is the
+walk of every face that ``cluster_complex.walk_faces`` takes: where
+``_can_split`` allows it (a graph of at least ``SPLIT_NODES`` nodes, two
+CPUs and no other thread), it runs on two processes, this one and a child
+made by ``os.fork``, each walking half of the first nodes.  The child
+sends the facets of each of its first nodes as soon as it has walked it,
+and this one takes the first nodes in increasing order, walking its own and
+appending the child's as they come, so the facets come in the order, and
+with the counts, of the walk on one process.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import os
 import sys
 from collections import Counter
 from itertools import chain, groupby, islice
-from typing import BinaryIO, Dict, Iterator, List, NoReturn, Optional, Sequence, Tuple
+from typing import BinaryIO, Dict, List, NoReturn, Optional, Sequence, Tuple
 
 
 class FaceWalk:
@@ -130,7 +134,7 @@ SPLIT_NODES = 100
 
 
 def _can_split(size: int) -> bool:
-    """Whether a full walk of ``size`` nodes takes ``_split_walk``: at or
+    """Whether a full walk of ``size`` nodes runs on two processes: at or
     above ``SPLIT_NODES``, where ``os.fork`` exists, this process may run
     on at least two CPUs, and no thread but this one is running, which a
     fork would not copy.  Threads are counted by ``threading``, read only
@@ -145,43 +149,50 @@ def _can_split(size: int) -> bool:
 
 def _split_walk(neighbours: List[int], rank: int, top: int,
                 facets: Optional[List[Tuple[int, ...]]] = None) -> FaceWalk:
-    """``_walk(neighbours, rank, top, facets)`` on two processes: this one
-    walks the first nodes of ``top`` with even ids, and a child made by
-    ``os.fork`` those with odd ids (``_child``), which it writes to a pipe.
-    Interleaved, the shares cost about the same.  The counts of the shares
-    add up, and the facets of each come in runs by first node, each in
-    lexicographic order, so ``_receive`` splices the child's runs in among
-    this one's in first-node order.  A top that leaves either share empty
-    is walked here alone.
+    """``_walk(neighbours, rank, top, facets)``, on two processes where
+    ``_can_split`` allows it.  A child made by ``os.fork`` walks the first
+    nodes of ``top`` with odd ids (``_child``), and this one those with
+    even ids; interleaved, the shares cost about the same.  This one takes
+    the first nodes in increasing order, walking an even one and reading
+    an odd one off the pipe (``_receive``), so every facet is appended in
+    the order of the walk on one process, and the counts of the nodes add
+    up to its counts.  A top that leaves either share empty, or a pipe or
+    fork that fails (EMFILE, EAGAIN), is walked here alone.
 
-    The child is reaped on every path.  When it fails, is killed or stops
-    because this process is gone, this one raises RuntimeError; when this
-    one raises, it kills the child first.  Either way ``facets`` is left
-    as it was."""
+    The child is reaped on every path.  When it fails or is killed, this
+    process raises RuntimeError; when this one raises, it kills the child
+    first.  Either way ``facets`` is left as it was."""
     odd = top & sum(1 << v for v in range(1, len(neighbours), 2))
-    if not odd or odd == top:
+    if not odd or odd == top or not _can_split(len(neighbours)):
         return _walk(neighbours, rank, top, facets)
-    start = 0 if facets is None else len(facets)
-    parent = os.getpid()
-    r, w = os.pipe()
+    fds: Tuple[int, ...] = ()
     try:
+        fds = r, w = os.pipe()
         pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        raise
+    except OSError:  # no descriptor or process to spare
+        for fd in fds:
+            os.close(fd)
+        return _walk(neighbours, rank, top, facets)
     if not pid:
         os.close(r)
-        _child(neighbours, rank, top, odd, facets is not None, parent, w)
+        _child(neighbours, rank, top, odd, facets is not None, w)
     os.close(w)
+    start = 0 if facets is None else len(facets)
+    walks: List[FaceWalk] = []
     status = None
     try:
         with open(r, "rb") as pipe:
-            walks = list(_walk_share(neighbours, rank, top, top & ~odd, facets))
-            ours = [(v, sum(walk.facet_sizes.values())) for v, walk in walks]
-            theirs = _receive(pipe, ours, facets, start, len(neighbours))
+            rest = top
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                walk = (_receive(pipe, facets, len(neighbours)) if low & odd else
+                        _walk(neighbours, rank, top, facets, low))
+                if walk is None:
+                    break
+                walks.append(walk)
         status = os.waitpid(pid, 0)[1]
-        if status or theirs is None:
+        if status or walk is None:
             code = os.waitstatus_to_exitcode(status)
             raise RuntimeError("the second process of the face walk "
                                + (f"exited with status {code}" if code > 0 else
@@ -194,70 +205,51 @@ def _split_walk(neighbours: List[int], rank: int, top: int,
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         raise
-    return _add([walk for _, walk in walks] + [theirs])
-
-
-def _walk_share(neighbours: List[int], rank: int, top: int, share: int,
-                facets: Optional[List[Tuple[int, ...]]],
-                parent: Optional[int] = None) -> Iterator[Tuple[int, FaceWalk]]:
-    """The ``_walk`` of each first node v of ``share`` in turn, appending
-    to ``facets``, if given, yielded as (v, walk).  With ``parent`` given,
-    it raises RuntimeError before a first node once the parent of this
-    process is no longer that one."""
-    while share:
-        if parent is not None and os.getppid() != parent:
-            raise RuntimeError("the face walk's parent process is gone")
-        low = share & -share
-        share ^= low
-        yield low.bit_length() - 1, _walk(neighbours, rank, top, facets, low)
+    return _add(walks)
 
 
 def _child(neighbours: List[int], rank: int, top: int, share: int, with_facets: bool,
-           parent: int, fd: int) -> NoReturn:
-    """The child of ``_split_walk``: it walks ``share``, turning the facets
-    of each first node into runs and node ids before the next, and writes
-    them to ``fd`` after the head that ``_head`` makes of the walk.  It
-    leaves by ``os._exit``, with status 0 only once all is written, so that
-    it never returns into its parent's code nor flushes its parent's
-    buffers."""
+           fd: int) -> NoReturn:
+    """The child of ``_split_walk``: it walks the first nodes of ``share``
+    in increasing order, and writes each one's ``_frame`` to ``fd`` as soon
+    as it has walked it.  Once the parent is gone, the next write fails
+    (EPIPE) and the child stops there.  It leaves by ``os._exit``, with
+    status 0 only once all is written, so that it never returns into its
+    parent's code nor flushes its parent's buffers."""
     status = 1
     try:
         gc.disable()  # a collection would only copy the parent's pages: the walk makes no cycles
-        facets: Optional[List[Tuple[int, ...]]] = [] if with_facets else None
-        walks, runs, ids = [], [], []
-        for v, walk in _walk_share(neighbours, rank, top, share, facets, parent):
-            walks.append(walk)
-            if facets:
-                runs += [(v, k, len(list(run))) for k, run in groupby(map(len, facets))]
-                ids.append(_ids(facets, len(neighbours)))
-                facets.clear()
+        facets: List[Tuple[int, ...]] = []
         with open(fd, "wb") as pipe:
-            pipe.write(_head(_add(walks), runs))
-            pipe.writelines(ids)
+            while share:
+                low = share & -share
+                share ^= low
+                walk = _walk(neighbours, rank, top, facets if with_facets else None, low)
+                pipe.write(_frame(walk, facets, len(neighbours)))
+                pipe.flush()
+                facets.clear()
         status = 0
     finally:
         os._exit(status)
 
 
-def _head(walk: FaceWalk, runs: Sequence[Tuple[int, int, int]]) -> bytes:
-    """``walk`` and ``runs`` as 8-byte ints, no pickle, for ``_receive``:
-    the count of them all first, then the f-vector, the facet sizes and
-    the ridges, each after its length, and the runs of facets of one first
-    node and one size, as (first node, size, count), after their count."""
+def _frame(walk: FaceWalk, facets: Sequence[Tuple[int, ...]], size: int) -> bytes:
+    """The walk of one first node, ``walk`` and its ``facets``, as bytes
+    for ``_receive``, no pickle: as 8-byte ints, the count of them all
+    first, then the f-vector, the facet sizes and the ridges, each after
+    its length, and the runs of facets of one size, as (size, count),
+    after their count; then the node ids of the facets, in
+    ``_id_format(size)``."""
+    runs = [(k, len(list(run))) for k, run in groupby(map(len, facets))]
     head = [0, len(walk.f_vector), *walk.f_vector]
     for counts in walk.facet_sizes, walk.ridges:
         head += [len(counts), *chain.from_iterable(counts.items())]
     head += [len(runs), *chain.from_iterable(runs)]
     head[0] = len(head)
     from array import array  # only in the child: importing it costs 0.2 MB of RSS
-    return array("q", head).tobytes()
-
-
-def _ids(facets: Sequence[Tuple[int, ...]], size: int) -> bytes:
-    """The node ids of ``facets`` in ``_id_format(size)``."""
-    from array import array  # only in the child
     ids = chain.from_iterable(facets)
-    return bytes(ids) if _id_format(size) == "B" else array(_id_format(size), ids).tobytes()
+    code = _id_format(size)
+    return array("q", head).tobytes() + (bytes(ids) if code == "B" else array(code, ids).tobytes())
 
 
 # The most bytes of node ids ``_receive`` reads at once.  Kept under
@@ -267,14 +259,12 @@ def _ids(facets: Sequence[Tuple[int, ...]], size: int) -> bytes:
 READ_BYTES = 1 << 16
 
 
-def _receive(pipe: BinaryIO, ours: Sequence[Tuple[int, int]],
-             facets: Optional[List[Tuple[int, ...]]], start: int,
+def _receive(pipe: BinaryIO, facets: Optional[List[Tuple[int, ...]]],
              size: int) -> Optional[FaceWalk]:
-    """The walk that ``_child`` wrote to ``pipe``, or None if the pipe ends
-    early.  Its facets are read ``READ_BYTES`` at most at a time and
-    spliced into ``facets``, if given, after ``start``, in first-node order
-    among this process's there, of which ``ours`` gives each first node
-    and its facet count, in order."""
+    """The walk of one first node that ``_child`` wrote to ``pipe`` as a
+    ``_frame``, or None if the pipe ends early.  Its facets are read
+    ``READ_BYTES`` at most at a time and appended to ``facets``, if
+    given."""
     head = pipe.read(8)
     if len(head) < 8:
         return None
@@ -287,19 +277,14 @@ def _receive(pipe: BinaryIO, ours: Sequence[Tuple[int, int]],
     sizes, ridges = (dict(islice(zip(numbers, numbers), next(numbers))) for _ in range(2))
     code = _id_format(size)
     width = memoryview(b"").cast(code).itemsize
-    at, mine = start, iter(ours)
-    ahead = next(mine, None)
-    for v, k, count in islice(zip(numbers, numbers, numbers), next(numbers)):
-        while ahead is not None and ahead[0] < v:
-            at += ahead[1]
-            ahead = next(mine, None)
+    for k, count in islice(zip(numbers, numbers), next(numbers)):
         while count:
             part = min(count, max(1, READ_BYTES // (k * width)))
             ids = pipe.read(part * k * width)
             if len(ids) < part * k * width:
                 return None
-            facets[at:at] = zip(*[iter(memoryview(ids).cast(code))] * k)
-            at, count = at + part, count - part
+            facets.extend(zip(*[iter(memoryview(ids).cast(code))] * k))
+            count -= part
     return FaceWalk(fv, sizes, ridges)
 
 

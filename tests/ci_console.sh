@@ -6,8 +6,10 @@
 #
 #   MCLUSTER="python -m mclusters.cli" PYTHONPATH=src bash -eo pipefail tests/ci_console.sh
 #
-# It writes err.txt and ext.txt in the working directory.
+# Its scratch files go to a directory of its own, removed on exit.
 set -eo pipefail
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
 MCLUSTER=${MCLUSTER:-mcluster}
 python -c "import sys, mclusters.cli; loaded = {'dataclasses', 'mclusters.quiver_rep'} & set(sys.modules); assert not loaded, loaded"
 python -c "import mclusters.cli as cli, mclusters.root_system as r; built = cli._parser.cache_info().currsize, r._diagram.cache_info().currsize; assert built == (0, 0), f'{built} parsers and diagrams built at import'"
@@ -30,25 +32,25 @@ test "$($MCLUSTER compat --type E8 --m 1 -- 2,4,6,5,4,3,2,3 -e3)" = \
   "combinatorial: incompatible  categorical: incompatible  degree: 6"
 $MCLUSTER compat --type A2 -- -e1 -e2
 status=0
-$MCLUSTER compat --type A2 -- -e1 -e2 extra 2>err.txt || status=$?
+$MCLUSTER compat --type A2 -- -e1 -e2 extra 2>"$tmp/err.txt" || status=$?
 test "$status" -eq 2
-grep -qx "mcluster: error: unrecognized arguments: extra" err.txt
+grep -qx "mcluster: error: unrecognized arguments: extra" "$tmp/err.txt"
 status=0
 $MCLUSTER compat --type A2 -- 1,1:x -e1 || status=$?
 test "$status" -eq 2
-status=0; $MCLUSTER compat --type A2 -- 1,1 -- 2>err.txt || status=$?; test "$status: $(cat err.txt)" = "2: error: cannot parse coloured root '--'"
+status=0; $MCLUSTER compat --type A2 -- 1,1 -- 2>"$tmp/err.txt" || status=$?; test "$status: $(cat "$tmp/err.txt")" = "2: error: cannot parse coloured root '--'"
 status=0
-$MCLUSTER enumerate --type E6 --m 2 2>err.txt | head -c 100 >/dev/null || status=$?
+$MCLUSTER enumerate --type E6 --m 2 2>"$tmp/err.txt" | head -c 100 >/dev/null || status=$?
 test "$status" -eq 1
-test ! -s err.txt
+test ! -s "$tmp/err.txt"
 status=0
 $MCLUSTER verify --type A2.0 || status=$?
 test "$status" -eq 2
 test "$($MCLUSTER ext --type E8 --m 3 -- 2,4,6,5,4,3,2,3:2 0,1,2,2,1,1,1,1:3)" = \
   "$(printf 'Ext^%s(V(2,4,6,5,4,3,2,3)[1], V(0,1,2,2,1,1,1,1)[2]) = %s\n' 1 0 2 0 3 3)"
-$MCLUSTER ext --type A2 --m 1000 -- 1,1:1000 1,0:3 > ext.txt
-test "$(wc -l < ext.txt)" -eq 1000
-test "$(grep -v ' = 0$' ext.txt)" = "Ext^997(V(1,1)[999], V(1,0)[2]) = 1"
+$MCLUSTER ext --type A2 --m 1000 -- 1,1:1000 1,0:3 > "$tmp/ext.txt"
+test "$(wc -l < "$tmp/ext.txt")" -eq 1000
+test "$(grep -v ' = 0$' "$tmp/ext.txt")" = "Ext^997(V(1,1)[999], V(1,0)[2]) = 1"
 test "$($MCLUSTER orbit --type A2 --m 2 -- 1,0:1)" = \
   "(1,0)^1 -> (1,0)^2 -> (0,1)^1 -> (0,1)^2 -> (0,-1)^1 -> (1,1)^1 -> (1,1)^2 -> (-1,0)^1 -> (cycle)"
 test "$($MCLUSTER export-zq --type D32 --window=-75:75 | sha256sum | cut -d' ' -f1)" = \

@@ -1,13 +1,17 @@
 """The full face walk on two processes, ``face_walk._split_walk``, against
 the walk on one, ``_walk``, and what becomes of its child process.  The
-split walk is called directly, so that no threshold or CPU count decides
-whether it runs; ``_can_split``, which decides that for ``walk_faces``, is
-tested on its own."""
+split walk is called directly, with ``_can_split`` patched to allow it
+(``always_split``), so that no threshold or CPU count decides whether it
+runs; ``_can_split`` is tested on its own."""
 
+import errno
 import itertools
 import os
 import random
+import select
 import signal
+import subprocess
+import sys
 import threading
 import time
 from collections import Counter
@@ -15,10 +19,16 @@ from collections import Counter
 import pytest
 
 from conftest import ALL_SYSTEMS, corrupt, facet_count, system
-from mclusters import cli, cluster_complex, face_walk
+from mclusters import cli, face_walk
 from mclusters import build_graph, build_root_system, complex_to_json, parse_type
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="the split walk forks")
+
+
+@pytest.fixture
+def always_split(monkeypatch):
+    """``_split_walk`` forks whatever the graph's size, CPUs and threads."""
+    monkeypatch.setattr(face_walk, "_can_split", lambda size: True)
 
 
 def neighbours_of(rows):
@@ -50,6 +60,7 @@ def no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.usefixtures("always_split")
 class TestSplitWalk:
     """The split walk gives the facets, in order, and the counts of the
     walk on one process.  Instances past 60,000 facets are left out, as
@@ -114,10 +125,12 @@ def in_child(monkeypatch, act):
     monkeypatch.setattr(face_walk, "_walk", walk)
 
 
+@pytest.mark.usefixtures("always_split")
 class TestChild:
-    """A child that fails, is killed or is left behind makes the split walk
-    raise RuntimeError, and one that this process abandons is killed.  The
-    child is reaped on every path, and ``facets`` is left as it was."""
+    """A child that fails or is killed makes the split walk raise
+    RuntimeError, one that this process abandons is killed, and one whose
+    parent is killed stops.  The child is reaped on every path, and
+    ``facets`` is left as it was."""
 
     @staticmethod
     def split(a3, error, match=None):
@@ -139,21 +152,59 @@ class TestChild:
         in_child(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
         self.split(a3, RuntimeError, "was killed by signal 9$")
 
-    def test_child_stops_once_orphaned(self, a3, monkeypatch):
-        """``os.getppid`` names this process at the child's first first node
-        and another after it, as once this one is gone.  The child stops
-        there: a second walk would kill it."""
-        answers = iter([os.getpid()])
-        monkeypatch.setattr(os, "getppid", lambda: next(answers, 1))
-        walks = []
+    ORPHANED = """if True:
+        import os, sys, time
+        from mclusters import build_graph, build_root_system, face_walk, parse_type
+        fork, walk, parent = os.fork, face_walk._walk, os.getpid()
 
-        def second_walk_kills():
-            walks.append(None)
-            if len(walks) > 1:
-                os.kill(os.getpid(), signal.SIGKILL)
+        def announced_fork():
+            pid = fork()
+            if pid:
+                print(pid, flush=True)
+            return pid
 
-        in_child(monkeypatch, second_walk_kills)
-        self.split(a3, RuntimeError, "exited with status 1$")
+        def slow_walk(*args):
+            if os.getpid() != parent:
+                time.sleep(1)
+            return walk(*args)
+
+        os.fork, face_walk._walk, face_walk._can_split = announced_fork, slow_walk, lambda size: True
+        g = build_graph(build_root_system(parse_type("E7")), 2)
+        face_walk._split_walk([row & ~(1 << v) for v, row in enumerate(g.adjacency)], 7,
+                              (1 << len(g.nodes)) - 1)
+        sys.exit("the walk finished")
+    """
+
+    def test_child_stops_once_orphaned(self):
+        """A process running a split walk of E7 m=2 is SIGKILLed mid-walk,
+        while its child sleeps 1 s before each of its 66 first nodes.  The
+        child shares the process's stdout, so that pipe ends once the child
+        has exited too: within 10 s, where walking on would take a minute."""
+        src = os.path.dirname(os.path.dirname(face_walk.__file__))
+        proc = subprocess.Popen([sys.executable, "-c", self.ORPHANED], stdout=subprocess.PIPE,
+                                stderr=subprocess.DEVNULL, env=dict(os.environ, PYTHONPATH=src))
+        child, gone = None, False
+        try:
+            assert select.select([proc.stdout], [], [], 60)[0], "no child started in 60 s"
+            child = int(proc.stdout.readline())
+            time.sleep(0.5)
+            proc.kill()
+            assert proc.wait(timeout=10) == -signal.SIGKILL
+            deadline = time.monotonic() + 10
+            while not gone and select.select([proc.stdout], [], [],
+                                             max(0.0, deadline - time.monotonic()))[0]:
+                gone = not os.read(proc.stdout.fileno(), 4096)
+            assert gone, "the orphaned child is still running after 10 s"
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            if child is not None and not gone:
+                try:
+                    os.kill(child, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+            proc.stdout.close()
 
     def test_parent_raises(self, a3, monkeypatch):
         """This process fails on its first walk while the child sleeps: the
@@ -169,12 +220,13 @@ class TestChild:
         monkeypatch.setattr(face_walk, "_walk", walk)
         self.split(a3, KeyError)
 
-    def test_parent_raises_after_splicing(self, a3, monkeypatch):
+    def test_parent_raises_after_receiving(self, a3, monkeypatch):
         real = face_walk._receive
 
-        def receive(*args):
-            real(*args)
-            assert len(args[2]) > 1  # the child's facets are in
+        def receive(pipe, facets, size):
+            before = len(facets)
+            real(pipe, facets, size)
+            assert len(facets) > before  # the child's facets are in
             raise KeyError("after the child's facets")
 
         monkeypatch.setattr(face_walk, "_receive", receive)
@@ -183,7 +235,6 @@ class TestChild:
     def test_enumerate_exits_1(self, monkeypatch, capsys, tmp_path):
         """``enumerate`` reports the failed child as an internal error and
         leaves ``--out`` as it was."""
-        monkeypatch.setattr(cluster_complex, "_can_split", lambda size: True)
         in_child(monkeypatch, lambda: 1 / 0)
         path = tmp_path / "x.json"
         path.write_bytes(b"old bytes\n")
@@ -198,13 +249,15 @@ class TestChild:
 
 def spy_splits(monkeypatch):
     """The node count of each graph that ``walk_faces`` splits, in order."""
-    splits, real = [], face_walk._split_walk
+    splits, real = [], face_walk._can_split
 
-    def spy(neighbours, *args):
-        splits.append(len(neighbours))
-        return real(neighbours, *args)
+    def spy(size):
+        split = real(size)
+        if split:
+            splits.append(size)
+        return split
 
-    monkeypatch.setattr(cluster_complex, "_split_walk", spy)
+    monkeypatch.setattr(face_walk, "_can_split", spy)
     return splits
 
 
@@ -212,8 +265,7 @@ def test_complex_to_json(monkeypatch):
     """E7 m=2, the ``enumerate`` benchmark's instance, is split whenever
     the machine allows it (here it always does), gives the facets of the
     walk on one process, and leaves no child behind."""
-    monkeypatch.setattr(cluster_complex, "_can_split",
-                        lambda size: size >= face_walk.SPLIT_NODES)
+    monkeypatch.setattr(face_walk, "_can_split", lambda size: size >= face_walk.SPLIT_NODES)
     splits = spy_splits(monkeypatch)
     rs = build_root_system(parse_type("E7"))
     data = complex_to_json(rs, 2, "combinatorial", include_verification=False)
@@ -230,6 +282,54 @@ def test_small_graphs_walk_on_one_process(monkeypatch):
     splits = spy_splits(monkeypatch)
     complex_to_json(build_root_system(parse_type("E7")), 1, "combinatorial")
     assert splits == [] and face_walk.SPLIT_NODES > 70
+
+
+@pytest.mark.usefixtures("always_split")
+class TestFallBack:
+    """Where no pipe or process can be made, the split walk walks on this
+    process: the facets and counts of ``_walk``, no descriptor left open,
+    and ``enumerate`` exits 0 with the output of a split walk."""
+
+    @staticmethod
+    def fail(name, code, monkeypatch):
+        """Make ``os.<name>`` raise OSError ``code``; returns the descriptors
+        of every pipe made."""
+        fds, real_pipe = [], os.pipe
+
+        def pipe():
+            fds.extend(real_pipe())
+            return fds[-2:]
+
+        def refused():
+            raise OSError(code, os.strerror(code))
+
+        monkeypatch.setattr(os, "pipe", pipe)
+        monkeypatch.setattr(os, name, refused)
+        return fds
+
+    @pytest.mark.parametrize("name,code", [("pipe", errno.EMFILE), ("fork", errno.EAGAIN)],
+                             ids=["pipe", "fork"])
+    def test_walks_here(self, a3, monkeypatch, name, code):
+        g = build_graph(a3, 2)
+        whole = outcome(face_walk._walk, g.adjacency, a3.n, (1 << len(g.nodes)) - 1)
+        fds = self.fail(name, code, monkeypatch)
+        assert outcome(face_walk._split_walk, g.adjacency, a3.n, (1 << len(g.nodes)) - 1) == whole
+        assert len(fds) == (2 if name == "fork" else 0)
+        for fd in fds:
+            with pytest.raises(OSError):
+                os.fstat(fd)
+        no_child_left()
+
+    @pytest.mark.parametrize("name,code", [("pipe", errno.EMFILE), ("fork", errno.EAGAIN)],
+                             ids=["pipe", "fork"])
+    def test_enumerate_exits_0(self, monkeypatch, capsys, name, code):
+        argv = ["enumerate", "--type", "A3", "--m", "2"]
+        assert cli.main(argv) == 0
+        split = capsys.readouterr()
+        self.fail(name, code, monkeypatch)
+        assert cli.main(argv) == 0
+        assert capsys.readouterr() == split
+        no_child_left()
 
 
 class TestCanSplit:
