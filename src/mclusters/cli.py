@@ -20,14 +20,15 @@ import functools
 import itertools
 import json
 import os
+import re
 import stat
 import sys
 import tempfile
-from typing import Iterable, Iterator, List, Optional, TextIO, Tuple
+from typing import Iterable, Iterator, List, Optional, TextIO
 
 from .cluster_complex import (DEGREE, DUALITY, INVARIANT, ROWS, SHIFT, build_graph,
-                              complex_to_json, failed_premises, verify_vertex_deletions_on_rows,
-                              walk_faces)
+                              complex_to_json, face_bound, failed_premises,
+                              verify_vertex_deletions_on_rows, walk_faces)
 from .coloured_roots import ColouredRoot, _reading, _rotation_cap, check_coloured, rotation_Rm
 from .derived import derived_category
 from .orbit_category import compatible_categorical, mcluster_category
@@ -38,7 +39,8 @@ from .root_system import RootSystem, build_root_system, parse_int, parse_type
 # each row, one tau^-1 period repeated by shift, out from coarse degree 0
 # to each end of its window: |Phi+| vertices per degree.  The
 # Fuss-Catalan facet count bounds the facet list that ``enumerate``
-# holds, and ``face_bound`` the face walk.  All are known before any work.
+# holds, and the face bound the face walk, both from ``face_bound``.  All
+# are known before any work.
 MAX_M = 1000
 MAX_RANK = 32
 MAX_ZQ_VERTICES = 150_000
@@ -48,6 +50,10 @@ MAX_FACES = 20_000_000
 
 class UsageError(ValueError):
     pass
+
+
+# Coefficients as ``parse_int`` reads each of them, joined by commas.
+_COEFFICIENTS = r"-?[0-9]+(?:,-?[0-9]+)*"
 
 
 def parse_coloured_root(rs: RootSystem, m: int, text: str) -> ColouredRoot:
@@ -62,7 +68,10 @@ def parse_coloured_root(rs: RootSystem, m: int, text: str) -> ColouredRoot:
                 raise UsageError(f"negative simple index {i} out of range 1..{rs.n}")
             coeffs = rs.negative_simple(i - 1)
         else:
-            coeffs = tuple(map(parse_int, root_text.split(",")))
+            # One match checks every coefficient, and int reads each; a text
+            # that fails it is read by parse_int, which names the first bad one.
+            read = int if re.fullmatch(_COEFFICIENTS, root_text) else parse_int
+            coeffs = tuple(map(read, root_text.split(",")))
     except UsageError:
         raise
     except ValueError as exc:
@@ -85,20 +94,6 @@ def _root_system(args: argparse.Namespace) -> RootSystem:
     if t.rank > MAX_RANK:
         raise UsageError(f"rank {t.rank} exceeds the largest supported rank {MAX_RANK}")
     return build_root_system(t)
-
-
-def face_bound(rs: RootSystem, m: int) -> Tuple[int, int]:
-    """The Fuss-Catalan facet count F = prod (mh+e_i+1)/(e_i+1) of an
-    irreducible system, and F*(m+2)^n // (m+1)^n, a bound on its faces.
-    The link of a k-face is a rank-(n-k) generalized cluster complex, with
-    at least (m+1)^(n-k) facets since mh+e_i+1 >= (m+1)(e_i+1); so
-    f_k <= F*C(n,k)/(m+1)^(n-k), and these sum to the bound."""
-    facets, denominator = 1, 1
-    for e in rs.exponents():
-        facets *= m * rs.h + e + 1
-        denominator *= e + 1
-    facets //= denominator
-    return facets, facets * (m + 2) ** rs.n // (m + 1) ** rs.n
 
 
 def _bound_work(rs: RootSystem, m: int) -> None:
@@ -315,8 +310,9 @@ _OUT = ("--out", {"help": "output path (default: stdout)"})
 _PAIR = (_TYPE, _M, ("x", {}), ("y", {}))  # the arguments of compat and ext
 
 # One row per subcommand: help, its arguments as (name, add_argument
-# keywords), and its handler.  ``build_parser`` and ``_read`` both read
-# these rows, so each name, default and choice is stated here once.
+# keywords), and its handler.  ``build_parser`` and ``_read`` (through
+# ``_READS``) both read these rows, so each name, default and choice is
+# stated here once.
 COMMANDS = {
     "enumerate": ("enumerate facets and write the complex as JSON",
                   (_TYPE, _M, ("--oracle", {"choices": ["combinatorial", "categorical", "both"],
@@ -355,17 +351,25 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.lru_cache(maxsize=1)(build_parser)
 
 
+# ``_read``'s view of each row of ``COMMANDS``, split once: its options by
+# name, each with its Namespace attribute and keywords, its positionals in
+# order, and its handler.
+_READS = {command: ({name: (name[2:].replace("-", "_"), kwargs)
+                     for name, kwargs in arguments if name.startswith("-")},
+                    [name for name, _ in arguments if not name.startswith("-")], fn)
+          for command, (_, arguments, fn) in COMMANDS.items()}
+
+
 def _read(argv: List[str]) -> Optional[argparse.Namespace]:
-    """What ``build_parser().parse_args(argv)`` returns, read off
-    ``COMMANDS`` for a call that is a command, ``NAME VALUE`` for its
-    options (each at most once, the required ones given, VALUE of the
-    option's type and choices and not starting with ``-``) and its
+    """What ``build_parser().parse_args(argv)`` returns, read off the
+    command's row of ``_READS`` for a call that is a command, ``NAME VALUE``
+    for its options (each at most once, the required ones given, VALUE of
+    the option's type and choices and not starting with ``-``) and its
     positionals after an optional ``--``; None for any other call."""
-    row = COMMANDS.get(argv[0]) if argv else None
+    row = _READS.get(argv[0]) if argv else None
     if row is None:
         return None
-    options = {name: kwargs for name, kwargs in row[1] if name.startswith("-")}
-    positionals = [name for name, _ in row[1] if name not in options]
+    options, positionals, fn = row
     given, i = {}, 1
     while (i + 1 < len(argv) and argv[i] in options and argv[i] not in given
            and not argv[i + 1].startswith("-")):
@@ -376,8 +380,8 @@ def _read(argv: List[str]) -> Optional[argparse.Namespace]:
     if len(rest) != len(positionals) or any(
             t == "--" or (not dashed and t.startswith("-")) for t in rest):
         return None
-    args = argparse.Namespace(command=argv[0], fn=row[2], **dict(zip(positionals, rest)))
-    for name, kwargs in options.items():
+    args = argparse.Namespace(command=argv[0], fn=fn, **dict(zip(positionals, rest)))
+    for name, (dest, kwargs) in options.items():
         if name in given:
             try:
                 value = kwargs.get("type", str)(given[name])
@@ -389,7 +393,7 @@ def _read(argv: List[str]) -> Optional[argparse.Namespace]:
             return None
         else:
             value = kwargs.get("default")
-        setattr(args, name[2:].replace("-", "_"), value)
+        setattr(args, dest, value)
     return args
 
 

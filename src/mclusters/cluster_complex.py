@@ -158,14 +158,31 @@ def _orbits(g: CompatibilityGraph) -> Optional[List[Tuple[int, int]]]:
     return orbits
 
 
+def face_bound(rs: RootSystem, m: int) -> Tuple[int, int]:
+    """The Fuss-Catalan facet count F = prod (mh+e_i+1)/(e_i+1) of an
+    irreducible system, and F*(m+2)^n // (m+1)^n, a bound on its faces.
+    The link of a k-face is a rank-(n-k) generalized cluster complex, with
+    at least (m+1)^(n-k) facets since mh+e_i+1 >= (m+1)(e_i+1); so
+    f_k <= F*C(n,k)/(m+1)^(n-k), and these sum to the bound.  ``cli``
+    refuses an instance past either; ``walk_faces`` decides from both
+    whether a full walk runs on two processes."""
+    facets, denominator = 1, 1
+    for e in rs.exponents():
+        facets *= m * rs.h + e + 1
+        denominator *= e + 1
+    facets //= denominator
+    return facets, facets * (m + 2) ** rs.n // (m + 1) ** rs.n
+
+
 def walk_faces(g: CompatibilityGraph, facets: Optional[List[Tuple[int, ...]]] = None,
                orbits: Optional[List[Tuple[int, int]]] = None) -> FaceWalk:
     """The counts of the faces (cliques) of ``g``.  With ``facets`` given,
     or when ``g.rotation`` is not an automorphism of ``g`` (see
     ``_orbits``), the walk covers every node and appends each facet to
     ``facets``, if given: ``_split_walk``, which runs on two processes
-    where the machine allows it, with the result of ``_walk``.
-    Otherwise it walks the link of one node r per orbit O of the rotation,
+    where the machine and the size (``face_bound`` of an irreducible
+    system, the node count of any other) allow it, with the result of
+    ``_walk``.  Otherwise it walks the link of one node r per orbit O of the rotation,
     the clique complex on r's neighbours one rank lower; the rotation maps
     it onto the link of each node of O, so ``_from_links`` weights it by
     |O|.  A caller that has already read ``_orbits(g)``, not None, passes
@@ -175,7 +192,8 @@ def walk_faces(g: CompatibilityGraph, facets: Optional[List[Tuple[int, ...]]] = 
     if orbits is None and facets is None and neighbours:
         orbits = _orbits(g)
     if orbits is None:
-        return _split_walk(neighbours, g.rs.n, (1 << len(neighbours)) - 1, facets)
+        bound = face_bound(g.rs, g.m) if g.rs.irreducible else None
+        return _split_walk(neighbours, g.rs.n, (1 << len(neighbours)) - 1, facets, bound)
     return _from_links([(weight, _walk(neighbours, g.rs.n - 1, neighbours[r]))
                         for r, weight in orbits], g.rs.n)
 

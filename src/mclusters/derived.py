@@ -8,7 +8,8 @@ translation-quiver export reads each label's fine degree off its row index.
 
 Everything here is root data of the bipartite quiver (Fomin-Reading,
 math/0505085): P_i and I_i are e_i plus the heads, respectively the
-tails, of the arrows at i, and the inverse translate on dimension
+tails, of the arrows at i, built once per bipartition by
+``root_system._orientation``, and the inverse translate on dimension
 vectors is the product of the reflections over the plus part and then
 over the minus part.  ``quiver_rep`` builds the same data from modules
 and is the witness the tests compare against.
@@ -44,24 +45,18 @@ class DerivedCategory:
     """Computational context for one root system: translate, Hom
     dimensions, the bijection with the almost positive roots (onto shift
     0 and the injectives at shift -1) and the translation-quiver export.
-    The translate and its inverse are evaluated on each call, so a caller
-    pays only for what it asks.  A reducible system is the product of its
-    components: Hom between them is 0 by the Euler form, and each
-    translation-quiver row repeats with its own component's period."""
+    The dimension vectors of P_i and I_i, and their indexes, are those of
+    the bipartition, shared through ``rs`` by every category on it, so a
+    category builds nothing.  The translate and its inverse are evaluated
+    on each call, so a caller pays only for what it asks.  A reducible
+    system is the product of its components: Hom between them is 0 by the
+    Euler form, and each translation-quiver row repeats with its own
+    component's period."""
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
-        proj = [[0] * rs.n for _ in range(rs.n)]
-        for i, row in enumerate(proj):
-            row[i] = 1
-        inj = [row[:] for row in proj]
-        for s, t in rs.arrows:
-            proj[s][t] += 1
-            inj[t][s] += 1
-        self.proj_dims: Tuple[Root, ...] = tuple(map(tuple, proj))
-        self.inj_dims: Tuple[Root, ...] = tuple(map(tuple, inj))
-        self._proj_index = {d: i for i, d in enumerate(self.proj_dims)}
-        self._inj_index = {d: i for i, d in enumerate(self.inj_dims)}
+        self.proj_dims: Tuple[Root, ...] = rs.proj_dims
+        self.inj_dims: Tuple[Root, ...] = rs.inj_dims
 
     def _coxeter(self, first: Tuple[int, ...], second: Tuple[int, ...],
                  x: DerivedObject) -> DerivedObject:
@@ -128,14 +123,14 @@ class DerivedCategory:
 
     def tau(self, x: DerivedObject) -> DerivedObject:
         self._check(x)
-        i = self._proj_index.get(x.beta)
+        i = self.rs.proj_index.get(x.beta)
         if i is not None:
             return DerivedObject(self.inj_dims[i], x.shift - 1)
         return self._coxeter(self.rs.minus_order, self.rs.plus_order, x)
 
     def tau_inverse(self, x: DerivedObject) -> DerivedObject:
         self._check(x)
-        i = self._inj_index.get(x.beta)
+        i = self.rs.inj_index.get(x.beta)
         if i is not None:
             return DerivedObject(self.proj_dims[i], x.shift + 1)
         return self._coxeter(self.rs.plus_order, self.rs.minus_order, x)

@@ -5,7 +5,8 @@ facets come in lexicographic order, with the f-vector, the facet sizes and
 the ridge histogram that ``FaceWalk`` holds.  ``_from_links`` counts a
 complex from weighted walks of links of its nodes.  ``_split_walk`` is the
 walk of every face that ``cluster_complex.walk_faces`` takes: where
-``_can_split`` allows it (a graph of at least ``SPLIT_NODES`` nodes, two
+``_can_split`` allows it (by its face bound, a complex with many faces
+besides its facets, or else a graph of at least ``SPLIT_NODES`` nodes; two
 CPUs and no other thread), it runs on two processes, this one and a child
 made by ``os.fork``, each walking half of the first nodes.  The child
 sends the facets of each of its first nodes as soon as it has walked it,
@@ -123,23 +124,36 @@ def _walk(neighbours: List[int], rank: int, top: int,
                     {k: c for k, c in enumerate(ridges) if c})
 
 
-# The full walk runs on two processes from this many nodes on.  The node
-# count stands in for the walk's size, unknown before it: the fork and the
-# transfer cost about 4 ms, which a sparse graph of low rank and high m
-# loses (A2 m=40, 122 nodes, walks in 1 ms), while the graphs of rank 6 to
-# 8 timed at or above it (E6 m=3, E8 m=1, E7 m=2) walk for 0.15 s or more
-# and take 35-45 % less.  Below it, E7 m=1 (70 nodes) would save 3 ms of
-# 19.  CHANGES.md has the timings.
+# The full walk of a complex whose face bound (``cluster_complex.face_bound``:
+# F facets, at most B faces) is known runs on two processes when B - F, a
+# bound on its faces that are not facets, is at least SPLIT_FACES and at
+# least F.  The fork costs about 4 ms, and the child's facets cross a pipe,
+# which costs more than walking them, so a walk must settle many faces that
+# it does not send.  Timed on one process and on two (CHANGES.md), the rule
+# splits E7 m=2, E8 m=1 and A8 m=2 (0.45-0.6 of the time on one) and D7 m=1
+# and E7 m=1 (0.8-0.9), and keeps on one every walk under about 15 ms, rank
+# 2 at any m (A2 m=40: 1 ms on one, 5 ms on two; A2 m=1000: 0.8 s, 1.2 s)
+# and A3 at high m (A3 m=100: 1.4 s, 1.8 s).
+SPLIT_FACES = 40_000
+# Where no face bound is known (a reducible system), the node count stands
+# in for the walk's size, from this many nodes on.
 SPLIT_NODES = 100
 
 
-def _can_split(size: int) -> bool:
-    """Whether a full walk of ``size`` nodes runs on two processes: at or
-    above ``SPLIT_NODES``, where ``os.fork`` exists, this process may run
-    on at least two CPUs, and no thread but this one is running, which a
-    fork would not copy.  Threads are counted by ``threading``, read only
-    if something has imported it: until then, none was started by it."""
-    if size < SPLIT_NODES or not hasattr(os, "fork"):
+def _can_split(size: int, bound: Optional[Tuple[int, int]] = None) -> bool:
+    """Whether a full walk of ``size`` nodes, whose complex has the face
+    bound ``bound`` (facets, faces) if known, runs on two processes: large
+    enough by ``SPLIT_FACES``, or by ``SPLIT_NODES`` without a bound, where
+    ``os.fork`` exists, this process may run on at least two CPUs, and no
+    thread but this one is running, which a fork would not copy.  Threads
+    are counted by ``threading``, read only if something has imported it:
+    until then, none was started by it."""
+    if bound is None:
+        large = size >= SPLIT_NODES
+    else:
+        facets, faces = bound
+        large = faces - facets >= max(SPLIT_FACES, facets)
+    if not large or not hasattr(os, "fork"):
         return False
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
@@ -148,22 +162,24 @@ def _can_split(size: int) -> bool:
 
 
 def _split_walk(neighbours: List[int], rank: int, top: int,
-                facets: Optional[List[Tuple[int, ...]]] = None) -> FaceWalk:
+                facets: Optional[List[Tuple[int, ...]]] = None,
+                bound: Optional[Tuple[int, int]] = None) -> FaceWalk:
     """``_walk(neighbours, rank, top, facets)``, on two processes where
-    ``_can_split`` allows it.  A child made by ``os.fork`` walks the first
-    nodes of ``top`` with odd ids (``_child``), and this one those with
-    even ids; interleaved, the shares cost about the same.  This one takes
-    the first nodes in increasing order, walking an even one and reading
-    an odd one off the pipe (``_receive``), so every facet is appended in
-    the order of the walk on one process, and the counts of the nodes add
-    up to its counts.  A top that leaves either share empty, or a pipe or
-    fork that fails (EMFILE, EAGAIN), is walked here alone.
+    ``_can_split`` allows it, given the complex's face ``bound`` if known.
+    A child made by ``os.fork`` walks the first nodes of ``top`` with odd
+    ids (``_child``), and this one those with even ids; interleaved, the
+    shares cost about the same.  This one takes the first nodes in
+    increasing order, walking an even one and reading an odd one off the
+    pipe (``_receive``), so every facet is appended in the order of the
+    walk on one process, and the counts of the nodes add up to its counts.
+    A top that leaves either share empty, or a pipe or fork that fails
+    (EMFILE, EAGAIN), is walked here alone.
 
     The child is reaped on every path.  When it fails or is killed, this
     process raises RuntimeError; when this one raises, it kills the child
     first.  Either way ``facets`` is left as it was."""
     odd = top & sum(1 << v for v in range(1, len(neighbours), 2))
-    if not odd or odd == top or not _can_split(len(neighbours)):
+    if not odd or odd == top or not _can_split(len(neighbours), bound):
         return _walk(neighbours, rank, top, facets)
     fds: Tuple[int, ...] = ()
     try:

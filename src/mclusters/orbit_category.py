@@ -50,13 +50,13 @@ class MClusterCategory:
 
     def _in_image(self, obj: DerivedObject) -> bool:
         """Whether ``obj`` is W of a coloured root, decided by its shift."""
-        return 0 <= obj.shift <= self.m - 1 or obj.shift == -1 and obj.beta in self.D._inj_index
+        return 0 <= obj.shift <= self.m - 1 or obj.shift == -1 and obj.beta in self.rs.inj_index
 
     def W_inverse(self, obj: DerivedObject) -> ColouredRoot:
         if not self._in_image(obj):
             raise ValueError(f"{obj} is not in the image of W")
         if obj.shift == -1:
-            return ColouredRoot(self.rs.negative_simple(self.D._inj_index[obj.beta]), 1)
+            return ColouredRoot(self.rs.negative_simple(self.rs.inj_index[obj.beta]), 1)
         return ColouredRoot(obj.beta, obj.shift + 1)
 
     def objects(self) -> List[DerivedObject]:

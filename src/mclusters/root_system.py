@@ -107,10 +107,11 @@ class _Diagram(NamedTuple):
     negative_simples: FrozenSet[Root]
 
 
-# A diagram's entry holds only tuples and sets of integers, never a system or
-# anything in its memo, so a cached diagram keeps no category alive.  The
-# largest entry the CLI accepts, D32, holds about 340 KiB, so a full cache
-# holds at most about 22 MiB.
+# An entry of either cache holds only integers in tuples, sets and dicts,
+# never a system or anything in its memo, so a cached diagram or bipartition
+# keeps no category alive.  The largest entries the CLI accepts, D32's, hold
+# about 340 KiB for the diagram and 23 KiB for a bipartition, so the full
+# caches hold at most about 23 MiB.
 DIAGRAM_CACHE_SIZE = 64
 
 
@@ -158,9 +159,13 @@ def _diagram(n: int, edges: Tuple[Tuple[int, int], ...]) -> _Diagram:
 
 @lru_cache(maxsize=DIAGRAM_CACHE_SIZE)
 def _orientation(n: int, edges: Tuple[Tuple[int, int], ...], plus: FrozenSet[int]) -> Tuple:
-    """The minus part, each part in vertex order and the arrows, from the
-    plus part to the minus part, of the bipartition of the diagram whose
-    plus part is ``plus``.  A ``plus`` that is no bipartition raises
+    """The data of the bipartition of the diagram whose plus part is
+    ``plus``, which depend on nothing else, built once per bipartition:
+    the minus part, each part in vertex order, the arrows, from the plus
+    part to the minus part, the dimension vectors of the projectives P_i
+    (e_i plus the heads of the arrows out of i) and of the injectives I_i
+    (e_i plus the tails of the arrows into i), and the index of each of
+    those vectors in its tuple.  A ``plus`` that is no bipartition raises
     ``ValueError``, which the cache does not keep, so each call raises."""
     minus = frozenset(range(n)) - plus
     if plus | minus != frozenset(range(n)):
@@ -168,8 +173,15 @@ def _orientation(n: int, edges: Tuple[Tuple[int, int], ...], plus: FrozenSet[int
     for i, j in edges:
         if (i in plus) == (j in plus):
             raise ValueError(f"edge {{{i},{j}}} joins two vertices of the same part")
-    return (minus, tuple(sorted(plus)), tuple(sorted(minus)),
-            tuple((i, j) if i in plus else (j, i) for i, j in edges))
+    arrows = tuple((i, j) if i in plus else (j, i) for i, j in edges)
+    proj = [[int(i == j) for j in range(n)] for i in range(n)]
+    inj = [row[:] for row in proj]
+    for s, t in arrows:
+        proj[s][t] += 1
+        inj[t][s] += 1
+    proj_dims, inj_dims = tuple(map(tuple, proj)), tuple(map(tuple, inj))
+    return (minus, tuple(sorted(plus)), tuple(sorted(minus)), arrows, proj_dims, inj_dims,
+            {d: i for i, d in enumerate(proj_dims)}, {d: i for i, d in enumerate(inj_dims)})
 
 
 def _closure(cartan: Tuple[Tuple[int, ...], ...],
@@ -212,7 +224,8 @@ class RootSystem:
     system on the same diagram, from a cache of at most
     ``DIAGRAM_CACHE_SIZE`` diagrams.  The type and the bipartition are the
     caller's and belong to the instance, which hashes by identity; the
-    parts and arrows of a bipartition come from a cache of the same size.
+    parts, the arrows and the dimension vectors of the projectives and
+    injectives of a bipartition come from a cache of the same size.
     Everything built from a system, such as its categories,
     Hom table, shift and rotation tables, is kept in its own
     ``memo`` by ``cached``, so it is freed together with the system.
@@ -230,8 +243,8 @@ class RootSystem:
         self.positive_roots, self._positive_set = d.positive_roots, d.positive_set
         self.coxeter_numbers, self._negative_simples = d.coxeter_numbers, d.negative_simples
         self.I_plus = d.plus if I_plus is None else frozenset(I_plus)
-        self.I_minus, self.plus_order, self.minus_order, self.arrows = _orientation(
-            n, self.edges, self.I_plus)
+        (self.I_minus, self.plus_order, self.minus_order, self.arrows, self.proj_dims,
+         self.inj_dims, self.proj_index, self.inj_index) = _orientation(n, self.edges, self.I_plus)
 
     def cached(self, key: object, build: Callable[[], Any]) -> Any:
         """``memo[key]``, from ``build()`` on first use."""

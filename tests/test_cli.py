@@ -17,7 +17,7 @@ from mclusters import cli, cluster_complex, derived
 from mclusters.cli import main
 from mclusters.coloured_roots import ColouredRoot, rotation_table
 from mclusters.orbit_category import MClusterCategory
-from mclusters.root_system import RootSystem
+from mclusters.root_system import RootSystem, _orientation
 
 
 def run(capsys, *argv):
@@ -398,6 +398,30 @@ class TestPerCallWork:
                      ["ext", "--type", "A2", "--", "-e1", "-e2", "extra"]):
             with pytest.raises(AssertionError, match="full parser called"):
                 main(argv)
+
+    def test_one_orientation_for_fifty_calls(self, capsys, monkeypatch):
+        """Fifty ``ext`` calls on E6 build the data of its bipartition, the
+        projectives and injectives included, at most once: 0 misses of
+        ``_orientation`` if a call before them built it, else 1.  Each
+        call's category builds none of its own and reads the same tuples."""
+        dims = set()
+        real = derived.DerivedCategory.__init__
+
+        def spy(self, rs):
+            real(self, rs)
+            dims.add((id(self.proj_dims), id(self.inj_dims)))
+
+        monkeypatch.setattr(derived.DerivedCategory, "__init__", spy)
+        before = _orientation.cache_info()
+        simples = [",".join("1" if j == i else "0" for j in range(6)) for i in range(6)]
+        for k in range(50):
+            x, y = f"-e{1 + k % 6}", f"{simples[k * 5 % 6]}:{1 + k % 2}"
+            code, out, err = run(capsys, "ext", "--type", "E6", "--m", "2", "--", x, y)
+            assert (code, len(out.splitlines()), err) == (0, 2, "")
+        after = _orientation.cache_info()
+        assert after.misses - before.misses <= 1
+        assert after.hits + after.misses - before.hits - before.misses == 50
+        assert len(dims) == 1
 
     # Each command with the arguments it is run with below.
     E8_PAIR = ("--type", "E8", "--m", "3", "--", "2,4,6,5,4,3,2,3:3", "0,1,2,2,1,1,1,1:1")

@@ -11,6 +11,21 @@ from conftest import (ALL_SYSTEMS, REDUCIBLE, coxeter_number, fine_degree, fine_
 from mclusters import (DerivedObject, build_root_system, derived, derived_category,
                        parse_type, quiver_rep, shift)
 from mclusters.orbit_category import mcluster_category
+from mclusters.root_system import RootSystem
+
+# Every system of ALL_SYSTEMS, and E7 with its bipartition flipped, whose
+# arrows all point the other way: the root data of a bipartition are cached
+# by its plus part, so the flipped one must get its own.
+ORIENTED = ALL_SYSTEMS + [("E7", "flipped")]
+
+
+def oriented(name, keep):
+    """``system(name, keep)``, or, for keep ``"flipped"``, the system of
+    type ``name`` with its plus and minus parts swapped."""
+    if keep != "flipped":
+        return system(name, keep)
+    rs = system(name)
+    return RootSystem(rs.n, rs.edges, rs.type, I_plus=rs.I_minus)
 
 
 @pytest.fixture(scope="module")
@@ -117,11 +132,11 @@ class TestDegrees:
                 assert -x.shift == math.ceil(fine_degree(da3, x) / a3.h)
 
 
-@pytest.mark.parametrize("name,keep", ALL_SYSTEMS)
+@pytest.mark.parametrize("name,keep", ORIENTED)
 def test_projective_injective_dims_brute_force(name, keep):
     """P_i is e_i plus the heads of the arrows out of i, and I_i is e_i
     plus the tails of the arrows into i, entry by entry."""
-    rs = system(name, keep)
+    rs = oriented(name, keep)
     d = derived_category(rs)
     arrows, n = set(rs.arrows), rs.n
     assert d.proj_dims == tuple(tuple(int(j == i) + ((i, j) in arrows) for j in range(n))
@@ -130,12 +145,12 @@ def test_projective_injective_dims_brute_force(name, keep):
                                for i in range(n))
 
 
-@pytest.mark.parametrize("name,keep", ALL_SYSTEMS)
+@pytest.mark.parametrize("name,keep", ORIENTED)
 class TestRootDataWitness:
     """The closed-form root data equal what ``quiver_rep`` builds."""
 
     def test_projective_injective_dims(self, name, keep):
-        rs = system(name, keep)
+        rs = oriented(name, keep)
         d = derived_category(rs)
         q = quiver_rep.BipartiteQuiver.from_root_system(rs)
         assert rs.arrows == q.arrows
@@ -143,7 +158,7 @@ class TestRootDataWitness:
         assert d.inj_dims == tuple(quiver_rep.injective(q, i).dims for i in range(rs.n))
 
     def test_tau_inverse_matches_coxeter(self, name, keep):
-        rs = system(name, keep)
+        rs = oriented(name, keep)
         d = derived_category(rs)
         for beta in rs.positive_roots:
             gamma = quiver_rep.coxeter_tau_inverse(rs, beta)
@@ -155,7 +170,7 @@ class TestRootDataWitness:
                 assert image == DerivedObject(d.proj_dims[i], 1)
 
     def test_tau_matches_coxeter(self, name, keep):
-        rs = system(name, keep)
+        rs = oriented(name, keep)
         d = derived_category(rs)
         for beta in rs.positive_roots:
             gamma = quiver_rep.coxeter_tau(rs, beta)
@@ -167,7 +182,7 @@ class TestRootDataWitness:
                 assert image == DerivedObject(d.inj_dims[i], -1)
 
     def test_tau_round_trip(self, name, keep):
-        rs = system(name, keep)
+        rs = oriented(name, keep)
         d = derived_category(rs)
         for beta in rs.positive_roots:
             x = DerivedObject(beta, 0)

@@ -28,7 +28,7 @@ pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="the split walk 
 @pytest.fixture
 def always_split(monkeypatch):
     """``_split_walk`` forks whatever the graph's size, CPUs and threads."""
-    monkeypatch.setattr(face_walk, "_can_split", lambda size: True)
+    monkeypatch.setattr(face_walk, "_can_split", lambda *size: True)
 
 
 def neighbours_of(rows):
@@ -168,7 +168,7 @@ class TestChild:
                 time.sleep(1)
             return walk(*args)
 
-        os.fork, face_walk._walk, face_walk._can_split = announced_fork, slow_walk, lambda size: True
+        os.fork, face_walk._walk, face_walk._can_split = announced_fork, slow_walk, lambda *size: True
         g = build_graph(build_root_system(parse_type("E7")), 2)
         face_walk._split_walk([row & ~(1 << v) for v, row in enumerate(g.adjacency)], 7,
                               (1 << len(g.nodes)) - 1)
@@ -247,12 +247,18 @@ class TestChild:
         no_child_left()
 
 
+def two_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
 def spy_splits(monkeypatch):
-    """The node count of each graph that ``walk_faces`` splits, in order."""
+    """The node count of each graph that ``walk_faces`` splits, in order,
+    on a machine with two CPUs."""
+    two_cpus(monkeypatch)
     splits, real = [], face_walk._can_split
 
-    def spy(size):
-        split = real(size)
+    def spy(size, bound=None):
+        split = real(size, bound)
         if split:
             splits.append(size)
         return split
@@ -263,9 +269,8 @@ def spy_splits(monkeypatch):
 
 def test_complex_to_json(monkeypatch):
     """E7 m=2, the ``enumerate`` benchmark's instance, is split whenever
-    the machine allows it (here it always does), gives the facets of the
-    walk on one process, and leaves no child behind."""
-    monkeypatch.setattr(face_walk, "_can_split", lambda size: size >= face_walk.SPLIT_NODES)
+    the machine allows it, gives the facets of the walk on one process,
+    and leaves no child behind."""
     splits = spy_splits(monkeypatch)
     rs = build_root_system(parse_type("E7"))
     data = complex_to_json(rs, 2, "combinatorial", include_verification=False)
@@ -277,11 +282,16 @@ def test_complex_to_json(monkeypatch):
     assert data["facets"] == facets and data["f_vector"] == walk.f_vector
 
 
-def test_small_graphs_walk_on_one_process(monkeypatch):
-    """E7 m=1 has 70 nodes, under ``SPLIT_NODES``."""
+@pytest.mark.parametrize("name,m,split", [("A2", 40, []), ("A3", 10, []), ("E6", 1, []),
+                                          ("E7", 1, [70])])
+def test_split_by_face_bound(monkeypatch, name, m, split):
+    """Whether ``enumerate`` splits its walk follows the face bound, not
+    the node count: A2 m=40 has 122 nodes and walks in about 1 ms, E7 m=1
+    has 70 and walks in about 20 ms."""
     splits = spy_splits(monkeypatch)
-    complex_to_json(build_root_system(parse_type("E7")), 1, "combinatorial")
-    assert splits == [] and face_walk.SPLIT_NODES > 70
+    complex_to_json(build_root_system(parse_type(name)), m, "combinatorial")
+    assert splits == split
+    no_child_left()
 
 
 @pytest.mark.usefixtures("always_split")
@@ -337,13 +347,33 @@ class TestCanSplit:
 
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        two_cpus(monkeypatch)
 
     def test_big_graph(self):
         assert face_walk._can_split(self.BIG)
 
     def test_small_graph(self):
         assert not face_walk._can_split(self.BIG - 1)
+
+    @pytest.mark.parametrize("name,m,split", [
+        ("A2", 40, False), ("A2", 1000, False), ("A3", 90, False), ("A4", 12, False),
+        ("E6", 1, False), ("A7", 1, False), ("D7", 1, True), ("E7", 1, True), ("E6", 2, True),
+        ("E7", 2, True), ("E8", 1, True), ("A8", 2, True), ("E8", 2, True)])
+    def test_face_bound_decides(self, name, m, split):
+        """With a face bound, the node count does not count: A8 m=2 has 80
+        nodes, A2 m=1000 has 3,002."""
+        rs = build_root_system(parse_type(name))
+        facets, faces = cli.face_bound(rs, m)
+        assert face_walk._can_split(1, (facets, faces)) == split
+        assert face_walk._can_split(10 ** 6, (facets, faces)) == split
+
+    def test_face_bound_threshold(self):
+        big = face_walk.SPLIT_FACES
+        assert face_walk._can_split(1, (big, 2 * big))
+        assert not face_walk._can_split(1, (big, 2 * big - 1))
+        assert face_walk._can_split(1, (0, big))
+        assert not face_walk._can_split(1, (0, big - 1))
+        assert not face_walk._can_split(10 ** 6, (0, big - 1))
 
     def test_one_cpu(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})

@@ -265,7 +265,10 @@ def test_closure_order_high_rank(name):
 
 
 def leaves(value):
-    """The non-container values inside nested tuples and frozensets."""
+    """The non-container values inside nested tuples, frozensets and dicts,
+    the keys of a dict included."""
+    if isinstance(value, dict):
+        value = tuple(value.items())
     if isinstance(value, (tuple, frozenset)):
         for item in value:
             yield from leaves(item)
@@ -301,6 +304,21 @@ class TestDiagramCache:
         info = _orientation.cache_info()
         assert (info.currsize, info.maxsize) == (2, DIAGRAM_CACHE_SIZE)
 
+    def test_projectives_and_injectives_per_bipartition(self):
+        # Systems on one bipartition share its dimension vectors and their
+        # indexes; flipping the bipartition reverses every arrow, so its
+        # projectives are the injectives of the default one, and each of its
+        # categories reads its own.
+        e7, again = system("E7"), system("E7")
+        assert e7.proj_dims is again.proj_dims and e7.inj_dims is again.inj_dims
+        assert e7.proj_index is again.proj_index and e7.inj_index is again.inj_index
+        assert derived_category(e7).proj_dims is derived_category(again).proj_dims
+        flipped = RootSystem(7, e7.edges, I_plus=e7.I_minus)
+        assert (flipped.proj_dims, flipped.inj_dims) == (e7.inj_dims, e7.proj_dims)
+        assert (flipped.proj_index, flipped.inj_index) == (e7.inj_index, e7.proj_index)
+        assert derived_category(flipped).proj_dims is flipped.proj_dims
+        assert e7.proj_index == {d: i for i, d in enumerate(e7.proj_dims)}
+
     def test_bad_bipartition_raises_on_every_call(self):
         # The cache keeps no failed bipartition: each call checks it again.
         _orientation.cache_clear()
@@ -326,8 +344,10 @@ class TestDiagramCache:
         assert not any(ref() for ref in alive)
         assert system("A3").positive_roots is roots
         assert all(type(v) is int for v in leaves(_diagram(3, ((0, 1), (1, 2)))))
-        assert all(type(v) is int for v in leaves(_orientation(3, ((0, 1), (1, 2)),
-                                                               frozenset({0, 2}))))
+        entry = _orientation(3, ((0, 1), (1, 2)), frozenset({0, 2}))
+        assert all(type(v) is int for v in leaves(entry))
+        assert entry[-2:] == ({(1, 1, 0): 0, (0, 1, 0): 1, (0, 1, 1): 2},
+                              {(1, 0, 0): 0, (1, 1, 1): 1, (0, 0, 1): 2})
 
     def test_bounded(self):
         # The parabolic subsystems of A9 give more diagrams than the bound;
