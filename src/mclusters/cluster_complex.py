@@ -5,7 +5,8 @@ One depth-first walk over the faces of the graph's ``int`` row per node
 the counts that theorems 2 (facet sizes) and 3 (complement counts) are
 read off; all orderings are fixed so that serialized output is
 byte-stable.  A walk of every face of a large graph runs on two processes,
-with the same result.  Where no facet list is asked for and the graph
+with the same result, and so do ``verify``'s checks of the vertex
+deletions of a large system.  Where no facet list is asked for and the graph
 carries its oracle's rotation as an automorphism, the walk covers one
 node's link per orbit and weights it by the orbit's size.  The facet-list
 checks and ``complements`` are the
@@ -20,11 +21,12 @@ the system's graph from one walk of each, and walks no face of it.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+import marshal
+from typing import BinaryIO, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .coloured_roots import (ColouredRoot, RotationTable, coloured_ground_set,
                              coloured_to_json, rotation_table)
-from .face_walk import FaceWalk, _from_links, _split_walk, _walk
+from .face_walk import FaceWalk, _can_split, _fork, _from_links, _split_walk, _walk
 from .orbit_category import MClusterCategory, mcluster_category
 from .root_system import RootSystem, parabolic
 
@@ -382,8 +384,14 @@ def _ext1_is_degree(cat: MClusterCategory, table: RotationTable) -> bool:
                for a in (run[0] for run in table.runs) for b in range(len(sigma)))
 
 
+# What ``_deletion`` finds of one vertex deletion: the report, whether the
+# subsystem's graph is a link, and the walk of that graph, if taken.
+Outcome = Tuple[Report, bool, Optional[FaceWalk]]
+
+
 def verify_vertex_deletions_on_rows(
-        g: CompatibilityGraph, invariant: bool) -> Tuple[List[Report], Optional[FaceWalk]]:
+        g: CompatibilityGraph,
+        invariant: Callable[[], bool]) -> Tuple[List[Report], Optional[FaceWalk]]:
     """``verify_vertex_deletions([g, g_cat])`` and ``walk_faces(g)`` for a
     combinatorial graph ``g``, g_cat the categorical graph of its system,
     read off the graphs g_i of the subsystems, with no categorical graph
@@ -396,37 +404,122 @@ def verify_vertex_deletions_on_rows(
     The link of -alpha_i is the complex of the deletion of vertex i
     (Fomin-Reading, math/0505085).  Here it is g_i when the row of
     -alpha_i, less its own bit, is exactly the set of nodes that g_i's
-    nodes lift to, and the restriction report of g_i passes.  Each node of
-    run i of the rotation table is R_m^-t(-alpha_i), so when R_m is an
-    automorphism of ``g``, as ``invariant`` says (``_invariant``), its
-    link is isomorphic to that of -alpha_i, and ``_from_links`` counts the
-    faces of ``g`` from one ``walk_faces(g_i)`` per subsystem, over the
-    orbits of g_i, weighted by the run's length: combinatorial facts
-    alone.  Each g_i is lifted once, for its restriction report and for
-    this test, and its orbits are read once, for its walk and its premise
-    INVARIANT.  The runs partition the ids, so an orbit that holds two
-    negative simples needs no fractional weight.  The walk is None in rank
-    1 and when a link fails."""
+    nodes lift to, and the restriction report of g_i passes (``_deletion``).
+    Each node of run i of the rotation table is R_m^-t(-alpha_i), so when
+    R_m is an automorphism of ``g``, as ``invariant()`` says
+    (``_invariant``), its link is isomorphic to that of -alpha_i, and
+    ``_from_links`` counts the faces of ``g`` from one ``walk_faces(g_i)``
+    per subsystem, weighted by the run's length: combinatorial facts
+    alone.  The runs partition the ids, so an orbit that holds two negative
+    simples needs no fractional weight.  The walk is None in rank 1 and
+    when a link fails.
+
+    ``invariant`` is called once, on this process, before its first
+    deletion.  Where ``_can_split`` allows it by ``g``'s node count and
+    face bound, a child made by ``face_walk._fork`` checks the deletions at
+    even indices meanwhile (``_send``), so that ``invariant`` and the other
+    deletions run beside them, and this process takes the child's
+    outcomes off the pipe (``_received``) and assembles every report in
+    deletion order.  The result is that of one process: when the child
+    fails, is killed or ends its pipe early, or a deletion raises here, the
+    child is killed and reaped and every deletion is checked again here, in
+    order, so that the first exception of the checks on one process is the
+    one raised; an exception of ``invariant`` itself is raised at once."""
     table = rotation_table(g.rs, g.m)
-    reports: List[Report] = []
-    links: Optional[List[Tuple[int, FaceWalk]]] = [] if invariant else None
-    for (keep, sub), run in zip(_deletions(g.rs), table.runs):
-        g_sub = build_graph(sub, g.m)
-        orbits = _orbits(g_sub)
-        supported = _lift(g, g_sub, keep)
-        report = _restriction_report(g, g_sub, supported)
-        neg = run[0]
-        lifted = sum(1 << f for f, _ in supported)
-        if (links is not None and orbits is not None and report.passed
-                and g.adjacency[neg] & ~(1 << neg) == lifted):
-            links.append((len(run), walk_faces(g_sub, orbits=orbits)))
-        else:
-            links = None
-        failed = failed_premises(g_sub, orbits is not None, degree=False)
-        if failed:
-            report.premise = failed[0]
-        reports.append(report)
-    return reports, _from_links(links, g.rs.n) if links else None
+    tasks = [(keep, sub, run) for (keep, sub), run in zip(_deletions(g.rs), table.runs)]
+    # The child's share: the larger half in odd rank, since this process
+    # also reads the system's premises (on E7 m=1 it beat the odd indices
+    # in paired benchmark runs, CHANGES.md).
+    share = range(0, len(tasks), 2)
+    holds: Optional[bool] = None
+    outcomes: Optional[List[Outcome]] = None
+
+    def here(pipe: BinaryIO) -> Optional[List[Outcome]]:
+        nonlocal holds
+        holds = invariant()
+        mine = {k: _deletion(g, *task, holds) for k, task in enumerate(tasks) if k not in share}
+        theirs = _received(pipe, g, len(share))
+        if theirs is None:
+            return None
+        mine.update(zip(share, theirs))
+        return [mine[k] for k in range(len(tasks))]
+
+    bound = face_bound(g.rs, g.m) if g.rs.irreducible else None
+    if 0 < len(share) < len(tasks) and _can_split(len(g.nodes), bound):
+        try:
+            outcomes = _fork(lambda pipe: _send(pipe, g, [tasks[k] for k in share]), here,
+                             "the vertex deletions")
+        except Exception:
+            if holds is None:  # ``invariant`` raised, before any deletion of one process
+                raise
+    if holds is None:
+        holds = invariant()
+    if outcomes is None:
+        outcomes = []
+        for task in tasks:  # each walked while every link so far holds
+            outcomes.append(_deletion(g, *task, holds and all(link for _, link, _ in outcomes)))
+    walk = None
+    if holds and outcomes and all(link for _, link, _ in outcomes):
+        walk = _from_links([(len(run), counts) for (_, _, run), (_, _, counts)
+                            in zip(tasks, outcomes)], g.rs.n)
+    return [report for report, _, _ in outcomes], walk
+
+
+def _deletion(g: CompatibilityGraph, keep: List[int], sub: RootSystem, run: Tuple[int, ...],
+              walk: bool) -> Outcome:
+    """The checks of one vertex deletion of ``g``'s system, the subsystem
+    ``sub`` on ``keep``, whose -alpha_i begins ``run`` of the rotation
+    table: the restriction report of its graph g_i, failed with the first
+    of g_i's ``failed_premises`` as ``premise``; whether g_i is the link of
+    -alpha_i; and, if it is and ``walk`` is set, ``walk_faces(g_i)``.  g_i
+    is lifted once, for its report and the link test, and its orbits are
+    read once, for its walk and its premise INVARIANT."""
+    g_sub = build_graph(sub, g.m)
+    orbits = _orbits(g_sub)
+    supported = _lift(g, g_sub, keep)
+    report = _restriction_report(g, g_sub, supported)
+    neg = run[0]
+    link = (orbits is not None and report.passed
+            and g.adjacency[neg] & ~(1 << neg) == sum(1 << f for f, _ in supported))
+    counts = walk_faces(g_sub, orbits=orbits) if link and walk else None
+    failed = failed_premises(g_sub, orbits is not None, degree=False)
+    if failed:
+        report.premise = failed[0]
+    return report, link, counts
+
+
+def _send(pipe: BinaryIO, g: CompatibilityGraph,
+          tasks: Sequence[Tuple[List[int], RootSystem, Tuple[int, ...]]]) -> None:
+    """The child's part of ``verify_vertex_deletions_on_rows``: the
+    ``_deletion`` of each of ``tasks``, walked wherever its link holds,
+    since only the parent learns whether the walks are used, written to
+    ``pipe`` once all are checked, by ``marshal``: per deletion, the
+    report's ``checked``, its failures with node ids for nodes, its
+    premise, whether the link holds, and the walk's counts or None."""
+    ids = {x: k for k, x in enumerate(g.nodes)}
+    outcomes = []
+    for task in tasks:
+        report, link, counts = _deletion(g, *task, True)
+        outcomes.append((report.checked, [(ids[x], ids[y], full, restricted)
+                                          for x, y, full, restricted in report.failures],
+                         report.premise, link,
+                         counts and (counts.f_vector, counts.facet_sizes, counts.ridges)))
+    pipe.write(marshal.dumps(outcomes))
+
+
+def _received(pipe: BinaryIO, g: CompatibilityGraph, count: int) -> Optional[List[Outcome]]:
+    """The ``count`` outcomes that ``_send`` wrote to ``pipe``, each failure
+    with its nodes read off ``g.nodes``; None if the pipe ends early."""
+    try:
+        outcomes = marshal.loads(pipe.read())
+    except (EOFError, ValueError, TypeError):  # a pipe cut short
+        return None
+    if len(outcomes) != count:
+        return None
+    return [(Report(checked, [(g.nodes[x], g.nodes[y], full, restricted)
+                              for x, y, full, restricted in failures], premise),
+             link, counts and FaceWalk(*counts))
+            for checked, failures, premise, link, counts in outcomes]
 
 
 def complex_to_json(rs: RootSystem, m: int, oracle: str,

@@ -8,11 +8,14 @@ walk of every face that ``cluster_complex.walk_faces`` takes: where
 ``_can_split`` allows it (by its face bound, a complex with many faces
 besides its facets, or else a graph of at least ``SPLIT_NODES`` nodes; two
 CPUs and no other thread), it runs on two processes, this one and a child
-made by ``os.fork``, each walking half of the first nodes.  The child
-sends the facets of each of its first nodes as soon as it has walked it,
-and this one takes the first nodes in increasing order, walking its own and
+made by ``_fork``, each walking half of the first nodes.  The child sends
+the facets of each of its first nodes as soon as it has walked it, and
+this one takes the first nodes in increasing order, walking its own and
 appending the child's as they come, so the facets come in the order, and
-with the counts, of the walk on one process.
+with the counts, of the walk on one process.  ``_fork`` is the one way a
+second process is made: ``cluster_complex.verify_vertex_deletions_on_rows``
+checks a share of ``verify``'s vertex deletions in a child of it too, under
+the same ``_can_split`` rule.
 """
 
 from __future__ import annotations
@@ -22,7 +25,9 @@ import os
 import sys
 from collections import Counter
 from itertools import chain, groupby, islice
-from typing import BinaryIO, Dict, List, NoReturn, Optional, Sequence, Tuple
+from typing import BinaryIO, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+
+T = TypeVar("T")
 
 
 class FaceWalk:
@@ -141,13 +146,16 @@ SPLIT_NODES = 100
 
 
 def _can_split(size: int, bound: Optional[Tuple[int, int]] = None) -> bool:
-    """Whether a full walk of ``size`` nodes, whose complex has the face
+    """Whether work on a graph of ``size`` nodes, whose complex has the face
     bound ``bound`` (facets, faces) if known, runs on two processes: large
     enough by ``SPLIT_FACES``, or by ``SPLIT_NODES`` without a bound, where
     ``os.fork`` exists, this process may run on at least two CPUs, and no
     thread but this one is running, which a fork would not copy.  Threads
     are counted by ``threading``, read only if something has imported it:
-    until then, none was started by it."""
+    until then, none was started by it.  It decides both a full walk
+    (``_split_walk``) and ``verify``'s vertex deletions
+    (``cluster_complex.verify_vertex_deletions_on_rows``), whose walks grow
+    with the complex's as the links of its negative simples."""
     if bound is None:
         large = size >= SPLIT_NODES
     else:
@@ -166,21 +174,59 @@ def _split_walk(neighbours: List[int], rank: int, top: int,
                 bound: Optional[Tuple[int, int]] = None) -> FaceWalk:
     """``_walk(neighbours, rank, top, facets)``, on two processes where
     ``_can_split`` allows it, given the complex's face ``bound`` if known.
-    A child made by ``os.fork`` walks the first nodes of ``top`` with odd
-    ids (``_child``), and this one those with even ids; interleaved, the
-    shares cost about the same.  This one takes the first nodes in
-    increasing order, walking an even one and reading an odd one off the
-    pipe (``_receive``), so every facet is appended in the order of the
-    walk on one process, and the counts of the nodes add up to its counts.
-    A top that leaves either share empty, or a pipe or fork that fails
-    (EMFILE, EAGAIN), is walked here alone.
-
-    The child is reaped on every path.  When it fails or is killed, this
-    process raises RuntimeError; when this one raises, it kills the child
-    first.  Either way ``facets`` is left as it was."""
+    A child made by ``_fork`` walks the first nodes of ``top`` with odd ids
+    (``_child``), and this one those with even ids; interleaved, the shares
+    cost about the same.  This one takes the first nodes in increasing
+    order, walking an even one and reading an odd one off the pipe
+    (``_receive``), so every facet is appended in the order of the walk on
+    one process, and the counts of the nodes add up to its counts.  A top
+    that leaves either share empty, or a pipe or fork that fails, is walked
+    here alone.  When the child fails or is killed, this process raises
+    RuntimeError, and when this one raises, the child is killed (``_fork``);
+    either way ``facets`` is left as it was."""
     odd = top & sum(1 << v for v in range(1, len(neighbours), 2))
     if not odd or odd == top or not _can_split(len(neighbours), bound):
         return _walk(neighbours, rank, top, facets)
+    start = 0 if facets is None else len(facets)
+
+    def here(pipe: BinaryIO) -> Optional[FaceWalk]:
+        walks, rest = [], top
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            walk = (_receive(pipe, facets, len(neighbours)) if low & odd else
+                    _walk(neighbours, rank, top, facets, low))
+            if walk is None:
+                return None
+            walks.append(walk)
+        return _add(walks)
+
+    try:
+        walk = _fork(lambda pipe: _child(neighbours, rank, top, odd, facets is not None, pipe),
+                     here, "the face walk")
+    except BaseException:
+        if facets is not None:
+            del facets[start:]
+        raise
+    return _walk(neighbours, rank, top, facets) if walk is None else walk
+
+
+def _fork(child: Callable[[BinaryIO], None], here: Callable[[BinaryIO], Optional[T]],
+          name: str) -> Optional[T]:
+    """What ``here`` returns, run on this process while a child made by
+    ``os.fork`` runs ``child``, each given its end of one pipe, the child's
+    to write; or None, with no child made, where ``os.pipe`` or
+    ``os.fork`` fails (EMFILE, EAGAIN), so that the caller does all the work
+    here.  ``here`` returns None when the pipe ends early.
+
+    The child leaves by ``os._exit``, with status 0 only once ``child`` has
+    returned, so that it never returns into its parent's code nor flushes
+    its parent's buffers; a collection would only copy the parent's pages,
+    so it runs with ``gc`` off.  Once the parent is gone, its next write
+    fails (EPIPE) and it stops there.  The child is reaped on every path:
+    when it fails, is killed or ends its pipe early, this process raises
+    RuntimeError, which says so of ``name``'s second process; when ``here``
+    raises, the child is killed first, and the exception goes on."""
     fds: Tuple[int, ...] = ()
     try:
         fds = r, w = os.pipe()
@@ -188,65 +234,50 @@ def _split_walk(neighbours: List[int], rank: int, top: int,
     except OSError:  # no descriptor or process to spare
         for fd in fds:
             os.close(fd)
-        return _walk(neighbours, rank, top, facets)
+        return None
     if not pid:
-        os.close(r)
-        _child(neighbours, rank, top, odd, facets is not None, w)
+        status = 1
+        try:
+            os.close(r)
+            gc.disable()
+            with open(w, "wb") as pipe:
+                child(pipe)
+            status = 0
+        finally:
+            os._exit(status)
     os.close(w)
-    start = 0 if facets is None else len(facets)
-    walks: List[FaceWalk] = []
     status = None
     try:
         with open(r, "rb") as pipe:
-            rest = top
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                walk = (_receive(pipe, facets, len(neighbours)) if low & odd else
-                        _walk(neighbours, rank, top, facets, low))
-                if walk is None:
-                    break
-                walks.append(walk)
+            result = here(pipe)
         status = os.waitpid(pid, 0)[1]
-        if status or walk is None:
-            code = os.waitstatus_to_exitcode(status)
-            raise RuntimeError("the second process of the face walk "
-                               + (f"exited with status {code}" if code > 0 else
-                                  f"was killed by signal {-code}" if code else "ended early"))
     except BaseException:
-        if facets is not None:
-            del facets[start:]
         if status is None:
             import signal  # only on this path
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         raise
-    return _add(walks)
+    if status or result is None:
+        code = os.waitstatus_to_exitcode(status)
+        raise RuntimeError(f"the second process of {name} "
+                           + (f"exited with status {code}" if code > 0 else
+                              f"was killed by signal {-code}" if code else "ended early"))
+    return result
 
 
 def _child(neighbours: List[int], rank: int, top: int, share: int, with_facets: bool,
-           fd: int) -> NoReturn:
+           pipe: BinaryIO) -> None:
     """The child of ``_split_walk``: it walks the first nodes of ``share``
-    in increasing order, and writes each one's ``_frame`` to ``fd`` as soon
-    as it has walked it.  Once the parent is gone, the next write fails
-    (EPIPE) and the child stops there.  It leaves by ``os._exit``, with
-    status 0 only once all is written, so that it never returns into its
-    parent's code nor flushes its parent's buffers."""
-    status = 1
-    try:
-        gc.disable()  # a collection would only copy the parent's pages: the walk makes no cycles
-        facets: List[Tuple[int, ...]] = []
-        with open(fd, "wb") as pipe:
-            while share:
-                low = share & -share
-                share ^= low
-                walk = _walk(neighbours, rank, top, facets if with_facets else None, low)
-                pipe.write(_frame(walk, facets, len(neighbours)))
-                pipe.flush()
-                facets.clear()
-        status = 0
-    finally:
-        os._exit(status)
+    in increasing order, and writes each one's ``_frame`` to ``pipe`` as
+    soon as it has walked it."""
+    facets: List[Tuple[int, ...]] = []
+    while share:
+        low = share & -share
+        share ^= low
+        walk = _walk(neighbours, rank, top, facets if with_facets else None, low)
+        pipe.write(_frame(walk, facets, len(neighbours)))
+        pipe.flush()
+        facets.clear()
 
 
 def _frame(walk: FaceWalk, facets: Sequence[Tuple[int, ...]], size: int) -> bytes:

@@ -535,13 +535,26 @@ class TestVerify:
                 "(failed premise: -alpha_i rows, deletion of vertex 1)"]))
             assert len(built) == 1 + 4  # D4 and one subsystem per deleted vertex
 
+    @pytest.mark.usefixtures("one_process")
     def test_walks_subsystem_graphs_only(self, capsys, monkeypatch):
         """A passing run counts the faces from one walk of each vertex
-        deletion's graph, and walks no face of the graph itself."""
+        deletion's graph, and walks no face of the graph itself.  The spy
+        sees this process's walks, so the deletions are all checked here."""
         walked = spy_walks(monkeypatch)
         code, out, _ = run(capsys, "verify", "--type", "E7", "--m", "1")
         assert code == 0 and "FAIL" not in out
         assert walked == [6] * 7
+
+    def test_split_run_prints_the_same(self, capsys, monkeypatch):
+        """The run above with the deletions shared with a forked child: the
+        same lines, and this process walks only its own share."""
+        monkeypatch.setattr(cluster_complex, "_can_split", lambda *size: False)
+        alone = run(capsys, "verify", "--type", "E7", "--m", "1")
+        monkeypatch.setattr(cluster_complex, "_can_split", lambda *size: True)
+        walked = spy_walks(monkeypatch)
+        assert run(capsys, "verify", "--type", "E7", "--m", "1") == alone
+        assert alone[0] == 0 and "FAIL" not in alone[1]
+        assert 0 < len(walked) < 7 and set(walked) == {6}
 
     def test_broken_link_walks_the_graph(self, capsys, monkeypatch):
         """The deletion loop reads a row of -alpha_1 that lacks one node
@@ -724,6 +737,13 @@ FAIL  Ext^1 = compatibility degree: 81 ordered pairs (failed premise: H shift-in
         assert [p.name for p in tmp_path.iterdir()] == ["x.json"]
 
 
+@pytest.fixture
+def one_process(monkeypatch):
+    """``verify`` checks every vertex deletion on this process, whatever the
+    instance and the machine, so that a spy sees every call."""
+    monkeypatch.setattr(cluster_complex, "_can_split", lambda *size: False)
+
+
 def g_step_for_g_inverse(monkeypatch):
     """Patch ``MClusterCategory._image`` so that the step the shift and H
     share is taken by G instead of G^-1."""
@@ -844,6 +864,31 @@ FAIL  Ext dimension symmetry: 450 (pair, degree) instances (failed premise: H sh
 """
 
 
+# The corruptions of the combinatorial graph of A3 m=2 that
+# ``TestRowPremises.test_corrupted_graph`` applies with ``flip_bits``, as
+# (case, choose, stdout, stderr).
+ROW_CORRUPTIONS = [
+    # The R_m orbit of a pair through -alpha_1, flipped both ways: the
+    # graph stays invariant and symmetric, and its -alpha_1 row is wrong.
+    ("row", lambda g, neg, b: [p for a, b in rotation_orbit(g, neg, b)
+                               for p in ((a, b), (b, a))],
+     A3_M2_FLIPPED.format("-alpha_i rows", 30, 45), ""),
+    # One pair through -alpha_1, flipped both ways: not invariant.
+    ("boundary pair", lambda g, neg, b: [(neg, b), (b, neg)],
+     A3_M2_FLIPPED.format("R_m invariance", 52, 54), ""),
+    # One bit of a pair of positive roots: the -alpha_i rows stay right,
+    # and the graph is neither symmetric nor invariant.
+    ("asymmetric pair", lambda g, neg, b: [next(
+        (x, y) for x in range(neg) for y in range(x + 1, neg) if g.adjacency[x] >> y & 1)],
+     A3_M2_FLIPPED.format("R_m invariance", 52, 54), ""),
+    # The R_m orbit of one bit through -alpha_1: invariant but not
+    # symmetric, so its -alpha_1 row is wrong, and the walk goes face by
+    # face.
+    ("asymmetric orbit", lambda g, neg, b: rotation_orbit(g, neg, b),
+     A3_M2_FLIPPED.format("-alpha_i rows", 37, 48), ""),
+]
+
+
 class TestRowPremises:
     """``verify`` compares the oracles on the rows of the negative simples,
     and each check that compares them takes its verdict from the premises
@@ -858,26 +903,7 @@ class TestRowPremises:
         code, out, err = run(capsys, "verify", "--type", name, "--m", str(m))
         assert code == 0 and "FAIL" not in out and err == ""
 
-    @pytest.mark.parametrize("case,choose,out,err", [
-        # The R_m orbit of a pair through -alpha_1, flipped both ways: the
-        # graph stays invariant and symmetric, and its -alpha_1 row is wrong.
-        ("row", lambda g, neg, b: [p for a, b in rotation_orbit(g, neg, b)
-                                   for p in ((a, b), (b, a))],
-         A3_M2_FLIPPED.format("-alpha_i rows", 30, 45), ""),
-        # One pair through -alpha_1, flipped both ways: not invariant.
-        ("boundary pair", lambda g, neg, b: [(neg, b), (b, neg)],
-         A3_M2_FLIPPED.format("R_m invariance", 52, 54), ""),
-        # One bit of a pair of positive roots: the -alpha_i rows stay right,
-        # and the graph is neither symmetric nor invariant.
-        ("asymmetric pair", lambda g, neg, b: [next(
-            (x, y) for x in range(neg) for y in range(x + 1, neg) if g.adjacency[x] >> y & 1)],
-         A3_M2_FLIPPED.format("R_m invariance", 52, 54), ""),
-        # The R_m orbit of one bit through -alpha_1: invariant but not
-        # symmetric, so its -alpha_1 row is wrong, and the walk goes face by
-        # face.
-        ("asymmetric orbit", lambda g, neg, b: rotation_orbit(g, neg, b),
-         A3_M2_FLIPPED.format("-alpha_i rows", 37, 48), ""),
-    ])
+    @pytest.mark.parametrize("case,choose,out,err", ROW_CORRUPTIONS)
     def test_corrupted_graph(self, capsys, monkeypatch, case, choose, out, err):
         flip_bits(monkeypatch, choose)
         refuse_pair_by_pair(monkeypatch)
