@@ -21,8 +21,7 @@ the system's graph from one walk of each, and walks no face of it.
 
 from __future__ import annotations
 
-import marshal
-from typing import BinaryIO, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .coloured_roots import (ColouredRoot, RotationTable, coloured_ground_set,
                              coloured_to_json, rotation_table)
@@ -418,13 +417,14 @@ def verify_vertex_deletions_on_rows(
     deletion.  Where ``_can_split`` allows it by ``g``'s node count and
     face bound, a child made by ``face_walk._fork`` checks the deletions at
     even indices meanwhile (``_send``), so that ``invariant`` and the other
-    deletions run beside them, and this process takes the child's
-    outcomes off the pipe (``_received``) and assembles every report in
-    deletion order.  The result is that of one process: when the child
-    fails, is killed or ends its pipe early, or a deletion raises here, the
-    child is killed and reaped and every deletion is checked again here, in
-    order, so that the first exception of the checks on one process is the
-    one raised; an exception of ``invariant`` itself is raised at once."""
+    deletions run beside them, and this process then receives the child's
+    outcomes, one frame each, in the order of its share, and assembles
+    every report in deletion order.  The result is that of one process:
+    when the child fails, is killed or ends its pipe early, or a deletion
+    raises here, the child is killed and reaped and every deletion is
+    checked again here, in order, so that the first exception of the
+    checks on one process is the one raised; an exception of ``invariant``
+    itself is raised at once."""
     table = rotation_table(g.rs, g.m)
     tasks = [(keep, sub, run) for (keep, sub), run in zip(_deletions(g.rs), table.runs)]
     # The child's share: the larger half in odd rank, since this process
@@ -434,20 +434,21 @@ def verify_vertex_deletions_on_rows(
     holds: Optional[bool] = None
     outcomes: Optional[List[Outcome]] = None
 
-    def here(pipe: BinaryIO) -> Optional[List[Outcome]]:
+    def here(receive: Callable[[], Any]) -> List[Outcome]:
         nonlocal holds
         holds = invariant()
         mine = {k: _deletion(g, *task, holds) for k, task in enumerate(tasks) if k not in share}
-        theirs = _received(pipe, g, len(share))
-        if theirs is None:
-            return None
-        mine.update(zip(share, theirs))
+        for k in share:
+            checked, failures, premise, link, counts = receive()
+            mine[k] = (Report(checked, [(g.nodes[x], g.nodes[y], full, restricted)
+                                        for x, y, full, restricted in failures], premise),
+                       link, counts and FaceWalk(*counts))
         return [mine[k] for k in range(len(tasks))]
 
     bound = face_bound(g.rs, g.m) if g.rs.irreducible else None
     if 0 < len(share) < len(tasks) and _can_split(len(g.nodes), bound):
         try:
-            outcomes = _fork(lambda pipe: _send(pipe, g, [tasks[k] for k in share]), here,
+            outcomes = _fork(lambda send: _send(send, g, [tasks[k] for k in share]), here,
                              "the vertex deletions")
         except Exception:
             if holds is None:  # ``invariant`` raised, before any deletion of one process
@@ -488,38 +489,21 @@ def _deletion(g: CompatibilityGraph, keep: List[int], sub: RootSystem, run: Tupl
     return report, link, counts
 
 
-def _send(pipe: BinaryIO, g: CompatibilityGraph,
+def _send(send: Callable[[Any], None], g: CompatibilityGraph,
           tasks: Sequence[Tuple[List[int], RootSystem, Tuple[int, ...]]]) -> None:
     """The child's part of ``verify_vertex_deletions_on_rows``: the
     ``_deletion`` of each of ``tasks``, walked wherever its link holds,
-    since only the parent learns whether the walks are used, written to
-    ``pipe`` once all are checked, by ``marshal``: per deletion, the
+    since only the parent learns whether the walks are used, each sent as
+    soon as it is checked, one ``face_walk._fork`` frame per deletion: the
     report's ``checked``, its failures with node ids for nodes, its
     premise, whether the link holds, and the walk's counts or None."""
     ids = {x: k for k, x in enumerate(g.nodes)}
-    outcomes = []
     for task in tasks:
         report, link, counts = _deletion(g, *task, True)
-        outcomes.append((report.checked, [(ids[x], ids[y], full, restricted)
-                                          for x, y, full, restricted in report.failures],
-                         report.premise, link,
-                         counts and (counts.f_vector, counts.facet_sizes, counts.ridges)))
-    pipe.write(marshal.dumps(outcomes))
-
-
-def _received(pipe: BinaryIO, g: CompatibilityGraph, count: int) -> Optional[List[Outcome]]:
-    """The ``count`` outcomes that ``_send`` wrote to ``pipe``, each failure
-    with its nodes read off ``g.nodes``; None if the pipe ends early."""
-    try:
-        outcomes = marshal.loads(pipe.read())
-    except (EOFError, ValueError, TypeError):  # a pipe cut short
-        return None
-    if len(outcomes) != count:
-        return None
-    return [(Report(checked, [(g.nodes[x], g.nodes[y], full, restricted)
-                              for x, y, full, restricted in failures], premise),
-             link, counts and FaceWalk(*counts))
-            for checked, failures, premise, link, counts in outcomes]
+        send((report.checked, [(ids[x], ids[y], full, restricted)
+                               for x, y, full, restricted in report.failures],
+              report.premise, link,
+              counts and (counts.f_vector, counts.facet_sizes, counts.ridges)))
 
 
 def complex_to_json(rs: RootSystem, m: int, oracle: str,

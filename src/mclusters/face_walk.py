@@ -13,19 +13,21 @@ the facets of each of its first nodes as soon as it has walked it, and
 this one takes the first nodes in increasing order, walking its own and
 appending the child's as they come, so the facets come in the order, and
 with the counts, of the walk on one process.  ``_fork`` is the one way a
-second process is made: ``cluster_complex.verify_vertex_deletions_on_rows``
-checks a share of ``verify``'s vertex deletions in a child of it too, under
-the same ``_can_split`` rule.
+second process is made, and the one wire format between the two: each
+value the child sends crosses the pipe as one length-prefixed ``marshal``
+frame.  ``cluster_complex.verify_vertex_deletions_on_rows`` checks a share
+of ``verify``'s vertex deletions in a child of it too, under the same
+``_can_split`` rule.
 """
 
 from __future__ import annotations
 
 import gc
+import marshal
 import os
 import sys
 from collections import Counter
-from itertools import chain, groupby, islice
-from typing import BinaryIO, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 T = TypeVar("T")
 
@@ -138,7 +140,8 @@ def _walk(neighbours: List[int], rank: int, top: int,
 # splits E7 m=2, E8 m=1 and A8 m=2 (0.45-0.6 of the time on one) and D7 m=1
 # and E7 m=1 (0.8-0.9), and keeps on one every walk under about 15 ms, rank
 # 2 at any m (A2 m=40: 1 ms on one, 5 ms on two; A2 m=1000: 0.8 s, 1.2 s)
-# and A3 at high m (A3 m=100: 1.4 s, 1.8 s).
+# and A3 at high m, although two now win there (A3 m=100: 1.5 s on one,
+# 1.3 s on two).
 SPLIT_FACES = 40_000
 # Where no face bound is known (a reducible system), the node count stands
 # in for the walk's size, from this many nodes on.
@@ -174,11 +177,13 @@ def _split_walk(neighbours: List[int], rank: int, top: int,
                 bound: Optional[Tuple[int, int]] = None) -> FaceWalk:
     """``_walk(neighbours, rank, top, facets)``, on two processes where
     ``_can_split`` allows it, given the complex's face ``bound`` if known.
-    A child made by ``_fork`` walks the first nodes of ``top`` with odd ids
-    (``_child``), and this one those with even ids; interleaved, the shares
-    cost about the same.  This one takes the first nodes in increasing
-    order, walking an even one and reading an odd one off the pipe
-    (``_receive``), so every facet is appended in the order of the walk on
+    A child made by ``_fork`` walks the first nodes of ``top`` with odd ids,
+    and this one those with even ids; interleaved, the shares cost about
+    the same.  The child sends one frame per first node as soon as it has
+    walked it: its f-vector, facet sizes, ridges and facets (None when no
+    facet list is asked for).  This one takes the first nodes in increasing
+    order, walking an even one and extending ``facets`` from the next frame
+    for an odd one, so every facet is appended in the order of the walk on
     one process, and the counts of the nodes add up to its counts.  A top
     that leaves either share empty, or a pipe or fork that fails, is walked
     here alone.  When the child fails or is killed, this process raises
@@ -189,21 +194,32 @@ def _split_walk(neighbours: List[int], rank: int, top: int,
         return _walk(neighbours, rank, top, facets)
     start = 0 if facets is None else len(facets)
 
-    def here(pipe: BinaryIO) -> Optional[FaceWalk]:
+    def child(send: Callable[[Any], None]) -> None:
+        share, theirs = odd, None if facets is None else []
+        while share:
+            low = share & -share
+            share ^= low
+            walk = _walk(neighbours, rank, top, theirs, low)
+            send((walk.f_vector, walk.facet_sizes, walk.ridges, theirs))
+            if theirs:
+                theirs.clear()
+
+    def here(receive: Callable[[], Any]) -> FaceWalk:
         walks, rest = [], top
         while rest:
             low = rest & -rest
             rest ^= low
-            walk = (_receive(pipe, facets, len(neighbours)) if low & odd else
-                    _walk(neighbours, rank, top, facets, low))
-            if walk is None:
-                return None
-            walks.append(walk)
+            if low & odd:
+                *counts, theirs = receive()
+                if facets is not None:
+                    facets.extend(theirs)
+                walks.append(FaceWalk(*counts))
+            else:
+                walks.append(_walk(neighbours, rank, top, facets, low))
         return _add(walks)
 
     try:
-        walk = _fork(lambda pipe: _child(neighbours, rank, top, odd, facets is not None, pipe),
-                     here, "the face walk")
+        walk = _fork(child, here, "the face walk")
     except BaseException:
         if facets is not None:
             del facets[start:]
@@ -211,22 +227,33 @@ def _split_walk(neighbours: List[int], rank: int, top: int,
     return _walk(neighbours, rank, top, facets) if walk is None else walk
 
 
-def _fork(child: Callable[[BinaryIO], None], here: Callable[[BinaryIO], Optional[T]],
-          name: str) -> Optional[T]:
-    """What ``here`` returns, run on this process while a child made by
-    ``os.fork`` runs ``child``, each given its end of one pipe, the child's
-    to write; or None, with no child made, where ``os.pipe`` or
-    ``os.fork`` fails (EMFILE, EAGAIN), so that the caller does all the work
-    here.  ``here`` returns None when the pipe ends early.
+class _EndedEarly(Exception):
+    """The pipe of ``_fork`` ended before a whole frame was read."""
+
+
+def _fork(child: Callable[[Callable[[Any], None]], None],
+          here: Callable[[Callable[[], Any]], T], name: str) -> Optional[T]:
+    """What ``here(receive)`` returns, run on this process while a child
+    made by ``os.fork`` runs ``child(send)``; or None, with no child made,
+    where ``os.pipe`` or ``os.fork`` fails (EMFILE, EAGAIN), so that the
+    caller does all the work here.
+
+    ``send(value)`` writes ``value`` to a pipe as one frame: an 8-byte
+    length, then ``marshal.dumps(value)``, flushed at once; so a value is
+    built of what ``marshal`` takes (ints, strings, bools, None, tuples,
+    lists and dicts of them), no pickle.  ``receive()`` reads the next
+    frame whole, then loads it: one ``marshal.loads`` of a buffer, where
+    ``marshal.load`` of the pipe would read it item by item.
 
     The child leaves by ``os._exit``, with status 0 only once ``child`` has
     returned, so that it never returns into its parent's code nor flushes
     its parent's buffers; a collection would only copy the parent's pages,
     so it runs with ``gc`` off.  Once the parent is gone, its next write
     fails (EPIPE) and it stops there.  The child is reaped on every path:
-    when it fails, is killed or ends its pipe early, this process raises
-    RuntimeError, which says so of ``name``'s second process; when ``here``
-    raises, the child is killed first, and the exception goes on."""
+    when it fails, is killed or ends the pipe before a frame that ``here``
+    asks for, this process raises RuntimeError, which says so of ``name``'s
+    second process; when ``here`` raises, the child is killed first, and
+    the exception goes on."""
     fds: Tuple[int, ...] = ()
     try:
         fds = r, w = os.pipe()
@@ -241,15 +268,31 @@ def _fork(child: Callable[[BinaryIO], None], here: Callable[[BinaryIO], Optional
             os.close(r)
             gc.disable()
             with open(w, "wb") as pipe:
-                child(pipe)
+                def send(value: Any) -> None:
+                    data = marshal.dumps(value)
+                    pipe.write(len(data).to_bytes(8, "little"))
+                    pipe.write(data)
+                    pipe.flush()
+
+                child(send)
             status = 0
         finally:
             os._exit(status)
     os.close(w)
-    status = None
+    status, ended = None, False
     try:
         with open(r, "rb") as pipe:
-            result = here(pipe)
+            def receive() -> Any:
+                head = pipe.read(8)
+                size = int.from_bytes(head, "little")
+                if len(head) == 8 and len(data := pipe.read(size)) == size:
+                    return marshal.loads(data)
+                raise _EndedEarly
+
+            try:
+                result = here(receive)
+            except _EndedEarly:
+                ended = True
         status = os.waitpid(pid, 0)[1]
     except BaseException:
         if status is None:
@@ -257,87 +300,12 @@ def _fork(child: Callable[[BinaryIO], None], here: Callable[[BinaryIO], Optional
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         raise
-    if status or result is None:
+    if status or ended:
         code = os.waitstatus_to_exitcode(status)
         raise RuntimeError(f"the second process of {name} "
                            + (f"exited with status {code}" if code > 0 else
                               f"was killed by signal {-code}" if code else "ended early"))
     return result
-
-
-def _child(neighbours: List[int], rank: int, top: int, share: int, with_facets: bool,
-           pipe: BinaryIO) -> None:
-    """The child of ``_split_walk``: it walks the first nodes of ``share``
-    in increasing order, and writes each one's ``_frame`` to ``pipe`` as
-    soon as it has walked it."""
-    facets: List[Tuple[int, ...]] = []
-    while share:
-        low = share & -share
-        share ^= low
-        walk = _walk(neighbours, rank, top, facets if with_facets else None, low)
-        pipe.write(_frame(walk, facets, len(neighbours)))
-        pipe.flush()
-        facets.clear()
-
-
-def _frame(walk: FaceWalk, facets: Sequence[Tuple[int, ...]], size: int) -> bytes:
-    """The walk of one first node, ``walk`` and its ``facets``, as bytes
-    for ``_receive``, no pickle: as 8-byte ints, the count of them all
-    first, then the f-vector, the facet sizes and the ridges, each after
-    its length, and the runs of facets of one size, as (size, count),
-    after their count; then the node ids of the facets, in
-    ``_id_format(size)``."""
-    runs = [(k, len(list(run))) for k, run in groupby(map(len, facets))]
-    head = [0, len(walk.f_vector), *walk.f_vector]
-    for counts in walk.facet_sizes, walk.ridges:
-        head += [len(counts), *chain.from_iterable(counts.items())]
-    head += [len(runs), *chain.from_iterable(runs)]
-    head[0] = len(head)
-    from array import array  # only in the child: importing it costs 0.2 MB of RSS
-    ids = chain.from_iterable(facets)
-    code = _id_format(size)
-    return array("q", head).tobytes() + (bytes(ids) if code == "B" else array(code, ids).tobytes())
-
-
-# The most bytes of node ids ``_receive`` reads at once.  Kept under
-# malloc's initial mmap threshold (128 KiB), so that the buffers it frees
-# do not raise the threshold, which would leave later buffers of that size
-# on the heap and raise the peak of the JSON that follows the walk.
-READ_BYTES = 1 << 16
-
-
-def _receive(pipe: BinaryIO, facets: Optional[List[Tuple[int, ...]]],
-             size: int) -> Optional[FaceWalk]:
-    """The walk of one first node that ``_child`` wrote to ``pipe`` as a
-    ``_frame``, or None if the pipe ends early.  Its facets are read
-    ``READ_BYTES`` at most at a time and appended to ``facets``, if
-    given."""
-    head = pipe.read(8)
-    if len(head) < 8:
-        return None
-    length = 8 * memoryview(head).cast("q")[0] - 8
-    head = pipe.read(length)
-    if len(head) < length:
-        return None
-    numbers = iter(memoryview(head).cast("q"))
-    fv = list(islice(numbers, next(numbers)))
-    sizes, ridges = (dict(islice(zip(numbers, numbers), next(numbers))) for _ in range(2))
-    code = _id_format(size)
-    width = memoryview(b"").cast(code).itemsize
-    for k, count in islice(zip(numbers, numbers), next(numbers)):
-        while count:
-            part = min(count, max(1, READ_BYTES // (k * width)))
-            ids = pipe.read(part * k * width)
-            if len(ids) < part * k * width:
-                return None
-            facets.extend(zip(*[iter(memoryview(ids).cast(code))] * k))
-            count -= part
-    return FaceWalk(fv, sizes, ridges)
-
-
-def _id_format(size: int) -> str:
-    """The format of a node id among ``size`` nodes: one byte up to 256."""
-    return "B" if size <= 256 else "L"
 
 
 def _add(walks: Sequence[FaceWalk]) -> FaceWalk:

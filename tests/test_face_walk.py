@@ -2,7 +2,8 @@
 the walk on one, ``_walk``, and what becomes of its child process.  The
 split walk is called directly, with ``_can_split`` patched to allow it
 (``always_split``), so that no threshold or CPU count decides whether it
-runs; ``_can_split`` is tested on its own."""
+runs; ``_can_split`` is tested on its own, and so is ``_fork``, the frames
+it carries and the ways its child can end (``TestFork``)."""
 
 import errno
 import itertools
@@ -221,16 +222,25 @@ class TestChild:
         self.split(a3, KeyError)
 
     def test_parent_raises_after_receiving(self, a3, monkeypatch):
-        real = face_walk._receive
+        """This process raises on its walk of first node 2, once the
+        child's facets of first node 1 were appended after its own of
+        node 0."""
+        parent, real = os.getpid(), face_walk._walk
+        lengths = []
 
-        def receive(pipe, facets, size):
-            before = len(facets)
-            real(pipe, facets, size)
-            assert len(facets) > before  # the child's facets are in
-            raise KeyError("after the child's facets")
+        def walk(neighbours, rank, top, facets=None, first=None):
+            if os.getpid() == parent:
+                lengths.append(len(facets))
+                if first == 1 << 2:
+                    raise KeyError("after the child's facets")
+            walk = real(neighbours, rank, top, facets, first)
+            if os.getpid() == parent:
+                lengths.append(len(facets))
+            return walk
 
-        monkeypatch.setattr(face_walk, "_receive", receive)
+        monkeypatch.setattr(face_walk, "_walk", walk)
         self.split(a3, KeyError)
+        assert len(lengths) == 3 and lengths[0] < lengths[1] < lengths[2]  # the child's are in
 
     def test_enumerate_exits_1(self, monkeypatch, capsys, tmp_path):
         """``enumerate`` reports the failed child as an internal error and
@@ -245,6 +255,97 @@ class TestChild:
         assert path.read_bytes() == b"old bytes\n"
         assert [p.name for p in tmp_path.iterdir()] == ["x.json"]
         no_child_left()
+
+
+class TestFork:
+    """``_fork`` called directly: what the child sends, ``here`` receives,
+    frame by frame, and a child that ends or dies before a frame that
+    ``here`` asks for makes it raise RuntimeError.  No child is left."""
+
+    # Every shape of value that the two callers send: a walk's counts and
+    # facets, a vertex deletion's outcome.
+    VALUES = [{0: 1, 7: 72_000, 2 ** 40: 3}, [(0, 1, 2), (3,), (), (300, 70_000)], [], None,
+              "Ext^1 on -alpha_i pairs", True, False, ([1, 7, 21], {3: 5}, {2: 9}, None),
+              (11, [(0, 5, True, False)], None, True, ([1, 4], {2: 2}, {1: 4})),
+              (3, [], "shift = R_m", False, None)]
+
+    @staticmethod
+    def fork(child, here):
+        try:
+            return face_walk._fork(child, here, "the test")
+        finally:
+            no_child_left()
+
+    def test_round_trip(self):
+        def child(send):
+            for value in self.VALUES:
+                send(value)
+
+        received = self.fork(child, lambda receive: [receive() for _ in self.VALUES])
+        assert received == self.VALUES
+        assert [type(value) for value in received] == [type(value) for value in self.VALUES]
+        assert type(received[1][0]) is tuple and type(received[7][0]) is list
+
+    def test_many_frames(self):
+        def child(send):
+            for k in range(2000):
+                send([(k, k + 1)] * (k % 3))
+
+        assert self.fork(child, lambda receive: [receive() for _ in range(2000)]) == [
+            [(k, k + 1)] * (k % 3) for k in range(2000)]
+
+    def test_frame_past_the_pipe_buffer(self):
+        """About 2.6 MB, 40 times the 64 KiB of a Linux pipe, between two
+        small frames."""
+        facets = [tuple(range(k % 200, k % 200 + 7)) for k in range(72_000)]
+
+        def child(send):
+            send(1)
+            send(facets)
+            send(2)
+
+        assert self.fork(child, lambda receive: [receive() for _ in range(3)]) == [1, facets, 2]
+
+    @pytest.mark.parametrize("sent", [0, 2])
+    def test_ended_early(self, sent):
+        """The child returns, with status 0, before a frame that ``here``
+        asks for."""
+        def child(send):
+            for k in range(sent):
+                send(k)
+
+        with pytest.raises(RuntimeError, match="^the second process of the test ended early$"):
+            self.fork(child, lambda receive: [receive() for _ in range(sent + 1)])
+
+    def test_killed_mid_frame(self):
+        """The child is killed by SIGALRM while it writes a 1 MB frame,
+        which ``here`` starts to read 2 s later: the frame is cut short,
+        and the signal is named."""
+        def child(send):
+            signal.signal(signal.SIGALRM, signal.SIG_DFL)
+            signal.alarm(1)
+            send(b"x" * 10 ** 6)
+
+        def here(receive):
+            time.sleep(2)
+            return receive()
+
+        with pytest.raises(RuntimeError, match=f"was killed by signal {signal.SIGALRM.value}$"):
+            self.fork(child, here)
+
+    def test_child_raises(self):
+        def child(send):
+            send(1)
+            raise ValueError
+
+        with pytest.raises(RuntimeError, match="exited with status 1$"):
+            self.fork(child, lambda receive: receive())
+
+    def test_no_pipe(self, monkeypatch):
+        """Where no pipe can be made, no child is made, and neither
+        ``child`` nor ``here`` runs."""
+        TestFallBack.fail("pipe", errno.EMFILE, monkeypatch)
+        assert self.fork(lambda send: 1 / 0, lambda receive: 1 / 0) is None
 
 
 def two_cpus(monkeypatch):
