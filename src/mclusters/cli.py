@@ -249,11 +249,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     """Print one PASS or FAIL line per check of ``(rs, m)``, and exit 1 if
     any fails.  The checks read the combinatorial graph, the premises of
     the system (``failed_premises``) and its vertex deletions
-    (``verify_vertex_deletions_on_rows``).  On a large instance a forked
-    child checks a share of the deletions while this process reads the
-    system's premises and prints the first line; nothing is printed before
-    the fork, and the child prints nothing, so the lines, their order and
-    the exit code are those of one process."""
+    (``verify_vertex_deletions_on_rows``), which reads the system's
+    premises and prints the first line before its first deletion."""
     rs = _root_system(args)
     m = args.m
     _bound_work(rs, m)

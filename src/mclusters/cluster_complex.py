@@ -5,11 +5,10 @@ One depth-first walk over the faces of the graph's ``int`` row per node
 the counts that theorems 2 (facet sizes) and 3 (complement counts) are
 read off; all orderings are fixed so that serialized output is
 byte-stable.  A walk of every face of a large graph runs on two processes,
-with the same result, and so do ``verify``'s checks of the vertex
-deletions of a large system.  Where no facet list is asked for and the graph
+with the same result.  Where no facet list is asked for and the graph
 carries its oracle's rotation as an automorphism, the walk covers one
-node's link per orbit and weights it by the orbit's size.  The facet-list
-checks and ``complements`` are the
+node's link per orbit, a join walked part by part, and weights it by the
+orbit's size.  The facet-list checks and ``complements`` are the
 references that the tests compare the walk with.  ``failed_premises``
 names the premises, each one linear pass, under which the combinatorial
 graph is the categorical one, on a system and on each of its vertex
@@ -21,11 +20,11 @@ the system's graph from one walk of each, and walks no face of it.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .coloured_roots import (ColouredRoot, RotationTable, coloured_ground_set,
                              coloured_to_json, rotation_table)
-from .face_walk import FaceWalk, _can_split, _fork, _from_links, _split_walk, _walk
+from .face_walk import FaceWalk, _from_links, _split_walk, _walk, _walk_parts
 from .orbit_category import MClusterCategory, mcluster_category
 from .root_system import RootSystem, parabolic
 
@@ -183,20 +182,39 @@ def walk_faces(g: CompatibilityGraph, facets: Optional[List[Tuple[int, ...]]] = 
     ``facets``, if given: ``_split_walk``, which runs on two processes
     where the machine and the size (``face_bound`` of an irreducible
     system, the node count of any other) allow it, with the result of
-    ``_walk``.  Otherwise it walks the link of one node r per orbit O of the rotation,
-    the clique complex on r's neighbours one rank lower; the rotation maps
-    it onto the link of each node of O, so ``_from_links`` weights it by
-    |O|.  A caller that has already read ``_orbits(g)``, not None, passes
-    it as ``orbits`` for a walk without a facet list, and it is not read
-    again."""
+    ``_walk``.  Otherwise it walks the link of one node per orbit O of the
+    rotation, O's first negative simple if it holds one: the clique complex
+    on its neighbours one rank lower, which the rotation maps onto the link
+    of each node of O, so ``_from_links`` weights it by |O|.
+    ``_walk_parts`` splits the graph and each link into the parts of a
+    join, each at the rank of the negative simples in it: a component of
+    the graph that the rotation keeps is counted from its orbits' links
+    within it.  A caller that has already read ``_orbits(g)``, not None,
+    passes it as ``orbits`` for a walk without a facet list, and it is not
+    read again."""
     neighbours = [row & ~(1 << v) for v, row in enumerate(g.adjacency)]
     if orbits is None and facets is None and neighbours:
         orbits = _orbits(g)
     if orbits is None:
         bound = face_bound(g.rs, g.m) if g.rs.irreducible else None
         return _split_walk(neighbours, g.rs.n, (1 << len(neighbours)) - 1, facets, bound)
-    return _from_links([(weight, _walk(neighbours, g.rs.n - 1, neighbours[r]))
-                        for r, weight in orbits], g.rs.n)
+    negatives = sum(1 << v for v, x in enumerate(g.nodes) if isinstance(x, ColouredRoot)
+                    and g.rs.negative_simple_index(x.root) is not None)
+    reps = []
+    for r, size in orbits:
+        for _ in range(size if negatives else 0):  # on to the orbit's first negative simple
+            if negatives >> r & 1:
+                break
+            r = g.rotation[r]
+        reps.append((r, size))
+
+    def links(neighbours: List[int], rank: int, part: int) -> FaceWalk:
+        if _moved(part, g.rotation, 0, 0) != part:  # no orbit weight counts a part left
+            return _walk(neighbours, rank, part)
+        return _from_links([(size, _walk_parts(neighbours, rank - 1, neighbours[r] & part, negatives))
+                            for r, size in reps if part >> r & 1], rank)
+
+    return _walk_parts(neighbours, g.rs.n, (1 << len(neighbours)) - 1, negatives, links)
 
 
 def enumerate_facets(g: CompatibilityGraph) -> List[TiltingSet]:
@@ -383,11 +401,6 @@ def _ext1_is_degree(cat: MClusterCategory, table: RotationTable) -> bool:
                for a in (run[0] for run in table.runs) for b in range(len(sigma)))
 
 
-# What ``_deletion`` finds of one vertex deletion: the report, whether the
-# subsystem's graph is a link, and the walk of that graph, if taken.
-Outcome = Tuple[Report, bool, Optional[FaceWalk]]
-
-
 def verify_vertex_deletions_on_rows(
         g: CompatibilityGraph,
         invariant: Callable[[], bool]) -> Tuple[List[Report], Optional[FaceWalk]]:
@@ -411,63 +424,21 @@ def verify_vertex_deletions_on_rows(
     per subsystem, weighted by the run's length: combinatorial facts
     alone.  The runs partition the ids, so an orbit that holds two negative
     simples needs no fractional weight.  The walk is None in rank 1 and
-    when a link fails.
-
-    ``invariant`` is called once, on this process, before its first
-    deletion.  Where ``_can_split`` allows it by ``g``'s node count and
-    face bound, a child made by ``face_walk._fork`` checks the deletions at
-    even indices meanwhile (``_send``), so that ``invariant`` and the other
-    deletions run beside them, and this process then receives the child's
-    outcomes, one frame each, in the order of its share, and assembles
-    every report in deletion order.  The result is that of one process:
-    when the child fails, is killed or ends its pipe early, or a deletion
-    raises here, the child is killed and reaped and every deletion is
-    checked again here, in order, so that the first exception of the
-    checks on one process is the one raised; an exception of ``invariant``
-    itself is raised at once."""
+    when a link fails.  ``invariant`` is called once, before the first
+    deletion, and the deletions are checked in order."""
     table = rotation_table(g.rs, g.m)
-    tasks = [(keep, sub, run) for (keep, sub), run in zip(_deletions(g.rs), table.runs)]
-    # The child's share: the larger half in odd rank, since this process
-    # also reads the system's premises (on E7 m=1 it beat the odd indices
-    # in paired benchmark runs, CHANGES.md).
-    share = range(0, len(tasks), 2)
-    holds: Optional[bool] = None
-    outcomes: Optional[List[Outcome]] = None
-
-    def here(receive: Callable[[], Any]) -> List[Outcome]:
-        nonlocal holds
-        holds = invariant()
-        mine = {k: _deletion(g, *task, holds) for k, task in enumerate(tasks) if k not in share}
-        for k in share:
-            checked, failures, premise, link, counts = receive()
-            mine[k] = (Report(checked, [(g.nodes[x], g.nodes[y], full, restricted)
-                                        for x, y, full, restricted in failures], premise),
-                       link, counts and FaceWalk(*counts))
-        return [mine[k] for k in range(len(tasks))]
-
-    bound = face_bound(g.rs, g.m) if g.rs.irreducible else None
-    if 0 < len(share) < len(tasks) and _can_split(len(g.nodes), bound):
-        try:
-            outcomes = _fork(lambda send: _send(send, g, [tasks[k] for k in share]), here,
-                             "the vertex deletions")
-        except Exception:
-            if holds is None:  # ``invariant`` raised, before any deletion of one process
-                raise
-    if holds is None:
-        holds = invariant()
-    if outcomes is None:
-        outcomes = []
-        for task in tasks:  # each walked while every link so far holds
-            outcomes.append(_deletion(g, *task, holds and all(link for _, link, _ in outcomes)))
-    walk = None
-    if holds and outcomes and all(link for _, link, _ in outcomes):
-        walk = _from_links([(len(run), counts) for (_, _, run), (_, _, counts)
-                            in zip(tasks, outcomes)], g.rs.n)
-    return [report for report, _, _ in outcomes], walk
+    walking = invariant()  # while R_m is an automorphism and every link so far holds
+    reports, links = [], []
+    for (keep, sub), run in zip(_deletions(g.rs), table.runs):
+        report, link, counts = _deletion(g, keep, sub, run, walking)
+        reports.append(report)
+        links.append((len(run), counts))
+        walking = walking and link
+    return reports, _from_links(links, g.rs.n) if walking and links else None
 
 
 def _deletion(g: CompatibilityGraph, keep: List[int], sub: RootSystem, run: Tuple[int, ...],
-              walk: bool) -> Outcome:
+              walk: bool) -> Tuple[Report, bool, Optional[FaceWalk]]:
     """The checks of one vertex deletion of ``g``'s system, the subsystem
     ``sub`` on ``keep``, whose -alpha_i begins ``run`` of the rotation
     table: the restriction report of its graph g_i, failed with the first
@@ -487,23 +458,6 @@ def _deletion(g: CompatibilityGraph, keep: List[int], sub: RootSystem, run: Tupl
     if failed:
         report.premise = failed[0]
     return report, link, counts
-
-
-def _send(send: Callable[[Any], None], g: CompatibilityGraph,
-          tasks: Sequence[Tuple[List[int], RootSystem, Tuple[int, ...]]]) -> None:
-    """The child's part of ``verify_vertex_deletions_on_rows``: the
-    ``_deletion`` of each of ``tasks``, walked wherever its link holds,
-    since only the parent learns whether the walks are used, each sent as
-    soon as it is checked, one ``face_walk._fork`` frame per deletion: the
-    report's ``checked``, its failures with node ids for nodes, its
-    premise, whether the link holds, and the walk's counts or None."""
-    ids = {x: k for k, x in enumerate(g.nodes)}
-    for task in tasks:
-        report, link, counts = _deletion(g, *task, True)
-        send((report.checked, [(ids[x], ids[y], full, restricted)
-                               for x, y, full, restricted in report.failures],
-              report.premise, link,
-              counts and (counts.f_vector, counts.facet_sizes, counts.ridges)))
 
 
 def complex_to_json(rs: RootSystem, m: int, oracle: str,

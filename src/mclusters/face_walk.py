@@ -3,21 +3,14 @@
 ``_walk`` walks the faces depth first, in increasing node order, so the
 facets come in lexicographic order, with the f-vector, the facet sizes and
 the ridge histogram that ``FaceWalk`` holds.  ``_from_links`` counts a
-complex from weighted walks of links of its nodes.  ``_split_walk`` is the
-walk of every face that ``cluster_complex.walk_faces`` takes: where
-``_can_split`` allows it (by its face bound, a complex with many faces
-besides its facets, or else a graph of at least ``SPLIT_NODES`` nodes; two
-CPUs and no other thread), it runs on two processes, this one and a child
-made by ``_fork``, each walking half of the first nodes.  The child sends
-the facets of each of its first nodes as soon as it has walked it, and
-this one takes the first nodes in increasing order, walking its own and
-appending the child's as they come, so the facets come in the order, and
-with the counts, of the walk on one process.  ``_fork`` is the one way a
-second process is made, and the one wire format between the two: each
-value the child sends crosses the pipe as one length-prefixed ``marshal``
-frame.  ``cluster_complex.verify_vertex_deletions_on_rows`` checks a share
-of ``verify``'s vertex deletions in a child of it too, under the same
-``_can_split`` rule.
+complex from weighted walks of links of its nodes, and ``_walk_parts``
+counts a graph or a link that is a join part by part (``_parts``, ``_join``).
+``_split_walk``, the walk of every face that ``cluster_complex.walk_faces``
+takes, runs on two processes where ``_can_split`` allows it, with the
+facets, their order and the counts of the walk on one.  ``_fork`` is the
+one way a second process is made, and the one wire format between the
+two: each value the child sends crosses the pipe as one length-prefixed
+``marshal`` frame.
 """
 
 from __future__ import annotations
@@ -36,10 +29,10 @@ class FaceWalk:
     """What ``walk_faces`` counts: faces of each size (the f-vector),
     facets of each size, and a histogram of the number of nodes compatible
     with each face one smaller than the rank (a ridge; the empty face in
-    rank 1).  The counts are exact whichever way they were produced: a walk
-    of every face, one link walk per orbit of the graph's rotation, or, in
-    ``verify_vertex_deletions_on_rows``, the walks of the vertex deletions'
-    graphs, which are the links of the negative simples."""
+    rank 1).  The counts are exact however they were produced: a walk of
+    every face, link walks weighted by orbit (``_from_links``), a join of
+    parts (``_join``), or, in ``verify_vertex_deletions_on_rows``, the
+    walks of the vertex deletions' graphs, the negative simples' links."""
 
     def __init__(self, f_vector: List[int], facet_sizes: Dict[int, int],
                  ridges: Dict[int, int]):
@@ -131,6 +124,65 @@ def _walk(neighbours: List[int], rank: int, top: int,
                     {k: c for k, c in enumerate(ridges) if c})
 
 
+def _parts(neighbours: List[int], top: int) -> List[int]:
+    """The components of the complement graph on ``top``, as masks, in one
+    breadth-first pass.  Nodes of different parts are compatible, so the
+    clique complex on ``top`` is the join of those on its parts."""
+    parts = []
+    while top:
+        part = frontier = top & -top
+        while frontier:
+            low = frontier & -frontier
+            new = top & ~neighbours[low.bit_length() - 1] & ~part
+            part, frontier = part | new, frontier ^ low | new
+        parts.append(part)
+        top ^= part
+    return parts
+
+
+def _product(a: Dict[int, int], b: Dict[int, int]) -> Dict[int, int]:
+    """Two counts by face size convolved, as the faces of a join are."""
+    out: Counter = Counter()
+    for i, x in a.items():
+        for j, y in b.items():
+            out[i + j] += x * y
+    return dict(sorted(out.items()))
+
+
+def _join(walks: Sequence[Tuple[FaceWalk, int]]) -> FaceWalk:
+    """The counts of the join of complexes, each ``(walk, rank)`` one with
+    no face above its rank.  The f-vectors and facet sizes convolve.  A
+    ridge is a ridge of one part joined with a top face of each other
+    part, which no node of that part is compatible with, so ridges[c] is
+    the sum over parts p of ridges_p[c] times the other parts' top faces."""
+    fv, sizes, ridges, tops = {0: 1}, {0: 1}, Counter(), 1
+    for walk, rank in walks:
+        fv = _product(fv, dict(enumerate(walk.f_vector)))
+        sizes = _product(sizes, walk.facet_sizes)
+        top = walk.f_vector[rank] if rank < len(walk.f_vector) else 0
+        ridges = (Counter({c: count * top for c, count in ridges.items()})
+                  + Counter({c: count * tops for c, count in walk.ridges.items()}))
+        tops *= top
+    return FaceWalk(list(fv.values()), sizes, dict(sorted(ridges.items())))
+
+
+def _walk_parts(neighbours: List[int], rank: int, top: int, negatives: int,
+                walk: Callable[[List[int], int, int], FaceWalk] = _walk) -> FaceWalk:
+    """The counts of ``walk(neighbours, rank, top)``, read as a join, as a
+    reducible system's complex and a negative simple's link are one
+    (Fomin-Reading, math/0505085): ``_join`` of a ``walk`` of each of its
+    ``_parts`` at the rank of the ``negatives`` in it.  Below rank 2, or
+    where the ranks do not sum to ``rank`` or a part has a face above its
+    rank, ``top`` is counted whole: a wrong hint costs time, never a count."""
+    parts = _parts(neighbours, top) if rank >= 2 else [top]
+    ranks = [(part & negatives).bit_count() for part in parts]
+    if len(parts) > 1 and sum(ranks) == rank:
+        walks = [(walk(neighbours, k, part), k) for part, k in zip(parts, ranks)]
+        if all(len(counts.f_vector) <= k + 1 for counts, k in walks):
+            return _join(walks)
+    return walk(neighbours, rank, top)
+
+
 # The full walk of a complex whose face bound (``cluster_complex.face_bound``:
 # F facets, at most B faces) is known runs on two processes when B - F, a
 # bound on its faces that are not facets, is at least SPLIT_FACES and at
@@ -149,16 +201,13 @@ SPLIT_NODES = 100
 
 
 def _can_split(size: int, bound: Optional[Tuple[int, int]] = None) -> bool:
-    """Whether work on a graph of ``size`` nodes, whose complex has the face
-    bound ``bound`` (facets, faces) if known, runs on two processes: large
-    enough by ``SPLIT_FACES``, or by ``SPLIT_NODES`` without a bound, where
-    ``os.fork`` exists, this process may run on at least two CPUs, and no
-    thread but this one is running, which a fork would not copy.  Threads
-    are counted by ``threading``, read only if something has imported it:
-    until then, none was started by it.  It decides both a full walk
-    (``_split_walk``) and ``verify``'s vertex deletions
-    (``cluster_complex.verify_vertex_deletions_on_rows``), whose walks grow
-    with the complex's as the links of its negative simples."""
+    """Whether the full walk (``_split_walk``) of a graph of ``size`` nodes,
+    whose complex has the face bound ``bound`` (facets, faces) if known,
+    runs on two processes: large enough by ``SPLIT_FACES``, or by
+    ``SPLIT_NODES`` without a bound, where ``os.fork`` exists, this process
+    may run on at least two CPUs, and no thread but this one is running,
+    which a fork would not copy.  Threads are counted by ``threading``, read
+    only if something has imported it: until then, none was started by it."""
     if bound is None:
         large = size >= SPLIT_NODES
     else:

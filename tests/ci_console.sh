@@ -22,6 +22,8 @@ $MCLUSTER verify --type E8 --m 1
 $MCLUSTER verify --type E8 --m 2
 $MCLUSTER verify --type A5 --m 10
 $MCLUSTER verify --type A6 --m 3
+$MCLUSTER verify --type D10 --m 1
+$MCLUSTER verify --type A11 --m 1
 python -c "import resource, mclusters.cli as cli; assert cli.main(['enumerate', '--type', 'E7', '--m', '2', '--out', '/dev/null']) == 0; peaks = [resource.getrusage(who).ru_maxrss for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)]; assert max(peaks) < 32 * 1024, f'enumerate E7 m=2 peaked at {peaks} KiB (itself, its child)'"
 python -c "import resource, mclusters.cli as cli; assert cli.main(['verify', '--type', 'E8', '--m', '2']) == 0; peaks = [resource.getrusage(who).ru_maxrss for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)]; assert max(peaks) < 32 * 1024, f'verify E8 m=2 peaked at {peaks} KiB (itself, its child)'" > /dev/null
 test "$($MCLUSTER enumerate --type E7 --m 2 | sha256sum | cut -d' ' -f1)" = \

@@ -535,26 +535,13 @@ class TestVerify:
                 "(failed premise: -alpha_i rows, deletion of vertex 1)"]))
             assert len(built) == 1 + 4  # D4 and one subsystem per deleted vertex
 
-    @pytest.mark.usefixtures("one_process")
     def test_walks_subsystem_graphs_only(self, capsys, monkeypatch):
         """A passing run counts the faces from one walk of each vertex
-        deletion's graph, and walks no face of the graph itself.  The spy
-        sees this process's walks, so the deletions are all checked here."""
+        deletion's graph, and walks no face of the graph itself."""
         walked = spy_walks(monkeypatch)
         code, out, _ = run(capsys, "verify", "--type", "E7", "--m", "1")
         assert code == 0 and "FAIL" not in out
         assert walked == [6] * 7
-
-    def test_split_run_prints_the_same(self, capsys, monkeypatch):
-        """The run above with the deletions shared with a forked child: the
-        same lines, and this process walks only its own share."""
-        monkeypatch.setattr(cluster_complex, "_can_split", lambda *size: False)
-        alone = run(capsys, "verify", "--type", "E7", "--m", "1")
-        monkeypatch.setattr(cluster_complex, "_can_split", lambda *size: True)
-        walked = spy_walks(monkeypatch)
-        assert run(capsys, "verify", "--type", "E7", "--m", "1") == alone
-        assert alone[0] == 0 and "FAIL" not in alone[1]
-        assert 0 < len(walked) < 7 and set(walked) == {6}
 
     def test_broken_link_walks_the_graph(self, capsys, monkeypatch):
         """The deletion loop reads a row of -alpha_1 that lacks one node
@@ -735,13 +722,6 @@ FAIL  Ext^1 = compatibility degree: 81 ordered pairs (failed premise: H shift-in
         assert err == "internal error: the shift is not a permutation of the node ids\n"
         assert path.read_bytes() == b"old bytes\n"
         assert [p.name for p in tmp_path.iterdir()] == ["x.json"]
-
-
-@pytest.fixture
-def one_process(monkeypatch):
-    """``verify`` checks every vertex deletion on this process, whatever the
-    instance and the machine, so that a spy sees every call."""
-    monkeypatch.setattr(cluster_complex, "_can_split", lambda *size: False)
 
 
 def g_step_for_g_inverse(monkeypatch):
