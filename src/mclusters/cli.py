@@ -248,9 +248,9 @@ def cmd_export_zq(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     """Print one PASS or FAIL line per check of ``(rs, m)``, and exit 1 if
     any fails.  The checks read the combinatorial graph, the premises of
-    the system (``failed_premises``) and its vertex deletions
-    (``verify_vertex_deletions_on_rows``), which reads the system's
-    premises and prints the first line before its first deletion."""
+    the system (``failed_premises``) and then its vertex deletions
+    (``verify_vertex_deletions_on_rows``), so the first line is printed
+    before the first deletion is checked."""
     rs = _root_system(args)
     m = args.m
     _bound_work(rs, m)
@@ -267,21 +267,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     size = len(g_comb.nodes)
     # Each check that compares the oracles takes its verdict from the
     # premises of its proof, and fails with the first of them that fails.
-    failed: List[str] = []
-    equal: Optional[str] = None
+    failed = failed_premises(g_comb)
 
     def first(*names: str) -> Optional[str]:
         return next((name for name in failed if name in names), None)
 
-    def premises() -> bool:
-        nonlocal equal
-        failed.extend(failed_premises(g_comb))
-        equal = first(SHIFT, INVARIANT, DUALITY, ROWS)
-        record("oracle equivalence", not equal, f"{size} nodes, {size * (size + 1) // 2} pairs",
-               equal)
-        return not first(SHIFT, INVARIANT)
+    equal = first(SHIFT, INVARIANT, DUALITY, ROWS)
+    record("oracle equivalence", not equal, f"{size} nodes, {size * (size + 1) // 2} pairs", equal)
 
-    parab, walk = verify_vertex_deletions_on_rows(g_comb, premises)
+    parab, walk = verify_vertex_deletions_on_rows(g_comb, not first(SHIFT, INVARIANT))
     if walk is None:
         walk = walk_faces(g_comb)
     record("facet sizes = rank", walk.theorem2(rs.n),

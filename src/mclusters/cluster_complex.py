@@ -4,11 +4,11 @@ One depth-first walk over the faces of the graph's ``int`` row per node
 (``face_walk``) gives the facets in lexicographic order, the f-vector, and
 the counts that theorems 2 (facet sizes) and 3 (complement counts) are
 read off; all orderings are fixed so that serialized output is
-byte-stable.  A walk of every face of a large graph runs on two processes,
-with the same result.  Where no facet list is asked for and the graph
-carries its oracle's rotation as an automorphism, the walk covers one
-node's link per orbit, a join walked part by part, and weights it by the
-orbit's size.  The facet-list checks and ``complements`` are the
+byte-stable.  A walk of every face of an irreducible system's large graph
+runs on two processes, with the same result.  Where no facet list is
+asked for and the graph carries its oracle's rotation as an automorphism,
+the walk covers one node's link per orbit, a join walked part by part,
+and weights it by the orbit's size.  The facet-list checks and ``complements`` are the
 references that the tests compare the walk with.  ``failed_premises``
 names the premises, each one linear pass, under which the combinatorial
 graph is the categorical one, on a system and on each of its vertex
@@ -20,7 +20,7 @@ the system's graph from one walk of each, and walks no face of it.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .coloured_roots import (ColouredRoot, RotationTable, coloured_ground_set,
                              coloured_to_json, rotation_table)
@@ -165,7 +165,8 @@ def face_bound(rs: RootSystem, m: int) -> Tuple[int, int]:
     at least (m+1)^(n-k) facets since mh+e_i+1 >= (m+1)(e_i+1); so
     f_k <= F*C(n,k)/(m+1)^(n-k), and these sum to the bound.  ``cli``
     refuses an instance past either; ``walk_faces`` decides from both
-    whether a full walk runs on two processes."""
+    whether a full walk runs on two processes, and a reducible system, with
+    no such bound, walks on one."""
     facets, denominator = 1, 1
     for e in rs.exponents():
         facets *= m * rs.h + e + 1
@@ -179,25 +180,27 @@ def walk_faces(g: CompatibilityGraph, facets: Optional[List[Tuple[int, ...]]] = 
     """The counts of the faces (cliques) of ``g``.  With ``facets`` given,
     or when ``g.rotation`` is not an automorphism of ``g`` (see
     ``_orbits``), the walk covers every node and appends each facet to
-    ``facets``, if given: ``_split_walk``, which runs on two processes
-    where the machine and the size (``face_bound`` of an irreducible
-    system, the node count of any other) allow it, with the result of
-    ``_walk``.  Otherwise it walks the link of one node per orbit O of the
-    rotation, O's first negative simple if it holds one: the clique complex
-    on its neighbours one rank lower, which the rotation maps onto the link
-    of each node of O, so ``_from_links`` weights it by |O|.
-    ``_walk_parts`` splits the graph and each link into the parts of a
-    join, each at the rank of the negative simples in it: a component of
-    the graph that the rotation keeps is counted from its orbits' links
-    within it.  A caller that has already read ``_orbits(g)``, not None,
-    passes it as ``orbits`` for a walk without a facet list, and it is not
-    read again."""
+    ``facets``, if given: ``_split_walk``, with the result of ``_walk``,
+    which runs on two processes where the machine and the ``face_bound``
+    of an irreducible system allow it, and on one for any other system.
+    Otherwise it walks the link of one node per orbit O of the rotation,
+    O's first negative simple if it holds one: the clique complex on its
+    neighbours one rank lower, which the rotation maps onto the link of
+    each node of O, so ``_from_links`` weights it by |O|.  ``_walk_parts``
+    splits each link into the parts of a join, each at the rank of the
+    negative simples in it, and so the graph of a reducible system: a
+    component that the rotation keeps is counted from its orbits' links
+    within it.  An irreducible system's graph is counted from its links
+    whole, with no search for parts.  A caller that has already read
+    ``_orbits(g)``, not None, passes it as ``orbits`` for a walk without a
+    facet list, and it is not read again."""
     neighbours = [row & ~(1 << v) for v, row in enumerate(g.adjacency)]
     if orbits is None and facets is None and neighbours:
         orbits = _orbits(g)
+    everything = (1 << len(neighbours)) - 1
     if orbits is None:
         bound = face_bound(g.rs, g.m) if g.rs.irreducible else None
-        return _split_walk(neighbours, g.rs.n, (1 << len(neighbours)) - 1, facets, bound)
+        return _split_walk(neighbours, g.rs.n, everything, facets, bound)
     negatives = sum(1 << v for v, x in enumerate(g.nodes) if isinstance(x, ColouredRoot)
                     and g.rs.negative_simple_index(x.root) is not None)
     reps = []
@@ -209,12 +212,15 @@ def walk_faces(g: CompatibilityGraph, facets: Optional[List[Tuple[int, ...]]] = 
         reps.append((r, size))
 
     def links(neighbours: List[int], rank: int, part: int) -> FaceWalk:
-        if _moved(part, g.rotation, 0, 0) != part:  # no orbit weight counts a part left
+        # A permutation keeps the set of every node; no orbit weight counts a part it moves.
+        if part != everything and _moved(part, g.rotation, 0, 0) != part:
             return _walk(neighbours, rank, part)
         return _from_links([(size, _walk_parts(neighbours, rank - 1, neighbours[r] & part, negatives))
                             for r, size in reps if part >> r & 1], rank)
 
-    return _walk_parts(neighbours, g.rs.n, (1 << len(neighbours)) - 1, negatives, links)
+    if g.rs.irreducible:
+        return links(neighbours, g.rs.n, everything)
+    return _walk_parts(neighbours, g.rs.n, everything, negatives, links)
 
 
 def enumerate_facets(g: CompatibilityGraph) -> List[TiltingSet]:
@@ -402,8 +408,7 @@ def _ext1_is_degree(cat: MClusterCategory, table: RotationTable) -> bool:
 
 
 def verify_vertex_deletions_on_rows(
-        g: CompatibilityGraph,
-        invariant: Callable[[], bool]) -> Tuple[List[Report], Optional[FaceWalk]]:
+        g: CompatibilityGraph, invariant: bool) -> Tuple[List[Report], Optional[FaceWalk]]:
     """``verify_vertex_deletions([g, g_cat])`` and ``walk_faces(g)`` for a
     combinatorial graph ``g``, g_cat the categorical graph of its system,
     read off the graphs g_i of the subsystems, with no categorical graph
@@ -418,16 +423,15 @@ def verify_vertex_deletions_on_rows(
     -alpha_i, less its own bit, is exactly the set of nodes that g_i's
     nodes lift to, and the restriction report of g_i passes (``_deletion``).
     Each node of run i of the rotation table is R_m^-t(-alpha_i), so when
-    R_m is an automorphism of ``g``, as ``invariant()`` says
-    (``_invariant``), its link is isomorphic to that of -alpha_i, and
+    R_m is an automorphism of ``g``, as ``invariant`` says (``_invariant``,
+    read by the caller), its link is isomorphic to that of -alpha_i, and
     ``_from_links`` counts the faces of ``g`` from one ``walk_faces(g_i)``
     per subsystem, weighted by the run's length: combinatorial facts
     alone.  The runs partition the ids, so an orbit that holds two negative
     simples needs no fractional weight.  The walk is None in rank 1 and
-    when a link fails.  ``invariant`` is called once, before the first
-    deletion, and the deletions are checked in order."""
+    when a link fails.  The deletions are checked in order."""
     table = rotation_table(g.rs, g.m)
-    walking = invariant()  # while R_m is an automorphism and every link so far holds
+    walking = invariant  # while R_m is an automorphism and every link so far holds
     reports, links = [], []
     for (keep, sub), run in zip(_deletions(g.rs), table.runs):
         report, link, counts = _deletion(g, keep, sub, run, walking)

@@ -6,11 +6,12 @@ the ridge histogram that ``FaceWalk`` holds.  ``_from_links`` counts a
 complex from weighted walks of links of its nodes, and ``_walk_parts``
 counts a graph or a link that is a join part by part (``_parts``, ``_join``).
 ``_split_walk``, the walk of every face that ``cluster_complex.walk_faces``
-takes, runs on two processes where ``_can_split`` allows it, with the
-facets, their order and the counts of the walk on one.  ``_fork`` is the
-one way a second process is made, and the one wire format between the
-two: each value the child sends crosses the pipe as one length-prefixed
-``marshal`` frame.
+takes, runs on two processes where ``_can_split`` allows it, which is for a
+complex with a large face bound (an irreducible system's) only, with the
+facets, their order and the counts of the walk on one.  ``_fork``, which
+only ``_split_walk`` calls, is the one place a second process is made, and
+the one wire format between the two: each value the child sends crosses
+the pipe as one length-prefixed ``marshal`` frame.
 """
 
 from __future__ import annotations
@@ -195,25 +196,20 @@ def _walk_parts(neighbours: List[int], rank: int, top: int, negatives: int,
 # and A3 at high m, although two now win there (A3 m=100: 1.5 s on one,
 # 1.3 s on two).
 SPLIT_FACES = 40_000
-# Where no face bound is known (a reducible system), the node count stands
-# in for the walk's size, from this many nodes on.
-SPLIT_NODES = 100
 
 
-def _can_split(size: int, bound: Optional[Tuple[int, int]] = None) -> bool:
-    """Whether the full walk (``_split_walk``) of a graph of ``size`` nodes,
-    whose complex has the face bound ``bound`` (facets, faces) if known,
-    runs on two processes: large enough by ``SPLIT_FACES``, or by
-    ``SPLIT_NODES`` without a bound, where ``os.fork`` exists, this process
-    may run on at least two CPUs, and no thread but this one is running,
-    which a fork would not copy.  Threads are counted by ``threading``, read
-    only if something has imported it: until then, none was started by it."""
-    if bound is None:
-        large = size >= SPLIT_NODES
-    else:
-        facets, faces = bound
-        large = faces - facets >= max(SPLIT_FACES, facets)
-    if not large or not hasattr(os, "fork"):
+def _can_split(bound: Optional[Tuple[int, int]]) -> bool:
+    """Whether the full walk (``_split_walk``) of a complex with the face
+    bound ``bound`` (facets, faces) runs on two processes: large enough by
+    ``SPLIT_FACES``, where ``os.fork`` exists, this process may run on at
+    least two CPUs, and no thread but this one is running, which a fork
+    would not copy.  A complex with no known bound (a reducible system's)
+    is walked on one.  Threads are counted by ``threading``, read only if
+    something has imported it: until then, none was started by it."""
+    if bound is None or not hasattr(os, "fork"):
+        return False
+    facets, faces = bound
+    if faces - facets < max(SPLIT_FACES, facets):
         return False
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
@@ -225,7 +221,8 @@ def _split_walk(neighbours: List[int], rank: int, top: int,
                 facets: Optional[List[Tuple[int, ...]]] = None,
                 bound: Optional[Tuple[int, int]] = None) -> FaceWalk:
     """``_walk(neighbours, rank, top, facets)``, on two processes where
-    ``_can_split`` allows it, given the complex's face ``bound`` if known.
+    ``_can_split`` allows it, given the complex's face ``bound``, None (a
+    reducible system's complex) for a walk on this process alone.
     A child made by ``_fork`` walks the first nodes of ``top`` with odd ids,
     and this one those with even ids; interleaved, the shares cost about
     the same.  The child sends one frame per first node as soon as it has
@@ -239,7 +236,7 @@ def _split_walk(neighbours: List[int], rank: int, top: int,
     RuntimeError, and when this one raises, the child is killed (``_fork``);
     either way ``facets`` is left as it was."""
     odd = top & sum(1 << v for v in range(1, len(neighbours), 2))
-    if not odd or odd == top or not _can_split(len(neighbours), bound):
+    if not odd or odd == top or not _can_split(bound):
         return _walk(neighbours, rank, top, facets)
     start = 0 if facets is None else len(facets)
 
@@ -268,7 +265,7 @@ def _split_walk(neighbours: List[int], rank: int, top: int,
         return _add(walks)
 
     try:
-        walk = _fork(child, here, "the face walk")
+        walk = _fork(child, here)
     except BaseException:
         if facets is not None:
             del facets[start:]
@@ -281,7 +278,7 @@ class _EndedEarly(Exception):
 
 
 def _fork(child: Callable[[Callable[[Any], None]], None],
-          here: Callable[[Callable[[], Any]], T], name: str) -> Optional[T]:
+          here: Callable[[Callable[[], Any]], T]) -> Optional[T]:
     """What ``here(receive)`` returns, run on this process while a child
     made by ``os.fork`` runs ``child(send)``; or None, with no child made,
     where ``os.pipe`` or ``os.fork`` fails (EMFILE, EAGAIN), so that the
@@ -300,9 +297,9 @@ def _fork(child: Callable[[Callable[[Any], None]], None],
     so it runs with ``gc`` off.  Once the parent is gone, its next write
     fails (EPIPE) and it stops there.  The child is reaped on every path:
     when it fails, is killed or ends the pipe before a frame that ``here``
-    asks for, this process raises RuntimeError, which says so of ``name``'s
-    second process; when ``here`` raises, the child is killed first, and
-    the exception goes on."""
+    asks for, this process raises RuntimeError, which says so of the face
+    walk's second process; when ``here`` raises, the child is killed
+    first, and the exception goes on."""
     fds: Tuple[int, ...] = ()
     try:
         fds = r, w = os.pipe()
@@ -351,7 +348,7 @@ def _fork(child: Callable[[Callable[[Any], None]], None],
         raise
     if status or ended:
         code = os.waitstatus_to_exitcode(status)
-        raise RuntimeError(f"the second process of {name} "
+        raise RuntimeError("the second process of the face walk "
                            + (f"exited with status {code}" if code > 0 else
                               f"was killed by signal {-code}" if code else "ended early"))
     return result

@@ -109,7 +109,7 @@ class TestRowPremises:
         rs = system(name)
         g = build_graph(rs, m)
         expected = verify_vertex_deletions([g, build_graph(rs, m, "categorical")])
-        got, _ = cluster_complex.verify_vertex_deletions_on_rows(g, lambda: True)
+        got, _ = cluster_complex.verify_vertex_deletions_on_rows(g, True)
         assert [(r.passed, r.checked) for r in got] == [(r.passed, r.checked) for r in expected]
 
     def test_subsystem_refused(self, a3, monkeypatch):
@@ -124,7 +124,7 @@ class TestRowPremises:
             return g
 
         monkeypatch.setattr(cluster_complex, "build_graph", flipped)
-        reports, walk = cluster_complex.verify_vertex_deletions_on_rows(real(a3, 2), lambda: True)
+        reports, walk = cluster_complex.verify_vertex_deletions_on_rows(real(a3, 2), True)
         assert [(r.passed, r.premise) for r in reports] == [(False, "R_m invariance")] * 3
         assert walk is None
 
@@ -333,7 +333,7 @@ class TestLinkWalk:
         rs = system(name, keep)
         g = build_graph(rs, m)
         reports, walk = cluster_complex.verify_vertex_deletions_on_rows(
-            g, lambda: cluster_complex._invariant(g))
+            g, cluster_complex._invariant(g))
         assert all(report.passed for report in reports) and len(reports) == (rs.n > 1) * rs.n
         if rs.n == 1:  # no deletion: the caller walks the graph
             assert walk is None
@@ -346,7 +346,7 @@ class TestLinkWalk:
         g = build_graph(a2, 1)
         assert sorted(map(len, rotation_table(a2, 1).runs)) == [2, 3]
         _, walk = cluster_complex.verify_vertex_deletions_on_rows(
-            g, lambda: cluster_complex._invariant(g))
+            g, cluster_complex._invariant(g))
         assert (walk.f_vector, walk.facet_sizes, walk.ridges) == ([1, 5, 5], {2: 5}, {2: 5})
 
 

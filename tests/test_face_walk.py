@@ -29,7 +29,7 @@ pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="the split walk 
 @pytest.fixture
 def always_split(monkeypatch):
     """``_split_walk`` forks whatever the graph's size, CPUs and threads."""
-    monkeypatch.setattr(face_walk, "_can_split", lambda *size: True)
+    monkeypatch.setattr(face_walk, "_can_split", lambda bound: True)
 
 
 def neighbours_of(rows):
@@ -169,7 +169,8 @@ class TestChild:
                 time.sleep(1)
             return walk(*args)
 
-        os.fork, face_walk._walk, face_walk._can_split = announced_fork, slow_walk, lambda *size: True
+        os.fork, face_walk._walk = announced_fork, slow_walk
+        face_walk._can_split = lambda bound: True
         g = build_graph(build_root_system(parse_type("E7")), 2)
         face_walk._split_walk([row & ~(1 << v) for v, row in enumerate(g.adjacency)], 7,
                               (1 << len(g.nodes)) - 1)
@@ -262,8 +263,8 @@ class TestFork:
     frame by frame, and a child that ends or dies before a frame that
     ``here`` asks for makes it raise RuntimeError.  No child is left."""
 
-    # Every shape of value that the two callers send: a walk's counts and
-    # facets, a vertex deletion's outcome.
+    # Every shape of value that the split walk sends (a walk's counts and
+    # facets), and others that ``marshal`` takes.
     VALUES = [{0: 1, 7: 72_000, 2 ** 40: 3}, [(0, 1, 2), (3,), (), (300, 70_000)], [], None,
               "Ext^1 on -alpha_i pairs", True, False, ([1, 7, 21], {3: 5}, {2: 9}, None),
               (11, [(0, 5, True, False)], None, True, ([1, 4], {2: 2}, {1: 4})),
@@ -272,7 +273,7 @@ class TestFork:
     @staticmethod
     def fork(child, here):
         try:
-            return face_walk._fork(child, here, "the test")
+            return face_walk._fork(child, here)
         finally:
             no_child_left()
 
@@ -314,20 +315,20 @@ class TestFork:
             for k in range(sent):
                 send(k)
 
-        with pytest.raises(RuntimeError, match="^the second process of the test ended early$"):
+        with pytest.raises(RuntimeError, match="^the second process of the face walk ended early$"):
             self.fork(child, lambda receive: [receive() for _ in range(sent + 1)])
 
     def test_killed_mid_frame(self):
-        """The child is killed by SIGALRM while it writes a 1 MB frame,
-        which ``here`` starts to read 2 s later: the frame is cut short,
-        and the signal is named."""
+        """The child is killed by SIGALRM 50 ms after it starts, while it
+        writes a 1 MB frame, which ``here`` starts to read 0.3 s later: the
+        frame is cut short, and the signal is named."""
         def child(send):
             signal.signal(signal.SIGALRM, signal.SIG_DFL)
-            signal.alarm(1)
+            signal.setitimer(signal.ITIMER_REAL, 0.05)
             send(b"x" * 10 ** 6)
 
         def here(receive):
-            time.sleep(2)
+            time.sleep(0.3)
             return receive()
 
         with pytest.raises(RuntimeError, match=f"was killed by signal {signal.SIGALRM.value}$"):
@@ -353,15 +354,15 @@ def two_cpus(monkeypatch):
 
 
 def spy_splits(monkeypatch):
-    """The node count of each graph that ``walk_faces`` splits, in order,
-    on a machine with two CPUs."""
+    """The face bound of each complex whose walk ``walk_faces`` splits, in
+    order, on a machine with two CPUs."""
     two_cpus(monkeypatch)
     splits, real = [], face_walk._can_split
 
-    def spy(size, bound=None):
-        split = real(size, bound)
+    def spy(bound):
+        split = real(bound)
         if split:
-            splits.append(size)
+            splits.append(bound)
         return split
 
     monkeypatch.setattr(face_walk, "_can_split", spy)
@@ -375,7 +376,7 @@ def test_complex_to_json(monkeypatch):
     splits = spy_splits(monkeypatch)
     rs = build_root_system(parse_type("E7"))
     data = complex_to_json(rs, 2, "combinatorial", include_verification=False)
-    assert splits == [133]
+    assert splits == [cli.face_bound(rs, 2)]
     no_child_left()
     facets = []
     walk = face_walk._walk(neighbours_of(build_graph(rs, 2).adjacency), rs.n, (1 << 133) - 1,
@@ -383,15 +384,16 @@ def test_complex_to_json(monkeypatch):
     assert data["facets"] == facets and data["f_vector"] == walk.f_vector
 
 
-@pytest.mark.parametrize("name,m,split", [("A2", 40, []), ("A3", 10, []), ("E6", 1, []),
-                                          ("E7", 1, [70])])
+@pytest.mark.parametrize("name,m,split", [("A2", 40, False), ("A3", 10, False),
+                                          ("E6", 1, False), ("E7", 1, True)])
 def test_split_by_face_bound(monkeypatch, name, m, split):
     """Whether ``enumerate`` splits its walk follows the face bound, not
     the node count: A2 m=40 has 122 nodes and walks in about 1 ms, E7 m=1
     has 70 and walks in about 20 ms."""
     splits = spy_splits(monkeypatch)
-    complex_to_json(build_root_system(parse_type(name)), m, "combinatorial")
-    assert splits == split
+    rs = build_root_system(parse_type(name))
+    complex_to_json(rs, m, "combinatorial")
+    assert splits == ([cli.face_bound(rs, m)] if split else [])
     no_child_left()
 
 
@@ -444,61 +446,58 @@ class TestFallBack:
 
 
 class TestCanSplit:
-    BIG = face_walk.SPLIT_NODES
+    # E7 m=2's face bound, which splits.
+    SPLIT = cli.face_bound(build_root_system(parse_type("E7")), 2)
 
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
         two_cpus(monkeypatch)
-
-    def test_big_graph(self):
-        assert face_walk._can_split(self.BIG)
-
-    def test_small_graph(self):
-        assert not face_walk._can_split(self.BIG - 1)
 
     @pytest.mark.parametrize("name,m,split", [
         ("A2", 40, False), ("A2", 1000, False), ("A3", 90, False), ("A4", 12, False),
         ("E6", 1, False), ("A7", 1, False), ("D7", 1, True), ("E7", 1, True), ("E6", 2, True),
         ("E7", 2, True), ("E8", 1, True), ("A8", 2, True), ("E8", 2, True)])
     def test_face_bound_decides(self, name, m, split):
-        """With a face bound, the node count does not count: A8 m=2 has 80
-        nodes, A2 m=1000 has 3,002."""
+        """The face bound decides, not the node count: A8 m=2 has 80 nodes,
+        A2 m=1000 has 3,002."""
         rs = build_root_system(parse_type(name))
-        facets, faces = cli.face_bound(rs, m)
-        assert face_walk._can_split(1, (facets, faces)) == split
-        assert face_walk._can_split(10 ** 6, (facets, faces)) == split
+        assert face_walk._can_split(cli.face_bound(rs, m)) == split
 
     def test_face_bound_threshold(self):
         big = face_walk.SPLIT_FACES
-        assert face_walk._can_split(1, (big, 2 * big))
-        assert not face_walk._can_split(1, (big, 2 * big - 1))
-        assert face_walk._can_split(1, (0, big))
-        assert not face_walk._can_split(1, (0, big - 1))
-        assert not face_walk._can_split(10 ** 6, (0, big - 1))
+        assert face_walk._can_split((big, 2 * big))
+        assert not face_walk._can_split((big, 2 * big - 1))
+        assert face_walk._can_split((0, big))
+        assert not face_walk._can_split((0, big - 1))
+
+    def test_no_bound(self):
+        """A reducible system's complex, which has no face bound, is walked
+        on one process whatever its size."""
+        assert not face_walk._can_split(None)
 
     def test_one_cpu(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert not face_walk._can_split(self.BIG)
+        assert not face_walk._can_split(self.SPLIT)
 
     @pytest.mark.parametrize("cpus,split", [(None, False), (1, False), (2, True)])
     def test_cpu_count(self, monkeypatch, cpus, split):
         """Without ``os.sched_getaffinity``, ``os.cpu_count()`` decides."""
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        assert face_walk._can_split(self.BIG) == split
+        assert face_walk._can_split(self.SPLIT) == split
 
     def test_no_fork(self, monkeypatch):
         monkeypatch.delattr(os, "fork")
-        assert not face_walk._can_split(self.BIG)
+        assert not face_walk._can_split(self.SPLIT)
 
     def test_other_thread(self):
         stop = threading.Event()
         thread = threading.Thread(target=stop.wait)
         thread.start()
         try:
-            assert not face_walk._can_split(self.BIG)
+            assert not face_walk._can_split(self.SPLIT)
         finally:
             stop.set()
             thread.join(timeout=10)
         assert not thread.is_alive()
-        assert face_walk._can_split(self.BIG)
+        assert face_walk._can_split(self.SPLIT)

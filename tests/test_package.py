@@ -115,3 +115,27 @@ def test_python_310_syntax():
     assert root / "perfbench" / "worker.py" in files
     for path in files:
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+def test_one_place_makes_a_second_process():
+    """``os.fork`` and ``os.pipe`` appear in ``src/`` only inside
+    ``face_walk._fork``, and neither is imported by name, so that function
+    is the one place a second process is made."""
+    root = Path(__file__).resolve().parent.parent / "src"
+    found = []
+
+    def visit(node, module, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name if function is None else f"{function}.{node.name}"
+        if (isinstance(node, ast.Attribute) and node.attr in ("fork", "pipe")
+                and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            found.append((module, function, node.attr))
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            found.extend((module, function, alias.name) for alias in node.names
+                         if alias.name in ("fork", "pipe"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function)
+
+    for path in sorted(root.rglob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
+    assert sorted(found) == [("face_walk", "_fork", "fork"), ("face_walk", "_fork", "pipe")]
